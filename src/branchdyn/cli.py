@@ -428,6 +428,7 @@ def cmd_operators(args):
             "block_dimensions": [b.dimension for b in rep.blocks],
             "block_scalar": list(rep.block_scalar),
             "lattice_size": rep.lattice_size,
+            "lattice_reason": rep.lattice_reason,
             "nonabelian_witness": _jsonable(rep.nonabelian_witness),
         }
         _emit(args, "operators commutant", params, body)

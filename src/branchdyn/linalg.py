@@ -1,13 +1,22 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Everything here is textbook
-elimination; no pivot-size cleverness is needed at the dimensions the
-truncation work produces (a few hundred at most).
+Matrices are lists of rows of Fractions or ints; the products keep ints
+as ints.  Everything here is textbook elimination; no pivot-size
+cleverness is needed at the dimensions the truncation work produces (a
+few hundred at most).
+
+The spectral kernels work in integers.  ``char_poly`` clears
+denominators and runs Faddeev-LeVerrier on the integer matrix, where
+every division by k is exact.  ``rational_eigenvalues`` tries only the
+divisors of the constant term up to the Gershgorin bound (the largest
+absolute row sum bounds every eigenvalue), so its cost grows with the
+size of the entries, not with the bit length of the coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -17,34 +26,29 @@ def zeros(n: int, m: int) -> list:
     return [[F0] * m for _ in range(n)]
 
 
-def identity(n: int) -> list:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = F1
-    return out
+def identity(n: int, one=F1) -> list:
+    zero = one * 0
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)] if a else []
 
+
 def mat_mul(a: list, b: list) -> list:
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(n, p)
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(m):
-            v = row[t]
+    p = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * p
+        for v, brow in zip(row, b):
             if v:
-                brow = b[t]
-                for j in range(p):
-                    if brow[j]:
-                        acc[j] += v * brow[j]
+                acc = [x + v * y if y else x for x, y in zip(acc, brow)]
+        out.append(acc)
     return out
 
 
 def mat_vec(a: list, v: list) -> list:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), F0) for row in a]
+    return [sum((x * y for x, y in zip(row, v) if x and y), F0) for row in a]
 
 
 def mat_add(a: list, b: list) -> list:
@@ -55,12 +59,8 @@ def mat_scale(a: list, c: Fraction) -> list:
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a: list, b: list) -> bool:
-    return a == b
-
-
 def mat_pow(a: list, e: int) -> list:
-    out = identity(len(a))
+    out = identity(len(a), 1)
     base = a
     while e:
         if e & 1:
@@ -115,45 +115,39 @@ def nullspace(a: list) -> list:
     return basis
 
 
-def rank(a: list) -> int:
-    return len(rref(a)[1])
-
-
 def char_poly(a: list) -> list:
     """Coefficients [c_0, ..., c_n] of det(xI - A), c_n = 1 (monic).
 
-    Faddeev-LeVerrier recursion; exact over Fraction.
+    Faddeev-LeVerrier in integers: with A = B / D for an integer matrix
+    B, the recursion on B divides exactly at every step, and the
+    coefficients of A are those of B scaled by c_j / D^(n-j).
     """
     n = len(a)
-    coeffs = [F0] * (n + 1)
-    coeffs[n] = F1
-    m = identity(n)
+    den = 1
+    for row in a:
+        for x in row:
+            den = lcm(den, x.denominator)
+    b = [[int(x * den) for x in row] for row in a]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = identity(n, 1)
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        ck = -sum(am[i][i] for i in range(n)) / k
+        bm = mat_mul(b, m)
+        ck, r = divmod(-sum(bm[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError("Faddeev-LeVerrier division is not exact")
         coeffs[n - k] = ck
-        m = mat_add(am, mat_scale(identity(n), ck))
-    return coeffs
+        for i in range(n):
+            bm[i][i] += ck
+        m = bm
+    return [Fraction(c, den ** (n - j)) for j, c in enumerate(coeffs)]
 
 
-def poly_eval(coeffs: list, x: Fraction) -> Fraction:
-    acc = F0
+def poly_eval(coeffs: list, x):
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def rational_eigenvalues(a: list) -> list:
@@ -162,25 +156,22 @@ def rational_eigenvalues(a: list) -> list:
     The characteristic polynomial is monic with integer coefficients,
     so every rational root is an integer dividing the lowest nonzero
     coefficient (after stripping factors of x, which contribute the
-    root 0).
+    root 0).  By Gershgorin's disc theorem no eigenvalue exceeds the
+    largest absolute row sum, so only divisors up to that bound are
+    tried.
     """
-    coeffs = char_poly(a)
     ints = []
-    for c in coeffs:
+    for c in char_poly(a):
         if c.denominator != 1:
             raise ValueError("matrix is not integral")
         ints.append(c.numerator)
-    roots = set()
-    low = next((i for i, c in enumerate(ints) if c != 0), None)
-    if low is None:
-        return []
-    if low > 0:
-        roots.add(0)
+    low = next(i for i, c in enumerate(ints) if c != 0)
+    roots = {0} if low else set()
     const = ints[low]
-    for d in _divisors(const):
-        for cand in (d, -d):
-            if poly_eval(coeffs, Fraction(cand)) == 0:
-                roots.add(cand)
+    bound = max((sum(abs(x) for x in row) for row in a), default=0)
+    for d in range(1, min(abs(const), int(bound)) + 1):
+        if const % d == 0:
+            roots.update(r for r in (d, -d) if poly_eval(ints, r) == 0)
     return sorted(roots)
 
 
@@ -204,12 +195,3 @@ def gram_schmidt_orthogonal(vectors: list) -> list:
         if any(w):
             basis.append(w)
     return basis
-
-
-def in_span(vectors: list, w: list) -> bool:
-    """Is w in the span of the rows ``vectors``?"""
-    if not any(w):
-        return True
-    if not vectors:
-        return False
-    return rank(vectors) == rank(vectors + [w])

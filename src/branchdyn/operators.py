@@ -18,7 +18,9 @@ and A M_i^T = M_i^T A are, entry by entry, equalities between single
 entries of A or constraints forcing single entries to 0.  Union-find
 over entry positions (with one extra "zero" sink) therefore yields an
 exact basis of the commutant: the indicator matrices of the surviving
-entry classes.
+entry classes.  When the commutant is abelian its reducing blocks are
+found one total-orbit component at a time, and only components with
+off-diagonal classes need exact spectral work.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from .coding import CodingPrefix
+from .orbits import _UnionFind
 from .systems import DynamicalSystem, as_window
 from .words import check_word
 
@@ -307,14 +310,17 @@ class SubspaceBasis:
     mode: str = "exact"
 
     def __post_init__(self):
+        supports = []
         for v in self.vectors:
             if len(v) != self.n:
                 raise InvalidSpec("vector length mismatch")
-            if not any(v):
+            supports.append({c for c, x in enumerate(v) if x})
+            if not supports[-1]:
                 raise InvalidSpec("zero vector in basis")
-        for i in range(len(self.vectors)):
-            for j in range(i + 1, len(self.vectors)):
-                if linalg.dot(list(self.vectors[i]), list(self.vectors[j])):
+        # only vectors with overlapping supports can fail to be orthogonal
+        for i, (u, su) in enumerate(zip(self.vectors, supports)):
+            for v, sv in zip(self.vectors[i + 1:], supports[i + 1:]):
+                if sum(u[c] * v[c] for c in su & sv):
                     raise InvalidSpec("basis is not orthogonal")
 
     @property
@@ -484,11 +490,19 @@ class CommutantReport:
     basis: tuple  # entry classes: frozensets of (row, col) positions
     blocks: tuple  # SubspaceBasis refinement into reducing subspaces
     block_scalar: tuple  # per block: True iff all commutant elements act scalar
-    lattice_size: int | None  # 2**len(blocks) when abelian, None otherwise
+    lattice_size: int | None  # 2**len(blocks) when every block is certified
 
     @property
     def minimal_subspaces(self) -> tuple:
         return self.blocks
+
+    @property
+    def lattice_reason(self) -> str | None:
+        """Why ``lattice_size`` is None; None when the lattice is certified."""
+        if not self.abelian:
+            return "nonabelian"
+        uncertified = [i for i, scalar in enumerate(self.block_scalar) if not scalar]
+        return f"uncertified blocks {uncertified}" if uncertified else None
 
 
 def _entry_classes(trunc: Truncation) -> list:
@@ -535,13 +549,6 @@ def _entry_classes(trunc: Truncation) -> list:
     return out
 
 
-def _indicator(n: int, cls: frozenset) -> list:
-    m = linalg.zeros(n, n)
-    for r, c in cls:
-        m[r][c] = F1
-    return m
-
-
 def _products_commute(n: int, ca: frozenset, cb: frozenset) -> bool:
     by_row_b: dict = {}
     for r, c in cb:
@@ -568,15 +575,31 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
     honest operators of a closed system and the commutant would mix
     truncation artifacts into the answer).
 
-    The entry classes give the commutant basis directly.  If the
-    commutant is abelian, the space is split into joint rational
-    spectral blocks of the basis matrices (plus deterministic sampled
-    combinations, which separates blocks whose basis spectra are
-    accidentally aligned); each block is a reducing subspace, and
-    blocks on which everything acts as a scalar are certified minimal.
-    A non-abelian commutant has equivalent sub-representations and
-    therefore infinitely many reducing subspaces; the failing basis
-    pair is reported instead of a lattice.
+    The entry classes give the commutant basis directly.  A non-abelian
+    commutant has equivalent sub-representations and therefore
+    infinitely many reducing subspaces; the failing basis pair is
+    reported instead of a lattice.
+
+    An abelian commutant contains the coordinate projection of every
+    total-orbit component and commutes with it, so each entry class
+    lies inside one component's diagonal block, and each component's
+    projection is a sum of diagonal classes.  A diagonal class is an
+    invariant set, so it is the whole component's diagonal.  The split
+    therefore runs component by component:
+
+    * a component whose classes are all diagonal has its identity as its
+      only class: span{e_x : x in component} is one block on which every
+      commutant element is a scalar, and no linear algebra is needed
+      (this is the injective-coding case);
+    * any other component is split into joint rational spectral blocks
+      of its basis matrices, restricted to the component, plus two
+      deterministic sampled combinations that separate blocks whose
+      basis spectra are accidentally aligned.
+
+    Every block is a reducing subspace.  A block is certified minimal
+    (``block_scalar``) when every commutant element acts on it as a
+    scalar, and ``lattice_size`` is 2**len(blocks) only when every block
+    is certified; otherwise it is None and ``lattice_reason`` says why.
     """
     if trunc.escape_count:
         raise NotClosedSystem(
@@ -607,42 +630,23 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
             lattice_size=None,
         )
 
-    mats = [_indicator(n, cls) for cls in classes]
-    # deterministic extra combinations guard against aligned spectra
-    extras = []
-    if dim > 1:
-        for seed in (1, 2):
-            coeffs = [((seed * 7 + 3 * t) % 11) + 1 for t in range(dim)]
-            extras.append(
-                [
-                    [
-                        sum(coeffs[t] * mats[t][r][c] for t in range(dim))
-                        for c in range(n)
-                    ]
-                    for r in range(n)
-                ]
-            )
-
-    blocks = [[tuple(row) for row in linalg.identity(n)]]
-    for e in mats + extras:
-        ints = [[int(x) for x in row] for row in e]
-        eigs = linalg.rational_eigenvalues(ints)
-        new_blocks = []
-        for block in blocks:
-            if len(block) == 1:
-                new_blocks.append(block)
-                continue
-            new_blocks.extend(_split_block(e, block, eigs, n))
-        blocks = new_blocks
-
+    # abelian: every class lies inside one component's diagonal block
+    components = _components(trunc)
+    comp_of = {c: t for t, comp in enumerate(components) for c in comp}
+    members: list = [[] for _ in components]
+    for t, cls in enumerate(classes):
+        members[comp_of[min(cls)[0]]].append(t)
     subspaces = []
     scalar_flags = []
-    for block in blocks:
-        basis = make_subspace(n, [list(v) for v in block])
-        subspaces.append(basis)
-        scalar_flags.append(
-            all(_acts_as_scalar(m, basis) for m in mats)
-        )
+    for comp, ts in zip(components, members):
+        if len(ts) == 1:
+            # the component's identity is its only class
+            subspaces.append(_embed(n, comp, linalg.identity(len(comp))))
+            scalar_flags.append(True)
+            continue
+        for basis, scalar in _spectral_blocks(comp, [(t, classes[t]) for t in ts]):
+            subspaces.append(_embed(n, comp, basis.vectors))
+            scalar_flags.append(scalar)
     order = sorted(range(len(subspaces)), key=lambda t: _block_key(subspaces[t]))
     subspaces = [subspaces[t] for t in order]
     scalar_flags = [scalar_flags[t] for t in order]
@@ -653,8 +657,86 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
         basis=tuple(classes),
         blocks=tuple(subspaces),
         block_scalar=tuple(scalar_flags),
-        lattice_size=2 ** len(subspaces),
+        lattice_size=2 ** len(subspaces) if all(scalar_flags) else None,
     )
+
+
+def _components(trunc: Truncation) -> list:
+    """Total-orbit components of a closed truncation: sorted coordinates."""
+    uf = _UnionFind()
+    for c in range(trunc.n):
+        uf.add(c)
+    for fwd in trunc.maps:
+        for c, r in fwd.items():
+            uf.union(c, r)
+    groups: dict = {}
+    for c in range(trunc.n):
+        groups.setdefault(uf.find(c), []).append(c)
+    return list(groups.values())
+
+
+def _embed(n: int, comp: list, vectors) -> SubspaceBasis:
+    """Orthogonal vectors on a component's coordinates, in the whole space."""
+    out = []
+    for v in vectors:
+        w = [F0] * n
+        for c, x in zip(comp, v):
+            w[c] = x
+        out.append(tuple(w))
+    return SubspaceBasis(n=n, vectors=tuple(out))
+
+
+def _spectral_blocks(comp: list, indexed_classes: list) -> list:
+    """(basis, scalar) per joint rational spectral block of one component.
+
+    ``indexed_classes`` holds (global class index, class) pairs; the
+    sampled combinations weight each class by its global index, so the
+    split matches the one on the whole space.  Every matrix is an
+    integer m x m matrix on the component's m coordinates.
+    """
+    m = len(comp)
+    local = {c: j for j, c in enumerate(comp)}
+    mats = []
+    for _, cls in indexed_classes:
+        mat = [[0] * m for _ in range(m)]
+        for r, c in cls:
+            mat[local[r]][local[c]] = 1
+        mats.append(mat)
+    extras = []
+    for seed in (1, 2):
+        coeffs = [((seed * 7 + 3 * t) % 11) + 1 for t, _ in indexed_classes]
+        extras.append(
+            [
+                [sum(w * mat[r][c] for w, mat in zip(coeffs, mats)) for c in range(m)]
+                for r in range(m)
+            ]
+        )
+
+    blocks = [linalg.identity(m, 1)]
+    for e in mats + extras:
+        if all(len(block) == 1 for block in blocks):
+            break
+        powers = [
+            linalg.mat_pow([[x - lam if r == c else x for c, x in enumerate(row)]
+                            for r, row in enumerate(e)], m)
+            for lam in linalg.rational_eigenvalues(e)
+        ]
+        if not powers:
+            continue
+        rest = powers[0]
+        for power in powers[1:]:
+            rest = linalg.mat_mul(power, rest)
+        blocks = [
+            piece
+            for block in blocks
+            for piece in ([block] if len(block) == 1 else _split_block(powers, rest, block))
+        ]
+
+    out = []
+    for block in blocks:
+        basis = make_subspace(m, [list(v) for v in block])
+        out.append((basis, all(_acts_as_scalar(mat, basis) for mat in mats)))
+    return out
 
 
 def _block_key(basis: SubspaceBasis):
@@ -664,49 +746,30 @@ def _block_key(basis: SubspaceBasis):
     return (supports[0], -basis.dimension, supports)
 
 
-def _split_block(e: list, block: list, eigs: list, n: int) -> list:
-    """Split span(block) into rational generalized eigenspaces of e."""
-    d = len(block)
-    cols = [[block[j][r] for j in range(d)] for r in range(n)]  # n x d
+def _split_block(powers: list, rest: list, block: list) -> list:
+    """Split span(block) into rational generalized eigenspaces of e.
+
+    ``powers`` holds (e - lam)^m for each rational eigenvalue lam of the
+    m x m matrix e, and ``rest`` their product, which is invertible off
+    the rational part; the block must be e-invariant.
+    """
+    cols = linalg.transpose(block)  # m x d
     pieces = []
-    covered = []
-    for lam in eigs:
-        shifted = [
-            [e[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)
-        ]
-        power = linalg.mat_pow(shifted, n)
-        reduced = linalg.mat_mul(power, cols)  # n x d
-        null = linalg.nullspace(reduced)
-        if not null:
-            continue
-        vecs = []
-        for coeff in null:
-            v = [
-                sum(coeff[j] * block[j][r] for j in range(d)) for r in range(n)
-            ]
-            vecs.append(v)
-            covered.append(v)
-        pieces.append(vecs)
-    # remainder: image of the product of all (e - lam)^n, invertible off
-    # the rational part
-    if covered:
-        h = linalg.identity(n)
-        for lam in eigs:
-            shifted = [
-                [e[r][c] - (lam if r == c else 0) for c in range(n)]
-                for r in range(n)
-            ]
-            h = linalg.mat_mul(linalg.mat_pow(shifted, n), h)
-        rem = [linalg.mat_vec(h, list(v)) for v in block]
-        rem_basis = linalg.gram_schmidt_orthogonal(rem)
-        if rem_basis:
-            pieces.append(rem_basis)
-        total = sum(len(p) for p in pieces)
-        if total != d:
-            raise AssertionError("spectral split lost dimensions")
-    else:
-        pieces = [block]
-    return [[tuple(v) for v in p] for p in pieces]
+    for power in powers:
+        null = linalg.nullspace(linalg.mat_mul(power, cols))
+        if null:
+            pieces.append(
+                [[sum(x * v[r] for x, v in zip(coeff, block) if x) for r in range(len(cols))]
+                 for coeff in null]
+            )
+    if not pieces:
+        return [block]
+    remainder = linalg.gram_schmidt_orthogonal([linalg.mat_vec(rest, list(v)) for v in block])
+    if remainder:
+        pieces.append(remainder)
+    if sum(len(p) for p in pieces) != len(block):
+        raise AssertionError("spectral split lost dimensions")
+    return pieces
 
 
 def _acts_as_scalar(m: list, basis: SubspaceBasis) -> bool:

@@ -4,13 +4,32 @@ Oracles here recompute expected values by a route independent of the
 library code under test (window scans, direct folds, graph walks).
 """
 
+import signal
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
-from branchdyn import systems
+from branchdyn import linalg, operators, systems
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) fails the test if it is still running after that
+    long, so a hang fails the suite instead of stalling it (SIGALRM)."""
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("needs SIGALRM")
+
+    def expire(signum, frame):
+        pytest.fail("test exceeded its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +77,117 @@ def preimage_scan_bound(sys, x):
     # any preimage y satisfies y = k*x (division) or a*y + b = x,
     # so y <= max(k*x, x) always covers the search space
     return sys.k * x + 1
+
+
+def fraction_char_poly(a):
+    """det(xI - A) coefficients [c_0, ..., c_n] by Faddeev-LeVerrier with
+    every step in Fractions; independent of the integer kernel."""
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        ck = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = ck
+        m = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def integer_eigenvalues(a):
+    """Every integer root of det(xI - A) between minus and plus the
+    largest absolute row sum, found by evaluating at each one."""
+    coeffs = fraction_char_poly(a)
+    bound = max((sum(abs(x) for x in row) for row in a), default=0)
+    roots = []
+    for lam in range(-int(bound), int(bound) + 1):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * lam + c
+        if acc == 0:
+            roots.append(lam)
+    return roots
+
+
+def whole_space_commutant_blocks(trunc):
+    """Joint rational spectral blocks of the commutant on the whole space.
+
+    The brute-force route: every entry-class indicator and two sampled
+    combinations of them act as n x n matrices, and each one splits every
+    block into its rational generalized eigenspaces plus the remainder.
+    Returns (abelian, [(dimension, support, scalar), ...]); the blocks
+    are empty when the commutant is not abelian, which is decided by
+    multiplying the indicators densely.  The entry classes are the
+    library's; tests check their count against a dense nullspace.
+    """
+    n = trunc.n
+    classes = operators._entry_classes(trunc)
+    mats = []
+    for cls in classes:
+        m = linalg.zeros(n, n)
+        for r, c in cls:
+            m[r][c] = Fraction(1)
+        mats.append(m)
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
+                return False, []
+    extras = []
+    if len(mats) > 1:
+        for seed in (1, 2):
+            coeffs = [((seed * 7 + 3 * t) % 11) + 1 for t in range(len(mats))]
+            extras.append(
+                [[sum(w * m[r][c] for w, m in zip(coeffs, mats)) for c in range(n)] for r in range(n)]
+            )
+    blocks = [[[Fraction(int(r == c)) for c in range(n)] for r in range(n)]]
+    for e in mats + extras:
+        eigs = integer_eigenvalues(e)
+        new_blocks = []
+        for block in blocks:
+            new_blocks.extend([block] if len(block) == 1 else _whole_space_split(e, block, eigs))
+        blocks = new_blocks
+    out = []
+    for block in blocks:
+        basis = operators.make_subspace(n, block)
+        support = tuple(c for c in range(n) if any(v[c] for v in basis.vectors))
+        scalar = all(_acts_as_scalar(m, basis) for m in mats)
+        out.append((basis.dimension, support, scalar))
+    return True, out
+
+
+def _whole_space_split(e, block, eigs):
+    n = len(e)
+    pieces = []
+    for lam in eigs:
+        shifted = [[e[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
+        power = shifted
+        for _ in range(n - 1):
+            power = linalg.mat_mul(power, shifted)
+        reduced = linalg.mat_mul(power, linalg.transpose(block))
+        null = linalg.nullspace(reduced)
+        if null:
+            pieces.append([[sum(x * v[r] for x, v in zip(coeff, block)) for r in range(n)] for coeff in null])
+    if not pieces:
+        return [block]
+    h = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for lam in eigs:
+        shifted = [[e[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
+        for _ in range(n):
+            h = linalg.mat_mul(shifted, h)
+    rem = linalg.gram_schmidt_orthogonal([linalg.mat_vec(h, v) for v in block])
+    if rem:
+        pieces.append(rem)
+    assert sum(len(p) for p in pieces) == len(block)
+    return pieces
+
+
+def _acts_as_scalar(m, basis):
+    lam = None
+    for v in basis.vectors:
+        w = linalg.mat_vec(m, list(v))
+        ratio = linalg.dot(w, list(v)) / linalg.dot(list(v), list(v))
+        if lam is None:
+            lam = ratio
+        if ratio != lam or any(wi != ratio * vi for wi, vi in zip(w, v)):
+            return False
+    return True

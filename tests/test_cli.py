@@ -201,6 +201,20 @@ def test_operators_commutant(capsys):
     assert code == 0
     assert rep["dimension"] == 2
     assert rep["lattice_size"] == 4
+    assert rep["lattice_reason"] is None
+
+
+def test_operators_commutant_uncertified_lattice(capsys):
+    three_cycle = json.dumps(
+        {"family": "table", "k": 1, "branch": {"1": 1, "2": 1, "3": 1},
+         "image": {"1": "2", "2": "3", "3": "1"}}
+    )
+    code, rep = run(capsys, "operators", "commutant", "--system", three_cycle)
+    assert code == 0
+    assert rep["block_dimensions"] == [2, 1]
+    assert rep["block_scalar"] == [False, True]
+    assert rep["lattice_size"] is None
+    assert rep["lattice_reason"] == "uncertified blocks [0]"
 
 
 def test_operators_fixed_vectors(capsys):

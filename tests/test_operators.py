@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from branchdyn import coding, linalg, operators, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
+from conftest import whole_space_commutant_blocks
 
 F = Fraction
 
@@ -26,6 +29,12 @@ def two_plus_three():
         {1: 2, 2: 1, 3: 4, 4: 5, 5: 3},
         k=2,
     )
+
+
+def cycle(n, branch):
+    """The single cycle 1 -> 2 -> ... -> n -> 1 with branch labels branch(x)."""
+    labels = {x: branch(x) for x in range(1, n + 1)}
+    return _table(labels, {x: x % n + 1 for x in range(1, n + 1)})
 
 
 def e(trunc, x, coeff=F(1)):
@@ -405,6 +414,89 @@ def test_two_plus_three_lattice_matches_invariant_sets():
     )
     assert supports == [(1, 2), (3, 4, 5)]
     assert dense_commutant_dimension(t) == 2
+
+
+def test_period3_cycle_21_finishes(deadline):
+    # its sampled combinations have characteristic polynomials whose
+    # constant terms are far too large to trial-divide
+    t = operators.build_truncation(cycle(21, lambda x: x % 3 + 1), None)
+    deadline(10)
+    rep = operators.commutant_projections(t)
+    assert rep.dimension == 7 and rep.abelian
+    assert [b.dimension for b in rep.blocks] == [18, 3]
+    assert rep.block_scalar == (False, True)
+    assert rep.lattice_size is None
+    assert rep.lattice_reason == "uncertified blocks [0]"
+
+
+def test_single_branch_3_cycle_lattice_is_uncertified():
+    # the rotation acts on the 2-dimensional block without a rational
+    # eigenvector: the block reduces but is not certified minimal
+    t = operators.build_truncation(cycle(3, lambda x: 1), None)
+    rep = operators.commutant_projections(t)
+    assert [b.dimension for b in rep.blocks] == [2, 1]
+    assert rep.block_scalar == (False, True)
+    assert rep.lattice_size is None
+
+
+def test_single_branch_12_cycle_lattice_is_uncertified():
+    t = operators.build_truncation(cycle(12, lambda x: 1), None)
+    rep = operators.commutant_projections(t)
+    assert rep.dimension == 12 and rep.abelian
+    assert [b.dimension for b in rep.blocks] == [4, 2, 2, 2, 1, 1]
+    assert rep.lattice_size is None
+    assert rep.lattice_reason == "uncertified blocks [0, 1, 2, 3]"
+
+
+def test_injective_50_cycle_is_one_scalar_block():
+    t = operators.build_truncation(cycle(50, lambda x: 1 if x == 1 else 2), None)
+    rep = operators.commutant_projections(t)
+    assert rep.dimension == 1
+    assert [b.dimension for b in rep.blocks] == [50]
+    assert rep.block_scalar == (True,)
+    assert rep.lattice_size == 2
+    assert rep.lattice_reason is None
+
+
+def test_nonabelian_lattice_reason():
+    rep = operators.commutant_projections(
+        operators.build_truncation(twin_two_cycles(), None)
+    )
+    assert rep.lattice_reason == "nonabelian"
+
+
+@st.composite
+def injective_tables(draw, max_states=9):
+    """A closed table on 1..n whose every branch is injective."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    k = draw(st.integers(min_value=1, max_value=3))
+    branch = {x: draw(st.integers(min_value=1, max_value=k)) for x in range(1, n + 1)}
+    image = {}
+    for b in range(1, k + 1):
+        domain = [x for x in range(1, n + 1) if branch[x] == b]
+        targets = draw(st.permutations(range(1, n + 1)))
+        image.update(zip(domain, targets))
+    return _table(branch, image, k=k)
+
+
+@given(injective_tables())
+def test_commutant_matches_whole_space_oracle(sys):
+    t = operators.build_truncation(sys, None)
+    rep = operators.commutant_projections(t)
+    abelian, blocks = whole_space_commutant_blocks(t)
+    assert rep.dimension == dense_commutant_dimension(t)
+    assert rep.abelian == abelian
+    got = [
+        (b.dimension, tuple(c for c in range(t.n) if any(v[c] for v in b.vectors)), s)
+        for b, s in zip(rep.blocks, rep.block_scalar)
+    ]
+    # same blocks; the order may differ only between blocks that tie on
+    # (first support coordinate, dimension), where it follows basis vectors
+    assert sorted(got) == sorted(blocks)
+    heads = [(support[0], -dim) for dim, support, _ in got]
+    assert heads == sorted(heads)
+    certified = abelian and all(s for _, _, s in blocks)
+    assert rep.lattice_size == (2 ** len(blocks) if certified else None)
 
 
 def test_commutant_requires_closed_system(collatz):
