@@ -577,8 +577,8 @@ def check_digit_towers() -> CheckResult:
             y = x + t * k**j
             if sys.branch_of(y) != sys.branch_of(x):
                 continue
-            a, _ = sys.branch_affine(sys.branch_of(x))
-            if gcd(a.numerator, k) != 1:
+            a, _ = sys.branch_affine_int(sys.branch_of(x))
+            if gcd(a, k) != 1:
                 continue
         rep = coding.verify_recovery_lemma(sys, x, y, j)
         if not rep.passed:

@@ -23,10 +23,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import battery, coding, morphisms, operators, orbits, systems, words
+from . import __version__, battery, coding, morphisms, operators, orbits, systems, words
 from .errors import BranchDynError, InvalidSpec, OrbitConditionFailed
-
-VERSION = "0.1.0"
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -76,7 +74,7 @@ def _config_hash(command: str, params: dict) -> str:
 def _emit(args, command: str, params: dict, body: dict, rows=None) -> None:
     report = {
         "tool": "branchdyn",
-        "version": VERSION,
+        "version": __version__,
         "command": command,
         "config_hash": _config_hash(command, params),
     }
@@ -135,18 +133,21 @@ def _parse_morphism(text: str, source, target):
     else:
         with open(text) as fh:
             data = json.load(fh)
-    kind = data.get("kind")
-    if kind == "table":
-        mapping = {int(a): int(b) for a, b in data["map"].items()}
-        rule = morphisms.TableRule(mapping)
-    elif kind == "affine":
-        rule = morphisms.AffineRule(int(data["u"]), int(data["v"]))
-    elif kind == "identity":
-        rule = morphisms.IdentityRule()
-    elif kind == "coding":
-        rule = morphisms.CodingRule(int(data.get("cap", 2**10)))
-    else:
-        raise ValueError(f"unknown morphism kind {kind!r}")
+    try:
+        kind = data.get("kind")
+        if kind == "table":
+            mapping = {int(a): int(b) for a, b in data["map"].items()}
+            rule = morphisms.TableRule(mapping)
+        elif kind == "affine":
+            rule = morphisms.AffineRule(int(data["u"]), int(data["v"]))
+        elif kind == "identity":
+            rule = morphisms.IdentityRule()
+        elif kind == "coding":
+            rule = morphisms.CodingRule(int(data.get("cap", 2**10)))
+        else:
+            raise ValueError(f"unknown morphism kind {kind!r}")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InvalidSpec(f"malformed morphism description: {exc}") from exc
     return morphisms.Morphism(source=source, target=target, rule=rule)
 
 
@@ -220,9 +221,7 @@ def cmd_minimality(args):
 def cmd_cycles(args):
     sys_ = _parse_system(args.system)
     necklaces = not args.all_words
-    rep = words.enumerate_cycles(
-        sys_, args.max_len, necklaces_only=necklaces, threads=args.threads
-    )
+    rep = words.enumerate_cycles(sys_, args.max_len, necklaces_only=necklaces)
     rows = [["word", "cycle", "length"]]
     for rec in rep.cycles:
         rows.append(
@@ -406,10 +405,7 @@ def cmd_operators(args):
         with open(args.set_file) as fh:
             k_states = [int(v) for v in json.load(fh)]
         basis = operators.subspace_from_invariant_set(trunc, k_states)
-        tol = 1e-9 if args.float_mode else None
-        rep = operators.is_reducing(
-            trunc, basis, interior_only=args.interior_only, tolerance=tol
-        )
+        rep = operators.is_reducing(trunc, basis, interior_only=args.interior_only)
         params["set"] = _states(k_states)
         body = {
             "passed": rep.passed,
@@ -557,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="cycles, codings, and truncated operator algebras of "
         "branch-partitioned dynamical systems",
     )
-    p.add_argument("--version", action="version", version=f"branchdyn {VERSION}")
+    p.add_argument("--version", action="version", version=f"branchdyn {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, window=False, system=True):
@@ -567,9 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--window", type=_parse_window, default=None, help="A..B")
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--float", dest="float_mode", action="store_true",
-                        help="tolerance arithmetic (default is exact rationals)")
         sp.add_argument("--with-timing", action="store_true",
                         help="include elapsed time (breaks byte-for-byte determinism)")
 

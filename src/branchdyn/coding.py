@@ -149,23 +149,26 @@ class HypothesesReport:
         return self.gcd_passed and self.multiple_passed
 
 
+def _gcd_failures(sys: DynamicalSystem) -> tuple:
+    """Branches i < k with gcd(a_i, k) > 1, where the tower extension fails."""
+    return tuple(
+        i
+        for i in range(1, sys.k)
+        if math.gcd(sys.branch_affine_int(i)[0], sys.k) > 1
+    )
+
+
 def check_alphabeta_hypotheses(
     sys: DynamicalSystem, window, horizon: int | None = None
 ) -> HypothesesReport:
     """The two tower hypotheses: gcd(a_i, k) = 1, and every orbit meets
     the multiples of k within ``horizon`` steps (default k steps, i.e.
     among x, f(x), ..., f^{k-1}(x))."""
-    from math import gcd
-
     if not sys.is_affine:
         raise NotAffineFamily("hypotheses concern the affine families")
     win = as_window(sys, window)
     horizon = sys.k if horizon is None else horizon
-    gcd_failures = tuple(
-        i
-        for i in range(1, sys.k)
-        if gcd(sys.branch_affine_int(i)[0], sys.k) > 1
-    )
+    gcd_failures = _gcd_failures(sys)
     multiple_failures = []
     for x in win:
         cur = x
@@ -246,13 +249,13 @@ def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
         raise NotAffineFamily("towers live over the affine families")
     if sys.k != tower.k:
         raise InvalidSpec(f"tower has k = {tower.k}, system has k = {sys.k}")
-    for i in range(1, sys.k):
-        a, _ = sys.branch_affine_int(i)
-        if math.gcd(a, sys.k) != 1:
-            raise PreconditionUnmet(
-                f"a_{i} = {a} shares a factor with k = {sys.k}; the "
-                f"extension to residue towers needs gcd(a_i, k) = 1"
-            )
+    bad = _gcd_failures(sys)
+    if bad:
+        i = bad[0]
+        raise PreconditionUnmet(
+            f"a_{i} = {sys.branch_affine_int(i)[0]} shares a factor with "
+            f"k = {sys.k}; the extension to residue towers needs gcd(a_i, k) = 1"
+        )
     i = tower.residue()
     if i != 0:
         a, b = sys.branch_affine_int(i)
@@ -304,9 +307,7 @@ def verify_recovery_lemma(
         raise PreconditionUnmet(f"f images differ mod k^{j}")
     branch = sys.branch_of(x)
     if x % k != 0:
-        from math import gcd
-
-        if gcd(sys.branch_affine_int(branch)[0], k) != 1:
+        if branch in _gcd_failures(sys):
             raise PreconditionUnmet(f"gcd(a_{branch}, k) > 1")
         passed = x % k**j == y % k**j
         detail = f"affine branch: x = y mod k^{j}"

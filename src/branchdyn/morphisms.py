@@ -37,7 +37,13 @@ from .errors import (
     WindowMismatch,
 )
 from .orbits import invariant_closure
-from .systems import DynamicalSystem, SymbolicShift, as_window, make_system
+from .systems import (
+    DynamicalSystem,
+    FiniteTable,
+    SymbolicShift,
+    as_window,
+    make_system,
+)
 from .operators import Truncation
 
 
@@ -129,7 +135,7 @@ def compose(psi: Morphism, phi: Morphism) -> Morphism:
         return Morphism(source=phi.source, target=psi.target, rule=psi.rule)
     if isinstance(psi.rule, IdentityRule):
         return Morphism(source=phi.source, target=psi.target, rule=phi.rule)
-    if phi.source.kind == "table":
+    if isinstance(phi.source.spec, FiniteTable):
         mapping = {x: psi(phi(x)) for x in phi.source.states()}
         return Morphism(source=phi.source, target=psi.target, rule=TableRule(mapping))
     return Morphism(
@@ -197,8 +203,8 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
     """
     exact = (
         window is None
-        and phi.source.kind == "table"
-        and phi.target.kind == "table"
+        and isinstance(phi.source.spec, FiniteTable)
+        and isinstance(phi.target.spec, FiniteTable)
     )
     if exact:
         src = phi.source.states()
@@ -304,7 +310,9 @@ def verify_tuc_iso(sys: DynamicalSystem, window, cap: int = 2**10) -> TucIsoRepo
             f"coding not injective on the window: {len(tuc.undistinguished)} "
             "groups undistinguished"
         )
-    finite_closed = sys.kind == "table" and set(win) == set(sys.states())
+    finite_closed = (
+        isinstance(sys.spec, FiniteTable) and set(win) == set(sys.states())
+    )
     if finite_closed:
         n = len(sys.states())
         phi = Morphism(

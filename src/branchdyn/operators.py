@@ -299,15 +299,12 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
 class SubspaceBasis:
     """An orthogonal (not normalized) basis of a subspace.
 
-    Exact mode keeps every entry rational, so vectors are scaled to
-    have integral entries rather than unit length; squared norms are
-    recorded instead.  Float mode would normalize within tolerance; the
-    exact path is the only one the verification suite uses.
+    Every entry stays rational, so vectors are scaled to have integral
+    entries rather than unit length.
     """
 
     n: int
     vectors: tuple  # tuple of dense tuples of Fractions
-    mode: str = "exact"
 
     def __post_init__(self):
         supports = []
@@ -326,9 +323,6 @@ class SubspaceBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-    def norms_squared(self) -> tuple:
-        return tuple(linalg.dot(list(v), list(v)) for v in self.vectors)
 
     def project(self, w: list) -> list:
         """Orthogonal projection of w onto the subspace."""
@@ -401,15 +395,13 @@ def is_reducing(
     trunc: Truncation,
     basis: SubspaceBasis,
     interior_only: bool = False,
-    tolerance: float | None = None,
 ) -> ReducingReport:
     """Does every M_i and M_i^T map the subspace into itself?
 
     With interior_only the containment is asserted only on coordinates
     of interior states, since escape-affected rows are truncation
     artifacts rather than facts about the full system.  Residuals are
-    compared to zero exactly unless a tolerance is given (large-window
-    float experiments only).
+    compared to zero exactly.
     """
     if basis.n != trunc.n:
         raise InvalidSpec("basis dimension does not match the truncation")
@@ -417,11 +409,6 @@ def is_reducing(
     if interior_only:
         inter = trunc.interior()
         allowed = {trunc.index[x] for x in inter}
-
-    def nonzero(x) -> bool:
-        if tolerance is None:
-            return bool(x)
-        return abs(x) > tolerance
 
     for bi, v in enumerate(basis.vectors):
         vec = {c: x for c, x in enumerate(v) if x}
@@ -436,7 +423,7 @@ def is_reducing(
                     (
                         c
                         for c, x in enumerate(resid)
-                        if nonzero(x) and (allowed is None or c in allowed)
+                        if x and (allowed is None or c in allowed)
                     ),
                     None,
                 )

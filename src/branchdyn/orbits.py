@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 
+from .errors import InvalidSpec
 from .systems import DynamicalSystem, as_window
 
 
@@ -36,6 +37,8 @@ class OrbitRecord:
 
 def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps."""
+    if cap < 0:
+        raise InvalidSpec(f"need cap >= 0, got {cap}")
     seen = {x: 0}
     traj = [x]
     cur = x

@@ -6,7 +6,8 @@ injective.  Four families are provided:
 
 * ``QxPlusD(q, d)``: X = {1, 2, ...}, f(n) = qn + d on odd n (branch 1)
   and f(n) = n/2 on even n (branch 2), with q, d odd.  ``collatz()`` is
-  the (q, d) = (3, 1) instance.
+  the (q, d) = (3, 1) instance.  As a map it is ``AlphaBeta(2, (q,),
+  (d,))``; the spec stays separate for its name and JSON form.
 * ``AlphaBeta(k, alpha, beta)``: f(n) = a_i n + b_i when n = i (mod k)
   for 0 < i < k (branch i), and f(n) = n/k when n = 0 (mod k)
   (branch k).
@@ -143,22 +144,38 @@ def mersenne(m: int) -> QxPlusD:
 
 
 class DynamicalSystem:
-    """A validated system: branch lookup, forward map, exact preimages."""
+    """A validated system: branch lookup, forward map, exact preimages.
+
+    The methods dispatch on the data the system holds.  An affine system
+    holds one integer branch table, ``_affine[r - 1] = (a_r, b_r)`` for
+    the residues 0 < r < k, and residue 0 divides by k; ``QxPlusD(q, d)``
+    is the k = 2 table ((q, d),).  A finite table holds its branch, image
+    and preimage dicts.  A system holding neither is a shift.
+    """
 
     def __init__(self, spec, _validate: bool = True):
         self.spec = spec
+        self._affine = None
+        self._image = None
         if isinstance(spec, QxPlusD):
             self.k = 2
-            self.kind = "qxd"
+            self._affine = ((spec.q, spec.d),)
         elif isinstance(spec, AlphaBeta):
             self.k = spec.k
-            self.kind = "alphabeta"
+            self._affine = tuple(zip(spec.alpha, spec.beta))
         elif isinstance(spec, FiniteTable):
             self.k = spec.k
-            self.kind = "table"
             self._branch = dict(spec.branch)
             self._image = dict(spec.image)
             self._state_set = frozenset(spec.states)
+        elif isinstance(spec, SymbolicShift):
+            self.k = spec.k
+        else:
+            raise InvalidSpec(f"unknown family: {spec!r}")
+        if _validate:
+            self._validate()
+        if self._image is not None:
+            # after validation, which checks that branch and image are total
             self._preimages = {}
             for x in spec.states:
                 self._preimages.setdefault(self._image[x], []).append(
@@ -166,13 +183,6 @@ class DynamicalSystem:
                 )
             for lst in self._preimages.values():
                 lst.sort(key=lambda pair: pair[1])
-        elif isinstance(spec, SymbolicShift):
-            self.k = spec.k
-            self.kind = "shift"
-        else:
-            raise InvalidSpec(f"unknown family: {spec!r}")
-        if _validate:
-            self._validate()
 
     # systems with equal specs are interchangeable
     def __eq__(self, other):
@@ -188,10 +198,10 @@ class DynamicalSystem:
 
     def _validate(self):
         spec = self.spec
-        if self.kind == "qxd":
+        if isinstance(spec, QxPlusD):
             if spec.q < 1 or spec.d < 1 or spec.q % 2 == 0 or spec.d % 2 == 0:
                 raise InvalidSpec("q and d must be odd positive integers")
-        elif self.kind == "alphabeta":
+        elif isinstance(spec, AlphaBeta):
             if spec.k < 2:
                 raise InvalidSpec("need k >= 2")
             if len(spec.alpha) != spec.k - 1 or len(spec.beta) != spec.k - 1:
@@ -201,7 +211,7 @@ class DynamicalSystem:
                     raise InvalidSpec("coefficients must be positive integers")
             # a_i*n + b_i must land back in {1,2,...}: automatic for
             # positive coefficients; residue classes need no check.
-        elif self.kind == "table":
+        elif isinstance(spec, FiniteTable):
             if not spec.states:
                 raise InvalidSpec("state set must be nonempty")
             if spec.k < 1:
@@ -224,16 +234,15 @@ class DynamicalSystem:
                         f"share image {key[1]!r}"
                     )
                 seen[key] = x
-        elif self.kind == "shift":
-            if spec.k < 1:
-                raise InvalidSpec("need k >= 1")
+        elif spec.k < 1:  # SymbolicShift
+            raise InvalidSpec("need k >= 1")
 
     # -- state space -------------------------------------------------------
 
     def contains(self, x: State) -> bool:
-        if self.kind in ("qxd", "alphabeta"):
+        if self._affine is not None:
             return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-        if self.kind == "table":
+        if self._image is not None:
             return x in self._state_set
         return isinstance(x, EventuallyPeriodic) and all(
             1 <= s <= self.k for s in x.pre + x.per
@@ -245,7 +254,7 @@ class DynamicalSystem:
 
     def states(self) -> tuple:
         """The full state set; finite tables only."""
-        if self.kind != "table":
+        if self._image is None:
             raise OutOfDomain("state set is infinite; pass an explicit window")
         return self.spec.states
 
@@ -253,25 +262,22 @@ class DynamicalSystem:
 
     def branch_of(self, x: State) -> int:
         self._require(x)
-        if self.kind == "qxd":
-            return 1 if x % 2 == 1 else 2
-        if self.kind == "alphabeta":
+        if self._affine is not None:
             r = x % self.k
             return r if r != 0 else self.k
-        if self.kind == "table":
+        if self._image is not None:
             return self._branch[x]
         return x.head()
 
     def apply(self, x: State) -> State:
         self._require(x)
-        if self.kind == "qxd":
-            return self.spec.q * x + self.spec.d if x % 2 == 1 else x // 2
-        if self.kind == "alphabeta":
+        if self._affine is not None:
             r = x % self.k
             if r == 0:
                 return x // self.k
-            return self.spec.alpha[r - 1] * x + self.spec.beta[r - 1]
-        if self.kind == "table":
+            a, b = self._affine[r - 1]
+            return a * x + b
+        if self._image is not None:
             return self._image[x]
         return x.shift()
 
@@ -282,24 +288,18 @@ class DynamicalSystem:
         exists), then the affine branches in index order.
         """
         self._require(x)
-        if self.kind == "qxd":
-            out = [(2 * x, 2)]
-            q, d = self.spec.q, self.spec.d
-            if (x - d) % q == 0:
-                y = (x - d) // q
-                if y >= 1 and y % 2 == 1:
-                    out.append((y, 1))
-            return out
-        if self.kind == "alphabeta":
-            out = [(self.k * x, self.k)]
-            for i in range(1, self.k):
-                a, b = self.spec.alpha[i - 1], self.spec.beta[i - 1]
+        if self._affine is not None:
+            k = self.k
+            out = [(k * x, k)]
+            i = 0  # a counter, not enumerate(): this loop is a hot kernel
+            for a, b in self._affine:
+                i += 1
                 if (x - b) % a == 0:
                     y = (x - b) // a
-                    if y >= 1 and y % self.k == i:
+                    if y >= 1 and y % k == i:
                         out.append((y, i))
             return out
-        if self.kind == "table":
+        if self._image is not None:
             return list(self._preimages.get(x, []))
         return [(x.prepend(i), i) for i in range(1, self.k + 1)]
 
@@ -307,36 +307,31 @@ class DynamicalSystem:
 
     @property
     def is_affine(self) -> bool:
-        return self.kind in ("qxd", "alphabeta")
+        return self._affine is not None
+
+    def _affine_branch(self, i: int) -> tuple | None:
+        """Row i of the branch table, or None for the division branch k."""
+        if self._affine is None:
+            raise NotAffineFamily(
+                f"{type(self.spec).__name__} branches are not affine maps"
+            )
+        if not 1 <= i <= self.k:
+            raise InvalidSpec(f"branch index {i} outside 1..{self.k}")
+        return None if i == self.k else self._affine[i - 1]
 
     def branch_affine(self, i: int) -> tuple:
         """(a, b) with f(x) = a*x + b on branch i, as exact Fractions."""
-        if not self.is_affine:
-            raise NotAffineFamily(f"{self.kind} branches are not affine maps")
-        if not 1 <= i <= self.k:
-            raise InvalidSpec(f"branch index {i} outside 1..{self.k}")
-        if self.kind == "qxd":
-            if i == 1:
-                return (Fraction(self.spec.q), Fraction(self.spec.d))
-            return (Fraction(1, 2), Fraction(0))
-        if i == self.k:
+        row = self._affine_branch(i)
+        if row is None:
             return (Fraction(1, self.k), Fraction(0))
-        return (Fraction(self.spec.alpha[i - 1]), Fraction(self.spec.beta[i - 1]))
+        return (Fraction(row[0]), Fraction(row[1]))
 
     def branch_affine_int(self, i: int) -> tuple:
         """(a, b) integer coefficients of an expanding branch (i < k side)."""
-        pair = self.branch_affine(i)
-        if pair[0].denominator != 1:
+        row = self._affine_branch(i)
+        if row is None:
             raise NotAffineFamily(f"branch {i} is the division branch")
-        return (pair[0].numerator, pair[1].numerator)
-
-    # -- misc ----------------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, DynamicalSystem) and self.spec == other.spec
-
-    def __repr__(self):
-        return f"DynamicalSystem({self.spec!r})"
+        return row
 
 
 def make_system(spec) -> DynamicalSystem:
@@ -463,31 +458,24 @@ def verify_bounded_condition(sys: DynamicalSystem, window) -> BoundedConditionRe
 # ---------------------------------------------------------------------------
 # JSON interchange
 
-_INT = (int,)
-
-
-def _s(n: int) -> str:
-    return str(n)
-
-
 def spec_to_json(spec) -> dict:
     """Family spec -> plain dict; large integers as decimal strings."""
     if isinstance(spec, QxPlusD):
-        return {"family": "qxd", "q": _s(spec.q), "d": _s(spec.d)}
+        return {"family": "qxd", "q": str(spec.q), "d": str(spec.d)}
     if isinstance(spec, AlphaBeta):
         return {
             "family": "alphabeta",
             "k": spec.k,
-            "alpha": [_s(a) for a in spec.alpha],
-            "beta": [_s(b) for b in spec.beta],
+            "alpha": [str(a) for a in spec.alpha],
+            "beta": [str(b) for b in spec.beta],
         }
     if isinstance(spec, FiniteTable):
         return {
             "family": "table",
             "k": spec.k,
-            "states": [_s(x) for x in spec.states],
-            "branch": {_s(x): i for x, i in spec.branch},
-            "image": {_s(x): _s(y) for x, y in spec.image},
+            "states": [str(x) for x in spec.states],
+            "branch": {str(x): i for x, i in spec.branch},
+            "image": {str(x): str(y) for x, y in spec.image},
         }
     if isinstance(spec, SymbolicShift):
         return {"family": "shift", "k": spec.k}
@@ -519,6 +507,6 @@ def spec_from_json(data: dict):
             return table
         if family == "shift":
             return SymbolicShift(int(data["k"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed system description: {exc}") from exc
     raise InvalidSpec(f"unknown family: {family!r}")

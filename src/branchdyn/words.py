@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
 from .orbits import canonical_cycle
-from .systems import DynamicalSystem
+from .systems import DynamicalSystem, FiniteTable
 
 Word = tuple
 
@@ -146,29 +146,28 @@ class CycleRecord:
         return len(self.cycle)
 
 
-def _fixed_point_fast(sys, word):
-    """Integer-only fixed point solve for expanding/division branches.
+def _expanding_rows(sys: DynamicalSystem) -> list:
+    """The integer (a_i, b_i) of branches 1..k-1, read once per search."""
+    return [sys.branch_affine_int(i) for i in range(1, sys.k)]
 
-    Branch coefficients of the built-in affine families have
-    denominators that are powers of k, so f_I is x -> (na*x + nb) / k**e
-    with integer na, nb.  Avoids Fraction churn in the inner loop of
-    cycle enumeration; cross-checked against fixed_point_of_word in the
-    tests.
+
+def _fixed_point_fast(sys, word, rows):
+    """Integer-only fixed point solve over ``rows = _expanding_rows(sys)``.
+
+    The division branch k is the only one with a denominator, so f_I is
+    x -> (na*x + nb) / k**e with integer na, nb.  Avoids Fraction churn
+    in the inner loop of cycle enumeration; cross-checked against
+    fixed_point_of_word in the tests.
     """
     k = sys.k
-    na, nb, e = 1, 0, 0
-    aff = []
-    for i in range(1, k + 1):
-        a, b = sys.branch_affine(i)
-        aff.append(None if a.denominator != 1 else (a.numerator, b.numerator))
+    na, nb, pk = 1, 0, 1  # pk = k**e
     for i in word:
-        pair = aff[i - 1]
-        if pair is None:
-            e += 1
+        if i == k:
+            pk *= k
         else:
-            a, b = pair
-            na, nb = a * na, a * nb + b * (k**e)
-    den = k**e - na
+            a, b = rows[i - 1]
+            na, nb = a * na, a * nb + b * pk
+    den = pk - na
     if den == 0:
         if nb == 0:
             raise IdentityComposition(f"word {word} composes to the identity")
@@ -191,13 +190,27 @@ class CycleSearchReport:
     cycles: tuple  # CycleRecord, sorted by (length, cycle)
 
 
-def _search_word_list(sys: DynamicalSystem, word_iter) -> tuple:
+def enumerate_cycles(
+    sys: DynamicalSystem,
+    max_len: int,
+    necklaces_only: bool = True,
+) -> CycleSearchReport:
+    """All cycles whose minimal period is at most max_len."""
+    if not sys.is_affine:
+        raise NotAffineFamily("cycle search solves affine fixed-point equations")
+    if max_len < 1:
+        raise InvalidSpec("need max_len >= 1")
+    if necklaces_only:
+        words = lyndon_words(sys.k, max_len)
+    else:
+        words = _all_words(sys.k, max_len)
+    rows = _expanding_rows(sys)
     found = {}
     tried = 0
-    for word in word_iter:
+    for word in words:
         tried += 1
         try:
-            x = _fixed_point_fast(sys, word)
+            x = _fixed_point_fast(sys, word, rows)
         except IdentityComposition:
             continue
         if x is None:
@@ -212,43 +225,6 @@ def _search_word_list(sys: DynamicalSystem, word_iter) -> tuple:
             found[cyc] = CycleRecord(
                 cycle=cyc, word=tuple(sys.branch_of(s) for s in cyc)
             )
-    return found, tried
-
-
-def enumerate_cycles(
-    sys: DynamicalSystem,
-    max_len: int,
-    necklaces_only: bool = True,
-    threads: int = 1,
-) -> CycleSearchReport:
-    """All cycles whose minimal period is at most max_len.
-
-    ``threads`` splits the word list round-robin; the merged result is
-    independent of the split, so any thread count yields an identical
-    report.
-    """
-    if not sys.is_affine:
-        raise NotAffineFamily("cycle search solves affine fixed-point equations")
-    if max_len < 1:
-        raise InvalidSpec("need max_len >= 1")
-    if necklaces_only:
-        words = lyndon_words(sys.k, max_len)
-    else:
-        words = _all_words(sys.k, max_len)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        word_list = list(words)
-        chunks = [word_list[i::threads] for i in range(threads)]
-        found = {}
-        tried = 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part, n in pool.map(lambda c: _search_word_list(sys, c), chunks):
-                tried += n
-                for cyc, rec in part.items():
-                    found.setdefault(cyc, rec)
-    else:
-        found, tried = _search_word_list(sys, words)
     cycles = tuple(sorted(found.values(), key=lambda r: (r.length, r.cycle)))
     return CycleSearchReport(
         max_len=max_len,
@@ -331,7 +307,7 @@ def check_uniqueness(
         raise InvalidSpec("need max_len >= 1")
     violations = []
     checked = 0
-    if sys.kind == "table":
+    if isinstance(sys.spec, FiniteTable):
         states = sys.states()
         for word in _all_words(sys.k, max_len):
             checked += 1
@@ -346,10 +322,11 @@ def check_uniqueness(
         )
     if not sys.is_affine:
         raise NotAffineFamily("uniqueness check needs affine or finite-table systems")
+    rows = _expanding_rows(sys)
     for word in _all_words(sys.k, max_len):
         checked += 1
         try:
-            x = _fixed_point_fast(sys, word)
+            x = _fixed_point_fast(sys, word, rows)
         except IdentityComposition:
             violations.append((word, ("identity",)))
             continue

@@ -294,12 +294,6 @@ def test_swap_k2_admits_only_trivial(swap2):
         assert rep.witness is not None
 
 
-def test_reducing_tolerance_mode_agrees(swap1):
-    t = operators.build_truncation(swap1, None)
-    basis = operators.make_subspace(2, [[F(1), F(1)]])
-    assert operators.is_reducing(t, basis, tolerance=1e-9).passed
-
-
 def test_interior_only_forgives_escape_edges(collatz):
     t = operators.build_truncation(collatz, (1, 4))
     basis = operators.subspace_from_invariant_set(t, (1, 2, 4))

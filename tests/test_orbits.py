@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from branchdyn import orbits, systems
+from branchdyn.errors import InvalidSpec
 
 
 def _table(branch, image, k=None):
@@ -53,6 +54,11 @@ def test_orbit_cap_hit(collatz):
     assert not rec.entered_cycle
     assert rec.cycle == ()
     assert len(rec.trajectory) == 6  # start plus cap steps
+
+
+def test_negative_cap_is_rejected(collatz):
+    with pytest.raises(InvalidSpec):
+        orbits.orbit_iterate(collatz, 7, cap=-1)
 
 
 @given(st.integers(min_value=1, max_value=5000))

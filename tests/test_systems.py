@@ -3,8 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from branchdyn import systems
-from branchdyn.errors import InvalidSpec, NonInjectiveBranch, OutOfDomain
+from branchdyn import systems, words
+from branchdyn.errors import (
+    InvalidSpec,
+    NonInjectiveBranch,
+    NotAffineFamily,
+    OutOfDomain,
+)
 
 from conftest import brute_preimages, preimage_scan_bound
 
@@ -127,7 +132,7 @@ def test_preimages_against_window_scan(collatz, five_x_one, alphabeta3):
         for x in range(1, 120):
             got = sorted(sys.preimages(x))
             want = sorted(brute_preimages(sys, x, preimage_scan_bound(sys, x)))
-            assert got == want, (sys.kind, x)
+            assert got == want, (sys.spec, x)
 
 
 def test_preimages_at_most_one_per_branch(collatz, alphabeta3):
@@ -235,6 +240,28 @@ def test_spec_json_round_trip(swap1):
         systems.SymbolicShift(2),
     ):
         assert systems.spec_from_json(systems.spec_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (7, 3)])
+def test_qxd_agrees_with_its_alphabeta_form(q, d):
+    qxd = systems.make_system(systems.QxPlusD(q, d))
+    ab = systems.make_system(systems.AlphaBeta(2, (q,), (d,)))
+    for x in range(1, 5001):
+        assert qxd.apply(x) == ab.apply(x), x
+        assert qxd.branch_of(x) == ab.branch_of(x), x
+        assert qxd.preimages(x) == ab.preimages(x), x
+    for i in (1, 2):
+        assert qxd.branch_affine(i) == ab.branch_affine(i)
+    assert qxd.branch_affine_int(1) == ab.branch_affine_int(1) == (q, d)
+    for sys in (qxd, ab):
+        with pytest.raises(NotAffineFamily):
+            sys.branch_affine_int(2)
+    assert words.enumerate_cycles(qxd, 12) == words.enumerate_cycles(ab, 12)
+    assert systems.spec_to_json(qxd.spec) == {
+        "family": "qxd",
+        "q": str(q),
+        "d": str(d),
+    }
 
 
 def test_spec_json_rejects_garbage():

@@ -151,7 +151,6 @@ def test_identity_composition_is_flagged():
     # the guard through a minimal affine stand-in
     class Stub:
         k = 2
-        kind = "stub"
         is_affine = True
 
         @staticmethod
