@@ -241,6 +241,7 @@ def cmd_cycles(args):
         },
         {
             "words_tried": rep.words_tried,
+            "pruned": rep.pruned,
             "cycle_count": len(rep.cycles),
             "cycles": [
                 {"cycle": _states(r.cycle), "word": list(r.word), "length": r.length}
@@ -361,6 +362,8 @@ def cmd_tuc_scan(args):
 def cmd_tower(args):
     sys_ = _parse_system(args.system)
     tower = coding.tower_from_state(args.x, sys_.k, args.depth)
+    if args.steps < 0:
+        raise InvalidSpec(f"need steps >= 0, got {args.steps}")
     steps = [tower]
     for _ in range(args.steps):
         steps.append(coding.tower_apply(sys_, steps[-1]))

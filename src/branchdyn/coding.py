@@ -103,6 +103,8 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     separate, so the number of rounds run when all blocks are singletons
     equals the worst-case distinguishing prefix length over the window.
     """
+    if cap < 0:
+        raise InvalidSpec(f"need cap >= 0, got {cap}")
     win = as_window(sys, window)
     states = list(win)
     n = len(states)

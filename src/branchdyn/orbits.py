@@ -81,6 +81,8 @@ class TotalOrbitApprox:
 
 def invariant_closure(sys, seeds, window, node_budget: int = 10**6) -> TotalOrbitApprox:
     """Close ``seeds`` under f and preimages inside ``window`` by BFS."""
+    if node_budget < 0:
+        raise InvalidSpec(f"need node_budget >= 0, got {node_budget}")
     win = as_window(sys, window)
     seeds = tuple(s for s in seeds)
     for s in seeds:
@@ -176,6 +178,8 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     Out-of-window excursions longer than the budget leave their start
     state unresolved (its class may spuriously split).
     """
+    if budget < 0:
+        raise InvalidSpec(f"need budget >= 0, got {budget}")
     win = as_window(sys, window)
     uf = _UnionFind()
     order = list(win)

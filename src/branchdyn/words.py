@@ -13,7 +13,20 @@ has exactly m branch-word rotations, exactly one of which is Lyndon
 (strictly smallest rotation), so enumerating Lyndon words finds every
 cycle exactly once.  Periodic words (those that are a proper power of a
 shorter word) contribute nothing new: a fixed point of f_{J^r} with
-branch word J^r has branch word J already, by replay.
+branch word J^r has branch word J already, by replay.  Most Lyndon
+words cannot replay either.  After an expanding branch the next symbol
+is forced: x = i (mod k) with i < k gives f(x) = a_i*i + b_i (mod k),
+so a cycle word follows i only by that residue (k for residue 0),
+counting the wraparound from its last symbol to its first.  And with
+e division symbols f_I is x -> (na*x + nb) / k**e where nb > 0 as soon
+as one b_i >= 1 enters, so a positive fixed point needs k**e > na, the
+product of the slopes (the cycle equation of Böhm & Sontacchi, 1978).
+The search therefore walks the FKM prenecklace tree (Cattell, Ruskey,
+Sawada, Serra & Miers, J. Algorithms 2000) restricted to the forced
+successors, as in Ruskey & Sawada, "Generating necklaces and strings
+with forbidden substrings" (COCOON 2000), carries the integer fold down
+the walk, and cuts a subtree once even all-division extensions to the
+length bound could not lift k**e above na.
 """
 
 from __future__ import annotations
@@ -151,22 +164,24 @@ def _expanding_rows(sys: DynamicalSystem) -> list:
     return [sys.branch_affine_int(i) for i in range(1, sys.k)]
 
 
-def _fixed_point_fast(sys, word, rows):
-    """Integer-only fixed point solve over ``rows = _expanding_rows(sys)``.
+def _fold(k, word, rows):
+    """The integer fold (na, nb, k**e) of f_I: x -> (na*x + nb) / k**e.
 
-    The division branch k is the only one with a denominator, so f_I is
-    x -> (na*x + nb) / k**e with integer na, nb.  Avoids Fraction churn
-    in the inner loop of cycle enumeration; cross-checked against
-    fixed_point_of_word in the tests.
+    The division branch k is the only one with a denominator, so the
+    fold stays in integers; ``rows = _expanding_rows(sys)``.
     """
-    k = sys.k
-    na, nb, pk = 1, 0, 1  # pk = k**e
+    na, nb, pk = 1, 0, 1
     for i in word:
         if i == k:
             pk *= k
         else:
             a, b = rows[i - 1]
             na, nb = a * na, a * nb + b * pk
+    return na, nb, pk
+
+
+def _solve_fold(sys, word, na, nb, pk):
+    """The positive-integer fixed point of the folded f_I, replayed, or None."""
     den = pk - na
     if den == 0:
         if nb == 0:
@@ -182,12 +197,73 @@ def _fixed_point_fast(sys, word, rows):
     return x
 
 
+def _fixed_point_fast(sys, word, rows):
+    """Integer-only fixed point solve over ``rows = _expanding_rows(sys)``.
+
+    Avoids Fraction churn in the inner loops of the word sweeps;
+    cross-checked against fixed_point_of_word in the tests.
+    """
+    return _solve_fold(sys, word, *_fold(sys.k, word, rows))
+
+
+def _admissible_necklaces(sys, max_len, rows, pruned):
+    """(word, na, nb, pk) for every Lyndon word of length <= max_len that
+    obeys the forced successors and can still have a positive solution.
+
+    Depth-first walk of the FKM prenecklace tree on an explicit stack.
+    A node is a prefix word[:t] whose longest Lyndon prefix has length
+    p; it is a Lyndon word exactly when p == t, and its children are the
+    symbols c >= word[t - p] (c equal keeps p, larger makes the whole
+    prefix Lyndon).  After a symbol i < k only ``forced[i - 1]`` may
+    follow, and a Lyndon word ending in i < k must wrap around to its
+    first symbol through it.  Each node carries its parent's fold, so a
+    node costs O(1); a subtree is cut once pk * k**(max_len - t) <= na,
+    since slopes only grow and nb > 0 needs pk > na for a solution.
+    ``pruned`` counts symbols cut by the forced successor, Lyndon words
+    cut by the wraparound, and subtrees cut by the denominator.
+    """
+    k = sys.k
+    forced = [(a * i + b) % k or k for i, (a, b) in enumerate(rows, 1)]
+    headroom = [k**j for j in range(max_len)]
+    word = [0] * max_len
+    # node: (t, p, last symbol, parent's na, nb, pk)
+    stack = [(1, 1, c, 1, 0, 1) for c in range(k, 0, -1)]
+    while stack:
+        t, p, c, na, nb, pk = stack.pop()
+        word[t - 1] = c
+        if c == k:
+            pk *= k
+        else:
+            a, b = rows[c - 1]
+            na, nb = a * na, a * nb + b * pk
+        if pk * headroom[max_len - t] <= na:
+            pruned["denominator"] += 1
+            continue
+        if p == t:
+            if c < k and forced[c - 1] != word[0]:
+                pruned["wraparound"] += 1
+            else:
+                yield tuple(word[:t]), na, nb, pk
+        if t == max_len:
+            continue
+        low = word[t - p]
+        if c < k:
+            nxt = forced[c - 1]
+            pruned["forced_successor"] += k - low + (nxt < low)
+            if nxt >= low:
+                stack.append((t + 1, p if nxt == low else t + 1, nxt, na, nb, pk))
+        else:
+            for nxt in range(k, low - 1, -1):
+                stack.append((t + 1, p if nxt == low else t + 1, nxt, na, nb, pk))
+
+
 @dataclass(frozen=True)
 class CycleSearchReport:
     max_len: int
     necklaces_only: bool
-    words_tried: int
+    words_tried: int  # words solved: admissible Lyndon words, or all words
     cycles: tuple  # CycleRecord, sorted by (length, cycle)
+    pruned: dict  # reason -> count, all zero on the all-words route
 
 
 def enumerate_cycles(
@@ -195,22 +271,30 @@ def enumerate_cycles(
     max_len: int,
     necklaces_only: bool = True,
 ) -> CycleSearchReport:
-    """All cycles whose minimal period is at most max_len."""
+    """All cycles whose minimal period is at most max_len.
+
+    ``necklaces_only`` solves only the admissible Lyndon words (see the
+    module docstring); False solves every word, as an oracle.
+    """
     if not sys.is_affine:
         raise NotAffineFamily("cycle search solves affine fixed-point equations")
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
-    if necklaces_only:
-        words = lyndon_words(sys.k, max_len)
-    else:
-        words = _all_words(sys.k, max_len)
     rows = _expanding_rows(sys)
+    pruned = dict.fromkeys(("forced_successor", "wraparound", "denominator"), 0)
+    if necklaces_only:
+        folds = _admissible_necklaces(sys, max_len, rows, pruned)
+    else:
+        folds = (
+            (word, *_fold(sys.k, word, rows))
+            for word in _all_words(sys.k, max_len)
+        )
     found = {}
     tried = 0
-    for word in words:
+    for word, na, nb, pk in folds:
         tried += 1
         try:
-            x = _fixed_point_fast(sys, word, rows)
+            x = _solve_fold(sys, word, na, nb, pk)
         except IdentityComposition:
             continue
         if x is None:
@@ -231,6 +315,7 @@ def enumerate_cycles(
         necklaces_only=necklaces_only,
         words_tried=tried,
         cycles=cycles,
+        pruned=pruned,
     )
 
 
@@ -263,6 +348,8 @@ def check_separating(sys: DynamicalSystem, x, cap: int) -> SeparatingReport:
     branch word of one full period is then tested for being a proper
     power.  A non-return within the cap is reported, not an error.
     """
+    if cap < 0:
+        raise InvalidSpec(f"need cap >= 0, got {cap}")
     cur = x
     word = []
     for _ in range(cap):
@@ -305,6 +392,8 @@ def check_uniqueness(
     """
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
+    if scan_bound is not None and scan_bound < 0:
+        raise InvalidSpec(f"need scan_bound >= 0, got {scan_bound}")
     violations = []
     checked = 0
     if isinstance(sys.spec, FiniteTable):

@@ -205,6 +205,27 @@ def test_negative_cap_is_exit_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "separating", "--system", "collatz", "--x", "1", "--cap", "-1"],
+        ["tuc-scan", "--system", "collatz", "--window", "1..20", "--cap", "-3"],
+        ["tower", "--system", "collatz", "--x", "7", "--steps", "-2"],
+        ["minimality", "--system", "collatz", "--window", "1..10", "--budget", "-1"],
+        ["total-orbit", "--system", "collatz", "--window", "1..10", "--x", "1",
+         "--budget", "-1"],
+        ["check", "uniqueness", "--system", "collatz", "--max-len", "3",
+         "--scan-bound", "-5"],
+    ],
+)
+def test_negative_count_is_exit_2(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 # -- operators subcommands ---------------------------------------------------------
 
 

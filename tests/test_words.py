@@ -207,6 +207,110 @@ def test_necklace_toggle_gives_same_cycles(five_x_one):
     assert reps.words_tried < full.words_tried
 
 
+def admissible_lyndon_oracle(sys, max_len):
+    """Filter lyndon_words by the search's two rules, solve the survivors
+    through Fractions, and return (survivor count, {(cycle, word)}).
+
+    The successor of a residue i < k is read off the orbit of the state
+    i itself; a word stays only while its exact composed slope is below
+    the largest denominator the remaining length could still add.
+    """
+    k = sys.k
+    succ = {i: sys.branch_of(sys.apply(i)) for i in range(1, k)}
+    kept, found = 0, set()
+    for w in words.lyndon_words(k, max_len):
+        m = len(w)
+        if any(w[j] < k and succ[w[j]] != w[(j + 1) % m] for j in range(m)):
+            continue
+        if words.compose_affine(sys, w).a >= k ** (max_len - m):
+            continue
+        kept += 1
+        x = words.fixed_point_of_word(sys, w)
+        if x is not None:
+            cyc = orbits.orbit_iterate(sys, x, cap=m).cycle
+            found.add((cyc, tuple(sys.branch_of(s) for s in cyc)))
+    return kept, found
+
+
+def assert_search_matches_oracles(sys, max_len):
+    rep = words.enumerate_cycles(sys, max_len)
+    full = words.enumerate_cycles(sys, max_len, necklaces_only=False)
+    kept, found = admissible_lyndon_oracle(sys, max_len)
+    assert rep.cycles == full.cycles
+    assert {(r.cycle, r.word) for r in rep.cycles} == found
+    assert rep.words_tried == kept
+    assert full.pruned == {"forced_successor": 0, "wraparound": 0, "denominator": 0}
+
+
+@pytest.mark.parametrize(
+    "spec, max_len",
+    [
+        (systems.collatz(), 14),
+        (systems.QxPlusD(5, 1), 14),
+        (systems.QxPlusD(7, 3), 14),
+        (systems.QxPlusD(1, 1), 14),
+        (systems.mersenne(3), 14),
+        (systems.AlphaBeta(3, (4, 4), (2, 1)), 9),
+        (systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)), 6),
+    ],
+)
+def test_necklace_search_matches_oracles(spec, max_len):
+    assert_search_matches_oracles(sys_of(spec), max_len)
+
+
+@st.composite
+def small_alphabeta(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    coeff = st.integers(min_value=1, max_value=9)
+    alpha = tuple(draw(coeff) for _ in range(k - 1))
+    beta = tuple(draw(coeff) for _ in range(k - 1))
+    return systems.AlphaBeta(k, alpha, beta)
+
+
+@given(small_alphabeta(), st.integers(min_value=1, max_value=8))
+def test_necklace_search_matches_oracles_on_alphabeta(spec, max_len):
+    assert_search_matches_oracles(sys_of(spec), max_len)
+
+
+def test_collatz_to_length_32_finds_only_the_trivial_cycle(collatz, deadline):
+    deadline(10)
+    rep = words.enumerate_cycles(collatz, max_len=32)
+    assert [r.cycle for r in rep.cycles] == [(1, 4, 2)]
+
+
+def test_5x_plus_1_to_length_24(five_x_one):
+    rep = words.enumerate_cycles(five_x_one, max_len=24)
+    assert sorted(r.cycle[0] for r in rep.cycles) == [1, 13, 17]
+
+
+def test_alphabeta_to_length_16():
+    sys = sys_of(systems.AlphaBeta(3, (4, 4), (2, 1)))
+    rep = words.enumerate_cycles(sys, max_len=16)
+    assert sorted(r.cycle[0] for r in rep.cycles) == [1, 7]
+
+
+@pytest.mark.parametrize(
+    "spec, max_len, tried, pruned",
+    [
+        # a = (4, 4), b = (2, 1) mod 3: both expanding branches force a
+        # 3.  The walk solves 3, 13, 133, 23, 233; it cuts the Lyndon
+        # words 1 and 2 at the wraparound, the symbols 1 and 2 after "1"
+        # and 2 after "2" by forced successor, and 131, 132, 232 by the
+        # denominator (slope 16/3 with no length left to divide it down).
+        (systems.AlphaBeta(3, (4, 4), (2, 1)), 3, 5, (3, 2, 3)),
+        # a = (1, 1), b = (1, 2) mod 3: 1 forces 2 and 2 forces 1, which
+        # lies below the prenecklace bound after "2", so both of the
+        # symbols 2 and 3 there are cut; 12 has slope 1 and no room left.
+        (systems.AlphaBeta(3, (1, 1), (1, 2)), 2, 1, (4, 2, 1)),
+    ],
+)
+def test_pruned_counts_frozen(spec, max_len, tried, pruned):
+    rep = words.enumerate_cycles(sys_of(spec), max_len)
+    assert rep.words_tried == tried
+    reasons = ("forced_successor", "wraparound", "denominator")
+    assert rep.pruned == dict(zip(reasons, pruned))
+
+
 def test_every_enumerated_cycle_replays(five_x_one):
     rep = words.enumerate_cycles(five_x_one, max_len=12)
     for r in rep.cycles:
