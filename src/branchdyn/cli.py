@@ -81,8 +81,7 @@ def _emit(args, command: str, params: dict, body: dict, rows=None) -> None:
     report.update(_jsonable(body))
     if getattr(args, "with_timing", False):
         report["elapsed_seconds"] = f"{time.monotonic() - args._t0:.3f}"
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and rows is not None:
+    if rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in rows:
@@ -220,8 +219,7 @@ def cmd_minimality(args):
 
 def cmd_cycles(args):
     sys_ = _parse_system(args.system)
-    necklaces = not args.all_words
-    rep = words.enumerate_cycles(sys_, args.max_len, necklaces_only=necklaces)
+    rep = words.enumerate_cycles(sys_, args.max_len)
     rows = [["word", "cycle", "length"]]
     for rec in rep.cycles:
         rows.append(
@@ -237,7 +235,6 @@ def cmd_cycles(args):
         {
             "system": systems.spec_to_json(sys_.spec),
             "max_len": args.max_len,
-            "necklaces_only": necklaces,
         },
         {
             "words_tried": rep.words_tried,
@@ -565,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         if window:
             sp.add_argument("--window", type=_parse_window, default=None, help="A..B")
         sp.add_argument("--out", default=None, help="write the report to a file")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--with-timing", action="store_true",
                         help="include elapsed time (breaks byte-for-byte determinism)")
 
@@ -589,8 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cycles", help="all cycles with period up to --max-len")
     common(sp)
     sp.add_argument("--max-len", type=int, default=24)
-    sp.add_argument("--all-words", action="store_true",
-                    help="try every word instead of necklace representatives")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_cycles)
 
     sp = sub.add_parser("check", help="uniqueness / separating / bounded / alphabeta")

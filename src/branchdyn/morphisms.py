@@ -428,7 +428,6 @@ def induced_isometry(
     phi: Morphism,
     trunc_a: Truncation,
     trunc_b: Truncation,
-    check_orbits: bool = True,
 ) -> IsometryReport:
     """V^T N_i V = M_i for the isometry V e_x = e_{phi(x)}.
 
@@ -449,27 +448,25 @@ def induced_isometry(
         if y not in trunc_b.index:
             raise WindowMismatch(f"phi({x!r}) = {y!r} is outside window B")
         image[y] = x
-    orbit_status = "not-checked"
-    if check_orbits:
-        orbit_status = "exact"
-        done = set()
-        for x in a_states:
-            if x in done:
-                continue
-            oa = invariant_closure(phi.source, [x], set(a_states))
-            ob = invariant_closure(phi.target, [phi(x)], set(trunc_b.states))
-            done |= oa.members
-            mapped = {phi(z) for z in oa.members}
-            decisive = not oa.frontier and not ob.frontier
-            if decisive:
-                if mapped != ob.members:
-                    raise OrbitConditionFailed(
-                        f"phi(Orb({x!r})) != Orb(phi({x!r})): "
-                        f"{sorted(ob.members - mapped, key=repr)[:4]} unreached"
-                    )
-            else:
-                # closures touched the window boundary: inconclusive
-                orbit_status = "window-limited"
+    orbit_status = "exact"
+    done = set()
+    for x in a_states:
+        if x in done:
+            continue
+        oa = invariant_closure(phi.source, [x], set(a_states))
+        ob = invariant_closure(phi.target, [phi(x)], set(trunc_b.states))
+        done |= oa.members
+        mapped = {phi(z) for z in oa.members}
+        decisive = not oa.frontier and not ob.frontier
+        if decisive:
+            if mapped != ob.members:
+                raise OrbitConditionFailed(
+                    f"phi(Orb({x!r})) != Orb(phi({x!r})): "
+                    f"{sorted(ob.members - mapped, key=repr)[:4]} unreached"
+                )
+        else:
+            # closures touched the window boundary: inconclusive
+            orbit_status = "window-limited"
     v = {trunc_a.index[x]: trunc_b.index[phi(x)] for x in a_states}
     vinv = {r: c for c, r in v.items()}
     isometry_identity = len(vinv) == trunc_a.n

@@ -440,35 +440,6 @@ def is_reducing(
 # commutant
 
 
-class _EntryUF:
-    """Union-find over matrix entry positions plus a zero sink."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size + 1))
-        self.zero = size
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the sink canonical so zeroed classes stay recognizable
-        if rb == self.zero:
-            ra, rb = rb, ra
-        if ra == self.zero:
-            self.parent[rb] = ra
-        else:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class CommutantReport:
     dimension: int
@@ -493,8 +464,14 @@ class CommutantReport:
 
 
 def _entry_classes(trunc: Truncation) -> list:
+    """Classes of matrix entries tied by the commutant equations.
+
+    Entry (r, c) is node r*n + c; node n*n is a zero sink, and a class
+    joined to it is forced to vanish.
+    """
     n = trunc.n
-    uf = _EntryUF(n * n)
+    zero = n * n
+    uf = _UnionFind(zero + 1)
 
     def pos(r, c):
         return r * n + c
@@ -502,38 +479,32 @@ def _entry_classes(trunc: Truncation) -> list:
     for b in range(trunc.k):
         fwd = trunc.maps[b]
         inv = trunc.inverse_maps[b]
-        in_branch = set(fwd)
-        in_image = set(inv)
         for x in range(n):
             fx = fwd.get(x)
+            ix = inv.get(x)
             for w in range(n):
                 iw = inv.get(w)
                 # A M = M A entry (w, x)
                 if fx is not None and iw is not None:
                     uf.union(pos(w, fx), pos(iw, x))
                 elif fx is not None:
-                    uf.union(pos(w, fx), uf.zero)
+                    uf.union(pos(w, fx), zero)
                 elif iw is not None:
-                    uf.union(pos(iw, x), uf.zero)
+                    uf.union(pos(iw, x), zero)
                 # A M^T = M^T A entry (w, x); M^T e_x = e_{inv(x)}
-                ix = inv.get(x)
                 fw = fwd.get(w)
                 if ix is not None and fw is not None:
                     uf.union(pos(w, ix), pos(fw, x))
                 elif ix is not None:
-                    uf.union(pos(w, ix), uf.zero)
+                    uf.union(pos(w, ix), zero)
                 elif fw is not None:
-                    uf.union(pos(fw, x), uf.zero)
-    classes: dict = {}
-    for r in range(n):
-        for c in range(n):
-            root = uf.find(pos(r, c))
-            if root == uf.zero:
-                continue
-            classes.setdefault(root, []).append((r, c))
-    out = [frozenset(v) for v in classes.values()]
-    out.sort(key=lambda s: min(s))
-    return out
+                    uf.union(pos(fw, x), zero)
+    zero_root = uf.find(zero)
+    return [
+        frozenset(divmod(p, n) for p in g)
+        for g in uf.groups()
+        if uf.find(g[0]) != zero_root
+    ]
 
 
 def _products_commute(n: int, ca: frozenset, cb: frozenset) -> bool:
@@ -650,16 +621,11 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
 
 def _components(trunc: Truncation) -> list:
     """Total-orbit components of a closed truncation: sorted coordinates."""
-    uf = _UnionFind()
-    for c in range(trunc.n):
-        uf.add(c)
+    uf = _UnionFind(trunc.n)
     for fwd in trunc.maps:
         for c, r in fwd.items():
             uf.union(c, r)
-    groups: dict = {}
-    for c in range(trunc.n):
-        groups.setdefault(uf.find(c), []).append(c)
-    return list(groups.values())
+    return uf.groups()
 
 
 def _embed(n: int, comp: list, vectors) -> SubspaceBasis:

@@ -127,32 +127,29 @@ def total_orbit(sys, x, window, node_budget: int = 10**6) -> TotalOrbitApprox:
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-        self.rank = {}
+    """Union-find over the indices 0..size-1, with path compression."""
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.rank[x] = 0
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+    def find(self, a: int) -> int:
+        p = self.parent
+        root = a
+        while p[root] != root:
+            root = p[root]
+        while p[a] != root:
+            p[a], a = root, p[a]
         return root
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(b)] = self.find(a)
+
+    def groups(self) -> list:
+        """The classes as ascending index lists, ordered by least index."""
+        out: dict = {}
+        for a in range(len(self.parent)):
+            out.setdefault(self.find(a), []).append(a)
+        return list(out.values())
 
 
 @dataclass(frozen=True)
@@ -181,12 +178,11 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     if budget < 0:
         raise InvalidSpec(f"need budget >= 0, got {budget}")
     win = as_window(sys, window)
-    uf = _UnionFind()
     order = list(win)
-    for x in order:
-        uf.add(x)
+    pos = {x: j for j, x in enumerate(order)}
+    uf = _UnionFind(len(order))
     unresolved = []
-    for x in order:
+    for j, x in enumerate(order):
         cur = sys.apply(x)
         steps = 0
         while not win.contains(cur):
@@ -197,14 +193,8 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
             cur = sys.apply(cur)
             steps += 1
         if cur is not None:
-            uf.union(x, cur)
-    groups: dict = {}
-    for x in order:
-        groups.setdefault(uf.find(x), []).append(x)
-    pos = {x: n for n, x in enumerate(order)}
-    classes = tuple(
-        sorted((tuple(g) for g in groups.values()), key=lambda g: pos[g[0]])
-    )
+            uf.union(j, pos[cur])
+    classes = tuple(tuple(order[j] for j in g) for g in uf.groups())
     return MinimalityReport(
         window=win.describe(),
         classes=classes,

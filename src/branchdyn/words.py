@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
@@ -94,23 +95,12 @@ class AffineMap:
     def __call__(self, x):
         return self.a * x + self.b
 
-    def after(self, other: "AffineMap") -> "AffineMap":
-        """self o other."""
-        return AffineMap(self.a * other.a, self.a * other.b + self.b)
-
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(Fraction(1), Fraction(0))
-
 
 def compose_affine(sys: DynamicalSystem, word: Iterable) -> AffineMap:
     """The affine map of f_I; first symbol innermost."""
     word = check_word(word, sys.k)
-    m = AffineMap.identity()
-    for i in word:
-        a, b = sys.branch_affine(i)
-        m = AffineMap(a, b).after(m)
-    return m
+    na, nb, pk = _fold(sys.k, word, _expanding_rows(sys))
+    return AffineMap(Fraction(na, pk), Fraction(nb, pk))
 
 
 def replay_word(sys: DynamicalSystem, x, word: Word):
@@ -126,27 +116,15 @@ def replay_word(sys: DynamicalSystem, x, word: Word):
 def fixed_point_of_word(sys: DynamicalSystem, word: Iterable):
     """The unique positive-integer fixed point of f_I realizing I, or None.
 
-    Solves a*x + b = x exactly and validates the solution by replaying
-    the word from it.  Raises IdentityComposition when f_I is the
-    identity map (a = 1, b = 0), in which case "the" fixed point is
-    ill-posed.  a = 1 with b != 0 has no fixed point at all; a != 1
-    pins down x = b / (1 - a), so at most one state can qualify.
+    Solves (na*x + nb) / k**e = x exactly and validates the solution by
+    replaying the word from it.  Raises IdentityComposition when f_I is
+    the identity map (na = k**e, nb = 0), in which case "the" fixed
+    point is ill-posed.  Slope one with nb != 0 has no fixed point at
+    all; otherwise x = nb / (k**e - na), so at most one state can
+    qualify.
     """
     word = check_word(word, sys.k)
-    if not word:
-        raise IdentityComposition("the empty word composes to the identity")
-    m = compose_affine(sys, word)
-    if m.a == 1:
-        if m.b == 0:
-            raise IdentityComposition(f"word {word} composes to the identity")
-        return None
-    x = m.b / (1 - m.a)
-    if x.denominator != 1 or x < 1:
-        return None
-    x = int(x)
-    if replay_word(sys, x, word) != x:
-        return None
-    return x
+    return _solve_fold(sys, word, *_fold(sys.k, word, _expanding_rows(sys)))
 
 
 @dataclass(frozen=True)
@@ -160,7 +138,12 @@ class CycleRecord:
 
 
 def _expanding_rows(sys: DynamicalSystem) -> list:
-    """The integer (a_i, b_i) of branches 1..k-1, read once per search."""
+    """The integer (a_i, b_i) of branches 1..k-1, read once per solve or
+    search; a system whose branches are not affine has none."""
+    if not sys.is_affine:
+        raise NotAffineFamily(
+            f"{type(sys.spec).__name__} branches are not affine maps"
+        )
     return [sys.branch_affine_int(i) for i in range(1, sys.k)]
 
 
@@ -195,15 +178,6 @@ def _solve_fold(sys, word, na, nb, pk):
     if replay_word(sys, x, word) != x:
         return None
     return x
-
-
-def _fixed_point_fast(sys, word, rows):
-    """Integer-only fixed point solve over ``rows = _expanding_rows(sys)``.
-
-    Avoids Fraction churn in the inner loops of the word sweeps;
-    cross-checked against fixed_point_of_word in the tests.
-    """
-    return _solve_fold(sys, word, *_fold(sys.k, word, rows))
 
 
 def _admissible_necklaces(sys, max_len, rows, pruned):
@@ -260,21 +234,15 @@ def _admissible_necklaces(sys, max_len, rows, pruned):
 @dataclass(frozen=True)
 class CycleSearchReport:
     max_len: int
-    necklaces_only: bool
-    words_tried: int  # words solved: admissible Lyndon words, or all words
+    words_tried: int  # admissible Lyndon words solved
     cycles: tuple  # CycleRecord, sorted by (length, cycle)
-    pruned: dict  # reason -> count, all zero on the all-words route
+    pruned: dict  # reason -> count
 
 
-def enumerate_cycles(
-    sys: DynamicalSystem,
-    max_len: int,
-    necklaces_only: bool = True,
-) -> CycleSearchReport:
+def enumerate_cycles(sys: DynamicalSystem, max_len: int) -> CycleSearchReport:
     """All cycles whose minimal period is at most max_len.
 
-    ``necklaces_only`` solves only the admissible Lyndon words (see the
-    module docstring); False solves every word, as an oracle.
+    Solves only the admissible Lyndon words (see the module docstring).
     """
     if not sys.is_affine:
         raise NotAffineFamily("cycle search solves affine fixed-point equations")
@@ -282,13 +250,7 @@ def enumerate_cycles(
         raise InvalidSpec("need max_len >= 1")
     rows = _expanding_rows(sys)
     pruned = dict.fromkeys(("forced_successor", "wraparound", "denominator"), 0)
-    if necklaces_only:
-        folds = _admissible_necklaces(sys, max_len, rows, pruned)
-    else:
-        folds = (
-            (word, *_fold(sys.k, word, rows))
-            for word in _all_words(sys.k, max_len)
-        )
+    folds = _admissible_necklaces(sys, max_len, rows, pruned)
     found = {}
     tried = 0
     for word, na, nb, pk in folds:
@@ -312,7 +274,6 @@ def enumerate_cycles(
     cycles = tuple(sorted(found.values(), key=lambda r: (r.length, r.cycle)))
     return CycleSearchReport(
         max_len=max_len,
-        necklaces_only=necklaces_only,
         words_tried=tried,
         cycles=cycles,
         pruned=pruned,
@@ -320,8 +281,6 @@ def enumerate_cycles(
 
 
 def _all_words(k, max_len):
-    from itertools import product
-
     for m in range(1, max_len + 1):
         for word in product(range(1, k + 1), repeat=m):
             yield word
@@ -392,8 +351,9 @@ def check_uniqueness(
     """
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
-    if scan_bound is not None and scan_bound < 0:
-        raise InvalidSpec(f"need scan_bound >= 0, got {scan_bound}")
+    if scan_bound is not None and scan_bound < 1:
+        # a scan over no state would guard nothing yet still pass
+        raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
     violations = []
     checked = 0
     if isinstance(sys.spec, FiniteTable):
@@ -415,7 +375,7 @@ def check_uniqueness(
     for word in _all_words(sys.k, max_len):
         checked += 1
         try:
-            x = _fixed_point_fast(sys, word, rows)
+            x = _solve_fold(sys, word, *_fold(sys.k, word, rows))
         except IdentityComposition:
             violations.append((word, ("identity",)))
             continue
@@ -426,7 +386,7 @@ def check_uniqueness(
                 for y in range(1, scan_bound + 1)
                 if replay_word(sys, y, word) == y
             }
-            if scanned != solved & set(range(1, scan_bound + 1)):
+            if scanned != {y for y in solved if y <= scan_bound}:
                 violations.append(
                     (word, tuple(sorted(scanned | solved)))
                 )

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from branchdyn import linalg, operators, systems
+from branchdyn import linalg, operators, orbits, systems, words
+from branchdyn.errors import IdentityComposition
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -77,6 +78,55 @@ def preimage_scan_bound(sys, x):
     # any preimage y satisfies y = k*x (division) or a*y + b = x,
     # so y <= max(k*x, x) always covers the search space
     return sys.k * x + 1
+
+
+def _fraction_solve(sys, word, a, b):
+    """Solve a*x + b = x in Fractions and replay the word from x."""
+    if a == 1:
+        if b == 0:
+            raise IdentityComposition(f"word {word} composes to the identity")
+        return None
+    x = b / (1 - a)
+    if x.denominator != 1 or x < 1:
+        return None
+    x = int(x)
+    return x if words.replay_word(sys, x, word) == x else None
+
+
+def fraction_compose(sys, word):
+    """(a, b) of f_I, folding each symbol's exact ``branch_affine`` in
+    Fractions; independent of the library's integer fold."""
+    a, b = Fraction(1), Fraction(0)
+    for i in word:
+        ai, bi = sys.branch_affine(i)
+        a, b = ai * a, ai * b + bi
+    return a, b
+
+
+def fraction_fixed_point(sys, word):
+    """The replayed positive-integer fixed point of f_I, or None, solved
+    as b / (1 - a) over ``fraction_compose``."""
+    return _fraction_solve(sys, word, *fraction_compose(sys, word))
+
+
+def all_words_cycles(sys, max_len):
+    """{(cycle, word)} from solving every word of length <= max_len in
+    Fractions: each cycle as its canonical rotation, with the branch
+    word read off that rotation.  Words share their prefix's fold."""
+    branches = [sys.branch_affine(i) for i in range(1, sys.k + 1)]
+    found = set()
+    stack = [((), Fraction(1), Fraction(0))]
+    while stack:
+        word, a, b = stack.pop()
+        if word:
+            x = _fraction_solve(sys, word, a, b)
+            if x is not None:
+                cyc = orbits.orbit_iterate(sys, x, cap=len(word)).cycle
+                found.add((cyc, tuple(sys.branch_of(s) for s in cyc)))
+        if len(word) < max_len:
+            for i, (ai, bi) in enumerate(branches, 1):
+                stack.append((word + (i,), ai * a, ai * b + bi))
+    return found
 
 
 def fraction_char_poly(a):

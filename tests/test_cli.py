@@ -1,6 +1,9 @@
 """Command-line surface: reports, determinism, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +219,8 @@ def test_negative_cap_is_exit_2(capsys):
          "--budget", "-1"],
         ["check", "uniqueness", "--system", "collatz", "--max-len", "3",
          "--scan-bound", "-5"],
+        ["check", "uniqueness", "--system", "collatz", "--max-len", "3",
+         "--scan-bound", "0"],
     ],
 )
 def test_negative_count_is_exit_2(capsys, argv):
@@ -224,6 +229,25 @@ def test_negative_count_is_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_format_is_only_a_cycles_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["orbit", "--system", "collatz", "--x", "7", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_cli_lines_parse():
+    # every command in the README's CLI block must still parse, so a
+    # removed flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("branchdyn ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 # -- operators subcommands ---------------------------------------------------------
