@@ -9,14 +9,16 @@ decided here by partition refinement, which distinguishes all pairs in
 one pass per symbol instead of walking each pair separately.
 
 Residue towers capture what the coding sees of an integer state x:
-the digits r_j = x mod k^j for j = 1..depth.  Affine branches act on a
-tower depth-preservingly; the division branch shortens it by one digit
-(r'_j = r_{j+1} / k), so depth-1 towers cannot be divided further.
+the digits r_j = x mod k^j for j = 1..depth.  The top digit fixes the
+rest (r_j = r_depth mod k^j), so a tower is stored as the one residue
+x mod k^depth, its k-adic truncation, and the digits are derived from
+it.  An affine branch maps that residue r to (a r + b) mod k^depth at
+the same depth; the division branch maps it to r / k and consumes one
+level (r'_j = r_{j+1} / k), so depth-1 towers cannot be divided further.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -151,15 +153,6 @@ class HypothesesReport:
         return self.gcd_passed and self.multiple_passed
 
 
-def _gcd_failures(sys: DynamicalSystem) -> tuple:
-    """Branches i < k with gcd(a_i, k) > 1, where the tower extension fails."""
-    return tuple(
-        i
-        for i in range(1, sys.k)
-        if math.gcd(sys.branch_affine_int(i)[0], sys.k) > 1
-    )
-
-
 def check_alphabeta_hypotheses(
     sys: DynamicalSystem, window, horizon: int | None = None
 ) -> HypothesesReport:
@@ -170,7 +163,7 @@ def check_alphabeta_hypotheses(
         raise NotAffineFamily("hypotheses concern the affine families")
     win = as_window(sys, window)
     horizon = sys.k if horizon is None else horizon
-    gcd_failures = _gcd_failures(sys)
+    gcd_failures = sys.gcd_failures
     multiple_failures = []
     for x in win:
         cur = x
@@ -196,38 +189,73 @@ def check_alphabeta_hypotheses(
 # residue towers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidueTower:
-    """Digits (r_1, ..., r_depth) with r_j = x mod k^j for some x.
+    """The tower of x mod k^j, j = 1..depth, stored as value = x mod k^depth.
 
-    Compatibility (r_{j+1} = r_j mod k^j) and range (0 <= r_j < k^j)
-    are enforced at construction.
+    The digits r_j = value mod k^j are derived, so they are compatible
+    and in range by construction; only k >= 2, depth >= 1 and
+    0 <= value < k^depth are checked.  Towers given digit by digit go
+    through ``from_digits``, which checks each digit.
     """
 
     k: int
-    digits: tuple
+    depth: int
+    value: int
 
     def __post_init__(self):
         if self.k < 2:
             raise InvalidSpec("need k >= 2")
-        if not self.digits:
+        if self.depth < 1:
             raise InvalidSpec("need depth >= 1")
-        for j, r in enumerate(self.digits, start=1):
-            if not 0 <= r < self.k**j:
+        if not 0 <= self.value < self.k**self.depth:
+            raise InvalidSpec(f"value {self.value} outside [0, k^{self.depth})")
+
+    @classmethod
+    def from_digits(cls, k: int, digits) -> "ResidueTower":
+        """The tower with digits (r_1, ..., r_depth), each in [0, k^j)
+        and compatible with the next (r_j = r_{j+1} mod k^j)."""
+        if k < 2:
+            raise InvalidSpec("need k >= 2")
+        digits = tuple(digits)
+        if not digits:
+            raise InvalidSpec("need depth >= 1")
+        low, high = 1, k
+        for j, r in enumerate(digits, start=1):
+            if not 0 <= r < high:
                 raise InvalidSpec(f"digit r_{j} = {r} outside [0, k^{j})")
-        for j in range(len(self.digits) - 1):
-            if self.digits[j + 1] % self.k ** (j + 1) != self.digits[j]:
-                raise InvalidSpec(
-                    f"digits r_{j + 1}, r_{j + 2} are not compatible"
-                )
+            if j > 1 and r % low != digits[j - 2]:
+                raise InvalidSpec(f"digits r_{j - 1}, r_{j} are not compatible")
+            low, high = high, high * k
+        return cls(k, len(digits), digits[-1])
 
     @property
-    def depth(self) -> int:
-        return len(self.digits)
+    def digits(self) -> tuple:
+        """(r_1, ..., r_depth), r_j = value mod k^j.
+
+        Every r_j with k^j > value is value itself.  The others are
+        taken from the top down, r_j = r_{j+1} mod k^j, with a running
+        power of k, so each step reduces by a modulus at most k times
+        smaller than its dividend and deep towers cost no more than
+        quadratic time in the bit length.
+        """
+        k, value = self.k, self.value
+        p, n = 1, 0  # n = number of levels with k^j <= value
+        while n < self.depth and p * k <= value:
+            p *= k
+            n += 1
+        low = []
+        r = value
+        for _ in range(n):
+            r %= p
+            low.append(r)
+            p //= k
+        low.reverse()
+        return tuple(low) + (value,) * (self.depth - n)
 
     def residue(self) -> int:
         """The branch residue r_1 (0 means the division branch)."""
-        return self.digits[0] % self.k
+        return self.value % self.k
 
 
 def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
@@ -235,45 +263,39 @@ def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
         raise InvalidSpec("states are positive integers")
     if depth < 1:
         raise InvalidSpec("need depth >= 1")
-    return ResidueTower(k=k, digits=tuple(x % k**j for j in range(1, depth + 1)))
+    if k < 2:
+        raise InvalidSpec("need k >= 2")
+    return ResidueTower(k, depth, x % k**depth)
 
 
 def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
     """Push a residue tower through one step of the system.
 
-    The branch is read off r_1.  Affine branches map each digit to
-    (a_i r_j + b_i) mod k^j at full depth; the division branch computes
-    r'_j = r_{j+1} / k (exact, since r_1 = 0 forces k | r_{j+1}),
-    losing one level.  Dividing a depth-1 tower raises DepthExhausted:
-    no digit of the successor is determined.
+    The branch is read off the residue r mod k.  An affine branch maps r
+    to (a_i r + b_i) mod k^depth at full depth; the division branch maps
+    it to r / k (exact, since k | r), losing one level.  Dividing a
+    depth-1 tower raises DepthExhausted: no digit of the successor is
+    determined.
     """
     if not sys.is_affine:
         raise NotAffineFamily("towers live over the affine families")
-    if sys.k != tower.k:
-        raise InvalidSpec(f"tower has k = {tower.k}, system has k = {sys.k}")
-    bad = _gcd_failures(sys)
-    if bad:
-        i = bad[0]
+    k = tower.k
+    if sys.k != k:
+        raise InvalidSpec(f"tower has k = {k}, system has k = {sys.k}")
+    if sys.gcd_failures:
+        i = sys.gcd_failures[0]
         raise PreconditionUnmet(
             f"a_{i} = {sys.branch_affine_int(i)[0]} shares a factor with "
-            f"k = {sys.k}; the extension to residue towers needs gcd(a_i, k) = 1"
+            f"k = {k}; the extension to residue towers needs gcd(a_i, k) = 1"
         )
-    i = tower.residue()
+    r = tower.value
+    i = r % k
     if i != 0:
         a, b = sys.branch_affine_int(i)
-        return ResidueTower(
-            k=tower.k,
-            digits=tuple(
-                (a * r + b) % tower.k**j
-                for j, r in enumerate(tower.digits, start=1)
-            ),
-        )
+        return ResidueTower(k, tower.depth, (a * r + b) % k**tower.depth)
     if tower.depth == 1:
         raise DepthExhausted("division branch on a depth-1 tower")
-    return ResidueTower(
-        k=tower.k,
-        digits=tuple(tower.digits[j] // tower.k for j in range(1, tower.depth)),
-    )
+    return ResidueTower(k, tower.depth - 1, r // k)
 
 
 @dataclass(frozen=True)
@@ -309,7 +331,7 @@ def verify_recovery_lemma(
         raise PreconditionUnmet(f"f images differ mod k^{j}")
     branch = sys.branch_of(x)
     if x % k != 0:
-        if branch in _gcd_failures(sys):
+        if branch in sys.gcd_failures:
             raise PreconditionUnmet(f"gcd(a_{branch}, k) > 1")
         passed = x % k**j == y % k**j
         detail = f"affine branch: x = y mod k^{j}"

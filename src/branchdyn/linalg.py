@@ -51,14 +51,6 @@ def mat_vec(a: list, v: list) -> list:
     return [sum((x * y for x, y in zip(row, v) if x and y), F0) for row in a]
 
 
-def mat_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: list, c: Fraction) -> list:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_pow(a: list, e: int) -> list:
     out = identity(len(a), 1)
     base = a

@@ -60,12 +60,6 @@ class Truncation:
     def escape_count(self) -> int:
         return sum(len(e) for e in self.escapes)
 
-    def branch_matrix(self, i: int) -> list:
-        m = linalg.zeros(self.n, self.n)
-        for c, r in self.maps[i - 1].items():
-            m[r][c] = F1
-        return m
-
     def interior(self) -> frozenset:
         """States whose image and all preimages stay inside the window."""
         out = []
@@ -134,15 +128,6 @@ def apply_word_op(trunc: Truncation, word, vec: dict) -> dict:
     cur = dict(vec)
     for i in word:
         cur = apply_branch(trunc, i, cur)
-    return cur
-
-
-def apply_word_adjoint(trunc: Truncation, word, vec: dict) -> dict:
-    """(T_I)^* vec; adjoints compose in reverse symbol order."""
-    word = check_word(word, trunc.k)
-    cur = dict(vec)
-    for i in reversed(word):
-        cur = apply_branch(trunc, i, cur, adjoint=True)
     return cur
 
 

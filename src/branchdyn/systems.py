@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Iterable, Iterator
 
 from .errors import InvalidSpec, NonInjectiveBranch, NotAffineFamily, OutOfDomain
@@ -151,6 +152,10 @@ class DynamicalSystem:
     the residues 0 < r < k, and residue 0 divides by k; ``QxPlusD(q, d)``
     is the k = 2 table ((q, d),).  A finite table holds its branch, image
     and preimage dicts.  A system holding neither is a shift.
+
+    ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
+    the extension to residue towers fails; it is empty off the affine
+    families.
     """
 
     def __init__(self, spec, _validate: bool = True):
@@ -172,6 +177,11 @@ class DynamicalSystem:
             self.k = spec.k
         else:
             raise InvalidSpec(f"unknown family: {spec!r}")
+        self.gcd_failures = tuple(
+            i
+            for i, (a, _) in enumerate(self._affine or (), start=1)
+            if gcd(a, self.k) > 1
+        )
         if _validate:
             self._validate()
         if self._image is not None:

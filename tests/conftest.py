@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from branchdyn import linalg, operators, orbits, systems, words
-from branchdyn.errors import IdentityComposition
+from branchdyn.errors import DepthExhausted, IdentityComposition
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -127,6 +127,50 @@ def all_words_cycles(sys, max_len):
             for i, (ai, bi) in enumerate(branches, 1):
                 stack.append((word + (i,), ai * a, ai * b + bi))
     return found
+
+
+def state_digits(x, k, depth):
+    """(x mod k, x mod k^2, ..., x mod k^depth), one power at a time."""
+    return tuple(x % k**j for j in range(1, depth + 1))
+
+
+def digit_tower_apply(sys, digits):
+    """One step of f on a tower given as its digit tuple, digit by digit:
+    r'_j = (a r_j + b) mod k^j on an affine branch, and r'_j = r_{j+1} / k
+    on the division branch, one level shorter; independent of the
+    library's single-residue route."""
+    k = sys.k
+    i = digits[0] % k
+    if i != 0:
+        a, b = sys.branch_affine_int(i)
+        return tuple((a * r + b) % k**j for j, r in enumerate(digits, start=1))
+    if len(digits) == 1:
+        raise DepthExhausted("division branch on a depth-1 tower")
+    return tuple(r // k for r in digits[1:])
+
+
+def branch_matrix(trunc, i):
+    """The dense 0/1 matrix M_i of branch i on the truncation's window."""
+    m = linalg.zeros(trunc.n, trunc.n)
+    for c, r in trunc.maps[i - 1].items():
+        m[r][c] = Fraction(1)
+    return m
+
+
+def apply_word_adjoint(trunc, word, vec):
+    """(T_I)^* vec; adjoints compose in reverse symbol order."""
+    cur = dict(vec)
+    for i in reversed(words.check_word(word, trunc.k)):
+        cur = operators.apply_branch(trunc, i, cur, adjoint=True)
+    return cur
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
 
 
 def fraction_char_poly(a):

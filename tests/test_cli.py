@@ -116,6 +116,25 @@ def test_tower_steps(capsys):
     assert rep["towers"][1]["digits"] == ["0", "0", "0", "8"]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ALPHABETA3 = '{"family":"alphabeta","k":3,"alpha":["4","4"],"beta":["2","1"]}'
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("tower_collatz_x27_d8_s12.json",
+         ["--system", "collatz", "--x", "27", "--depth", "8", "--steps", "12"]),
+        # the divisions take this one from depth 6 down to depth 1
+        ("tower_alphabeta3_x100_d6_s10.json",
+         ["--system", ALPHABETA3, "--x", "100", "--depth", "6", "--steps", "10"]),
+    ],
+)
+def test_tower_report_golden(capsys, name, argv):
+    assert cli.main(["tower", *argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
 # -- checks and exit codes ------------------------------------------------------
 
 

@@ -3,10 +3,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from branchdyn import coding, systems
-from branchdyn.errors import DepthExhausted, InvalidSpec, PreconditionUnmet, TooShort
+from branchdyn.errors import (
+    DepthExhausted,
+    InvalidSpec,
+    NotAffineFamily,
+    PreconditionUnmet,
+    TooShort,
+)
+from conftest import digit_tower_apply, state_digits
 
 
 # -- coding prefixes ---------------------------------------------------------
@@ -132,9 +139,60 @@ def test_tower_digits_frozen():
 
 def test_tower_compatibility_enforced():
     with pytest.raises(InvalidSpec):
-        coding.ResidueTower(k=2, digits=(1, 2))  # 2 mod 2 = 0 != 1
-    t = coding.ResidueTower(k=2, digits=(1, 3))
+        coding.ResidueTower.from_digits(2, (1, 2))  # 2 mod 2 = 0 != 1
+    t = coding.ResidueTower.from_digits(2, (1, 3))
     assert t.depth == 2 and t.residue() == 1
+
+
+@pytest.mark.parametrize(
+    "k, digits",
+    [
+        (2, (1, 2)),  # 2 mod 2 = 0, not r_1 = 1
+        (3, (1, 5)),  # 5 mod 3 = 2, not r_1 = 1
+        (3, (2, 5, 15)),  # 15 mod 9 = 6, not r_2 = 5
+        (5, (4, 9, 34, 34, 600)),  # 600 mod 625 fine, 600 mod 125 = 100
+    ],
+)
+def test_from_digits_rejects_incompatible_digits(k, digits):
+    with pytest.raises(InvalidSpec, match="not compatible"):
+        coding.ResidueTower.from_digits(k, digits)
+
+
+@pytest.mark.parametrize(
+    "k, digits",
+    [
+        (2, (2,)),  # r_1 < 2
+        (2, (1, 4)),  # r_2 < 4
+        (3, (-1,)),
+        (2, (1, 3, 8)),  # r_3 < 8
+    ],
+)
+def test_from_digits_rejects_out_of_range_digits(k, digits):
+    with pytest.raises(InvalidSpec, match="outside"):
+        coding.ResidueTower.from_digits(k, digits)
+
+
+def test_tower_shape_is_checked():
+    for k, digits in ((1, (0,)), (2, ())):
+        with pytest.raises(InvalidSpec):
+            coding.ResidueTower.from_digits(k, digits)
+    for k, depth, value in ((1, 1, 0), (2, 0, 0), (2, 3, 8), (3, 2, -1)):
+        with pytest.raises(InvalidSpec):
+            coding.ResidueTower(k, depth, value)
+    with pytest.raises(InvalidSpec):
+        coding.tower_from_state(5, 0, 3)
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=10**9),
+    st.integers(min_value=1, max_value=12),
+)
+def test_from_digits_round_trips(k, x, depth):
+    t = coding.tower_from_state(x, k, depth)
+    assert t.digits == state_digits(x, k, depth)
+    assert coding.ResidueTower.from_digits(k, t.digits) == t
+    assert t.value == x % k**depth
 
 
 def test_tower_apply_affine_branch(collatz):
@@ -200,6 +258,107 @@ def test_tower_apply_needs_coprime_coefficients():
     sys = systems.make_system(systems.AlphaBeta(2, (2,), (1,)))  # gcd(2,2) = 2
     with pytest.raises(PreconditionUnmet):
         coding.tower_apply(sys, coding.tower_from_state(1, 2, 3))
+
+
+def test_tower_apply_rejects_other_systems(collatz, swap2):
+    with pytest.raises(NotAffineFamily):
+        coding.tower_apply(swap2, coding.tower_from_state(1, 2, 3))
+    with pytest.raises(InvalidSpec, match="tower has k = 3, system has k = 2"):
+        coding.tower_apply(collatz, coding.tower_from_state(1, 3, 3))
+
+
+def test_gcd_precondition_is_per_system():
+    # gcd(a_i, 6) for a = 2, 3, 5, 7, 9: branches 1, 2 and 5 fail
+    sys = systems.make_system(systems.AlphaBeta(6, (2, 3, 5, 7, 9), (1, 1, 1, 1, 1)))
+    assert sys.gcd_failures == (1, 2, 5)
+    rep = coding.check_alphabeta_hypotheses(sys, (1, 50))
+    assert rep.gcd_failures == (1, 2, 5) and not rep.gcd_passed
+    with pytest.raises(PreconditionUnmet) as exc:
+        coding.tower_apply(sys, coding.tower_from_state(1, 6, 2))
+    assert str(exc.value) == (
+        "a_1 = 2 shares a factor with k = 6; the extension to residue "
+        "towers needs gcd(a_i, k) = 1"
+    )
+    assert systems.make_system(systems.collatz()).gcd_failures == ()
+    assert systems.make_system(systems.AlphaBeta(3, (4, 4), (2, 1))).gcd_failures == ()
+    table = systems.FiniteTable.make({1: 1, 2: 2}, {1: 2, 2: 1}, k=2)
+    assert systems.make_system(table).gcd_failures == ()
+
+
+def test_recovery_reads_the_gcd_precondition():
+    sys = systems.make_system(systems.AlphaBeta(2, (2,), (1,)))  # gcd(2,2) = 2
+    # 1 and 3 share branch 1 and f(1) = 3, f(3) = 7 agree mod 2
+    with pytest.raises(PreconditionUnmet, match=r"^gcd\(a_1, k\) > 1$"):
+        coding.verify_recovery_lemma(sys, 1, 3, j=1)
+
+
+TOWER_SYSTEMS = (
+    systems.collatz(),
+    systems.AlphaBeta(3, (4, 4), (2, 1)),
+    systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
+)
+
+
+def _assert_tower_matches_oracle(sys, tower, steps):
+    """Push ``tower`` ``steps`` times through the library and through the
+    digit-by-digit oracle, comparing digits and DepthExhausted."""
+    digits = tower.digits
+    for _ in range(steps):
+        try:
+            want = digit_tower_apply(sys, digits)
+        except DepthExhausted:
+            with pytest.raises(DepthExhausted):
+                coding.tower_apply(sys, tower)
+            return
+        tower = coding.tower_apply(sys, tower)
+        assert tower.digits == want
+        assert tower.depth == len(want)
+        digits = want
+
+
+def test_tower_apply_matches_digit_oracle_sweep():
+    for spec in TOWER_SYSTEMS:
+        sys = systems.make_system(spec)
+        for depth in range(1, 13):
+            for x in range(1, 3 * sys.k**2):
+                t = coding.tower_from_state(x, sys.k, depth)
+                assert t.digits == state_digits(x, sys.k, depth)
+                _assert_tower_matches_oracle(sys, t, 1)
+        # a multiple of k at depth 1 has no successor tower
+        with pytest.raises(DepthExhausted):
+            coding.tower_apply(sys, coding.tower_from_state(sys.k, sys.k, 1))
+
+
+@given(
+    st.sampled_from(TOWER_SYSTEMS),
+    st.integers(min_value=0, max_value=10**12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=16),
+)
+@example(systems.collatz(), 6, 1, 1)
+@example(systems.AlphaBeta(3, (4, 4), (2, 1)), 9, 1, 1)
+@example(systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)), 0, 1, 1)
+def test_tower_apply_matches_digit_oracle(spec, value, depth, steps):
+    sys = systems.make_system(spec)
+    k = sys.k
+    tower = coding.ResidueTower(k, depth, value % k**depth)
+    _assert_tower_matches_oracle(sys, tower, steps)
+
+
+def test_deep_tower_is_not_quadratic(collatz, deadline):
+    deadline(5)
+    x = 3**12000 + 8  # odd, about 19,000 bits, below 2^20000
+    t = coding.tower_from_state(x, 2, 20000)
+    digits = t.digits
+    assert len(digits) == 20000 and digits[0] == 1 and digits[-1] == x
+    t = coding.tower_apply(collatz, t)  # odd: 3x + 1 mod 2^20000
+    digits = t.digits
+    assert digits[0] == 0 and digits[-1] == (3 * x + 1) % 2**20000
+    t = coding.tower_apply(collatz, t)  # even: one level consumed
+    digits = t.digits
+    assert t.depth == 19999
+    assert digits[0] == ((3 * x + 1) % 2**20000 // 2) % 2
+    assert digits[-1] == (3 * x + 1) % 2**20000 // 2
 
 
 # -- recovery lemma ------------------------------------------------------------------

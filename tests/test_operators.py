@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from branchdyn import coding, linalg, operators, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
-from conftest import whole_space_commutant_blocks
+from conftest import (
+    apply_word_adjoint,
+    branch_matrix,
+    mat_add,
+    mat_scale,
+    whole_space_commutant_blocks,
+)
 
 F = Fraction
 
@@ -66,7 +72,7 @@ def test_branch_window_disjoint(collatz):
     # a window of even numbers never meets the odd branch
     t = operators.build_truncation(collatz, [2, 4, 8])
     assert t.maps[0] == {}
-    assert t.branch_matrix(1) == linalg.zeros(3, 3)
+    assert branch_matrix(t, 1) == linalg.zeros(3, 3)
 
 
 def test_partial_isometry_identity(collatz, swap1, alphabeta3):
@@ -77,7 +83,7 @@ def test_partial_isometry_identity(collatz, swap1, alphabeta3):
     ):
         t = operators.build_truncation(sys, window)
         for i in range(1, t.k + 1):
-            m = t.branch_matrix(i)
+            m = branch_matrix(t, i)
             mt = linalg.transpose(m)
             assert linalg.mat_mul(linalg.mat_mul(m, mt), m) == m
 
@@ -115,7 +121,7 @@ def test_word_op_matches_dense_product(collatz):
     word = (1, 2, 2, 1, 2)
     dense = linalg.identity(t.n)
     for i in word:
-        dense = linalg.mat_mul(t.branch_matrix(i), dense)
+        dense = linalg.mat_mul(branch_matrix(t, i), dense)
     for x in t.states:
         out = operators.apply_word_op(t, word, e(t, x))
         col = [row[t.index[x]] for row in dense]
@@ -126,7 +132,7 @@ def test_word_adjoint_is_transpose_route(collatz):
     t = operators.build_truncation(collatz, (1, 20))
     word = (1, 2, 2)
     fwd = operators.apply_word_op(t, word, e(t, 1))
-    back = operators.apply_word_adjoint(t, word, fwd)
+    back = apply_word_adjoint(t, word, fwd)
     assert back == e(t, 1)
 
 
@@ -186,7 +192,7 @@ def test_projection_matches_operator_route(collatz):
     p = operators.projection_P(t, prefix)
     for x in t.states:
         v = operators.apply_word_op(t, prefix, e(t, x))
-        w = operators.apply_word_adjoint(t, prefix, v)
+        w = apply_word_adjoint(t, prefix, v)
         assert w == p.apply(e(t, x))
 
 
@@ -326,7 +332,7 @@ def dense_commutant_dimension(trunc):
     n = trunc.n
     mats = []
     for i in range(1, trunc.k + 1):
-        m = trunc.branch_matrix(i)
+        m = branch_matrix(trunc, i)
         mats.append(m)
         mats.append(linalg.transpose(m))
     rows = []
@@ -506,8 +512,8 @@ def nullspace_fixed_vectors(trunc, word):
     """Independent dense route: null(M_I - Id)."""
     dense = linalg.identity(trunc.n)
     for i in word:
-        dense = linalg.mat_mul(trunc.branch_matrix(i), dense)
-    a = linalg.mat_add(dense, linalg.mat_scale(linalg.identity(trunc.n), F(-1)))
+        dense = linalg.mat_mul(branch_matrix(trunc, i), dense)
+    a = mat_add(dense, mat_scale(linalg.identity(trunc.n), F(-1)))
     return linalg.nullspace(a)
 
 
