@@ -308,9 +308,7 @@ class RecoveryReport:
     detail: str
 
 
-def verify_recovery_lemma(
-    sys: DynamicalSystem, x: int, y: int, j: int, depth: int | None = None
-) -> RecoveryReport:
+def verify_recovery_lemma(sys: DynamicalSystem, x: int, y: int, j: int) -> RecoveryReport:
     """One step of digit recovery, checked on actual integers.
 
     Hypotheses: x and y share their branch residue, and f(x) = f(y)

@@ -146,6 +146,8 @@ def compose(psi: Morphism, phi: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # verification
 
+VIOLATION_LIMIT = 10  # check_homomorphism stops after this many violations
+
 
 @dataclass(frozen=True)
 class HomReport:
@@ -155,7 +157,7 @@ class HomReport:
     violations: tuple  # (state, reason) up to a small limit
 
 
-def check_homomorphism(phi: Morphism, window, limit: int = 10) -> HomReport:
+def check_homomorphism(phi: Morphism, window) -> HomReport:
     """Branch preservation and intertwining, state by state on a window."""
     win = as_window(phi.source, window)
     violations = []
@@ -172,7 +174,7 @@ def check_homomorphism(phi: Morphism, window, limit: int = 10) -> HomReport:
                 violations.append((x, "does not intertwine f and g"))
         except OutOfDomain as exc:
             violations.append((x, f"domain error: {exc}"))
-        if len(violations) >= limit:
+        if len(violations) >= VIOLATION_LIMIT:
             break
     return HomReport(
         window=win.describe(),
@@ -254,28 +256,12 @@ def symbolic_model(sys: DynamicalSystem) -> DynamicalSystem:
     return make_system(SymbolicShift(sys.k))
 
 
-def induced_symbolic(
-    phi: Morphism, samples=(), cap: int = 2**10
-) -> Morphism:
+def induced_symbolic(phi: Morphism) -> Morphism:
     """The map between symbolic models induced by phi.
 
     Branch preservation plus intertwining forces coding(phi(x)) ==
-    coding(x), so the induced map is the identity on sequences.  The
-    equation is re-verified on the given sample states; a failure means
-    phi was not a homomorphism to begin with.
+    coding(x), so the induced map is the identity on sequences.
     """
-    for x in samples:
-        cs = exact_coding(phi.source, x, cap)
-        ct = exact_coding(phi.target, phi(x), cap)
-        if cs is None or ct is None:
-            raise PreconditionUnmet(
-                f"orbit of sample {x!r} does not cycle within {cap} steps"
-            )
-        if cs != ct:
-            raise PreconditionUnmet(
-                f"coding of phi({x!r}) differs from coding of {x!r}; "
-                "phi is not a branch-preserving homomorphism"
-            )
     return Morphism(
         source=symbolic_model(phi.source),
         target=symbolic_model(phi.target),

@@ -159,8 +159,6 @@ def projection_P(trunc: Truncation, prefix) -> DiagonalProjection:
     """
     symbols = prefix.symbols if isinstance(prefix, CodingPrefix) else tuple(prefix)
     symbols = check_word(symbols, trunc.k)
-    if not symbols:
-        raise InvalidSpec("need a nonempty prefix")
     survivors = []
     for c in range(trunc.n):
         cur = c
@@ -434,10 +432,6 @@ class CommutantReport:
     blocks: tuple  # SubspaceBasis refinement into reducing subspaces
     block_scalar: tuple  # per block: True iff all commutant elements act scalar
     lattice_size: int | None  # 2**len(blocks) when every block is certified
-
-    @property
-    def minimal_subspaces(self) -> tuple:
-        return self.blocks
 
     @property
     def lattice_reason(self) -> str | None:
@@ -746,8 +740,6 @@ def fixed_vectors_of_word(trunc: Truncation, word) -> FixedVectorsReport:
     the cycle structure of the index map.
     """
     word = check_word(word, trunc.k)
-    if not word:
-        raise InvalidSpec("need a nonempty word")
     n = trunc.n
     # column c of M_I is e_{chase(c)} or 0
     a = linalg.zeros(n, n)

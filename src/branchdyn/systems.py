@@ -25,6 +25,7 @@ shifts.  Branch indices run from 1 to k throughout.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -158,7 +159,7 @@ class DynamicalSystem:
     families.
     """
 
-    def __init__(self, spec, _validate: bool = True):
+    def __init__(self, spec):
         self.spec = spec
         self._affine = None
         self._image = None
@@ -182,8 +183,7 @@ class DynamicalSystem:
             for i, (a, _) in enumerate(self._affine or (), start=1)
             if gcd(a, self.k) > 1
         )
-        if _validate:
-            self._validate()
+        self._validate()
         if self._image is not None:
             # after validation, which checks that branch and image are total
             self._preimages = {}
@@ -492,31 +492,44 @@ def spec_to_json(spec) -> dict:
     raise InvalidSpec(f"unknown family: {spec!r}")
 
 
+def json_int(v) -> int:
+    """A JSON integer or a decimal string as an int.
+
+    Floats, booleans and anything else raise InvalidSpec, so 3.7 is not
+    truncated to 3 and ``true`` is not read as 1.
+    """
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+", v):
+        return int(v)
+    raise InvalidSpec(f"malformed integer {v!r}")
+
+
 def spec_from_json(data: dict):
     try:
         family = data["family"]
         if family == "collatz":
             return collatz()
         if family == "qxd":
-            return QxPlusD(int(data["q"]), int(data["d"]))
+            return QxPlusD(json_int(data["q"]), json_int(data["d"]))
         if family == "alphabeta":
             return AlphaBeta(
-                int(data["k"]),
-                tuple(int(a) for a in data["alpha"]),
-                tuple(int(b) for b in data["beta"]),
+                json_int(data["k"]),
+                tuple(json_int(a) for a in data["alpha"]),
+                tuple(json_int(b) for b in data["beta"]),
             )
         if family == "table":
-            branch = {int(x): int(i) for x, i in data["branch"].items()}
-            image = {int(x): int(y) for x, y in data["image"].items()}
-            k = int(data["k"]) if "k" in data else None
+            branch = {json_int(x): json_int(i) for x, i in data["branch"].items()}
+            image = {json_int(x): json_int(y) for x, y in data["image"].items()}
+            k = json_int(data["k"]) if "k" in data else None
             table = FiniteTable.make(branch, image, k)
             if "states" in data:
-                declared = tuple(sorted(int(x) for x in data["states"]))
+                declared = tuple(sorted(json_int(x) for x in data["states"]))
                 if declared != table.states:
                     raise InvalidSpec("declared states do not match the branch table")
             return table
         if family == "shift":
-            return SymbolicShift(int(data["k"]))
+            return SymbolicShift(json_int(data["k"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed system description: {exc}") from exc
     raise InvalidSpec(f"unknown family: {family!r}")

@@ -1,11 +1,16 @@
 """Command-line surface: reports, determinism, exit codes."""
 
+import argparse
+import contextlib
+import csv
+import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from branchdyn import cli
 
@@ -124,15 +129,32 @@ ALPHABETA3 = '{"family":"alphabeta","k":3,"alpha":["4","4"],"beta":["2","1"]}'
     "name, argv",
     [
         ("tower_collatz_x27_d8_s12.json",
-         ["--system", "collatz", "--x", "27", "--depth", "8", "--steps", "12"]),
+         ["tower", "--system", "collatz", "--x", "27", "--depth", "8", "--steps", "12"]),
         # the divisions take this one from depth 6 down to depth 1
         ("tower_alphabeta3_x100_d6_s10.json",
-         ["--system", ALPHABETA3, "--x", "100", "--depth", "6", "--steps", "10"]),
+         ["tower", "--system", ALPHABETA3, "--x", "100", "--depth", "6",
+          "--steps", "10"]),
+        ("check_uniqueness_collatz_l6.json",
+         ["check", "uniqueness", "--system", "collatz", "--max-len", "6"]),
+        ("pm_limit_collatz_w10000_s1_5.json",
+         ["operators", "pm-limit", "--system", "collatz", "--window", "1..10000",
+          "--support", "1,5"]),
+        ("commutant_swap1.json", ["operators", "commutant", "--system", SWAP1]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
-    assert cli.main(["tower", *argv]) == 0
+    # whole reports, config_hash included, as an earlier release wrote them
+    assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("system", ["shift:3", FIVE_STATE])
+def test_tower_needs_an_affine_system(capsys, system):
+    code = cli.main(["tower", "--system", system, "--x", "5", "--steps", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # -- checks and exit codes ------------------------------------------------------
@@ -197,10 +219,15 @@ def test_malformed_spec_is_exit_2(capsys):
     [
         '{"family": "table", "branch": [1], "image": {}}',
         '{"family": "table", "branch": {"1": 1}, "image": {}}',
+        '{"family": "qxd", "q": 3.7, "d": 1.2}',
+        '{"family": "qxd", "q": true, "d": 1}',
+        '{"family": "table", "branch": {"1": 1.0, "2": 1}, "image": {"1": "2", "2": "1"}}',
+        '{"family": "table", "branch": {"1": true}, "image": {"1": "1"}}',
+        '{"family": "alphabeta", "k": 3, "alpha": [4, 4.5], "beta": [2, 1]}',
     ],
 )
 def test_malformed_table_spec_is_exit_2(capsys, spec):
-    code = cli.main(["check", "bounded", "--system", spec])
+    code = cli.main(["check", "bounded", "--system", spec, "--window", "1..1"])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
@@ -251,10 +278,18 @@ def test_negative_count_is_exit_2(capsys, argv):
 
 
 def test_format_is_only_a_cycles_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["orbit", "--system", "collatz", "--x", "7", "--format", "csv"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    # and, like it, every option is accepted only by the commands that read it
+    for argv in (
+        ["orbit", "--system", "collatz", "--x", "7", "--format", "csv"],
+        ["check", "uniqueness", "--system", "collatz", "--window", "1..5"],
+        ["operators", "build", "--system", "collatz", "--word", "1,2"],
+        ["morphism", "check", "--source", "collatz", "--target", "collatz",
+         "--phi", '{"kind": "identity"}', "--target-window", "1..3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_readme_cli_lines_parse():
@@ -322,9 +357,23 @@ def test_operators_reduce_check(tmp_path, capsys):
 
 
 def test_operators_reduce_check_requires_set_file(capsys):
-    code = cli.main(["operators", "reduce-check", "--system", SWAP1])
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["operators", "reduce-check", "--system", SWAP1])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("content", ["5", "[1.5]", "[true]"])
+def test_reduce_check_set_file_must_list_states(tmp_path, capsys, content):
+    kfile = tmp_path / "k.json"
+    kfile.write_text(content)
+    code = cli.main(
+        ["operators", "reduce-check", "--system", SWAP1, "--set-file", str(kfile)]
+    )
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed ")
 
 
 def test_operators_pm_limit(capsys):
@@ -362,6 +411,9 @@ def test_morphism_check_violation_is_exit_1(capsys):
         '{"kind": "affine"}',
         '{"kind": "affine", "u": [], "v": "1"}',
         '{"kind": "table", "map": [1]}',
+        '{"kind": "affine", "u": 1.5, "v": "1"}',
+        '{"kind": "affine", "u": true, "v": "0"}',
+        '{"kind": "table", "map": {"1": 2.0}}',
     ],
 )
 def test_malformed_morphism_is_exit_2(capsys, phi):
@@ -420,6 +472,96 @@ def test_morphism_isometry_orbit_failure_is_exit_1(capsys):
     assert code == 1
 
 
+# -- config_hash -----------------------------------------------------------------------
+
+
+def _leaves():
+    """(command path, {option string: action}) for every leaf of the parser."""
+    def walk(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield tuple(path), {a.option_strings[0]: a for a in parser._actions
+                                if a.option_strings and a.dest != "help"}
+            return
+        for name, sp in subs[0].choices.items():
+            yield from walk(sp, path + [name])
+    return list(walk(cli.build_parser(), []))
+
+
+# FIVE_STATE with the branches of 1 and 2 swapped
+FIVE_STATE_B = json.dumps(
+    {"family": "table", "k": 2, "branch": {"1": 2, "2": 1, "3": 1, "4": 2, "5": 1},
+     "image": {"1": "2", "2": "1", "3": "4", "4": "5", "5": "3"}}
+)
+# option -> (base value, changed value); None leaves the option out, and
+# flags are False or True
+HASH_CASES = {
+    "--system": ("collatz", ALPHABETA3),
+    "--x": ("5", "3"),
+    "--window": ("1..20", "1..30"),
+    "--cap": ("64", "32"),
+    "--budget": ("100", "200"),
+    "--max-len": ("5", "6"),
+    "--scan-bound": ("40", "50"),
+    "--horizon": ("4", "5"),
+    "--length": ("6", "7"),
+    "--depth": ("3", "4"),
+    "--steps": ("2", "3"),
+    "--word": ("1,2,2", "1,2"),
+    "--support": ("1,5", "1"),
+    "--exact-tail": (False, True),
+    "--interior-only": (False, True),
+}
+# Leaves whose options need other values to yield a report: the commutant
+# needs a closed truncation, and phi must carry --window onto
+# --target-window, so the morphisms start from the full tables and change
+# one window at a time.
+CLOSED_TABLES = {"--system": (FIVE_STATE, FIVE_STATE_B), "--window": ("1..5", "1..2")}
+TABLE_MORPHISM = {
+    "--source": (FIVE_STATE, FIVE_STATE_B),
+    "--target": (FIVE_STATE, FIVE_STATE_B),
+    "--phi": ('{"kind": "identity"}', '{"kind": "affine", "u": "1", "v": "0"}'),
+    "--window": (None, "1..5"),
+    "--target-window": (None, "1..5"),
+}
+HASH_OVERRIDES = {
+    ("operators", "reduce-check"): CLOSED_TABLES,
+    ("operators", "commutant"): CLOSED_TABLES,
+    **{("morphism", what): TABLE_MORPHISM
+       for what in ("check", "iso", "conjugate", "isometry")},
+}
+
+
+def _hash_argv(path, values):
+    argv = list(path)
+    for opt, v in values.items():
+        if v is True:
+            argv.append(opt)
+        elif isinstance(v, str):
+            argv += [opt, v]
+    return argv
+
+
+def test_config_hash_covers_every_option(tmp_path, capsys):
+    set_a, set_b = tmp_path / "a.json", tmp_path / "b.json"
+    set_a.write_text('["1", "2"]')
+    set_b.write_text('["3", "4", "5"]')
+    cases = dict(HASH_CASES, **{"--set-file": (str(set_a), str(set_b))})
+    for path, options in _leaves():
+        if path == ("verify-all",):
+            continue  # --preset has a single value
+        names = [o for o in options if o not in ("--out", "--with-timing", "--format")]
+        table = dict(cases, **HASH_OVERRIDES.get(path, {}))
+        base = {o: table[o][0] for o in names}
+        code, rep = run(capsys, *_hash_argv(path, base))
+        assert code in (0, 1), (path, rep)
+        for o in names:
+            changed = dict(base, **{o: table[o][1]})
+            code, other = run(capsys, *_hash_argv(path, changed))
+            assert code in (0, 1), (path, o, other)
+            assert other["config_hash"] != rep["config_hash"], (path, o)
+
+
 # -- determinism ------------------------------------------------------------------------
 
 
@@ -451,3 +593,97 @@ def test_verify_all_battery(capsys):
     assert rep["passed"] and rep["anomalies"] == []
     assert [c["number"] for c in rep["checks"]] == list(range(1, 14))
     assert all(c["passed"] for c in rep["checks"])
+
+
+# -- fuzzing ---------------------------------------------------------------------------
+
+# Sizes are drawn small and always given, since their defaults reach
+# searches of seconds; an absent window means a full table or an error.
+SIZES = ("--max-len", "--depth", "--steps", "--cap", "--budget", "--length",
+         "--scan-bound")
+SMALL = st.integers(-2, 6).map(str)
+COUNT = st.integers(-2, 64).map(str)
+WINDOW = st.tuples(st.integers(1, 40), st.integers(1, 40)).map(lambda w: "%d..%d" % w)
+SYSTEM = st.sampled_from(
+    ["collatz", "qxd:5,1", "mersenne:3", "shift:2", ALPHABETA3, SWAP1, FIVE_STATE]
+)
+SET_FILES = {"pair.json": '["1", "2"]', "five.json": "5", "float.json": "[1.5]",
+             "bool.json": "[true]", "bad.json": "{not json", "cycle.json": "[3, 4, 5]"}
+
+
+def _joined(values):
+    return st.lists(values, min_size=1, max_size=4).map(lambda v: ",".join(map(str, v)))
+
+
+FUZZ_VALUES = {
+    "--system": SYSTEM,
+    "--source": SYSTEM,
+    "--target": SYSTEM,
+    "--window": WINDOW,
+    "--target-window": WINDOW,
+    "--x": st.integers(-2, 100).map(str),
+    "--max-len": SMALL,
+    "--depth": SMALL,
+    "--steps": SMALL,
+    "--horizon": SMALL,
+    "--cap": COUNT,
+    "--budget": COUNT,
+    "--length": COUNT,
+    "--scan-bound": COUNT,
+    "--word": _joined(st.integers(0, 3)),
+    "--support": _joined(st.integers(0, 40)) | st.sampled_from(["1.5", "", "1,,2"]),
+    "--phi": st.sampled_from([
+        '{"kind": "identity"}', '{"kind": "affine", "u": "1", "v": "0"}',
+        '{"kind": "affine", "u": 2.5, "v": 0}', '{"kind": "coding", "cap": "8"}',
+        '{"kind": "table", "map": {"1": "2", "2": "1"}}', '{"kind": "bogus"}',
+    ]),
+    "--set-file": st.sampled_from(sorted(SET_FILES)),
+    "--format": st.sampled_from(["json", "csv"]),
+}
+FUZZ_LEAVES = [leaf for leaf in _leaves() if leaf[0] != ("verify-all",)]
+
+
+def _fuzz_argv(leaf):
+    path, options = leaf
+    values = {o: st.just(True) if a.nargs == 0 else FUZZ_VALUES[o]
+              for o, a in options.items() if o != "--out"}
+    given = {o: v for o, v in values.items() if options[o].required or o in SIZES}
+    optional = {o: v for o, v in values.items() if o not in given}
+    return st.fixed_dictionaries(given, optional=optional).map(
+        lambda chosen: _hash_argv(path, chosen)
+    )
+
+
+@pytest.fixture(scope="module")
+def set_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("sets")
+    for name, text in SET_FILES.items():
+        (d / name).write_text(text)
+    return d
+
+
+@settings(max_examples=200, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(FUZZ_LEAVES).flatmap(_fuzz_argv))
+@example(argv=["minimality", "--system", SWAP1])
+@example(argv=["total-orbit", "--system", SWAP1, "--x", "1"])
+@example(argv=["operators", "reduce-check", "--system", SWAP1, "--set-file", "five.json"])
+def test_cli_fuzz(deadline, set_dir, argv):
+    argv = [str(set_dir / a) if a in SET_FILES else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    deadline(10)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        deadline(0)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if text and "csv" in argv:
+        assert next(csv.reader(io.StringIO(text))) == ["word", "cycle", "length"]
+    elif text:
+        assert isinstance(json.loads(text), dict)

@@ -365,7 +365,7 @@ def test_deep_tower_is_not_quadratic(collatz, deadline):
 
 
 def test_recovery_affine_branch(collatz):
-    rep = coding.verify_recovery_lemma(collatz, 3, 11, j=2, depth=6)
+    rep = coding.verify_recovery_lemma(collatz, 3, 11, j=2)
     assert rep.passed
     assert rep.branch == 1
     # conclusion: agreement one level down at j itself
@@ -373,7 +373,7 @@ def test_recovery_affine_branch(collatz):
 
 
 def test_recovery_division_branch(collatz):
-    rep = coding.verify_recovery_lemma(collatz, 4, 12, j=1, depth=6)
+    rep = coding.verify_recovery_lemma(collatz, 4, 12, j=1)
     assert rep.passed
     assert rep.branch == 2
     assert 4 % 4 == 12 % 4  # conclusion strengthens to j+1
@@ -381,14 +381,14 @@ def test_recovery_division_branch(collatz):
 
 def test_recovery_trivial_when_equal(collatz):
     for j in (1, 2, 3):
-        assert coding.verify_recovery_lemma(collatz, 9, 9, j=j, depth=8).passed
+        assert coding.verify_recovery_lemma(collatz, 9, 9, j=j).passed
 
 
 def test_recovery_preconditions(collatz):
     with pytest.raises(PreconditionUnmet):
-        coding.verify_recovery_lemma(collatz, 1, 2, j=2, depth=6)  # pi_1 differs
+        coding.verify_recovery_lemma(collatz, 1, 2, j=2)  # pi_1 differs
     with pytest.raises(PreconditionUnmet):
-        coding.verify_recovery_lemma(collatz, 1, 3, j=3, depth=6)  # images differ mod 8
+        coding.verify_recovery_lemma(collatz, 1, 3, j=3)  # images differ mod 8
 
 
 def test_recovery_random_pairs(collatz):
@@ -405,6 +405,6 @@ def test_recovery_random_pairs(collatz):
                 continue
         else:
             y = x + (2**j) * 2 * rng.randint(1, 200)  # images differ by 2^j * even
-        rep = coding.verify_recovery_lemma(collatz, x, y, j=j, depth=10)
+        rep = coding.verify_recovery_lemma(collatz, x, y, j=j)
         assert rep.passed, (x, y, j)
         done += 1

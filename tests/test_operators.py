@@ -353,7 +353,7 @@ def test_swap_k1_commutant(swap1):
     assert rep.dimension == 2
     assert rep.abelian
     assert rep.lattice_size == 4
-    assert len(rep.minimal_subspaces) == 2
+    assert len(rep.blocks) == 2
     spans = [b for b in rep.blocks]
     sym = [F(1), F(1)]
     anti = [F(1), F(-1)]

@@ -170,13 +170,14 @@ def test_bounded_condition_holds_on_window(collatz, alphabeta3):
         assert rep.violations == ()
 
 
-def test_bounded_condition_catches_corrupted_table():
+def test_bounded_condition_catches_corrupted_table(monkeypatch):
     # bypass construction-time validation to exercise the checker itself:
     # states 1 and 2 collide on image 3 inside branch 1
     bad_spec = systems.FiniteTable.make(
         {1: 1, 2: 1, 3: 1}, {1: 3, 2: 3, 3: 1}, k=1
     )
-    bad = systems.DynamicalSystem(bad_spec, _validate=False)
+    monkeypatch.setattr(systems.DynamicalSystem, "_validate", lambda self: None)
+    bad = systems.DynamicalSystem(bad_spec)
     rep = systems.verify_bounded_condition(bad, (1, 3))
     assert not rep.passed
     # (branch, first state, second state, shared image)
