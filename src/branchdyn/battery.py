@@ -597,6 +597,7 @@ def check_convergence_probe() -> CheckResult:
     window [1, 1000] collapses to a single orbit class."""
     failures = []
     sys = _collatz()
+    step = sys._step  # the loop starts from n >= 2, states by construction
     bound = 10**5
     known = [None] * (bound + 1)
     known[1] = 0
@@ -608,7 +609,7 @@ def check_convergence_probe() -> CheckResult:
         path = []
         while cur > bound or known[cur] is None:
             path.append((cur, steps))
-            cur = sys.apply(cur)
+            cur = step(cur)
             steps += 1
             if steps > 10**4:
                 failures.append(f"{n} did not reach 1 in 10^4 steps")

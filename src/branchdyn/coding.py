@@ -47,11 +47,13 @@ class CodingPrefix:
 def coding_prefix(sys: DynamicalSystem, x, length: int) -> CodingPrefix:
     if length < 0:
         raise InvalidSpec("need length >= 0")
+    sys._require(x)
+    step, branch = sys._step, sys._branch
     out = []
     cur = x
     for _ in range(length):
-        out.append(sys.branch_of(cur))
-        cur = sys.apply(cur)
+        out.append(branch(cur))
+        cur = step(cur)
     return CodingPrefix(symbols=tuple(out), source=x)
 
 
@@ -76,12 +78,14 @@ def distinguishing_prefix_length(sys: DynamicalSystem, x, y, cap: int) -> int | 
     """
     if x == y:
         raise InvalidSpec("need two distinct states")
+    sys._require(x)
+    sys._require(y)
+    step, branch = sys._step, sys._branch
     cx, cy = x, y
     for j in range(1, cap + 1):
-        bx, by = sys.branch_of(cx), sys.branch_of(cy)
-        if bx != by:
+        if branch(cx) != branch(cy):
             return j
-        cx, cy = sys.apply(cx), sys.apply(cy)
+        cx, cy = step(cx), step(cy)
     return None
 
 
@@ -109,9 +113,12 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     win = as_window(sys, window)
     states = list(win)
+    for x in states:
+        sys._require(x)
+    step, branch = sys._step, sys._branch
     n = len(states)
-    cursor = {x: x for x in states}
-    blocks = [states]
+    cursor = list(states)  # cursor[j] = f^rounds(states[j]) while j is unsplit
+    blocks = [range(n)]  # blocks of indices into states
     rounds = 0
     for _ in range(cap):
         if not blocks:
@@ -120,12 +127,12 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
         next_blocks = []
         for block in blocks:
             by_symbol: dict = {}
-            for x in block:
-                by_symbol.setdefault(sys.branch_of(cursor[x]), []).append(x)
+            for j in block:
+                by_symbol.setdefault(branch(cursor[j]), []).append(j)
             for sub in by_symbol.values():
                 if len(sub) > 1:
-                    for x in sub:
-                        cursor[x] = sys.apply(cursor[x])
+                    for j in sub:
+                        cursor[j] = step(cursor[j])
                     next_blocks.append(sub)
         blocks = next_blocks
     return TucReport(
@@ -135,7 +142,7 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
         pairs=n * (n - 1) // 2,
         passed=not blocks,
         max_prefix_length=rounds if not blocks else cap,
-        undistinguished=tuple(tuple(b) for b in blocks),
+        undistinguished=tuple(tuple(states[j] for j in b) for b in blocks),
     )
 
 
@@ -162,17 +169,21 @@ def check_alphabeta_hypotheses(
     if not sys.is_affine:
         raise NotAffineFamily("hypotheses concern the affine families")
     win = as_window(sys, window)
-    horizon = sys.k if horizon is None else horizon
+    states = list(win)
+    for x in states:
+        sys._require(x)
+    step, k = sys._step, sys.k
+    horizon = k if horizon is None else horizon
     gcd_failures = sys.gcd_failures
     multiple_failures = []
-    for x in win:
+    for x in states:
         cur = x
         ok = False
         for _ in range(horizon):
-            if cur % sys.k == 0:
+            if cur % k == 0:
                 ok = True
                 break
-            cur = sys.apply(cur)
+            cur = step(cur)
         if not ok:
             multiple_failures.append(x)
     return HypothesesReport(
@@ -258,6 +269,25 @@ class ResidueTower:
         return self.value % self.k
 
 
+_SET_K = ResidueTower.k.__set__
+_SET_DEPTH = ResidueTower.depth.__set__
+_SET_VALUE = ResidueTower.value.__set__
+
+
+def _trusted_tower(k: int, depth: int, value: int) -> ResidueTower:
+    """A tower whose fields the caller has already checked.
+
+    Sets the slots directly, skipping the frozen ``__init__`` and
+    ``__post_init__``; the result is equal, with equal hash and repr, to
+    ``ResidueTower(k, depth, value)``.
+    """
+    tower = object.__new__(ResidueTower)
+    _SET_K(tower, k)
+    _SET_DEPTH(tower, depth)
+    _SET_VALUE(tower, value)
+    return tower
+
+
 def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
     if x < 1:
         raise InvalidSpec("states are positive integers")
@@ -265,7 +295,7 @@ def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
         raise InvalidSpec("need depth >= 1")
     if k < 2:
         raise InvalidSpec("need k >= 2")
-    return ResidueTower(k, depth, x % k**depth)
+    return _trusted_tower(k, depth, x % k**depth)
 
 
 def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
@@ -285,17 +315,17 @@ def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
     if sys.gcd_failures:
         i = sys.gcd_failures[0]
         raise PreconditionUnmet(
-            f"a_{i} = {sys.branch_affine_int(i)[0]} shares a factor with "
+            f"a_{i} = {sys._affine[i - 1][0]} shares a factor with "
             f"k = {k}; the extension to residue towers needs gcd(a_i, k) = 1"
         )
     r = tower.value
     i = r % k
     if i != 0:
-        a, b = sys.branch_affine_int(i)
-        return ResidueTower(k, tower.depth, (a * r + b) % k**tower.depth)
+        a, b = sys._affine[i - 1]
+        return _trusted_tower(k, tower.depth, (a * r + b) % k**tower.depth)
     if tower.depth == 1:
         raise DepthExhausted("division branch on a depth-1 tower")
-    return ResidueTower(k, tower.depth - 1, r // k)
+    return _trusted_tower(k, tower.depth - 1, r // k)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,9 @@ from .words import check_word
 F0 = Fraction(0)
 F1 = Fraction(1)
 
+# the most states build_truncation materialises; larger windows are refused
+MAX_TRUNCATION_STATES = 10**6
+
 
 @dataclass(frozen=True)
 class Truncation:
@@ -74,37 +77,46 @@ class Truncation:
 
 
 def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
+    """The truncation to a window of at most MAX_TRUNCATION_STATES states.
+
+    One pass over the states reads each state's branch and image once.
+    """
     win = as_window(sys, window)
+    if len(win) > MAX_TRUNCATION_STATES:
+        raise InvalidSpec(
+            f"window holds {len(win)} states; a truncation holds at most "
+            f"{MAX_TRUNCATION_STATES}"
+        )
     states = tuple(win) if order is None else tuple(order)
     if order is not None:
         if set(states) != set(win) or len(set(states)) != len(states):
             raise InvalidSpec("order must be a permutation of the window")
+    for x in states:
+        sys._require(x)
+    step, branch = sys._step, sys._branch
     index = {x: n for n, x in enumerate(states)}
-    maps, inverses, escapes = [], [], []
-    for i in range(1, sys.k + 1):
-        fwd: dict = {}
-        esc = []
-        for x in states:
-            if sys.branch_of(x) != i:
-                continue
-            y = sys.apply(x)
-            if y in index:
-                fwd[index[x]] = index[y]
-            else:
-                esc.append(x)
+    maps = [{} for _ in range(sys.k)]
+    esc = [[] for _ in range(sys.k)]
+    # index.items() runs in state order; its coordinates are shared int objects
+    for x, c in index.items():
+        r = index.get(step(x))
+        if r is None:
+            esc[branch(x) - 1].append(x)
+        else:
+            maps[branch(x) - 1][c] = r
+    inverses = []
+    for i, fwd in enumerate(maps, start=1):
         inv = {r: c for c, r in fwd.items()}
         if len(inv) != len(fwd):
             raise InvalidSpec(f"branch {i} is not injective on the window")
-        maps.append(fwd)
         inverses.append(inv)
-        escapes.append(frozenset(esc))
     return Truncation(
         sys=sys,
         states=states,
         index=index,
         maps=tuple(maps),
         inverse_maps=tuple(inverses),
-        escapes=tuple(escapes),
+        escapes=tuple(frozenset(e) for e in esc),
     )
 
 
@@ -195,17 +207,20 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
     only when the verdict is window or cap limited: x leaves the window,
     or the cap runs out before separation or a pair revisit.
     """
-    sys = trunc.sys
     if x not in trunc.index:
         raise InvalidSpec(f"{x!r} is not in the window")
+    # x can equal a window state without being a state (True == 1); the
+    # support states are window states, which build_truncation checked
+    trunc.sys._require(x)
+    step, branch = trunc.sys._step, trunc.sys._branch
     symbols = []
     xs = []
     cur = x
     x_exit = None
     for m in range(cap):
         xs.append(cur)
-        symbols.append(sys.branch_of(cur))
-        cur = sys.apply(cur)
+        symbols.append(branch(cur))
+        cur = step(cur)
         if cur not in trunc.index:
             x_exit = m + 1
             break
@@ -219,7 +234,7 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
         if y == x:
             continue
         cur = y
-        step = None
+        at = None
         cause = None
         seen = set()
         for m, sym in enumerate(symbols):
@@ -228,25 +243,25 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
                 cause = "never"
                 break
             seen.add(pair)
-            if sys.branch_of(cur) != sym:
-                step, cause = m + 1, "coding"
+            if branch(cur) != sym:
+                at, cause = m + 1, "coding"
                 break
-            cur = sys.apply(cur)
+            cur = step(cur)
             if cur not in trunc.index:
-                step, cause = m + 1, "escape"
+                at, cause = m + 1, "escape"
                 break
         if cause == "never":
             never.append(y)
             continue
-        if step is None:
+        if at is None:
             raise WindowTooSmall(
                 f"states {x!r} and {y!r} not separated within the window "
                 f"(x leaves the window after {x_exit} steps)"
                 if x_exit is not None
                 else f"states {x!r} and {y!r} not separated within {cap} symbols"
             )
-        eliminated.append((y, step, cause))
-        worst = max(worst, step)
+        eliminated.append((y, at, cause))
+        worst = max(worst, at)
     if never:
         return PmLimitReport(
             x=x,

@@ -39,26 +39,27 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps."""
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
-    seen = {x: 0}
-    traj = [x]
+    sys._require(x)
+    step = sys._step
+    seen = {x: 0}  # state -> index; its keys, in order, are the trajectory
     cur = x
-    for _ in range(cap):
-        cur = sys.apply(cur)
+    for n in range(1, cap + 1):
+        cur = step(cur)
         if cur in seen:
             i = seen[cur]
+            traj = tuple(seen)
             return OrbitRecord(
                 start=x,
-                trajectory=tuple(traj),
+                trajectory=traj,
                 entered_cycle=True,
                 cycle=canonical_cycle(traj[i:]),
                 entry_index=i,
                 cap=cap,
             )
-        seen[cur] = len(traj)
-        traj.append(cur)
+        seen[cur] = n
     return OrbitRecord(
         start=x,
-        trajectory=tuple(traj),
+        trajectory=tuple(seen),
         entered_cycle=False,
         cycle=(),
         entry_index=-1,
@@ -90,6 +91,9 @@ def invariant_closure(sys, seeds, window, node_budget: int = 10**6) -> TotalOrbi
             raise ValueError(f"seed {s!r} is outside the window")
     members = set(seeds)
     queue = deque(dict.fromkeys(seeds))
+    for s in queue:
+        sys._require(s)
+    step, preimages = sys._step, sys._preimages
     frontier = set()
     expanded = 0
     exhausted = False
@@ -99,14 +103,14 @@ def invariant_closure(sys, seeds, window, node_budget: int = 10**6) -> TotalOrbi
             break
         x = queue.popleft()
         expanded += 1
-        y = sys.apply(x)
+        y = step(x)
         if win.contains(y):
             if y not in members:
                 members.add(y)
                 queue.append(y)
         else:
             frontier.add(x)
-        for p, _ in sys.preimages(x):
+        for p, _ in preimages(x):
             if win.contains(p):
                 if p not in members:
                     members.add(p)
@@ -179,18 +183,21 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
         raise InvalidSpec(f"need budget >= 0, got {budget}")
     win = as_window(sys, window)
     order = list(win)
+    for x in order:
+        sys._require(x)
+    step = sys._step
     pos = {x: j for j, x in enumerate(order)}
     uf = _UnionFind(len(order))
     unresolved = []
     for j, x in enumerate(order):
-        cur = sys.apply(x)
+        cur = step(x)
         steps = 0
         while not win.contains(cur):
             if steps >= budget:
                 unresolved.append(x)
                 cur = None
                 break
-            cur = sys.apply(cur)
+            cur = step(cur)
             steps += 1
         if cur is not None:
             uf.union(j, pos[cur])

@@ -145,14 +145,80 @@ def mersenne(m: int) -> QxPlusD:
     return QxPlusD(2**m - 1, 1)
 
 
+def _affine_kernels(k: int, rows: tuple) -> tuple:
+    """Trusted step, branch and preimage functions of an affine table."""
+    if k == 2:
+        ((q, d),) = rows
+
+        def step(x):
+            return q * x + d if x & 1 else x >> 1
+
+        def branch(x):
+            return 2 - (x & 1)
+
+    else:
+        by_residue = (None,) + rows
+
+        def step(x):
+            r = x % k
+            if r == 0:
+                return x // k
+            a, b = by_residue[r]
+            return a * x + b
+
+        def branch(x):
+            return x % k or k
+
+    def preimages(x):
+        out = [(k * x, k)]
+        i = 0  # a counter, not enumerate(): this loop is a hot kernel
+        for a, b in rows:
+            i += 1
+            if (x - b) % a == 0:
+                y = (x - b) // a
+                if y >= 1 and y % k == i:
+                    out.append((y, i))
+        return out
+
+    return step, branch, preimages
+
+
+def _table_kernels(branch: dict, image: dict, preimage_lists: dict) -> tuple:
+    """Trusted step, branch and preimage functions of a finite table."""
+
+    def preimages(x):
+        return list(preimage_lists.get(x, ()))
+
+    return image.__getitem__, branch.__getitem__, preimages
+
+
+def _shift_kernels(k: int) -> tuple:
+    """Trusted step, branch and preimage functions of the shift on k symbols."""
+
+    def preimages(x):
+        return [(x.prepend(i), i) for i in range(1, k + 1)]
+
+    return EventuallyPeriodic.shift, EventuallyPeriodic.head, preimages
+
+
 class DynamicalSystem:
     """A validated system: branch lookup, forward map, exact preimages.
 
-    The methods dispatch on the data the system holds.  An affine system
-    holds one integer branch table, ``_affine[r - 1] = (a_r, b_r)`` for
-    the residues 0 < r < k, and residue 0 divides by k; ``QxPlusD(q, d)``
-    is the k = 2 table ((q, d),).  A finite table holds its branch, image
-    and preimage dicts.  A system holding neither is a shift.
+    An affine system holds one integer branch table, ``_affine[r - 1] =
+    (a_r, b_r)`` for the residues 0 < r < k, and residue 0 divides by k;
+    ``QxPlusD(q, d)`` is the k = 2 table ((q, d),).  A finite table holds
+    its branch, image and preimage dicts.  A system holding neither is a
+    shift.
+
+    ``__init__`` builds one step kernel per system: private ``_step``,
+    ``_branch`` and ``_preimages`` functions specialised to the family
+    (for k = 2, ``q*x + d if x & 1 else x >> 1``).  The public methods
+    ``apply``, ``branch_of`` and ``preimages`` validate every argument and
+    then call them.  The kernels validate nothing: they trust states the
+    system produced, which are states by construction, since positive
+    integers map to positive integers and a table's image is total
+    (``__init__`` checks it).  Internal loops validate their entry states
+    once with ``_require`` and then run on the kernels.
 
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
@@ -171,7 +237,7 @@ class DynamicalSystem:
             self._affine = tuple(zip(spec.alpha, spec.beta))
         elif isinstance(spec, FiniteTable):
             self.k = spec.k
-            self._branch = dict(spec.branch)
+            self._branch_table = dict(spec.branch)
             self._image = dict(spec.image)
             self._state_set = frozenset(spec.states)
         elif isinstance(spec, SymbolicShift):
@@ -184,15 +250,21 @@ class DynamicalSystem:
             if gcd(a, self.k) > 1
         )
         self._validate()
-        if self._image is not None:
+        if self._affine is not None:
+            kernels = _affine_kernels(self.k, self._affine)
+        elif self._image is not None:
             # after validation, which checks that branch and image are total
-            self._preimages = {}
+            preimage_lists: dict = {}
             for x in spec.states:
-                self._preimages.setdefault(self._image[x], []).append(
-                    (x, self._branch[x])
+                preimage_lists.setdefault(self._image[x], []).append(
+                    (x, self._branch_table[x])
                 )
-            for lst in self._preimages.values():
+            for lst in preimage_lists.values():
                 lst.sort(key=lambda pair: pair[1])
+            kernels = _table_kernels(self._branch_table, self._image, preimage_lists)
+        else:
+            kernels = _shift_kernels(self.k)
+        self._step, self._branch, self._preimages = kernels
 
     # systems with equal specs are interchangeable
     def __eq__(self, other):
@@ -226,7 +298,7 @@ class DynamicalSystem:
                 raise InvalidSpec("state set must be nonempty")
             if spec.k < 1:
                 raise InvalidSpec("need k >= 1")
-            branch, image = self._branch, self._image
+            branch, image = self._branch_table, self._image
             if set(branch) != self._state_set or set(image) != self._state_set:
                 raise InvalidSpec("branch and image must be total on the states")
             for x, i in branch.items():
@@ -272,24 +344,11 @@ class DynamicalSystem:
 
     def branch_of(self, x: State) -> int:
         self._require(x)
-        if self._affine is not None:
-            r = x % self.k
-            return r if r != 0 else self.k
-        if self._image is not None:
-            return self._branch[x]
-        return x.head()
+        return self._branch(x)
 
     def apply(self, x: State) -> State:
         self._require(x)
-        if self._affine is not None:
-            r = x % self.k
-            if r == 0:
-                return x // self.k
-            a, b = self._affine[r - 1]
-            return a * x + b
-        if self._image is not None:
-            return self._image[x]
-        return x.shift()
+        return self._step(x)
 
     def preimages(self, x: State) -> list:
         """All (y, i) with f(y) = x and y in branch i.
@@ -298,20 +357,7 @@ class DynamicalSystem:
         exists), then the affine branches in index order.
         """
         self._require(x)
-        if self._affine is not None:
-            k = self.k
-            out = [(k * x, k)]
-            i = 0  # a counter, not enumerate(): this loop is a hot kernel
-            for a, b in self._affine:
-                i += 1
-                if (x - b) % a == 0:
-                    y = (x - b) // a
-                    if y >= 1 and y % k == i:
-                        out.append((y, i))
-            return out
-        if self._image is not None:
-            return list(self._preimages.get(x, []))
-        return [(x.prepend(i), i) for i in range(1, self.k + 1)]
+        return self._preimages(x)
 
     # -- affine structure ---------------------------------------------------
 
@@ -362,6 +408,9 @@ class Window:
         return self.contains(x)
 
     def __iter__(self) -> Iterator:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -505,6 +554,16 @@ def json_int(v) -> int:
     raise InvalidSpec(f"malformed integer {v!r}")
 
 
+def _json_list(data: dict, key: str) -> list:
+    """data[key], which must be a JSON list: a string is not read digit by digit."""
+    v = data[key]
+    if not isinstance(v, list):
+        raise InvalidSpec(
+            f"malformed system description: {key} must be a list, got {v!r}"
+        )
+    return v
+
+
 def spec_from_json(data: dict):
     try:
         family = data["family"]
@@ -515,8 +574,8 @@ def spec_from_json(data: dict):
         if family == "alphabeta":
             return AlphaBeta(
                 json_int(data["k"]),
-                tuple(json_int(a) for a in data["alpha"]),
-                tuple(json_int(b) for b in data["beta"]),
+                tuple(json_int(a) for a in _json_list(data, "alpha")),
+                tuple(json_int(b) for b in _json_list(data, "beta")),
             )
         if family == "table":
             branch = {json_int(x): json_int(i) for x, i in data["branch"].items()}
@@ -524,7 +583,7 @@ def spec_from_json(data: dict):
             k = json_int(data["k"]) if "k" in data else None
             table = FiniteTable.make(branch, image, k)
             if "states" in data:
-                declared = tuple(sorted(json_int(x) for x in data["states"]))
+                declared = tuple(sorted(json_int(x) for x in _json_list(data, "states")))
                 if declared != table.states:
                     raise InvalidSpec("declared states do not match the branch table")
             return table

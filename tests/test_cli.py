@@ -212,6 +212,13 @@ def test_malformed_spec_is_exit_2(capsys):
     code = cli.main(["orbit", "--system", '{"family":"bogus"}', "--x", "1"])
     capsys.readouterr()
     assert code == 2
+    # a string is not read one digit at a time as alpha = (4, 4), beta = (2, 1)
+    spec = '{"family":"alphabeta","k":"3","alpha":"44","beta":"21"}'
+    code = cli.main(["cycles", "--system", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed ")
 
 
 @pytest.mark.parametrize(
@@ -224,6 +231,8 @@ def test_malformed_spec_is_exit_2(capsys):
         '{"family": "table", "branch": {"1": 1.0, "2": 1}, "image": {"1": "2", "2": "1"}}',
         '{"family": "table", "branch": {"1": true}, "image": {"1": "1"}}',
         '{"family": "alphabeta", "k": 3, "alpha": [4, 4.5], "beta": [2, 1]}',
+        '{"family": "table", "states": "12", "branch": {"1": 1, "2": 1}, '
+        '"image": {"1": "2", "2": "1"}}',
     ],
 )
 def test_malformed_table_spec_is_exit_2(capsys, spec):
@@ -231,6 +240,8 @@ def test_malformed_table_spec_is_exit_2(capsys, spec):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
+    if '"states": "12"' in spec:
+        assert err.startswith("error: malformed ")
 
 
 def test_malformed_file_is_exit_2(tmp_path, capsys):
@@ -245,6 +256,38 @@ def test_negative_state_is_exit_2(capsys):
     code = cli.main(["orbit", "--system", "collatz", "--x", "-5"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--system", "collatz", "--x", "0"],
+        ["code", "--system", "collatz", "--x", "0"],
+        ["total-orbit", "--system", FIVE_STATE, "--x", "9", "--window", "1..10"],
+        ["minimality", "--system", FIVE_STATE, "--window", "1..10"],
+        ["tuc-scan", "--system", FIVE_STATE, "--window", "1..10"],
+        ["operators", "build", "--system", FIVE_STATE, "--window", "1..10"],
+        ["operators", "pm-limit", "--system", FIVE_STATE, "--window", "1..10"],
+    ],
+    ids=["orbit", "code", "total-orbit", "minimality", "tuc-scan", "build", "pm-limit"],
+)
+def test_bad_entry_state_is_exit_2(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.fullmatch(r"error: -?\d+ is not a state of this system\n", captured.err)
+
+
+def test_oversized_truncation_is_exit_2(capsys, deadline):
+    # refused before any state is built: 10^9 states would not fit in memory
+    deadline(5)
+    code = cli.main(["operators", "build", "--system", "collatz", "--window", "1..1000000000"])
+    deadline(0)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: window holds 1000000000 states")
 
 
 def test_negative_cap_is_exit_2(capsys):

@@ -1,5 +1,6 @@
 """Symbolic codings, distinguishing prefixes, residue towers."""
 
+import dataclasses
 import random
 
 import pytest
@@ -343,6 +344,27 @@ def test_tower_apply_matches_digit_oracle(spec, value, depth, steps):
     k = sys.k
     tower = coding.ResidueTower(k, depth, value % k**depth)
     _assert_tower_matches_oracle(sys, tower, steps)
+
+
+@given(
+    st.sampled_from(TOWER_SYSTEMS),
+    st.integers(min_value=1, max_value=10**12),
+    st.integers(min_value=1, max_value=12),
+)
+def test_trusted_towers_equal_validated_ones(spec, x, depth):
+    sys = systems.make_system(spec)
+    k = sys.k
+    made = [coding.tower_from_state(x, k, depth)]
+    if x % k or depth > 1:
+        made.append(coding.tower_apply(sys, made[0]))
+    for tower in made:
+        checked = coding.ResidueTower(k, tower.depth, tower.value)
+        assert tower == checked and checked == tower
+        assert hash(tower) == hash(checked)
+        assert repr(tower) == repr(checked)
+        for field in ("k", "depth", "value"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tower, field, 1)
 
 
 def test_deep_tower_is_not_quadratic(collatz, deadline):

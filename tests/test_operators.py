@@ -68,6 +68,46 @@ def test_swap_truncation(swap2):
     assert t.escape_count == 0
 
 
+def per_branch_truncation(sys, states):
+    """Maps and escapes built one branch at a time through the public
+    methods, as (list of (column, row) pairs, escapes) per branch."""
+    index = {x: c for c, x in enumerate(states)}
+    out = []
+    for i in range(1, sys.k + 1):
+        pairs, esc = [], []
+        for x in states:
+            if sys.branch_of(x) == i:
+                y = sys.apply(x)
+                if y in index:
+                    pairs.append((index[x], index[y]))
+                else:
+                    esc.append(x)
+        out.append((pairs, frozenset(esc)))
+    return out
+
+
+@pytest.mark.parametrize("window", [(1, 300), (40, 90), [2, 4, 8, 3, 10, 5, 16]])
+def test_one_pass_truncation_matches_per_branch_build(collatz, alphabeta3, window):
+    for sys in (collatz, alphabeta3):
+        states = operators.build_truncation(sys, window).states
+        for order in (None, states[::-1]):
+            t = operators.build_truncation(sys, window, order=order)
+            got = [(list(m.items()), e) for m, e in zip(t.maps, t.escapes)]
+            assert got == per_branch_truncation(sys, t.states)
+            assert t.inverse_maps == tuple({r: c for c, r in m.items()} for m in t.maps)
+
+
+def test_truncation_state_budget(collatz, monkeypatch, deadline):
+    deadline(5)
+    with pytest.raises(InvalidSpec, match="window holds 1000000000 states"):
+        operators.build_truncation(collatz, (1, 10**9))
+    deadline(0)
+    monkeypatch.setattr(operators, "MAX_TRUNCATION_STATES", 5)
+    assert operators.build_truncation(collatz, (1, 5)).n == 5
+    with pytest.raises(InvalidSpec):
+        operators.build_truncation(collatz, [1, 2, 3, 4, 5, 6])
+
+
 def test_branch_window_disjoint(collatz):
     # a window of even numbers never meets the odd branch
     t = operators.build_truncation(collatz, [2, 4, 8])

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from branchdyn import systems, words
+from branchdyn import coding, operators, orbits, systems, words
 from branchdyn.errors import (
     InvalidSpec,
     NonInjectiveBranch,
@@ -270,3 +270,160 @@ def test_spec_json_rejects_garbage():
         systems.spec_from_json({"family": "nonsense"})
     with pytest.raises(InvalidSpec):
         systems.spec_from_json({"q": "3"})
+
+
+# -- step kernels --------------------------------------------------------------
+
+KERNEL_SPECS = {
+    "collatz": systems.collatz(),
+    "qxd5_1": systems.QxPlusD(5, 1),
+    "mersenne3": systems.mersenne(3),
+    "alphabeta3": systems.AlphaBeta(3, (4, 4), (2, 1)),
+    "alphabeta5": systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
+}
+
+
+def spec_step(spec, x):
+    """(branch, image) of x read off an affine spec, without the system."""
+    if isinstance(spec, systems.QxPlusD):
+        return (1, spec.q * x + spec.d) if x % 2 else (2, x // 2)
+    r = x % spec.k
+    if r == 0:
+        return spec.k, x // spec.k
+    return r, spec.alpha[r - 1] * x + spec.beta[r - 1]
+
+
+def assert_kernels_agree(sys, x):
+    assert sys._step(x) == sys.apply(x)
+    assert sys._branch(x) == sys.branch_of(x)
+    assert sys._preimages(x) == sys.preimages(x)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@given(x=st.integers(min_value=1, max_value=2**70))
+def test_affine_kernels_agree_with_public_methods(name, x):
+    spec = KERNEL_SPECS[name]
+    sys = systems.make_system(spec)
+    assert_kernels_agree(sys, x)
+    assert (sys._branch(x), sys._step(x)) == spec_step(spec, x)
+
+
+@st.composite
+def random_tables(draw):
+    """A FiniteTable on 1..8 labels of one kind (integers, strings or
+    pairs), with every branch injective."""
+    states = draw(
+        st.one_of(
+            st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True),
+            st.lists(st.text(alphabet="abcxyz", min_size=1, max_size=3),
+                     min_size=1, max_size=8, unique=True),
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                     min_size=1, max_size=8, unique=True),
+        )
+    )
+    k = draw(st.integers(1, 3))
+    branch, image, used = {}, {}, set()
+    for x in states:
+        # some branch always has an unused image: k * n pairs, n states
+        open_branches = [i for i in range(1, k + 1)
+                         if any((i, y) not in used for y in states)]
+        i = draw(st.sampled_from(open_branches))
+        y = draw(st.sampled_from([y for y in states if (i, y) not in used]))
+        used.add((i, y))
+        branch[x], image[x] = i, y
+    return systems.FiniteTable.make(branch, image, k)
+
+
+@given(random_tables())
+def test_table_kernels_agree_with_public_methods(spec):
+    sys = systems.make_system(spec)
+    image, branch = dict(spec.image), dict(spec.branch)
+    for x in spec.states:
+        assert_kernels_agree(sys, x)
+        assert (sys._branch(x), sys._step(x)) == (branch[x], image[x])
+
+
+@given(
+    st.lists(st.integers(1, 2), max_size=5),
+    st.lists(st.integers(1, 2), min_size=1, max_size=5),
+)
+def test_shift_kernels_agree_with_public_methods(pre, per):
+    sys = systems.make_system(systems.SymbolicShift(2))
+    x = systems.EventuallyPeriodic.make(pre, per)
+    assert_kernels_agree(sys, x)
+    assert sys._branch(x) == x[0]
+    assert sys._step(x).prefix(8) == x.prefix(9)[1:]
+
+
+# -- loops on the kernels validate their entry states ---------------------------
+
+SWAP = systems.FiniteTable.make({"a": 1, "b": 1}, {"a": "b", "b": "a"})
+
+
+ENTRY_LOOPS = {
+    "orbit_iterate": lambda sys, x: orbits.orbit_iterate(sys, x, 10),
+    "minimality_probe": lambda sys, x: orbits.minimality_probe(sys, [x]),
+    "invariant_closure": lambda sys, x: orbits.invariant_closure(sys, [x], [x]),
+    "verify_tuc_window": lambda sys, x: coding.verify_tuc_window(sys, [x]),
+    "coding_prefix": lambda sys, x: coding.coding_prefix(sys, x, 4),
+    "distinguishing_prefix_length": lambda sys, x: coding.distinguishing_prefix_length(
+        sys, x, 3 if sys.is_affine else "a", 8
+    ),
+    "check_alphabeta_hypotheses": lambda sys, x: coding.check_alphabeta_hypotheses(
+        sys, [x]
+    ),
+    "build_truncation": lambda sys, x: operators.build_truncation(sys, [x]),
+}
+
+BAD_ENTRIES = {
+    "zero": (systems.collatz(), 0),
+    "true": (systems.collatz(), True),
+    "float": (systems.collatz(), 2.5),
+    "missing_label": (SWAP, "z"),
+}
+
+
+@pytest.mark.parametrize(
+    "loop,case",
+    [
+        (loop, case)
+        for loop in sorted(ENTRY_LOOPS)
+        for case in BAD_ENTRIES
+        # the hypotheses concern the affine families only
+        if not (loop == "check_alphabeta_hypotheses" and case == "missing_label")
+    ],
+)
+def test_loops_reject_a_bad_entry_state(loop, case):
+    spec, bad = BAD_ENTRIES[case]
+    with pytest.raises(OutOfDomain) as exc:
+        ENTRY_LOOPS[loop](systems.make_system(spec), bad)
+    assert str(exc.value) == f"{bad!r} is not a state of this system"
+
+
+def _pm_limit(sys, x):
+    window = [1, 2, 3] if sys.is_affine else sys.states()
+    trunc = operators.build_truncation(sys, window)
+    return operators.verify_pm_limit(trunc, {0: 1}, x)
+
+
+def test_pm_limit_rejects_a_bad_target_state():
+    collatz = systems.make_system(systems.collatz())
+    # True equals the window state 1, so only the domain check can catch it
+    with pytest.raises(OutOfDomain, match="^True is not a state of this system$"):
+        _pm_limit(collatz, True)
+    for sys, bad in ((collatz, 0), (collatz, 2.5), (systems.make_system(SWAP), "z")):
+        with pytest.raises(InvalidSpec, match=f"^{bad!r} is not in the window$"):
+            _pm_limit(sys, bad)
+
+
+def test_entry_state_is_checked_before_any_step():
+    collatz = systems.make_system(systems.collatz())
+    for run in (
+        lambda: orbits.orbit_iterate(collatz, 0, 0),
+        lambda: coding.coding_prefix(collatz, 0, 0),
+        lambda: coding.verify_tuc_window(collatz, [0], cap=0),
+        lambda: coding.check_alphabeta_hypotheses(collatz, [4.0], horizon=0),
+        lambda: orbits.invariant_closure(collatz, [0], [0], node_budget=0),
+    ):
+        with pytest.raises(OutOfDomain):
+            run()
