@@ -543,22 +543,30 @@ def check_digit_towers() -> CheckResult:
         (make_system(AlphaBeta(3, (4, 4), (2, 1))), 3),
         (make_system(AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1))), 5),
     ]
+    states = range(1, 10**4 + 1)
+    tower_step = coding._tower_step
     for sys, k in towers:
-        for x in range(1, 10**4 + 1):
-            fx = sys.apply(x)
-            division = sys.branch_of(x) == k and x % k == 0
+        # the system checks of tower_apply and the state checks of
+        # tower_from_state, once per system; the sweep runs on residues
+        rows = coding._tower_rows(sys, k)
+        for x in states:
+            sys._require(x)
+        step, branch = sys._step, sys._branch
+        powers = [k**depth for depth in range(9)]
+        for x in states:
+            fx = step(x)
+            division = branch(x) == k and x % k == 0
             for depth in range(1, 9):
-                tower = coding.tower_from_state(x, k, depth)
+                value = x % powers[depth]
                 if division and depth == 1:
                     try:
-                        coding.tower_apply(sys, tower)
+                        tower_step(rows, k, depth, value)
                         failures.append(f"k={k} x={x}: depth-1 division not flagged")
                     except DepthExhausted:
                         pass
                     continue
-                stepped = coding.tower_apply(sys, tower)
-                direct = coding.tower_from_state(fx, k, stepped.depth)
-                if stepped != direct:
+                stepped_depth, stepped = tower_step(rows, k, depth, value)
+                if stepped != fx % powers[stepped_depth]:
                     failures.append(f"k={k} x={x} depth={depth}: tower mismatch")
             if failures:
                 break

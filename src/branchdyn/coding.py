@@ -15,6 +15,11 @@ x mod k^depth, its k-adic truncation, and the digits are derived from
 it.  An affine branch maps that residue r to (a r + b) mod k^depth at
 the same depth; the division branch maps it to r / k and consumes one
 level (r'_j = r_{j+1} / k), so depth-1 towers cannot be divided further.
+
+That step is one integer kernel, ``_tower_step``, on (depth, residue);
+``_tower_rows`` runs the system checks it trusts.  ``tower_apply`` is the
+checks, the step and a tower; the battery's tower check (check 12) runs
+the checks once per system and sweeps plain residues through the kernel.
 """
 
 from __future__ import annotations
@@ -298,6 +303,41 @@ def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
     return _trusted_tower(k, depth, x % k**depth)
 
 
+def _tower_rows(sys: DynamicalSystem, k: int) -> tuple:
+    """The affine rows that carry towers of modulus k through sys.
+
+    Raises NotAffineFamily off the affine families, InvalidSpec when the
+    system's k differs, and PreconditionUnmet when some gcd(a_i, k) > 1.
+    A loop over many towers of one system runs these checks once and
+    then calls ``_tower_step`` on the rows.
+    """
+    if not sys.is_affine:
+        raise NotAffineFamily("towers live over the affine families")
+    if sys.k != k:
+        raise InvalidSpec(f"tower has k = {k}, system has k = {sys.k}")
+    if sys.gcd_failures:
+        i = sys.gcd_failures[0]
+        raise PreconditionUnmet(
+            f"a_{i} = {sys._affine[i - 1][0]} shares a factor with "
+            f"k = {k}; the extension to residue towers needs gcd(a_i, k) = 1"
+        )
+    return sys._affine
+
+
+def _tower_step(rows: tuple, k: int, depth: int, value: int) -> tuple:
+    """One tower step on the residue value = x mod k^depth: (depth', value').
+
+    Trusts rows from ``_tower_rows`` and 0 <= value < k^depth.
+    """
+    i = value % k
+    if i != 0:
+        a, b = rows[i - 1]
+        return depth, (a * value + b) % k**depth
+    if depth == 1:
+        raise DepthExhausted("division branch on a depth-1 tower")
+    return depth - 1, value // k
+
+
 def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
     """Push a residue tower through one step of the system.
 
@@ -307,25 +347,10 @@ def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
     depth-1 tower raises DepthExhausted: no digit of the successor is
     determined.
     """
-    if not sys.is_affine:
-        raise NotAffineFamily("towers live over the affine families")
     k = tower.k
-    if sys.k != k:
-        raise InvalidSpec(f"tower has k = {k}, system has k = {sys.k}")
-    if sys.gcd_failures:
-        i = sys.gcd_failures[0]
-        raise PreconditionUnmet(
-            f"a_{i} = {sys._affine[i - 1][0]} shares a factor with "
-            f"k = {k}; the extension to residue towers needs gcd(a_i, k) = 1"
-        )
-    r = tower.value
-    i = r % k
-    if i != 0:
-        a, b = sys._affine[i - 1]
-        return _trusted_tower(k, tower.depth, (a * r + b) % k**tower.depth)
-    if tower.depth == 1:
-        raise DepthExhausted("division branch on a depth-1 tower")
-    return _trusted_tower(k, tower.depth - 1, r // k)
+    rows = _tower_rows(sys, k)
+    depth, value = _tower_step(rows, k, tower.depth, tower.value)
+    return _trusted_tower(k, depth, value)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,9 @@ F1 = Fraction(1)
 
 # the most states build_truncation materialises; larger windows are refused
 MAX_TRUNCATION_STATES = 10**6
+# the most matrix entries (n^2 for n states) commutant_projections ties
+# into classes; larger truncations are refused (n <= 2000)
+MAX_COMMUTANT_ENTRIES = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -525,7 +528,9 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
 
     Requires an escape-free truncation (otherwise the M_i are not the
     honest operators of a closed system and the commutant would mix
-    truncation artifacts into the answer).
+    truncation artifacts into the answer), of at most
+    MAX_COMMUTANT_ENTRIES matrix entries: the classes below start from
+    an n^2 union-find.
 
     The entry classes give the commutant basis directly.  A non-abelian
     commutant has equivalent sub-representations and therefore
@@ -559,6 +564,11 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
             "the commutant needs a closed truncation"
         )
     n = trunc.n
+    if n * n > MAX_COMMUTANT_ENTRIES:
+        raise InvalidSpec(
+            f"truncation holds {n} states, {n * n} matrix entries; the "
+            f"commutant ties at most {MAX_COMMUTANT_ENTRIES}"
+        )
     classes = _entry_classes(trunc)
     dim = len(classes)
     if dim > max_dim:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from branchdyn import cli
+from branchdyn import cli, operators
 
 SWAP1 = json.dumps(
     {
@@ -288,6 +288,28 @@ def test_oversized_truncation_is_exit_2(capsys, deadline):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: window holds 1000000000 states")
+
+
+def test_oversized_commutant_is_exit_2(capsys, monkeypatch, deadline):
+    # a closed 2001-state cycle: 4004001 entries, above the entry budget
+    n = 2001
+    big_cycle = json.dumps(
+        {"family": "table", "k": 1, "branch": {str(x): 1 for x in range(1, n + 1)},
+         "image": {str(x): str(x % n + 1) for x in range(1, n + 1)}}
+    )
+    deadline(5)
+    code = cli.main(["operators", "commutant", "--system", big_cycle])
+    deadline(0)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: truncation holds 2001 states")
+    monkeypatch.setattr(operators, "MAX_COMMUTANT_ENTRIES", 3)
+    code = cli.main(["operators", "commutant", "--system", SWAP1])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: truncation holds 2 states, 4 matrix entries")
 
 
 def test_negative_cap_is_exit_2(capsys):
@@ -631,7 +653,11 @@ def test_timing_is_opt_in(capsys):
 
 
 def test_verify_all_battery(capsys):
-    code, rep = run(capsys, "verify-all", "--preset", "paper")
+    # the whole report, byte for byte, as an earlier release wrote it
+    code = cli.main(["verify-all", "--preset", "paper"])
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "verify_all_paper.json").read_text()
+    rep = json.loads(out)
     assert code == 0
     assert rep["passed"] and rep["anomalies"] == []
     assert [c["number"] for c in rep["checks"]] == list(range(1, 14))

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from branchdyn import coding, systems
+from branchdyn import battery, coding, systems
 from branchdyn.errors import (
     DepthExhausted,
     InvalidSpec,
@@ -365,6 +365,46 @@ def test_trusted_towers_equal_validated_ones(spec, x, depth):
         for field in ("k", "depth", "value"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(tower, field, 1)
+
+
+# Check 12 sweeps residues through coding._tower_step; a transport that is
+# wrong at one (x, depth) alone, or that forgets the depth-1 division,
+# must still fail it.  Below k^depth the residue of x is x itself, and no
+# smaller state shares it, so the planted fault first shows at x.
+
+
+@pytest.mark.parametrize(
+    "k, x, depth",
+    [(2, 5, 4), (2, 4, 3), (3, 7, 2), (5, 12, 8)],
+    ids=["collatz-odd", "collatz-division", "alphabeta3", "alphabeta5"],
+)
+def test_check_digit_towers_catches_one_wrong_step(monkeypatch, k, x, depth):
+    true_step = coding._tower_step
+
+    def off_by_one(rows, k_, depth_, value):
+        d, v = true_step(rows, k_, depth_, value)
+        if (k_, depth_, value) == (k, depth, x):
+            v = (v + 1) % k_**d
+        return d, v
+
+    monkeypatch.setattr(coding, "_tower_step", off_by_one)
+    result = battery.check_digit_towers()
+    assert not result.passed
+    assert result.detail == f"k={k} x={x} depth={depth}: tower mismatch"
+
+
+def test_check_digit_towers_catches_an_unflagged_division(monkeypatch):
+    true_step = coding._tower_step
+
+    def lenient(rows, k, depth, value):
+        if depth == 1 and value % k == 0:
+            return 1, 0
+        return true_step(rows, k, depth, value)
+
+    monkeypatch.setattr(coding, "_tower_step", lenient)
+    result = battery.check_digit_towers()
+    assert not result.passed
+    assert result.detail == "k=2 x=2: depth-1 division not flagged"
 
 
 def test_deep_tower_is_not_quadratic(collatz, deadline):

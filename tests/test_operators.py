@@ -545,6 +545,21 @@ def test_commutant_requires_closed_system(collatz):
         operators.commutant_projections(t)
 
 
+def test_commutant_entry_budget(swap1, monkeypatch, deadline):
+    # 2001^2 = 4004001 entries: refused before the n^2 union-find exists
+    t = operators.build_truncation(cycle(2001, lambda x: 1), None)
+    deadline(5)
+    with pytest.raises(InvalidSpec, match="2001 states, 4004001 matrix entries"):
+        operators.commutant_projections(t)
+    deadline(0)
+    monkeypatch.setattr(operators, "MAX_COMMUTANT_ENTRIES", 4)
+    assert operators.commutant_projections(operators.build_truncation(swap1, None)).dimension == 2
+    with pytest.raises(InvalidSpec, match="commutant ties at most 4"):
+        operators.commutant_projections(
+            operators.build_truncation(cycle(3, lambda x: 1), None)
+        )
+
+
 # -- fixed vectors ------------------------------------------------------------------
 
 
