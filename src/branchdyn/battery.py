@@ -97,7 +97,7 @@ def _invariant_subsets(sys: DynamicalSystem) -> set:
 def _basis_support(trunc, basis) -> frozenset:
     support = set()
     for vec in basis.vectors:
-        support.update(trunc.states[c] for c, v in enumerate(vec) if v)
+        support.update(trunc.states[c] for c in vec)
     return frozenset(support)
 
 

@@ -384,7 +384,7 @@ def cmd_operators_fixed_vectors(args):
         "word": list(rep.word),
         "dimension": rep.dimension,
         "vectors": [
-            {str(trunc.states[c]): str(v) for c, v in enumerate(vec) if v}
+            {str(trunc.states[c]): str(v) for c, v in vec.items()}
             for vec in rep.basis.vectors
         ],
     }

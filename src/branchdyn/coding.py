@@ -117,7 +117,7 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     win = as_window(sys, window)
-    states = list(win)
+    states = win.materialize()
     for x in states:
         sys._require(x)
     step, branch = sys._step, sys._branch
@@ -174,7 +174,7 @@ def check_alphabeta_hypotheses(
     if not sys.is_affine:
         raise NotAffineFamily("hypotheses concern the affine families")
     win = as_window(sys, window)
-    states = list(win)
+    states = win.materialize()
     for x in states:
         sys._require(x)
     step, k = sys._step, sys.k

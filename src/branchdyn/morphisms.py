@@ -40,6 +40,7 @@ from .orbits import invariant_closure
 from .systems import (
     DynamicalSystem,
     FiniteTable,
+    SetWindow,
     SymbolicShift,
     as_window,
     make_system,
@@ -214,7 +215,8 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
     else:
         if window is None:
             raise InvalidSpec("infinite systems need a window")
-        src = list(as_window(phi.source, window))
+        # a list: as_window would read a 2-tuple of ints as lo..hi
+        src = list(as_window(phi.source, window).materialize())
         tgt = {phi(x) for x in src}
     hom = check_homomorphism(phi, src)
     image = {}
@@ -436,11 +438,12 @@ def induced_isometry(
         image[y] = x
     orbit_status = "exact"
     done = set()
+    win_a, win_b = SetWindow(a_states), SetWindow(trunc_b.states)
     for x in a_states:
         if x in done:
             continue
-        oa = invariant_closure(phi.source, [x], set(a_states))
-        ob = invariant_closure(phi.target, [phi(x)], set(trunc_b.states))
+        oa = invariant_closure(phi.source, [x], win_a)
+        ob = invariant_closure(phi.target, [phi(x)], win_b)
         done |= oa.members
         mapped = {phi(z) for z in oa.members}
         decisive = not oa.frontier and not ob.frontier

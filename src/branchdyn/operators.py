@@ -13,6 +13,12 @@ States of the window whose image under f leaves the window are
 images (reducing-subspace checks near the boundary, conjugation
 identities) are only asserted on interior coordinates.
 
+Vectors are sparse dicts {coordinate: Fraction}, the only vector format
+here: an invariant set K becomes span{e_x : x in K} as one unit dict per
+member, and the fixed vectors of a word operator are read off the cycles
+of the word's index map.  Dense matrices appear only in the commutant's
+spectral split.
+
 The commutant computation exploits the 0/1 structure: A M_i = M_i A
 and A M_i^T = M_i^T A are, entry by entry, equalities between single
 entries of A or constraints forcing single entries to 0.  Union-find
@@ -25,8 +31,9 @@ off-diagonal classes need exact spectral work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
@@ -38,11 +45,11 @@ from .words import check_word
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-# the most states build_truncation materialises; larger windows are refused
-MAX_TRUNCATION_STATES = 10**6
 # the most matrix entries (n^2 for n states) commutant_projections ties
 # into classes; larger truncations are refused (n <= 2000)
 MAX_COMMUTANT_ENTRIES = 4 * 10**6
+# the largest commutant (number of entry classes) tested for commutation
+MAX_COMMUTANT_DIMENSION = 4096
 
 
 @dataclass(frozen=True)
@@ -80,20 +87,16 @@ class Truncation:
 
 
 def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
-    """The truncation to a window of at most MAX_TRUNCATION_STATES states.
+    """The truncation to a window of at most MAX_WINDOW_STATES states.
 
     One pass over the states reads each state's branch and image once.
     """
     win = as_window(sys, window)
-    if len(win) > MAX_TRUNCATION_STATES:
-        raise InvalidSpec(
-            f"window holds {len(win)} states; a truncation holds at most "
-            f"{MAX_TRUNCATION_STATES}"
-        )
-    states = tuple(win) if order is None else tuple(order)
+    states = win.materialize()
     if order is not None:
-        if set(states) != set(win) or len(set(states)) != len(states):
+        if set(order) != set(states) or len(set(order)) != len(states):
             raise InvalidSpec("order must be a permutation of the window")
+        states = tuple(order)
     for x in states:
         sys._require(x)
     step, branch = sys._step, sys._branch
@@ -124,7 +127,20 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
 
 
 # ---------------------------------------------------------------------------
-# vectors are sparse dicts {coordinate: Fraction}
+# vectors: sparse dicts {coordinate: Fraction}, the only format
+
+
+def _dot(u: dict, v: dict) -> Fraction:
+    return sum((x * v[c] for c, x in u.items() if c in v), F0)
+
+
+def _chase(trunc: Truncation, symbols) -> dict:
+    """c -> T_I e_c's coordinate, for every c the word keeps in the window."""
+    out = {c: c for c in range(trunc.n)}
+    for i in symbols:
+        fwd = trunc.maps[i - 1]
+        out = {c: fwd[r] for c, r in out.items() if r in fwd}
+    return out
 
 
 def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) -> dict:
@@ -157,12 +173,6 @@ class DiagonalProjection:
     def apply(self, vec: dict) -> dict:
         return {c: v for c, v in vec.items() if c in self.coordinates}
 
-    def matrix(self) -> list:
-        m = linalg.zeros(self.n, self.n)
-        for c in self.coordinates:
-            m[c][c] = F1
-        return m
-
 
 def projection_P(trunc: Truncation, prefix) -> DiagonalProjection:
     """The range projection of the length-m coding cylinder.
@@ -174,17 +184,8 @@ def projection_P(trunc: Truncation, prefix) -> DiagonalProjection:
     """
     symbols = prefix.symbols if isinstance(prefix, CodingPrefix) else tuple(prefix)
     symbols = check_word(symbols, trunc.k)
-    survivors = []
-    for c in range(trunc.n):
-        cur = c
-        for i in symbols:
-            cur = trunc.maps[i - 1].get(cur)
-            if cur is None:
-                break
-        else:
-            survivors.append(c)
     return DiagonalProjection(
-        n=trunc.n, prefix=symbols, coordinates=frozenset(survivors)
+        n=trunc.n, prefix=symbols, coordinates=frozenset(_chase(trunc, symbols))
     )
 
 
@@ -298,65 +299,63 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An orthogonal (not normalized) basis of a subspace.
+    """An orthogonal (not normalized) basis of a subspace of Q^n.
 
     Every entry stays rational, so vectors are scaled to have integral
-    entries rather than unit length.
+    entries rather than unit length.  A coordinate -> vectors index lets
+    orthogonality checks and projections touch only vectors that share
+    a coordinate.
     """
 
     n: int
-    vectors: tuple  # tuple of dense tuples of Fractions
+    vectors: tuple  # tuple of sparse dicts {coordinate: Fraction}
+    _by_coord: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        supports = []
-        for v in self.vectors:
-            if len(v) != self.n:
-                raise InvalidSpec("vector length mismatch")
-            supports.append({c for c, x in enumerate(v) if x})
-            if not supports[-1]:
+        by_coord: dict = {}
+        for j, v in enumerate(self.vectors):
+            if not any(v.values()):
                 raise InvalidSpec("zero vector in basis")
-        # only vectors with overlapping supports can fail to be orthogonal
-        for i, (u, su) in enumerate(zip(self.vectors, supports)):
-            for v, sv in zip(self.vectors[i + 1:], supports[i + 1:]):
-                if sum(u[c] * v[c] for c in su & sv):
+            for c in v:
+                if c not in range(self.n):
+                    raise InvalidSpec(f"coordinate {c!r} outside 0..{self.n - 1}")
+                by_coord.setdefault(c, []).append(j)
+        object.__setattr__(self, "_by_coord", by_coord)
+        for j, u in enumerate(self.vectors):
+            for i in self._sharing(u):
+                if i > j and _dot(u, self.vectors[i]):
                     raise InvalidSpec("basis is not orthogonal")
+
+    def _sharing(self, w: dict) -> set:
+        """Indices of the vectors that share a coordinate with w."""
+        return {j for c in w for j in self._by_coord.get(c, ())}
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def project(self, w: list) -> list:
+    def project(self, w: dict) -> dict:
         """Orthogonal projection of w onto the subspace."""
-        out = [F0] * self.n
-        for b in self.vectors:
-            b = list(b)
-            c = linalg.dot(w, b) / linalg.dot(b, b)
-            if c:
-                out = [o + c * bi for o, bi in zip(out, b)]
-        return out
+        out: dict = {}
+        for j in self._sharing(w):
+            b = self.vectors[j]
+            coeff = _dot(b, w) / _dot(b, b)
+            for c, x in b.items():
+                out[c] = out.get(c, F0) + coeff * x
+        return {c: x for c, x in out.items() if x}
 
-    def contains(self, w: list) -> bool:
-        return self.project(w) == list(map(Fraction, w))
-
-
-def _scale_integral(v: list) -> tuple:
-    from math import gcd
-
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [x * den for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x.numerator))
-    g = g or 1
-    return tuple(Fraction(x, g) for x in ints)
+    def contains(self, w: dict) -> bool:
+        return self.project(w) == {c: x for c, x in w.items() if x}
 
 
 def make_subspace(n: int, vectors: list) -> SubspaceBasis:
-    """Orthogonalize a spanning set into a SubspaceBasis."""
-    basis = linalg.gram_schmidt_orthogonal(vectors)
-    return SubspaceBasis(n=n, vectors=tuple(_scale_integral(v) for v in basis))
+    """Orthogonalize dense vectors into sparse ones with coprime integer entries."""
+    out = []
+    for v in linalg.gram_schmidt_orthogonal(vectors):
+        den = lcm(*(x.denominator for x in v))
+        g = gcd(*(int(x * den) for x in v))
+        out.append({c: Fraction(int(x * den), g) for c, x in enumerate(v) if x})
+    return SubspaceBasis(n=n, vectors=tuple(out))
 
 
 def subspace_from_invariant_set(trunc: Truncation, states) -> SubspaceBasis:
@@ -376,13 +375,10 @@ def subspace_from_invariant_set(trunc: Truncation, states) -> SubspaceBasis:
         for p, _ in trunc.sys.preimages(x):
             if p in win and p not in k_set:
                 raise InvalidSpec(f"K is not preimage closed: {p!r} -> {x!r}")
-    vectors = []
-    for x in trunc.states:
-        if x in k_set:
-            v = [F0] * trunc.n
-            v[trunc.index[x]] = F1
-            vectors.append(tuple(v))
-    return SubspaceBasis(n=trunc.n, vectors=tuple(vectors))
+    return SubspaceBasis(
+        n=trunc.n,
+        vectors=tuple({trunc.index[x]: F1} for x in trunc.states if x in k_set),
+    )
 
 
 @dataclass(frozen=True)
@@ -406,33 +402,20 @@ def is_reducing(
     """
     if basis.n != trunc.n:
         raise InvalidSpec("basis dimension does not match the truncation")
-    allowed = None
-    if interior_only:
-        inter = trunc.interior()
-        allowed = {trunc.index[x] for x in inter}
+    allowed = {trunc.index[x] for x in trunc.interior()} if interior_only else range(trunc.n)
 
     for bi, v in enumerate(basis.vectors):
-        vec = {c: x for c, x in enumerate(v) if x}
         for i in range(1, trunc.k + 1):
             for adjoint, tag in ((False, "T"), (True, "T*")):
-                w_sp = apply_branch(trunc, i, vec, adjoint=adjoint)
-                w = [F0] * trunc.n
-                for c, x in w_sp.items():
-                    w[c] = x
-                resid = [a - b for a, b in zip(w, basis.project(w))]
-                bad = next(
-                    (
-                        c
-                        for c, x in enumerate(resid)
-                        if x and (allowed is None or c in allowed)
-                    ),
-                    None,
-                )
-                if bad is not None:
+                # both are sparse without zero entries: compare them key by key
+                w = apply_branch(trunc, i, v, adjoint=adjoint)
+                p = basis.project(w)
+                bad = [c for c in w.keys() | p.keys() if c in allowed and w.get(c) != p.get(c)]
+                if bad:
                     return ReducingReport(
                         passed=False,
                         interior_only=interior_only,
-                        witness=(i, tag, bi, trunc.states[bad]),
+                        witness=(i, tag, bi, trunc.states[min(bad)]),
                     )
     return ReducingReport(passed=True, interior_only=interior_only, witness=None)
 
@@ -523,14 +506,15 @@ def _products_commute(n: int, ca: frozenset, cb: frozenset) -> bool:
     return product(by_row_a, by_row_b) == product(by_row_b, by_row_a)
 
 
-def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantReport:
+def commutant_projections(trunc: Truncation) -> CommutantReport:
     """Exact commutant of {M_i, M_i^T} and its reducing-subspace blocks.
 
     Requires an escape-free truncation (otherwise the M_i are not the
     honest operators of a closed system and the commutant would mix
     truncation artifacts into the answer), of at most
     MAX_COMMUTANT_ENTRIES matrix entries: the classes below start from
-    an n^2 union-find.
+    an n^2 union-find.  A commutant of more than MAX_COMMUTANT_DIMENSION
+    classes is refused before its classes are multiplied pairwise.
 
     The entry classes give the commutant basis directly.  A non-abelian
     commutant has equivalent sub-representations and therefore
@@ -571,8 +555,9 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
         )
     classes = _entry_classes(trunc)
     dim = len(classes)
-    if dim > max_dim:
-        raise InvalidSpec(f"commutant dimension {dim} exceeds max_dim")
+    if dim > MAX_COMMUTANT_DIMENSION:
+        raise InvalidSpec(f"commutant dimension {dim} exceeds "
+                          f"MAX_COMMUTANT_DIMENSION = {MAX_COMMUTANT_DIMENSION}")
     witness = None
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -603,11 +588,13 @@ def commutant_projections(trunc: Truncation, max_dim: int = 4096) -> CommutantRe
     for comp, ts in zip(components, members):
         if len(ts) == 1:
             # the component's identity is its only class
-            subspaces.append(_embed(n, comp, linalg.identity(len(comp))))
+            subspaces.append(SubspaceBasis(n=n, vectors=tuple({c: F1} for c in comp)))
             scalar_flags.append(True)
             continue
         for basis, scalar in _spectral_blocks(comp, [(t, classes[t]) for t in ts]):
-            subspaces.append(_embed(n, comp, basis.vectors))
+            # from the component's coordinates to the whole space
+            vectors = ({comp[j]: x for j, x in v.items()} for v in basis.vectors)
+            subspaces.append(SubspaceBasis(n=n, vectors=tuple(vectors)))
             scalar_flags.append(scalar)
     order = sorted(range(len(subspaces)), key=lambda t: _block_key(subspaces[t]))
     subspaces = [subspaces[t] for t in order]
@@ -630,17 +617,6 @@ def _components(trunc: Truncation) -> list:
         for c, r in fwd.items():
             uf.union(c, r)
     return uf.groups()
-
-
-def _embed(n: int, comp: list, vectors) -> SubspaceBasis:
-    """Orthogonal vectors on a component's coordinates, in the whole space."""
-    out = []
-    for v in vectors:
-        w = [F0] * n
-        for c, x in zip(comp, v):
-            w[c] = x
-        out.append(tuple(w))
-    return SubspaceBasis(n=n, vectors=tuple(out))
 
 
 def _spectral_blocks(comp: list, indexed_classes: list) -> list:
@@ -697,9 +673,7 @@ def _spectral_blocks(comp: list, indexed_classes: list) -> list:
 
 
 def _block_key(basis: SubspaceBasis):
-    supports = sorted(
-        min(c for c, x in enumerate(v) if x) for v in basis.vectors
-    )
+    supports = sorted(min(v) for v in basis.vectors)
     return (supports[0], -basis.dimension, supports)
 
 
@@ -732,15 +706,11 @@ def _split_block(powers: list, rest: list, block: list) -> list:
 def _acts_as_scalar(m: list, basis: SubspaceBasis) -> bool:
     first = None
     for v in basis.vectors:
-        v = list(v)
-        w = linalg.mat_vec(m, v)
-        nv = linalg.dot(v, v)
-        lam = linalg.dot(w, v) / nv
+        w = {r: x for r, row in enumerate(m) if (x := sum(row[c] * y for c, y in v.items()))}
+        lam = _dot(w, v) / _dot(v, v)
         if first is None:
             first = lam
-        if lam != first:
-            return False
-        if any(wi != lam * vi for wi, vi in zip(w, v)):
+        if lam != first or w != {c: lam * y for c, y in v.items() if lam}:
             return False
     return True
 
@@ -757,27 +727,25 @@ class FixedVectorsReport:
 
 
 def fixed_vectors_of_word(trunc: Truncation, word) -> FixedVectorsReport:
-    """The eigenspace {v : M_I v = v}, by exact elimination.
+    """The eigenspace {v : M_I v = v}, read off the cycles of the word.
 
-    M_I - Id is assembled densely and its nullspace computed over the
-    rationals; no structure of M_I is assumed beyond linearity, so this
-    is an independent check on anything derived combinatorially from
-    the cycle structure of the index map.
+    M_I is the matrix of the partial injection c -> chase(c), so a fixed
+    vector vanishes on the injection's chains and is constant on each of
+    its cycles: the cycle indicators form an orthogonal basis.  They are
+    listed by largest coordinate, the free column elimination of
+    M_I - Id would give each cycle.
     """
     word = check_word(word, trunc.k)
-    n = trunc.n
-    # column c of M_I is e_{chase(c)} or 0
-    a = linalg.zeros(n, n)
-    for c in range(n):
-        cur = c
-        for i in word:
-            cur = trunc.maps[i - 1].get(cur)
-            if cur is None:
-                break
-        if cur is not None:
-            a[cur][c] += F1
-    for i in range(n):
-        a[i][i] -= F1
-    null = linalg.nullspace(a)
-    basis = make_subspace(n, null) if null else SubspaceBasis(n=n, vectors=())
+    image = _chase(trunc, word)
+    cycles, seen = [], set()
+    for c in image:
+        path, cur = [], c
+        while cur in image and cur not in seen:
+            seen.add(cur)
+            path.append(cur)
+            cur = image[cur]
+        if path and cur == c:
+            cycles.append(sorted(path))
+    cycles.sort(key=max)
+    basis = SubspaceBasis(n=trunc.n, vectors=tuple(dict.fromkeys(c, F1) for c in cycles))
     return FixedVectorsReport(word=word, basis=basis, dimension=basis.dimension)

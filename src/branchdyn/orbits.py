@@ -182,7 +182,7 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     if budget < 0:
         raise InvalidSpec(f"need budget >= 0, got {budget}")
     win = as_window(sys, window)
-    order = list(win)
+    order = win.materialize()
     for x in order:
         sys._require(x)
     step = sys._step

@@ -397,6 +397,10 @@ def make_system(spec) -> DynamicalSystem:
 # ---------------------------------------------------------------------------
 # windows
 
+# the most states a truncation or a window scan materialises; larger
+# windows are refused before any state is listed
+MAX_WINDOW_STATES = 10**6
+
 
 class Window:
     """A finite set of states used to truncate an infinite computation."""
@@ -411,7 +415,20 @@ class Window:
         raise NotImplementedError
 
     def __len__(self) -> int:
+        return self.size()
+
+    def size(self) -> int:
+        """The number of states; unlike len(), not capped at sys.maxsize."""
         raise NotImplementedError
+
+    def materialize(self) -> tuple:
+        """The states in window order, at most MAX_WINDOW_STATES of them."""
+        if self.size() > MAX_WINDOW_STATES:
+            raise InvalidSpec(
+                f"window holds {self.size()} states; at most "
+                f"MAX_WINDOW_STATES = {MAX_WINDOW_STATES} are materialised"
+            )
+        return tuple(self)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -431,7 +448,7 @@ class IntWindow(Window):
     def __iter__(self):
         return iter(range(self.lo, self.hi + 1))
 
-    def __len__(self):
+    def size(self):
         return self.hi - self.lo + 1
 
     def describe(self):
@@ -454,7 +471,7 @@ class SetWindow(Window):
     def __iter__(self):
         return iter(self._order)
 
-    def __len__(self):
+    def size(self):
         return len(self._set)
 
     def describe(self):
@@ -499,7 +516,7 @@ def verify_bounded_condition(sys: DynamicalSystem, window) -> BoundedConditionRe
     seen: dict = {}
     violations = []
     count = 0
-    for x in win:
+    for x in win.materialize():
         count += 1
         key = (sys.branch_of(x), sys.apply(x))
         if key in seen:

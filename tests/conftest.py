@@ -243,7 +243,7 @@ def whole_space_commutant_blocks(trunc):
     out = []
     for block in blocks:
         basis = operators.make_subspace(n, block)
-        support = tuple(c for c in range(n) if any(v[c] for v in basis.vectors))
+        support = tuple(sorted({c for v in basis.vectors for c in v}))
         scalar = all(_acts_as_scalar(m, basis) for m in mats)
         out.append((basis.dimension, support, scalar))
     return True, out
@@ -277,9 +277,10 @@ def _whole_space_split(e, block, eigs):
 
 def _acts_as_scalar(m, basis):
     lam = None
-    for v in basis.vectors:
-        w = linalg.mat_vec(m, list(v))
-        ratio = linalg.dot(w, list(v)) / linalg.dot(list(v), list(v))
+    for sparse in basis.vectors:
+        v = [sparse.get(c, Fraction(0)) for c in range(len(m))]
+        w = linalg.mat_vec(m, v)
+        ratio = linalg.dot(w, v) / linalg.dot(v, v)
         if lam is None:
             lam = ratio
         if ratio != lam or any(wi != ratio * vi for wi, vi in zip(w, v)):

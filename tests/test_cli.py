@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from branchdyn import cli, operators
+from branchdyn import cli, operators, systems
 
 SWAP1 = json.dumps(
     {
@@ -123,6 +123,16 @@ def test_tower_steps(capsys):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ALPHABETA3 = '{"family":"alphabeta","k":3,"alpha":["4","4"],"beta":["2","1"]}'
+# the 30-state cycle x -> x mod 30 + 1 on branch x mod 3 + 1
+PERIOD3_30 = json.dumps(
+    {
+        "family": "table",
+        "k": 3,
+        "states": [str(x) for x in range(1, 31)],
+        "branch": {str(x): x % 3 + 1 for x in range(1, 31)},
+        "image": {str(x): str(x % 30 + 1) for x in range(1, 31)},
+    }
+)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +150,18 @@ ALPHABETA3 = '{"family":"alphabeta","k":3,"alpha":["4","4"],"beta":["2","1"]}'
          ["operators", "pm-limit", "--system", "collatz", "--window", "1..10000",
           "--support", "1,5"]),
         ("commutant_swap1.json", ["operators", "commutant", "--system", SWAP1]),
+        ("commutant_period3_n30.json", ["operators", "commutant", "--system", PERIOD3_30]),
+        ("fixed_vectors_collatz_w200_122.json",
+         ["operators", "fixed-vectors", "--system", "collatz", "--window", "1..200",
+          "--word", "1,2,2"]),
+        ("fixed_vectors_swap1_11.json",
+         ["operators", "fixed-vectors", "--system", SWAP1, "--word", "1,1"]),
+        ("reduce_check_collatz_w4_k124.json",
+         ["operators", "reduce-check", "--system", "collatz", "--window", "1..4",
+          "--set-file", str(GOLDEN / "set_1_2_4.json")]),
+        ("reduce_check_collatz_w4_k124_interior.json",
+         ["operators", "reduce-check", "--system", "collatz", "--window", "1..4",
+          "--set-file", str(GOLDEN / "set_1_2_4.json"), "--interior-only"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -310,6 +332,54 @@ def test_oversized_commutant_is_exit_2(capsys, monkeypatch, deadline):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: truncation holds 2 states, 4 matrix entries")
+
+
+def test_oversized_commutant_dimension_is_exit_2(capsys, deadline):
+    # 65 fixed points on one branch: every 65 x 65 matrix commutes
+    fixed = json.dumps(
+        {"family": "table", "k": 1, "branch": {str(x): 1 for x in range(1, 66)},
+         "image": {str(x): str(x) for x in range(1, 66)}}
+    )
+    deadline(5)
+    code = cli.main(["operators", "commutant", "--system", fixed])
+    deadline(0)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: commutant dimension 4225 exceeds MAX_COMMUTANT_DIMENSION = 4096\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tuc-scan", "--system", "collatz", "--window", "1..6"],
+        ["minimality", "--system", "collatz", "--window", "1..6"],
+        ["check", "bounded", "--system", "collatz", "--window", "1..6"],
+        ["check", "alphabeta", "--system", "collatz", "--window", "1..6"],
+        ["morphism", "iso", "--source", "collatz", "--target", "collatz",
+         "--phi", '{"kind": "identity"}', "--window", "1..6"],
+        ["operators", "build", "--system", "collatz", "--window", "1..6"],
+    ],
+    ids=["tuc-scan", "minimality", "bounded", "alphabeta", "iso", "build"],
+)
+def test_window_state_budget_is_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(systems, "MAX_WINDOW_STATES", 5)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: window holds 6 states")
+
+
+def test_window_beyond_sys_maxsize_is_exit_2(capsys):
+    code = cli.main(
+        ["operators", "build", "--system", "collatz", "--window", f"1..{10**20}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: window holds {10**20} states")
 
 
 def test_negative_cap_is_exit_2(capsys):

@@ -261,6 +261,17 @@ def test_orbit_condition_failure_detected():
         morphisms.induced_isometry(phi, ta, tb)
 
 
+def test_identity_isometry_on_many_fixed_points(deadline):
+    # one closure per component on windows built once: linear, not quadratic
+    n = 20000
+    sys = _table({x: 1 for x in range(1, n + 1)}, {x: x for x in range(1, n + 1)}, k=1)
+    t = operators.build_truncation(sys, None)
+    deadline(5)
+    rep = morphisms.induced_isometry(morphisms.identity(sys), t, t)
+    assert rep.passed and rep.isometry_identity
+    assert rep.orbit_condition == "exact"
+
+
 def test_window_limited_orbit_check(collatz):
     # infinite system: closures touch the window edge, not decisive
     ta = operators.build_truncation(collatz, (1, 30))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchdyn import coding, linalg, operators, systems
+from branchdyn import coding, linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
     apply_word_adjoint,
@@ -102,7 +102,7 @@ def test_truncation_state_budget(collatz, monkeypatch, deadline):
     with pytest.raises(InvalidSpec, match="window holds 1000000000 states"):
         operators.build_truncation(collatz, (1, 10**9))
     deadline(0)
-    monkeypatch.setattr(operators, "MAX_TRUNCATION_STATES", 5)
+    monkeypatch.setattr(systems, "MAX_WINDOW_STATES", 5)
     assert operators.build_truncation(collatz, (1, 5)).n == 5
     with pytest.raises(InvalidSpec):
         operators.build_truncation(collatz, [1, 2, 3, 4, 5, 6])
@@ -218,11 +218,18 @@ def test_projection_can_be_zero(collatz):
 
 
 def test_projection_idempotent_self_adjoint(collatz):
+    # dense route: M_I^T M_I is idempotent, self-adjoint, and the diagonal
+    # indicator of the projection's coordinates
     t = operators.build_truncation(collatz, (1, 50))
     for prefix in ((1,), (2, 1), (1, 2, 2), (2, 2, 1, 2)):
-        m = operators.projection_P(t, prefix).matrix()
+        mi = linalg.identity(t.n)
+        for i in prefix:
+            mi = linalg.mat_mul(branch_matrix(t, i), mi)
+        m = linalg.mat_mul(linalg.transpose(mi), mi)
         assert linalg.mat_mul(m, m) == m
         assert linalg.transpose(m) == m
+        coords = operators.projection_P(t, prefix).coordinates
+        assert m == [[int(r == c and c in coords) for c in range(t.n)] for r in range(t.n)]
 
 
 def test_projection_matches_operator_route(collatz):
@@ -316,6 +323,20 @@ def test_subspace_requires_invariance(collatz):
         operators.subspace_from_invariant_set(t, (1, 5))  # 5 outside window
 
 
+def test_subspace_basis_refusals():
+    for coordinate in (2, -1):
+        with pytest.raises(InvalidSpec, match=f"coordinate {coordinate} outside 0..1"):
+            operators.SubspaceBasis(n=2, vectors=({coordinate: F(1)},))
+    for zero in ({}, {0: F(0)}):
+        with pytest.raises(InvalidSpec, match="zero vector in basis"):
+            operators.SubspaceBasis(n=2, vectors=(zero,))
+    with pytest.raises(InvalidSpec, match="basis is not orthogonal"):
+        operators.SubspaceBasis(n=3, vectors=({0: F(1)}, {2: F(1)}, {1: F(1), 2: F(1)}))
+    # sharing a coordinate is allowed when the pair is orthogonal
+    basis = operators.SubspaceBasis(n=2, vectors=({0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}))
+    assert basis.project({0: F(3)}) == {0: F(3)}
+
+
 # -- reducing checks -------------------------------------------------------------
 
 
@@ -344,6 +365,16 @@ def test_interior_only_forgives_escape_edges(collatz):
     t = operators.build_truncation(collatz, (1, 4))
     basis = operators.subspace_from_invariant_set(t, (1, 2, 4))
     assert operators.is_reducing(t, basis, interior_only=True).passed
+
+
+def test_reducing_check_on_a_large_invariant_set(collatz, deadline):
+    # H_K for the closure of 1 in 1..2000: hundreds of unit vectors
+    deadline(5)
+    t = operators.build_truncation(collatz, (1, 2000))
+    closure = orbits.invariant_closure(collatz, [1], (1, 2000)).members
+    basis = operators.subspace_from_invariant_set(t, closure)
+    assert basis.dimension == len(closure)
+    assert operators.is_reducing(t, basis).passed
 
 
 def test_invariant_sets_give_reducing_subspaces():
@@ -395,8 +426,8 @@ def test_swap_k1_commutant(swap1):
     assert rep.lattice_size == 4
     assert len(rep.blocks) == 2
     spans = [b for b in rep.blocks]
-    sym = [F(1), F(1)]
-    anti = [F(1), F(-1)]
+    sym = {0: F(1), 1: F(1)}
+    anti = {0: F(1), 1: F(-1)}
     assert any(b.contains(sym) for b in spans)
     assert any(b.contains(anti) for b in spans)
     assert dense_commutant_dimension(t) == 2
@@ -448,9 +479,7 @@ def test_two_plus_three_lattice_matches_invariant_sets():
     assert rep.lattice_size == 4
     assert all(rep.block_scalar)
     supports = sorted(
-        tuple(sorted(t.states[c] for c, v in enumerate(vec) if v))
-        for b in rep.blocks
-        for vec in [[any(v[c] for v in b.vectors) for c in range(t.n)]]
+        tuple(sorted({t.states[c] for v in b.vectors for c in v})) for b in rep.blocks
     )
     assert supports == [(1, 2), (3, 4, 5)]
     assert dense_commutant_dimension(t) == 2
@@ -527,7 +556,7 @@ def test_commutant_matches_whole_space_oracle(sys):
     assert rep.dimension == dense_commutant_dimension(t)
     assert rep.abelian == abelian
     got = [
-        (b.dimension, tuple(c for c in range(t.n) if any(v[c] for v in b.vectors)), s)
+        (b.dimension, tuple(sorted({c for v in b.vectors for c in v})), s)
         for b, s in zip(rep.blocks, rep.block_scalar)
     ]
     # same blocks; the order may differ only between blocks that tie on
@@ -560,6 +589,18 @@ def test_commutant_entry_budget(swap1, monkeypatch, deadline):
         )
 
 
+def test_commutant_dimension_budget(deadline):
+    # 65 fixed points on one branch: all 65^2 entries are free classes
+    t = operators.build_truncation(
+        _table({x: 1 for x in range(1, 66)}, {x: x for x in range(1, 66)}, k=1), None
+    )
+    deadline(5)
+    with pytest.raises(
+        InvalidSpec, match="^commutant dimension 4225 exceeds MAX_COMMUTANT_DIMENSION = 4096$"
+    ):
+        operators.commutant_projections(t)
+
+
 # -- fixed vectors ------------------------------------------------------------------
 
 
@@ -576,9 +617,7 @@ def test_fixed_vectors_of_cycle_word(collatz):
     t = operators.build_truncation(collatz, (1, 100))
     rep = operators.fixed_vectors_of_word(t, (1, 2, 2))
     assert rep.dimension == 1
-    e1 = [F(0)] * t.n
-    e1[t.index[1]] = F(1)
-    assert rep.basis.contains(e1)
+    assert rep.basis.contains({t.index[1]: F(1)})
     assert len(nullspace_fixed_vectors(t, (1, 2, 2))) == 1
 
 
@@ -603,4 +642,25 @@ def test_fixed_vectors_match_nullspace_on_samples(five_x_one):
         dense = nullspace_fixed_vectors(t, word)
         assert rep.dimension == len(dense)
         for v in dense:
-            assert rep.basis.contains(v)
+            assert rep.basis.contains(dict(enumerate(v)))
+
+
+def test_fixed_vectors_on_a_large_window(collatz, deadline):
+    deadline(5)
+    t = operators.build_truncation(collatz, (1, 2000))
+    rep = operators.fixed_vectors_of_word(t, (1, 2, 2))
+    assert rep.basis.vectors == ({t.index[1]: F(1)},)
+
+
+@given(injective_tables(), st.data())
+def test_fixed_vectors_match_the_nullspace_oracle(sys, data):
+    # on a random sub-window the word's index map has chains as well as cycles
+    states = sys.states()
+    window = data.draw(st.sets(st.sampled_from(states), min_size=1))
+    t = operators.build_truncation(sys, window)
+    word = data.draw(st.lists(st.integers(1, t.k), min_size=1, max_size=4))
+    rep = operators.fixed_vectors_of_word(t, word)
+    dense = nullspace_fixed_vectors(t, word)
+    expected = operators.make_subspace(t.n, dense).vectors if dense else ()
+    assert rep.basis.vectors == expected
+    assert rep.dimension == len(dense)

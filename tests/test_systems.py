@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from branchdyn import coding, operators, orbits, systems, words
+from branchdyn import coding, morphisms, operators, orbits, systems, words
 from branchdyn.errors import (
     InvalidSpec,
     NonInjectiveBranch,
@@ -182,6 +182,35 @@ def test_bounded_condition_catches_corrupted_table(monkeypatch):
     assert not rep.passed
     # (branch, first state, second state, shared image)
     assert rep.violations == ((1, 1, 2, 3),)
+
+
+# -- window state budget -----------------------------------------------------
+
+WINDOW_SCANS = {
+    "verify_bounded_condition": systems.verify_bounded_condition,
+    "verify_tuc_window": coding.verify_tuc_window,
+    "check_alphabeta_hypotheses": coding.check_alphabeta_hypotheses,
+    "minimality_probe": orbits.minimality_probe,
+    "is_isomorphism": lambda sys, w: morphisms.is_isomorphism(morphisms.identity(sys), w),
+    "build_truncation": operators.build_truncation,
+}
+
+
+@pytest.mark.parametrize("scan", sorted(WINDOW_SCANS))
+def test_window_scans_share_the_state_budget(collatz, monkeypatch, scan):
+    monkeypatch.setattr(systems, "MAX_WINDOW_STATES", 5)
+    WINDOW_SCANS[scan](collatz, (1, 5))
+    WINDOW_SCANS[scan](collatz, [2, 4, 6, 8, 10])
+    for window in ((1, 6), [2, 4, 6, 8, 10, 12]):
+        with pytest.raises(InvalidSpec, match="^window holds 6 states; at most MAX_WINDOW_STATES = 5"):
+            WINDOW_SCANS[scan](collatz, window)
+
+
+def test_window_size_beyond_sys_maxsize():
+    win = systems.IntWindow(1, 10**20)
+    assert win.size() == 10**20
+    with pytest.raises(InvalidSpec, match="^window holds 100000000000000000000 states"):
+        win.materialize()
 
 
 # -- eventually periodic sequences -------------------------------------------
