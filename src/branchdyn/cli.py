@@ -51,7 +51,8 @@ def _jsonable(v):
     if isinstance(v, systems.EventuallyPeriodic):
         return _state(v)
     if isinstance(v, dict):
-        return {str(key): _jsonable(val) for key, val in sorted(v.items(), key=repr)}
+        items = sorted(v.items(), key=lambda kv: repr(kv[0]))
+        return {str(key): _jsonable(val) for key, val in items}
     if isinstance(v, (list, tuple, set, frozenset)):
         seq = sorted(v, key=repr) if isinstance(v, (set, frozenset)) else v
         return [_jsonable(x) for x in seq]
@@ -61,7 +62,17 @@ def _jsonable(v):
 
 
 def _canonical(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    # lattice_size = 2**dimension can have more digits than Python converts
+    # by default (4300 since 3.10.7); that limit guards parsing untrusted
+    # text, not writing computed results
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # options that shape how a report is written, not what it says, and the
@@ -370,10 +381,9 @@ def cmd_operators_commutant(args):
         "abelian": rep.abelian,
         "block_count": len(rep.blocks),
         "block_dimensions": [b.dimension for b in rep.blocks],
-        "block_scalar": list(rep.block_scalar),
+        "block_field": list(rep.block_field),
         "lattice_size": rep.lattice_size,
-        "lattice_reason": rep.lattice_reason,
-        "nonabelian_witness": _jsonable(rep.nonabelian_witness),
+        "nonabelian_witness": _states(rep.nonabelian_witness) if rep.nonabelian_witness else None,
     }
 
 

@@ -1,11 +1,11 @@
 """Dense exact linear algebra over the rationals.
 
-These kernels serve the commutant's spectral split, ``make_subspace``'s
-dense input, and the tests' brute-force oracles; the rest of
-``operators`` works on sparse vectors.  Matrices are lists of rows of
-Fractions or ints; the products keep ints as ints.  Everything here is
-textbook elimination; no pivot-size cleverness is needed at the
-dimensions the spectral split produces (a few hundred at most).
+These kernels serve ``make_subspace``'s dense input, the tests'
+brute-force oracles and the benchmark's kernel probes; the rest of
+``operators``, the commutant included, works on sparse vectors and
+builds no matrix.  Matrices are lists of rows of Fractions or ints; the
+products keep ints as ints.  Everything here is textbook elimination;
+no pivot-size cleverness is needed at the dimensions the oracles use.
 
 The spectral kernels work in integers.  ``char_poly`` clears
 denominators and runs Faddeev-LeVerrier on the integer matrix, where

@@ -210,15 +210,16 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
         and isinstance(phi.target.spec, FiniteTable)
     )
     if exact:
+        win = None  # the full state set
         src = phi.source.states()
         tgt = set(phi.target.states())
     else:
         if window is None:
             raise InvalidSpec("infinite systems need a window")
-        # a list: as_window would read a 2-tuple of ints as lo..hi
-        src = list(as_window(phi.source, window).materialize())
+        win = as_window(phi.source, window)
+        src = win.materialize()
         tgt = {phi(x) for x in src}
-    hom = check_homomorphism(phi, src)
+    hom = check_homomorphism(phi, win)
     image = {}
     injective = True
     witness = None
@@ -239,7 +240,7 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
         inverse = Morphism(
             source=phi.target, target=phi.source, rule=TableRule(image)
         )
-        back = check_homomorphism(inverse, phi.target.states())
+        back = check_homomorphism(inverse, None)
         if not back.passed:
             passed = False
             witness = ("inverse fails", back.violations[:1])

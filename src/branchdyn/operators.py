@@ -16,23 +16,22 @@ identities) are only asserted on interior coordinates.
 Vectors are sparse dicts {coordinate: Fraction}, the only vector format
 here: an invariant set K becomes span{e_x : x in K} as one unit dict per
 member, and the fixed vectors of a word operator are read off the cycles
-of the word's index map.  Dense matrices appear only in the commutant's
-spectral split.
+of the word's index map.
 
-The commutant computation exploits the 0/1 structure: A M_i = M_i A
-and A M_i^T = M_i^T A are, entry by entry, equalities between single
-entries of A or constraints forcing single entries to 0.  Union-find
-over entry positions (with one extra "zero" sink) therefore yields an
-exact basis of the commutant: the indicator matrices of the surviving
-entry classes.  When the commutant is abelian its reducing blocks are
-found one total-orbit component at a time, and only components with
-off-diagonal classes need exact spectral work.
+The commutant is read off the bisimulation quotient of a closed
+truncation.  Each total-orbit component is one cycle with in-trees and
+covers a component of the quotient cyclically; its covering degree
+fixes the commutant's dimension, whether it is abelian, and its minimal
+blocks, one per divisor d of the degree, with orthogonal integer bases
+in closed form.  No matrix is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from . import linalg
@@ -45,11 +44,9 @@ from .words import check_word
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-# the most matrix entries (n^2 for n states) commutant_projections ties
-# into classes; larger truncations are refused (n <= 2000)
-MAX_COMMUTANT_ENTRIES = 4 * 10**6
-# the largest commutant (number of entry classes) tested for commutation
-MAX_COMMUTANT_DIMENSION = 4096
+# the most entries commutant_projections builds for its block bases,
+# counted in closed form before any vector exists
+MAX_COMMUTANT_BASIS_ENTRIES = 10**5
 
 
 @dataclass(frozen=True)
@@ -131,6 +128,8 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
 
 
 def _dot(u: dict, v: dict) -> Fraction:
+    if len(u) > len(v):
+        u, v = v, u
     return sum((x * v[c] for c, x in u.items() if c in v), F0)
 
 
@@ -428,185 +427,101 @@ def is_reducing(
 class CommutantReport:
     dimension: int
     abelian: bool
-    nonabelian_witness: tuple | None  # pair of basis indices that fail to commute
-    basis: tuple  # entry classes: frozensets of (row, col) positions
-    blocks: tuple  # SubspaceBasis refinement into reducing subspaces
-    block_scalar: tuple  # per block: True iff all commutant elements act scalar
-    lattice_size: int | None  # 2**len(blocks) when every block is certified
-
-    @property
-    def lattice_reason(self) -> str | None:
-        """Why ``lattice_size`` is None; None when the lattice is certified."""
-        if not self.abelian:
-            return "nonabelian"
-        uncertified = [i for i, scalar in enumerate(self.block_scalar) if not scalar]
-        return f"uncertified blocks {uncertified}" if uncertified else None
+    nonabelian_witness: tuple | None  # two bisimilar states in different components
+    blocks: tuple  # SubspaceBasis per minimal reducing block (abelian case)
+    block_field: tuple  # per block: d, the commutant acts on it as the field Q(zeta_d)
+    lattice_size: int | None  # reducing subspaces over C: 2**dimension when abelian
 
 
-def _entry_classes(trunc: Truncation) -> list:
-    """Classes of matrix entries tied by the commutant equations.
+@dataclass(frozen=True)
+class _Cover:
+    """A total-orbit component C as a cyclic covering of its quotient component Q."""
 
-    Entry (r, c) is node r*n + c; node n*n is a zero sink, and a class
-    joined to it is forced to vanish.
-    """
-    n = trunc.n
-    zero = n * n
-    uf = _UnionFind(zero + 1)
-
-    def pos(r, c):
-        return r * n + c
-
-    for b in range(trunc.k):
-        fwd = trunc.maps[b]
-        inv = trunc.inverse_maps[b]
-        for x in range(n):
-            fx = fwd.get(x)
-            ix = inv.get(x)
-            for w in range(n):
-                iw = inv.get(w)
-                # A M = M A entry (w, x)
-                if fx is not None and iw is not None:
-                    uf.union(pos(w, fx), pos(iw, x))
-                elif fx is not None:
-                    uf.union(pos(w, fx), zero)
-                elif iw is not None:
-                    uf.union(pos(iw, x), zero)
-                # A M^T = M^T A entry (w, x); M^T e_x = e_{inv(x)}
-                fw = fwd.get(w)
-                if ix is not None and fw is not None:
-                    uf.union(pos(w, ix), pos(fw, x))
-                elif ix is not None:
-                    uf.union(pos(w, ix), zero)
-                elif fw is not None:
-                    uf.union(pos(fw, x), zero)
-    zero_root = uf.find(zero)
-    return [
-        frozenset(divmod(p, n) for p in g)
-        for g in uf.groups()
-        if uf.find(g[0]) != zero_root
-    ]
-
-
-def _products_commute(n: int, ca: frozenset, cb: frozenset) -> bool:
-    by_row_b: dict = {}
-    for r, c in cb:
-        by_row_b.setdefault(r, []).append(c)
-    by_row_a: dict = {}
-    for r, c in ca:
-        by_row_a.setdefault(r, []).append(c)
-
-    def product(left_rows, right_rows):
-        out: dict = {}
-        for r, mids in left_rows.items():
-            for v in mids:
-                for c in right_rows.get(v, ()):
-                    out[(r, c)] = out.get((r, c), 0) + 1
-        return out
-
-    return product(by_row_a, by_row_b) == product(by_row_b, by_row_a)
+    place: dict  # state -> (cycle position, id of its label path down from the cycle)
+    period: int  # L_Q, the length of Q's cycle
+    degree: int  # a_C = L / L_Q for the length L of C's cycle
+    key: tuple  # Q's cycle types from their least rotation on
+    witness: int  # the coordinate where that rotation starts
 
 
 def commutant_projections(trunc: Truncation) -> CommutantReport:
-    """Exact commutant of {M_i, M_i^T} and its reducing-subspace blocks.
+    """Exact commutant of {M_i, M_i^T} and its minimal reducing blocks.
 
     Requires an escape-free truncation (otherwise the M_i are not the
     honest operators of a closed system and the commutant would mix
-    truncation artifacts into the answer), of at most
-    MAX_COMMUTANT_ENTRIES matrix entries: the classes below start from
-    an n^2 union-find.  A commutant of more than MAX_COMMUTANT_DIMENSION
-    classes is refused before its classes are multiplied pairwise.
+    truncation artifacts into the answer).  There every state has one
+    out-edge and at most one in-edge per label, so each total-orbit
+    component C is one cycle with in-trees, and it covers one component
+    Q of the bisimulation quotient cyclically, with degree a_C (see
+    ``_covers``).  A commutant element has nonzero entries only between
+    bisimilar states, and:
 
-    The entry classes give the commutant basis directly.  A non-abelian
-    commutant has equivalent sub-representations and therefore
-    infinitely many reducing subspaces; the failing basis pair is
-    reported instead of a lattice.
+    * the dimension is the sum over Q of gcd(a_C, a_C') over the pairs
+      of components C, C' over Q;
+    * the commutant is abelian exactly when no two components lie over
+      the same Q.  Otherwise it holds a full matrix algebra over them
+      and there are infinitely many reducing subspaces: the witness is
+      two bisimilar states in different components, and no block is
+      built;
+    * when it is abelian it acts on C as Q[R], for the deck
+      transformation R that moves x_j to x_{j+L_Q} on the cycle and
+      carries the in-trees along.  Its orbits, the fibres, hold a_C
+      states each, and C splits into one block for each d dividing a_C:
+      the Phi_d-isotypic part of R, of rank (|C| / a_C) * phi(d), on
+      which the commutant acts as the field Q(zeta_d).  A field has no
+      idempotent but 0 and 1, so every block is minimal over Q.  Over
+      C, the paper's setting, the commutant is C^dimension with
+      2**dimension projections: that is ``lattice_size``.
 
-    An abelian commutant contains the coordinate projection of every
-    total-orbit component and commutes with it, so each entry class
-    lies inside one component's diagonal block, and each component's
-    projection is a sum of diagonal classes.  A diagonal class is an
-    invariant set, so it is the whole component's diagonal.  The split
-    therefore runs component by component:
-
-    * a component whose classes are all diagonal has its identity as its
-      only class: span{e_x : x in component} is one block on which every
-      commutant element is a scalar, and no linear algebra is needed
-      (this is the injective-coding case);
-    * any other component is split into joint rational spectral blocks
-      of its basis matrices, restricted to the component, plus two
-      deterministic sampled combinations that separate blocks whose
-      basis spectra are accidentally aligned.
-
-    Every block is a reducing subspace.  A block is certified minimal
-    (``block_scalar``) when every commutant element acts on it as a
-    scalar, and ``lattice_size`` is 2**len(blocks) only when every block
-    is certified; otherwise it is None and ``lattice_reason`` says why.
+    The bases are ``_field_functions`` copied onto every fibre, at most
+    MAX_COMMUTANT_BASIS_ENTRIES entries, counted before any vector is
+    built.  Blocks are ordered by (least coordinate, -rank, d).
     """
     if trunc.escape_count:
         raise NotClosedSystem(
             f"window has {trunc.escape_count} escaping states; "
             "the commutant needs a closed truncation"
         )
-    n = trunc.n
-    if n * n > MAX_COMMUTANT_ENTRIES:
-        raise InvalidSpec(
-            f"truncation holds {n} states, {n * n} matrix entries; the "
-            f"commutant ties at most {MAX_COMMUTANT_ENTRIES}"
-        )
-    classes = _entry_classes(trunc)
-    dim = len(classes)
-    if dim > MAX_COMMUTANT_DIMENSION:
-        raise InvalidSpec(f"commutant dimension {dim} exceeds "
-                          f"MAX_COMMUTANT_DIMENSION = {MAX_COMMUTANT_DIMENSION}")
-    witness = None
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if not _products_commute(n, classes[i], classes[j]):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    if witness is not None:
+    covers = _covers(trunc)
+    over: dict = {}
+    for cov in covers:
+        over.setdefault(cov.key, []).append(cov)
+    dim = 0
+    for group in over.values():
+        degrees = Counter(cov.degree for cov in group)
+        dim += sum(m * m2 * gcd(a, a2) for a, m in degrees.items() for a2, m2 in degrees.items())
+    shared = next((group for group in over.values() if len(group) > 1), None)
+    if shared is not None:
         return CommutantReport(
             dimension=dim,
             abelian=False,
-            nonabelian_witness=witness,
-            basis=tuple(classes),
+            nonabelian_witness=tuple(trunc.states[cov.witness] for cov in shared[:2]),
             blocks=(),
-            block_scalar=(),
+            block_field=(),
             lattice_size=None,
         )
-
-    # abelian: every class lies inside one component's diagonal block
-    components = _components(trunc)
-    comp_of = {c: t for t, comp in enumerate(components) for c in comp}
-    members: list = [[] for _ in components]
-    for t, cls in enumerate(classes):
-        members[comp_of[min(cls)[0]]].append(t)
-    subspaces = []
-    scalar_flags = []
-    for comp, ts in zip(components, members):
-        if len(ts) == 1:
-            # the component's identity is its only class
-            subspaces.append(SubspaceBasis(n=n, vectors=tuple({c: F1} for c in comp)))
-            scalar_flags.append(True)
-            continue
-        for basis, scalar in _spectral_blocks(comp, [(t, classes[t]) for t in ts]):
-            # from the component's coordinates to the whole space
-            vectors = ({comp[j]: x for j, x in v.items()} for v in basis.vectors)
-            subspaces.append(SubspaceBasis(n=n, vectors=tuple(vectors)))
-            scalar_flags.append(scalar)
-    order = sorted(range(len(subspaces)), key=lambda t: _block_key(subspaces[t]))
-    subspaces = [subspaces[t] for t in order]
-    scalar_flags = [scalar_flags[t] for t in order]
+    entries = sum(_basis_entries(cov) for cov in covers)
+    if entries > MAX_COMMUTANT_BASIS_ENTRIES:
+        raise InvalidSpec(
+            f"commutant basis holds {entries} entries; at most "
+            f"MAX_COMMUTANT_BASIS_ENTRIES = {MAX_COMMUTANT_BASIS_ENTRIES} are built"
+        )
+    blocks = []
+    for cov in covers:
+        fibres: dict = {}  # fibre -> its states by sheet, the cycle position div L_Q
+        for y, (j, path) in cov.place.items():
+            fibres.setdefault((j % cov.period, path), [None] * cov.degree)[j // cov.period] = y
+        for d, functions in _field_functions(cov.degree):
+            vectors = tuple({f[j]: x for j, x in g.items()} for f in fibres.values() for g in functions)
+            blocks.append((min(cov.place), -len(vectors), d, SubspaceBasis(n=trunc.n, vectors=vectors)))
+    blocks.sort(key=lambda b: b[:3])
     return CommutantReport(
         dimension=dim,
         abelian=True,
         nonabelian_witness=None,
-        basis=tuple(classes),
-        blocks=tuple(subspaces),
-        block_scalar=tuple(scalar_flags),
-        lattice_size=2 ** len(subspaces) if all(scalar_flags) else None,
+        blocks=tuple(b[3] for b in blocks),
+        block_field=tuple(b[2] for b in blocks),
+        lattice_size=2**dim,
     )
 
 
@@ -619,100 +534,172 @@ def _components(trunc: Truncation) -> list:
     return uf.groups()
 
 
-def _spectral_blocks(comp: list, indexed_classes: list) -> list:
-    """(basis, scalar) per joint rational spectral block of one component.
+def _covers(trunc: Truncation) -> list:
+    """The covering data of each total-orbit component, in linear time.
 
-    ``indexed_classes`` holds (global class index, class) pairs; the
-    sampled combinations weight each class by its global index, so the
-    split matches the one on the whole space.  Every matrix is an
-    integer m x m matrix on the component's m coordinates.
+    Two states are bisimilar when they have the same label, bisimilar
+    images and, label by label, bisimilar preimages or none.  A tree
+    state has no infinite backward path, so it is bisimilar to no cycle
+    state, and bisimilar tree states have equal in-trees, interned
+    bottom-up as (label, (label, id) per preimage).  A cycle state's
+    type is (label, (label, the preimage's tree id or "cycle") per
+    preimage), and two cycle states are bisimilar exactly when their
+    type sequences agree from there on.  L_Q is the primitive period of
+    the types and the key is their least rotation; one intern table
+    serves all components, so equal keys mean the same Q.
     """
-    m = len(comp)
-    local = {c: j for j, c in enumerate(comp)}
-    mats = []
-    for _, cls in indexed_classes:
-        mat = [[0] * m for _ in range(m)]
-        for r, c in cls:
-            mat[local[r]][local[c]] = 1
-        mats.append(mat)
-    extras = []
-    for seed in (1, 2):
-        coeffs = [((seed * 7 + 3 * t) % 11) + 1 for t, _ in indexed_classes]
-        extras.append(
-            [
-                [sum(w * mat[r][c] for w, mat in zip(coeffs, mats)) for c in range(m)]
-                for r in range(m)
-            ]
-        )
+    label, image = {}, {}
+    pre: dict = {}  # state -> [(label, preimage)], one per label that has one
+    for b, fwd in enumerate(trunc.maps):
+        for c, r in fwd.items():
+            label[c], image[c] = b, r
+            pre.setdefault(r, []).append((b, c))
+    intern: dict = {}
+    paths: dict = {}
+    covers = []
+    for comp in _components(trunc):
+        seen: dict = {}
+        c = comp[0]
+        while c not in seen:
+            seen[c] = len(seen)
+            c = image[c]
+        cycle = list(seen)[seen[c]:]
+        place = {x: (j, -1) for j, x in enumerate(cycle)}
+        order = list(cycle)
+        for y in order:  # the list grows as it is read: breadth first over preimages
+            for b, p in pre.get(y, ()):
+                if p not in place:
+                    place[p] = (place[y][0], paths.setdefault((place[y][1], b), len(paths)))
+                    order.append(p)
+        tree: dict = {}
+        for y in reversed(order[len(cycle):]):
+            shape = (label[y], tuple((b, tree[p]) for b, p in pre.get(y, ())))
+            tree[y] = intern.setdefault(shape, len(intern))
+        types = []
+        for j, x in enumerate(cycle):
+            below = tuple((b, "cycle" if p == cycle[j - 1] else tree[p]) for b, p in pre[x])
+            types.append(intern.setdefault((label[x], below), len(intern)))
+        period = _primitive_period(types)
+        start = _least_rotation(types[:period])
+        key = tuple(types[start:period] + types[:start])
+        covers.append(_Cover(place, period, len(cycle) // period, key, cycle[start]))
+    return covers
 
-    blocks = [linalg.identity(m, 1)]
-    for e in mats + extras:
-        if all(len(block) == 1 for block in blocks):
-            break
-        powers = [
-            linalg.mat_pow([[x - lam if r == c else x for c, x in enumerate(row)]
-                            for r, row in enumerate(e)], m)
-            for lam in linalg.rational_eigenvalues(e)
-        ]
-        if not powers:
+
+def _primitive_period(seq: list) -> int:
+    """The least p dividing len(seq) with seq[j] = seq[(j + p) mod len(seq)]:
+    the least period of the word, from the Knuth-Morris-Pratt failure
+    function, when it divides the length (Fine and Wilf), else the length."""
+    fail = [0] * len(seq)
+    k = 0
+    for j in range(1, len(seq)):
+        while k and seq[j] != seq[k]:
+            k = fail[k - 1]
+        if seq[j] == seq[k]:
+            k += 1
+        fail[j] = k
+    p = len(seq) - fail[-1]
+    return p if len(seq) % p == 0 else len(seq)
+
+
+def _least_rotation(seq: list) -> int:
+    """Where the least rotation of seq starts: two candidate starts race,
+    and the one that loses after k equal symbols skips k + 1 starts."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
             continue
-        rest = powers[0]
-        for power in powers[1:]:
-            rest = linalg.mat_mul(power, rest)
-        blocks = [
-            piece
-            for block in blocks
-            for piece in ([block] if len(block) == 1 else _split_block(powers, rest, block))
-        ]
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
+
+def _factor(a: int) -> list:
+    """[(p, e)] with a = prod p**e, by trial division."""
+    out, p = [], 2
+    while p * p <= a:
+        e = 0
+        while a % p == 0:
+            a, e = a // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(a, 1)] if a > 1 else out
+
+
+def _field_functions(a: int) -> list:
+    """(d, basis) for each d dividing a, where the basis is orthogonal,
+    integral, and spans the functions on Z/a on which j -> j + 1 acts
+    through the cyclotomic Phi_d.
+
+    Z/a is the product of its Z/p^e (CRT), and with f = v_p(d) the basis
+    is the tensor product over p of: the constant function if f = 0,
+    else the functions of j mod p^f that sum to zero on every coset of
+    Z/p^f -> Z/p^(f-1), in the Haar basis of each coset.
+    """
+    primes = _factor(a)
     out = []
-    for block in blocks:
-        basis = make_subspace(m, [list(v) for v in block])
-        out.append((basis, all(_acts_as_scalar(mat, basis) for mat in mats)))
+    for exps in product(*(range(e + 1) for _, e in primes)):
+        d, basis, modulus = 1, [{0: 1}], 1
+        for (p, e), f in zip(primes, exps):
+            d, q = d * p**f, p**e
+            u, v = q * pow(q, -1, modulus), modulus * pow(modulus, -1, q)
+            basis = [
+                {(j * u + i * v) % (modulus * q): x * y for j, x in g.items() for i, y in h.items()}
+                for g in basis
+                for h in _prime_power_factor(p, e, f)
+            ]
+            modulus *= q
+        out.append((d, [{j: Fraction(x) for j, x in g.items()} for g in basis]))
     return out
 
 
-def _block_key(basis: SubspaceBasis):
-    supports = sorted(min(v) for v in basis.vectors)
-    return (supports[0], -basis.dimension, supports)
+def _prime_power_factor(p: int, e: int, f: int) -> list:
+    """The Phi_{p^f}-isotypic functions on Z/p^e, in an orthogonal basis."""
+    q = p**e
+    if f == 0:
+        return [dict.fromkeys(range(q), 1)]
+    step, m = p ** (f - 1), p**f
+    return [
+        {r + t * step + s * m: x for s in range(q // m) for t, x in h.items()}
+        for r in range(step)
+        for h in _haar(range(p))
+    ]
 
 
-def _split_block(powers: list, rest: list, block: list) -> list:
-    """Split span(block) into rational generalized eigenspaces of e.
+def _haar(points: range) -> list:
+    """An orthogonal basis of the functions on points that sum to zero:
+    |B| 1_A - |A| 1_B for the halves A and B, scaled to coprime entries,
+    then each half's own.  It has p log p entries on p points, a Helmert
+    basis about p^2 / 2."""
+    if len(points) < 2:
+        return []
+    a, b = points[: len(points) // 2], points[len(points) // 2 :]
+    g = gcd(len(a), len(b))
+    return [dict.fromkeys(a, len(b) // g) | dict.fromkeys(b, -len(a) // g)] + _haar(a) + _haar(b)
 
-    ``powers`` holds (e - lam)^m for each rational eigenvalue lam of the
-    m x m matrix e, and ``rest`` their product, which is invertible off
-    the rational part; the block must be e-invariant.
+
+def _basis_entries(cov: _Cover) -> int:
+    """The entries of a component's block bases.
+
+    ``_haar`` on p points has p (c + 1) - 2^c entries, c = ceil(log2 p).
+    Per p^e exactly dividing a_C the factors hold p^e entries for f = 0
+    and p^(e-1) times that for each f = 1..e; the tensor product
+    multiplies over the primes, and every fibre holds a copy.
     """
-    cols = linalg.transpose(block)  # m x d
-    pieces = []
-    for power in powers:
-        null = linalg.nullspace(linalg.mat_mul(power, cols))
-        if null:
-            pieces.append(
-                [[sum(x * v[r] for x, v in zip(coeff, block) if x) for r in range(len(cols))]
-                 for coeff in null]
-            )
-    if not pieces:
-        return [block]
-    remainder = linalg.gram_schmidt_orthogonal([linalg.mat_vec(rest, list(v)) for v in block])
-    if remainder:
-        pieces.append(remainder)
-    if sum(len(p) for p in pieces) != len(block):
-        raise AssertionError("spectral split lost dimensions")
-    return pieces
-
-
-def _acts_as_scalar(m: list, basis: SubspaceBasis) -> bool:
-    first = None
-    for v in basis.vectors:
-        w = {r: x for r, row in enumerate(m) if (x := sum(row[c] * y for c, y in v.items()))}
-        lam = _dot(w, v) / _dot(v, v)
-        if first is None:
-            first = lam
-        if lam != first or w != {c: lam * y for c, y in v.items() if lam}:
-            return False
-    return True
+    total = len(cov.place) // cov.degree
+    for p, e in _factor(cov.degree):
+        c = (p - 1).bit_length()
+        total *= p**e + e * p ** (e - 1) * (p * (c + 1) - 2**c)
+    return total
 
 
 # ---------------------------------------------------------------------------

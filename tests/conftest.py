@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from branchdyn import linalg, operators, orbits, systems, words
 from branchdyn.errors import DepthExhausted, IdentityComposition
@@ -63,6 +64,51 @@ def swap2():
 @pytest.fixture(scope="session")
 def alphabeta3():
     return systems.make_system(systems.AlphaBeta(3, (2, 4), (1, 5)))
+
+
+def injective_table(draw, n, k):
+    """branch and image dicts of a closed table on 1..n whose every branch
+    is injective."""
+    branch = {x: draw(st.integers(min_value=1, max_value=k)) for x in range(1, n + 1)}
+    image = {}
+    for b in range(1, k + 1):
+        domain = [x for x in range(1, n + 1) if branch[x] == b]
+        image.update(zip(domain, draw(st.permutations(range(1, n + 1)))))
+    return branch, image
+
+
+@st.composite
+def closed_tables(draw, max_states=12):
+    """A closed table on 1..n with injective branches, as (branch, image, k).
+
+    A random base table on m states, then one of: the base itself, a
+    random cyclic cover of it (state x + m*s on sheet s of r steps to
+    f(x) on sheet s + w(x), w drawn), a union of the base with a cover
+    of it (so components repeat), or a cycle whose labels repeat with a
+    period.
+    """
+    k = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=min(6, max_states)))
+    branch, image = injective_table(draw, m, k)
+    mode = draw(st.sampled_from(["base", "cover", "union", "cycle"]))
+    if mode == "cycle":
+        labels = draw(st.lists(st.integers(min_value=1, max_value=k), min_size=1, max_size=max_states))
+        n = len(labels) * draw(st.integers(min_value=1, max_value=max_states // len(labels)))
+        branch = {x: labels[(x - 1) % len(labels)] for x in range(1, n + 1)}
+        image = {x: x % n + 1 for x in range(1, n + 1)}
+    elif mode != "base":
+        copies = max_states // m if mode == "cover" else max_states // m - 1
+        if copies >= 1:
+            r = draw(st.integers(min_value=1, max_value=copies))
+            w = {x: draw(st.integers(min_value=0, max_value=r - 1)) for x in branch}
+            cover_branch = {x + m * s: branch[x] for x in branch for s in range(r)}
+            cover_image = {x + m * s: image[x] + m * ((s + w[x]) % r) for x in branch for s in range(r)}
+            if mode == "cover":
+                branch, image = cover_branch, cover_image
+            else:
+                branch = {**branch, **{x + m: b for x, b in cover_branch.items()}}
+                image = {**image, **{x + m: y + m for x, y in cover_image.items()}}
+    return branch, image, k
 
 
 def brute_preimages(sys, x, bound):
@@ -203,29 +249,118 @@ def integer_eigenvalues(a):
     return roots
 
 
+def _entry_classes(trunc):
+    """Classes of matrix entries tied by the commutant equations.
+
+    A M_i = M_i A and A M_i^T = M_i^T A are, entry by entry, equalities
+    between single entries of A or constraints forcing single entries to
+    0: union-find over the n^2 entry positions, with one extra zero sink,
+    leaves the indicator matrices of the surviving classes as an exact
+    basis of the commutant.  Entry (r, c) is node r*n + c; node n*n is
+    the sink.
+    """
+    n = trunc.n
+    zero = n * n
+    uf = orbits._UnionFind(zero + 1)
+
+    def pos(r, c):
+        return r * n + c
+
+    for b in range(trunc.k):
+        fwd = trunc.maps[b]
+        inv = trunc.inverse_maps[b]
+        for x in range(n):
+            fx = fwd.get(x)
+            ix = inv.get(x)
+            for w in range(n):
+                iw = inv.get(w)
+                # A M = M A entry (w, x)
+                if fx is not None and iw is not None:
+                    uf.union(pos(w, fx), pos(iw, x))
+                elif fx is not None:
+                    uf.union(pos(w, fx), zero)
+                elif iw is not None:
+                    uf.union(pos(iw, x), zero)
+                # A M^T = M^T A entry (w, x); M^T e_x = e_{inv(x)}
+                fw = fwd.get(w)
+                if ix is not None and fw is not None:
+                    uf.union(pos(w, ix), pos(fw, x))
+                elif ix is not None:
+                    uf.union(pos(w, ix), zero)
+                elif fw is not None:
+                    uf.union(pos(fw, x), zero)
+    zero_root = uf.find(zero)
+    return [
+        frozenset(divmod(p, n) for p in g)
+        for g in uf.groups()
+        if uf.find(g[0]) != zero_root
+    ]
+
+
+def _products_commute(ca, cb):
+    """Do the indicator matrices of two entry classes commute?"""
+
+    def product(left, right):
+        right_rows = {}
+        for r, c in right:
+            right_rows.setdefault(r, []).append(c)
+        out = {}
+        for r, v in left:
+            for c in right_rows.get(v, ()):
+                out[(r, c)] = out.get((r, c), 0) + 1
+        return out
+
+    return product(ca, cb) == product(cb, ca)
+
+
+def entry_class_commutant(trunc):
+    """(dimension, abelian) of the commutant by the entry-class route:
+    the number of entry classes, and whether every pair of class
+    indicators commutes."""
+    classes = _entry_classes(trunc)
+    abelian = all(
+        _products_commute(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]
+    )
+    return len(classes), abelian
+
+
+def bisimilar_pairs(trunc):
+    """Pairs of bisimilar coordinates, by naive rounds of refinement: start
+    from the labels and split by (class, class of the image, class of the
+    preimage per label) until no class splits."""
+    label = {c: b for b, fwd in enumerate(trunc.maps) for c in fwd}
+    image = {c: r for fwd in trunc.maps for c, r in fwd.items()}
+    cls = dict(label)
+    while True:
+        sig = {
+            c: (cls[c], cls[image[c]], tuple(cls.get(inv.get(c)) for inv in trunc.inverse_maps))
+            for c in range(trunc.n)
+        }
+        ids = {s: i for i, s in enumerate(sorted(set(sig.values()), key=repr))}
+        new = {c: ids[s] for c, s in sig.items()}
+        if len(ids) == len(set(cls.values())):
+            return {(c, d) for c in range(trunc.n) for d in range(trunc.n) if new[c] == new[d]}
+        cls = new
+
+
 def whole_space_commutant_blocks(trunc):
     """Joint rational spectral blocks of the commutant on the whole space.
 
     The brute-force route: every entry-class indicator and two sampled
     combinations of them act as n x n matrices, and each one splits every
     block into its rational generalized eigenspaces plus the remainder.
-    Returns (abelian, [(dimension, support, scalar), ...]); the blocks
-    are empty when the commutant is not abelian, which is decided by
-    multiplying the indicators densely.  The entry classes are the
-    library's; tests check their count against a dense nullspace.
+    Returns (abelian, [(basis, scalar), ...]); the blocks are empty when
+    ``entry_class_commutant`` finds the commutant not abelian.
     """
     n = trunc.n
-    classes = operators._entry_classes(trunc)
+    if not entry_class_commutant(trunc)[1]:
+        return False, []
     mats = []
-    for cls in classes:
+    for cls in _entry_classes(trunc):
         m = linalg.zeros(n, n)
         for r, c in cls:
             m[r][c] = Fraction(1)
         mats.append(m)
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
-            if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
-                return False, []
     extras = []
     if len(mats) > 1:
         for seed in (1, 2):
@@ -243,9 +378,7 @@ def whole_space_commutant_blocks(trunc):
     out = []
     for block in blocks:
         basis = operators.make_subspace(n, block)
-        support = tuple(sorted({c for v in basis.vectors for c in v}))
-        scalar = all(_acts_as_scalar(m, basis) for m in mats)
-        out.append((basis.dimension, support, scalar))
+        out.append((basis, all(_acts_as_scalar(m, basis) for m in mats)))
     return True, out
 
 

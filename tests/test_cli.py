@@ -34,6 +34,11 @@ FIVE_STATE = json.dumps(
     }
 )
 
+# two states that are not an interval
+TABLE_1_5 = json.dumps(
+    {"family": "table", "k": 1, "branch": {"1": 1, "5": 1}, "image": {"1": "5", "5": "1"}}
+)
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -162,6 +167,9 @@ PERIOD3_30 = json.dumps(
         ("reduce_check_collatz_w4_k124_interior.json",
          ["operators", "reduce-check", "--system", "collatz", "--window", "1..4",
           "--set-file", str(GOLDEN / "set_1_2_4.json"), "--interior-only"]),
+        ("morphism_iso_table_1_5.json",
+         ["morphism", "iso", "--source", TABLE_1_5, "--target", TABLE_1_5,
+          "--phi", '{"kind": "identity"}']),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -312,43 +320,71 @@ def test_oversized_truncation_is_exit_2(capsys, deadline):
     assert captured.err.startswith("error: window holds 1000000000 states")
 
 
-def test_oversized_commutant_is_exit_2(capsys, monkeypatch, deadline):
-    # a closed 2001-state cycle: 4004001 entries, above the entry budget
-    n = 2001
-    big_cycle = json.dumps(
+def _one_label_cycle(n):
+    return json.dumps(
         {"family": "table", "k": 1, "branch": {str(x): 1 for x in range(1, n + 1)},
          "image": {str(x): str(x % n + 1) for x in range(1, n + 1)}}
     )
+
+
+def _refused_commutant(capsys, deadline, n):
     deadline(5)
-    code = cli.main(["operators", "commutant", "--system", big_cycle])
+    code = cli.main(["operators", "commutant", "--system", _one_label_cycle(n)])
     deadline(0)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: truncation holds 2001 states")
-    monkeypatch.setattr(operators, "MAX_COMMUTANT_ENTRIES", 3)
+    return captured.err
+
+
+def test_oversized_commutant_is_exit_2(capsys, monkeypatch, deadline):
+    # the one-label 2001-cycle's block bases would hold 176,472 entries
+    assert _refused_commutant(capsys, deadline, 2001) == (
+        "error: commutant basis holds 176472 entries; at most "
+        "MAX_COMMUTANT_BASIS_ENTRIES = 100000 are built\n"
+    )
+    monkeypatch.setattr(operators, "MAX_COMMUTANT_BASIS_ENTRIES", 3)
     code = cli.main(["operators", "commutant", "--system", SWAP1])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: truncation holds 2 states, 4 matrix entries")
+    assert captured.err.startswith("error: commutant basis holds 4 entries")
+
+
+def test_one_label_2520_cycle_commutant_is_exit_2(capsys, deadline):
+    assert _refused_commutant(capsys, deadline, 2520).startswith(
+        "error: commutant basis holds 572832 entries"
+    )
+
+
+def test_commutant_lattice_size_beyond_the_int_digit_limit(capsys):
+    # 15,000 fixed points with distinct labels cover 15,000 quotient
+    # components: lattice_size = 2**15000 has 4,516 digits, more than
+    # Python writes by default
+    n = 15000
+    spec = json.dumps(
+        {"family": "table", "k": n, "branch": {str(x): x for x in range(1, n + 1)},
+         "image": {str(x): str(x) for x in range(1, n + 1)}}
+    )
+    assert cli.main(["operators", "commutant", "--system", spec]) == 0
+    digits = re.search(r'"lattice_size": (\d+)', capsys.readouterr().out).group(1)
+    assert len(digits) == 4516 and digits.endswith(str(pow(2, n, 10**9)).zfill(9))
 
 
 def test_oversized_commutant_dimension_is_exit_2(capsys, deadline):
-    # 65 fixed points on one branch: every 65 x 65 matrix commutes
+    # the id predates the closed forms: 65 fixed points on one branch give
+    # a non-abelian commutant of every 65 x 65 matrix, reported, exit 0
     fixed = json.dumps(
         {"family": "table", "k": 1, "branch": {str(x): 1 for x in range(1, 66)},
          "image": {str(x): str(x) for x in range(1, 66)}}
     )
     deadline(5)
-    code = cli.main(["operators", "commutant", "--system", fixed])
+    code, rep = run(capsys, "operators", "commutant", "--system", fixed)
     deadline(0)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (
-        "error: commutant dimension 4225 exceeds MAX_COMMUTANT_DIMENSION = 4096\n"
-    )
+    assert code == 0
+    assert rep["dimension"] == 4225 and rep["abelian"] is False
+    assert rep["nonabelian_witness"] == ["1", "2"]
+    assert rep["block_count"] == 0 and rep["lattice_size"] is None
 
 
 @pytest.mark.parametrize(
@@ -456,20 +492,18 @@ def test_operators_commutant(capsys):
     assert code == 0
     assert rep["dimension"] == 2
     assert rep["lattice_size"] == 4
-    assert rep["lattice_reason"] is None
+    assert rep["block_field"] == [1, 2]
+    assert "lattice_reason" not in rep
 
 
 def test_operators_commutant_uncertified_lattice(capsys):
-    three_cycle = json.dumps(
-        {"family": "table", "k": 1, "branch": {"1": 1, "2": 1, "3": 1},
-         "image": {"1": "2", "2": "3", "3": "1"}}
-    )
-    code, rep = run(capsys, "operators", "commutant", "--system", three_cycle)
+    # the id predates field blocks: the 3-cycle's 2-dimensional block is
+    # the field Q(zeta_3), minimal, so the lattice is counted
+    code, rep = run(capsys, "operators", "commutant", "--system", _one_label_cycle(3))
     assert code == 0
     assert rep["block_dimensions"] == [2, 1]
-    assert rep["block_scalar"] == [False, True]
-    assert rep["lattice_size"] is None
-    assert rep["lattice_reason"] == "uncertified blocks [0]"
+    assert rep["block_field"] == [3, 1]
+    assert rep["lattice_size"] == 8
 
 
 def test_operators_fixed_vectors(capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from branchdyn import coding, morphisms, operators, orbits, systems
 from branchdyn.errors import (
@@ -12,6 +14,7 @@ from branchdyn.errors import (
     PreconditionUnmet,
     WindowMismatch,
 )
+from conftest import closed_tables
 
 
 def _table(branch, image, k=None):
@@ -123,6 +126,31 @@ def test_identity_is_isomorphism(collatz):
     rep = morphisms.is_isomorphism(morphisms.identity(collatz), (1, 100))
     assert rep.passed
     assert not rep.exact  # window evidence only
+
+
+def test_identity_on_a_table_with_a_gap_is_isomorphism():
+    # the state set (1, 5) is not the interval 1..5
+    sys = _table({1: 1, 5: 1}, {1: 5, 5: 1}, k=1)
+    rep = morphisms.is_isomorphism(morphisms.identity(sys))
+    assert rep.passed and rep.exact and rep.witness is None
+
+
+@given(closed_tables(), st.data())
+def test_relabelled_closed_table_is_isomorphic(table, data):
+    # labels 3v + 5 never form an interval once there are two of them
+    branch, image, k = table
+    sys = _table(branch, image, k=k)
+    labels = data.draw(st.lists(st.integers(min_value=0, max_value=10**6), unique=True,
+                                min_size=len(branch), max_size=len(branch)))
+    perm = {x: 3 * v + 5 for x, v in zip(sorted(branch), labels)}
+    target, phi = relabeled_copy(sys, perm)
+    inverse = morphisms.Morphism(target, sys, morphisms.TableRule({y: x for x, y in perm.items()}))
+    for m in (phi, inverse):
+        rep = morphisms.is_isomorphism(m)
+        assert rep.passed and rep.exact
+    ta = operators.build_truncation(sys, None)
+    tb = operators.build_truncation(target, None)
+    assert morphisms.conjugate_unitary(phi, ta, tb).passed
 
 
 def test_swap_coding_map_is_not_injective(swap1):

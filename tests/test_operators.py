@@ -10,7 +10,11 @@ from branchdyn import coding, linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
     apply_word_adjoint,
+    bisimilar_pairs,
     branch_matrix,
+    closed_tables,
+    entry_class_commutant,
+    injective_table,
     mat_add,
     mat_scale,
     whole_space_commutant_blocks,
@@ -425,11 +429,11 @@ def test_swap_k1_commutant(swap1):
     assert rep.abelian
     assert rep.lattice_size == 4
     assert len(rep.blocks) == 2
-    spans = [b for b in rep.blocks]
+    # the swap is the deck transformation: its +1 and -1 eigenlines
     sym = {0: F(1), 1: F(1)}
     anti = {0: F(1), 1: F(-1)}
-    assert any(b.contains(sym) for b in spans)
-    assert any(b.contains(anti) for b in spans)
+    assert rep.block_field == (1, 2)
+    assert rep.blocks[0].contains(sym) and rep.blocks[1].contains(anti)
     assert dense_commutant_dimension(t) == 2
 
 
@@ -452,8 +456,9 @@ def test_twin_cycles_commutant_is_nonabelian():
     rep = operators.commutant_projections(t)
     assert rep.dimension == 4
     assert not rep.abelian
-    assert rep.nonabelian_witness is not None
+    assert rep.nonabelian_witness == (1, 3)
     assert rep.lattice_size is None
+    assert rep.blocks == () and rep.block_field == ()
     assert dense_commutant_dimension(t) == 4
     # beyond the 4 invariant sets: a cross-diagonal subspace also reduces
     cross = operators.make_subspace(
@@ -477,7 +482,7 @@ def test_two_plus_three_lattice_matches_invariant_sets():
     rep = operators.commutant_projections(t)
     assert rep.abelian and rep.dimension == 2
     assert rep.lattice_size == 4
-    assert all(rep.block_scalar)
+    assert rep.block_field == (1, 1)
     supports = sorted(
         tuple(sorted({t.states[c] for v in b.vectors for c in v})) for b in rep.blocks
     )
@@ -486,35 +491,54 @@ def test_two_plus_three_lattice_matches_invariant_sets():
 
 
 def test_period3_cycle_21_finishes(deadline):
-    # its sampled combinations have characteristic polynomials whose
-    # constant terms are far too large to trial-divide
+    # the 21-cycle covers the quotient 3-cycle 7 times: blocks for d = 7, 1
     t = operators.build_truncation(cycle(21, lambda x: x % 3 + 1), None)
     deadline(10)
     rep = operators.commutant_projections(t)
     assert rep.dimension == 7 and rep.abelian
     assert [b.dimension for b in rep.blocks] == [18, 3]
-    assert rep.block_scalar == (False, True)
-    assert rep.lattice_size is None
-    assert rep.lattice_reason == "uncertified blocks [0]"
+    assert rep.block_field == (7, 1)
+    assert rep.lattice_size == 2**7
+
+
+def test_period3_cycle_45_blocks(deadline):
+    t = operators.build_truncation(cycle(45, lambda x: x % 3 + 1), None)
+    deadline(5)
+    rep = operators.commutant_projections(t)
+    assert rep.dimension == 15 and rep.abelian
+    assert [b.dimension for b in rep.blocks] == [24, 12, 6, 3]
+    assert rep.block_field == (15, 5, 3, 1)
 
 
 def test_single_branch_3_cycle_lattice_is_uncertified():
-    # the rotation acts on the 2-dimensional block without a rational
-    # eigenvector: the block reduces but is not certified minimal
+    # the id predates field blocks: the rotation acts on the 2-dimensional
+    # block as Q(zeta_3), a field, so the block is minimal and certified
     t = operators.build_truncation(cycle(3, lambda x: 1), None)
     rep = operators.commutant_projections(t)
     assert [b.dimension for b in rep.blocks] == [2, 1]
-    assert rep.block_scalar == (False, True)
-    assert rep.lattice_size is None
+    assert rep.block_field == (3, 1)
+    assert rep.lattice_size == 8
 
 
 def test_single_branch_12_cycle_lattice_is_uncertified():
+    # the id predates field blocks: one certified block per d dividing 12
     t = operators.build_truncation(cycle(12, lambda x: 1), None)
     rep = operators.commutant_projections(t)
     assert rep.dimension == 12 and rep.abelian
     assert [b.dimension for b in rep.blocks] == [4, 2, 2, 2, 1, 1]
-    assert rep.lattice_size is None
-    assert rep.lattice_reason == "uncertified blocks [0, 1, 2, 3]"
+    assert rep.block_field == (12, 3, 4, 6, 1, 2)
+    assert rep.lattice_size == 2**12
+
+
+def test_single_branch_1200_cycle(deadline):
+    # 1200 = 2^4 * 3 * 5^2 has 30 divisors: one block each, 92,800 basis entries
+    t = operators.build_truncation(cycle(1200, lambda x: 1), None)
+    deadline(5)
+    rep = operators.commutant_projections(t)
+    assert rep.dimension == 1200 and rep.abelian
+    assert len(rep.blocks) == 30
+    assert sum(len(v) for b in rep.blocks for v in b.vectors) == 92800
+    assert sorted(rep.block_field) == [d for d in range(1, 1201) if 1200 % d == 0]
 
 
 def test_injective_50_cycle_is_one_scalar_block():
@@ -522,16 +546,18 @@ def test_injective_50_cycle_is_one_scalar_block():
     rep = operators.commutant_projections(t)
     assert rep.dimension == 1
     assert [b.dimension for b in rep.blocks] == [50]
-    assert rep.block_scalar == (True,)
+    assert rep.block_field == (1,)
     assert rep.lattice_size == 2
-    assert rep.lattice_reason is None
 
 
 def test_nonabelian_lattice_reason():
-    rep = operators.commutant_projections(
-        operators.build_truncation(twin_two_cycles(), None)
-    )
-    assert rep.lattice_reason == "nonabelian"
+    # the id predates the witness states: the lattice is not counted, and
+    # the witness is two bisimilar states in different components
+    t = operators.build_truncation(twin_two_cycles(), None)
+    rep = operators.commutant_projections(t)
+    assert rep.lattice_size is None
+    assert rep.nonabelian_witness == (1, 3)  # the components are {1, 2} and {3, 4}
+    assert (t.index[1], t.index[3]) in bisimilar_pairs(t)
 
 
 @st.composite
@@ -539,33 +565,53 @@ def injective_tables(draw, max_states=9):
     """A closed table on 1..n whose every branch is injective."""
     n = draw(st.integers(min_value=1, max_value=max_states))
     k = draw(st.integers(min_value=1, max_value=3))
-    branch = {x: draw(st.integers(min_value=1, max_value=k)) for x in range(1, n + 1)}
-    image = {}
-    for b in range(1, k + 1):
-        domain = [x for x in range(1, n + 1) if branch[x] == b]
-        targets = draw(st.permutations(range(1, n + 1)))
-        image.update(zip(domain, targets))
-    return _table(branch, image, k=k)
+    return _table(*injective_table(draw, n, k), k=k)
+
+
+def assert_commutant_matches_oracles(t):
+    """The covering route against the entry-class and whole-space routes."""
+    rep = operators.commutant_projections(t)
+    assert (rep.dimension, rep.abelian) == entry_class_commutant(t)
+    if t.n <= 6:
+        assert rep.dimension == dense_commutant_dimension(t)
+    abelian, blocks = whole_space_commutant_blocks(t)
+    assert rep.abelian == abelian
+    if not abelian:
+        x, y = (t.index[s] for s in rep.nonabelian_witness)
+        assert (x, y) in bisimilar_pairs(t)
+        comp_of = {c: i for i, comp in enumerate(operators._components(t)) for c in comp}
+        assert comp_of[x] != comp_of[y]
+        assert rep.blocks == () and rep.lattice_size is None
+        return
+    # the same blocks as subspaces; a block is scalar exactly when d <= 2
+    assert len(rep.blocks) == len(blocks)
+    for b, d in zip(rep.blocks, rep.block_field):
+        same = [
+            scalar
+            for o, scalar in blocks
+            if o.dimension == b.dimension
+            and all(o.contains(v) for v in b.vectors)
+            and all(b.contains(v) for v in o.vectors)
+        ]
+        assert same == [d <= 2]
+    # the budget's closed-form count is the number of entries built
+    built = sum(len(v) for b in rep.blocks for v in b.vectors)
+    assert built == sum(operators._basis_entries(cov) for cov in operators._covers(t))
+    heads = [(min(c for v in b.vectors for c in v), -b.dimension, d)
+             for b, d in zip(rep.blocks, rep.block_field)]
+    assert heads == sorted(heads)
+    assert rep.lattice_size == 2**rep.dimension
 
 
 @given(injective_tables())
 def test_commutant_matches_whole_space_oracle(sys):
-    t = operators.build_truncation(sys, None)
-    rep = operators.commutant_projections(t)
-    abelian, blocks = whole_space_commutant_blocks(t)
-    assert rep.dimension == dense_commutant_dimension(t)
-    assert rep.abelian == abelian
-    got = [
-        (b.dimension, tuple(sorted({c for v in b.vectors for c in v})), s)
-        for b, s in zip(rep.blocks, rep.block_scalar)
-    ]
-    # same blocks; the order may differ only between blocks that tie on
-    # (first support coordinate, dimension), where it follows basis vectors
-    assert sorted(got) == sorted(blocks)
-    heads = [(support[0], -dim) for dim, support, _ in got]
-    assert heads == sorted(heads)
-    certified = abelian and all(s for _, _, s in blocks)
-    assert rep.lattice_size == (2 ** len(blocks) if certified else None)
+    assert_commutant_matches_oracles(operators.build_truncation(sys, None))
+
+
+@given(closed_tables(max_states=10))
+def test_commutant_matches_entry_class_oracle(table):
+    branch, image, k = table
+    assert_commutant_matches_oracles(operators.build_truncation(_table(branch, image, k=k), None))
 
 
 def test_commutant_requires_closed_system(collatz):
@@ -575,30 +621,41 @@ def test_commutant_requires_closed_system(collatz):
 
 
 def test_commutant_entry_budget(swap1, monkeypatch, deadline):
-    # 2001^2 = 4004001 entries: refused before the n^2 union-find exists
+    # the basis of the 2001-cycle (3 * 23 * 29) would hold 176,472 entries:
+    # refused before any vector is built
     t = operators.build_truncation(cycle(2001, lambda x: 1), None)
     deadline(5)
-    with pytest.raises(InvalidSpec, match="2001 states, 4004001 matrix entries"):
+    with pytest.raises(InvalidSpec, match="^commutant basis holds 176472 entries; at most "
+                       "MAX_COMMUTANT_BASIS_ENTRIES = 100000 are built$"):
         operators.commutant_projections(t)
     deadline(0)
-    monkeypatch.setattr(operators, "MAX_COMMUTANT_ENTRIES", 4)
+    # the swap's two blocks hold 4 entries, the 3-cycle's 8
+    monkeypatch.setattr(operators, "MAX_COMMUTANT_BASIS_ENTRIES", 4)
     assert operators.commutant_projections(operators.build_truncation(swap1, None)).dimension == 2
-    with pytest.raises(InvalidSpec, match="commutant ties at most 4"):
+    with pytest.raises(InvalidSpec, match="commutant basis holds 8 entries"):
         operators.commutant_projections(
             operators.build_truncation(cycle(3, lambda x: 1), None)
         )
 
 
+def test_commutant_basis_budget_refuses_2520_cycle(deadline):
+    t = operators.build_truncation(cycle(2520, lambda x: 1), None)
+    deadline(5)
+    with pytest.raises(InvalidSpec, match="commutant basis holds 572832 entries"):
+        operators.commutant_projections(t)
+
+
 def test_commutant_dimension_budget(deadline):
-    # 65 fixed points on one branch: all 65^2 entries are free classes
+    # no dimension budget: 65 fixed points on one branch are 65 bisimilar
+    # components, a non-abelian commutant of all 65^2 matrices, built as
+    # a report without blocks
     t = operators.build_truncation(
         _table({x: 1 for x in range(1, 66)}, {x: x for x in range(1, 66)}, k=1), None
     )
     deadline(5)
-    with pytest.raises(
-        InvalidSpec, match="^commutant dimension 4225 exceeds MAX_COMMUTANT_DIMENSION = 4096$"
-    ):
-        operators.commutant_projections(t)
+    rep = operators.commutant_projections(t)
+    assert rep.dimension == 4225 and not rep.abelian
+    assert rep.nonabelian_witness == (1, 2)
 
 
 # -- fixed vectors ------------------------------------------------------------------
