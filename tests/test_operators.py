@@ -568,11 +568,14 @@ def injective_tables(draw, max_states=9):
     return _table(*injective_table(draw, n, k), k=k)
 
 
-def assert_commutant_matches_oracles(t):
-    """The covering route against the entry-class and whole-space routes."""
+def assert_commutant_matches_oracles(t, dense_max_states):
+    """The covering route against the entry-class and whole-space routes.
+
+    The dense nullspace oracle runs on tables of at most `dense_max_states`.
+    """
     rep = operators.commutant_projections(t)
     assert (rep.dimension, rep.abelian) == entry_class_commutant(t)
-    if t.n <= 6:
+    if t.n <= dense_max_states:
         assert rep.dimension == dense_commutant_dimension(t)
     abelian, blocks = whole_space_commutant_blocks(t)
     assert rep.abelian == abelian
@@ -605,13 +608,15 @@ def assert_commutant_matches_oracles(t):
 
 @given(injective_tables())
 def test_commutant_matches_whole_space_oracle(sys):
-    assert_commutant_matches_oracles(operators.build_truncation(sys, None))
+    # every table drawn (1 to 9 states) meets the dense nullspace oracle
+    assert_commutant_matches_oracles(operators.build_truncation(sys, None), dense_max_states=9)
 
 
 @given(closed_tables(max_states=10))
 def test_commutant_matches_entry_class_oracle(table):
     branch, image, k = table
-    assert_commutant_matches_oracles(operators.build_truncation(_table(branch, image, k=k), None))
+    assert_commutant_matches_oracles(
+        operators.build_truncation(_table(branch, image, k=k), None), dense_max_states=6)
 
 
 def test_commutant_requires_closed_system(collatz):
