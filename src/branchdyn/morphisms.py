@@ -163,7 +163,7 @@ def check_homomorphism(phi: Morphism, window) -> HomReport:
     win = as_window(phi.source, window)
     violations = []
     checked = 0
-    for x in win:
+    for x in win.materialize():
         checked += 1
         try:
             y = phi(x)
@@ -299,8 +299,9 @@ def verify_tuc_iso(sys: DynamicalSystem, window, cap: int = 2**10) -> TucIsoRepo
             f"coding not injective on the window: {len(tuc.undistinguished)} "
             "groups undistinguished"
         )
+    states = win.materialize()
     finite_closed = (
-        isinstance(sys.spec, FiniteTable) and set(win) == set(sys.states())
+        isinstance(sys.spec, FiniteTable) and set(states) == set(sys.states())
     )
     if finite_closed:
         n = len(sys.states())
@@ -308,7 +309,7 @@ def verify_tuc_iso(sys: DynamicalSystem, window, cap: int = 2**10) -> TucIsoRepo
             source=sys, target=symbolic_model(sys), rule=CodingRule(cap=n + 1)
         )
         hom = check_homomorphism(phi, win)
-        codes = [phi(x) for x in win]
+        codes = [phi(x) for x in states]
         injective = len(set(codes)) == len(codes)
         return TucIsoReport(
             window=win.describe(),
@@ -320,7 +321,7 @@ def verify_tuc_iso(sys: DynamicalSystem, window, cap: int = 2**10) -> TucIsoRepo
             detail="coding map verified as an isomorphism onto its image",
         )
     length = min(cap, 64)
-    for x in win:
+    for x in states:
         a = coding_prefix(sys, x, length + 1).symbols
         b = coding_prefix(sys, sys.apply(x), length).symbols
         if a[1:] != b:

@@ -38,7 +38,7 @@ from . import linalg
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from .coding import CodingPrefix
 from .orbits import _UnionFind
-from .systems import DynamicalSystem, as_window
+from .systems import DynamicalSystem, _primitive_period, as_window
 from .words import check_word
 
 F0 = Fraction(0)
@@ -584,22 +584,6 @@ def _covers(trunc: Truncation) -> list:
         key = tuple(types[start:period] + types[:start])
         covers.append(_Cover(place, period, len(cycle) // period, key, cycle[start]))
     return covers
-
-
-def _primitive_period(seq: list) -> int:
-    """The least p dividing len(seq) with seq[j] = seq[(j + p) mod len(seq)]:
-    the least period of the word, from the Knuth-Morris-Pratt failure
-    function, when it divides the length (Fine and Wilf), else the length."""
-    fail = [0] * len(seq)
-    k = 0
-    for j in range(1, len(seq)):
-        while k and seq[j] != seq[k]:
-            k = fail[k - 1]
-        if seq[j] == seq[k]:
-            k += 1
-        fail[j] = k
-    p = len(seq) - fail[-1]
-    return p if len(seq) % p == 0 else len(seq)
 
 
 def _least_rotation(seq: list) -> int:

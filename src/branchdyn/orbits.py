@@ -88,7 +88,7 @@ def invariant_closure(sys, seeds, window, node_budget: int = 10**6) -> TotalOrbi
     seeds = tuple(s for s in seeds)
     for s in seeds:
         if not win.contains(s):
-            raise ValueError(f"seed {s!r} is outside the window")
+            raise InvalidSpec(f"seed {s!r} is outside the window")
     members = set(seeds)
     queue = deque(dict.fromkeys(seeds))
     for s in queue:

@@ -36,12 +36,21 @@ from .errors import InvalidSpec, NonInjectiveBranch, NotAffineFamily, OutOfDomai
 State = Any
 
 
-def _primitive_period(per: tuple) -> tuple:
-    n = len(per)
-    for p in range(1, n + 1):
-        if n % p == 0 and per == per[:p] * (n // p):
-            return per[:p]
-    return per
+def _primitive_period(seq) -> int:
+    """The least p dividing len(seq) with seq[j] = seq[(j + p) mod len(seq)],
+    for a nonempty seq: the least period of the word, from the
+    Knuth-Morris-Pratt failure function, when it divides the length (Fine
+    and Wilf), else the length."""
+    fail = [0] * len(seq)
+    k = 0
+    for j in range(1, len(seq)):
+        while k and seq[j] != seq[k]:
+            k = fail[k - 1]
+        if seq[j] == seq[k]:
+            k += 1
+        fail[j] = k
+    p = len(seq) - fail[-1]
+    return p if len(seq) % p == 0 else len(seq)
 
 
 @dataclass(frozen=True, order=True)
@@ -58,10 +67,10 @@ class EventuallyPeriodic:
 
     @staticmethod
     def make(pre: Iterable, per: Iterable) -> "EventuallyPeriodic":
-        pre = tuple(pre)
-        per = _primitive_period(tuple(per))
+        pre, per = tuple(pre), tuple(per)
         if not per:
             raise InvalidSpec("period part must be nonempty")
+        per = per[: _primitive_period(per)]
         while pre and pre[-1] == per[-1]:
             per = (per[-1],) + per[:-1]
             pre = pre[:-1]
@@ -307,15 +316,11 @@ class DynamicalSystem:
             for x, y in image.items():
                 if y not in self._state_set:
                     raise InvalidSpec(f"image {y!r} of {x!r} escapes the state set")
-            seen = {}
-            for x in spec.states:
-                key = (branch[x], image[x])
-                if key in seen:
-                    raise NonInjectiveBranch(
-                        f"branch {key[0]}: states {seen[key]!r} and {x!r} "
-                        f"share image {key[1]!r}"
-                    )
-                seen[key] = x
+            clashes = _collisions(spec.states, branch.__getitem__, image.__getitem__)
+            for i, x, y, fx in clashes:
+                raise NonInjectiveBranch(
+                    f"branch {i}: states {x!r} and {y!r} share image {fx!r}"
+                )
         elif spec.k < 1:  # SymbolicShift
             raise InvalidSpec("need k >= 1")
 
@@ -394,6 +399,18 @@ def make_system(spec) -> DynamicalSystem:
     return DynamicalSystem(spec)
 
 
+def _collisions(states, branch, image) -> Iterator:
+    """(branch, first state, later state, shared image) for each state whose
+    branch and image repeat those of an earlier state."""
+    first: dict = {}
+    for x in states:
+        key = (branch(x), image(x))
+        if key in first:
+            yield key[0], first[key], x, key[1]
+        else:
+            first[key] = x
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -403,19 +420,18 @@ MAX_WINDOW_STATES = 10**6
 
 
 class Window:
-    """A finite set of states used to truncate an infinite computation."""
+    """A finite set of states used to truncate an infinite computation.
+
+    ``materialize`` is the one way to list the states, so every scan
+    shares its MAX_WINDOW_STATES budget.
+    """
 
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
-
-    def __iter__(self) -> Iterator:
+    def _states(self) -> Iterable:
+        """The states in window order, unbudgeted."""
         raise NotImplementedError
-
-    def __len__(self) -> int:
-        return self.size()
 
     def size(self) -> int:
         """The number of states; unlike len(), not capped at sys.maxsize."""
@@ -428,7 +444,7 @@ class Window:
                 f"window holds {self.size()} states; at most "
                 f"MAX_WINDOW_STATES = {MAX_WINDOW_STATES} are materialised"
             )
-        return tuple(self)
+        return tuple(self._states())
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -445,8 +461,8 @@ class IntWindow(Window):
     def contains(self, x) -> bool:
         return isinstance(x, int) and self.lo <= x <= self.hi
 
-    def __iter__(self):
-        return iter(range(self.lo, self.hi + 1))
+    def _states(self):
+        return range(self.lo, self.hi + 1)
 
     def size(self):
         return self.hi - self.lo + 1
@@ -468,8 +484,8 @@ class SetWindow(Window):
     def contains(self, x) -> bool:
         return x in self._set
 
-    def __iter__(self):
-        return iter(self._order)
+    def _states(self):
+        return self._order
 
     def size(self):
         return len(self._set)
@@ -479,7 +495,9 @@ class SetWindow(Window):
 
 
 def as_window(sys: DynamicalSystem, window) -> Window:
-    """Coerce (lo, hi) pairs, iterables, or None (full finite table)."""
+    """A Window as given; None as a finite table's whole state set; an int
+    pair (lo, hi) as IntWindow(lo, hi).  A set of states must come as a
+    SetWindow: any other value is refused rather than guessed at."""
     if isinstance(window, Window):
         return window
     if window is None:
@@ -490,7 +508,10 @@ def as_window(sys: DynamicalSystem, window) -> Window:
         and all(isinstance(v, int) for v in window)
     ):
         return IntWindow(*window)
-    return SetWindow(window)
+    raise InvalidSpec(
+        f"a window is a Window, None or an int pair (lo, hi), not a "
+        f"{type(window).__name__}; wrap a set of states in SetWindow"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +534,13 @@ def verify_bounded_condition(sys: DynamicalSystem, window) -> BoundedConditionRe
     whose validation was skipped.
     """
     win = as_window(sys, window)
-    seen: dict = {}
-    violations = []
-    count = 0
-    for x in win.materialize():
-        count += 1
-        key = (sys.branch_of(x), sys.apply(x))
-        if key in seen:
-            violations.append((key[0], seen[key], x, key[1]))
-        else:
-            seen[key] = x
+    states = win.materialize()
+    violations = tuple(_collisions(states, sys.branch_of, sys.apply))
     return BoundedConditionReport(
         passed=not violations,
         window=win.describe(),
-        states_checked=count,
-        violations=tuple(violations),
+        states_checked=len(states),
+        violations=violations,
     )
 
 

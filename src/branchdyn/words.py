@@ -37,8 +37,8 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
-from .orbits import canonical_cycle
-from .systems import DynamicalSystem, FiniteTable
+from .orbits import orbit_iterate
+from .systems import DynamicalSystem, FiniteTable, _primitive_period
 
 Word = tuple
 
@@ -54,15 +54,8 @@ def check_word(word: Iterable, k: int) -> Word:
 
 
 def is_aperiodic(word: Word) -> bool:
-    """True unless the word is a proper power of a shorter word."""
-    word = tuple(word)
-    m = len(word)
-    if m == 0:
-        return False
-    for p in range(1, m):
-        if m % p == 0 and word == word[:p] * (m // p):
-            return False
-    return True
+    """True unless the word is empty or a proper power of a shorter word."""
+    return bool(word) and _primitive_period(word) == len(word)
 
 
 def lyndon_words(k: int, max_len: int) -> Iterator[Word]:
@@ -261,12 +254,7 @@ def enumerate_cycles(sys: DynamicalSystem, max_len: int) -> CycleSearchReport:
             continue
         if x is None:
             continue
-        cyc = [x]
-        cur = sys.apply(x)
-        while cur != x:
-            cyc.append(cur)
-            cur = sys.apply(cur)
-        cyc = canonical_cycle(cyc)
+        cyc = orbit_iterate(sys, x, len(word)).cycle
         if cyc not in found:
             found[cyc] = CycleRecord(
                 cycle=cyc, word=tuple(sys.branch_of(s) for s in cyc)
@@ -303,29 +291,24 @@ class SeparatingReport:
 def check_separating(sys: DynamicalSystem, x, cap: int) -> SeparatingReport:
     """Is x periodic with an aperiodic branch word?
 
-    Iterates up to ``cap`` steps looking for the first return to x; the
-    branch word of one full period is then tested for being a proper
-    power.  A non-return within the cap is reported, not an error.
+    Follows the orbit of x for up to ``cap`` steps; x is periodic when
+    the first repeat is a return to x itself, and the branch word of that
+    period is then tested for being a proper power.  A non-return within
+    the cap is reported, not an error.
     """
-    if cap < 0:
-        raise InvalidSpec(f"need cap >= 0, got {cap}")
-    cur = x
-    word = []
-    for _ in range(cap):
-        word.append(sys.branch_of(cur))
-        cur = sys.apply(cur)
-        if cur == x:
-            w = tuple(word)
-            return SeparatingReport(
-                start=x,
-                cap=cap,
-                periodic=True,
-                period=len(w),
-                word=w,
-                aperiodic=is_aperiodic(w),
-            )
+    rec = orbit_iterate(sys, x, cap)
+    if rec.entry_index != 0:
+        return SeparatingReport(
+            start=x, cap=cap, periodic=False, period=0, word=(), aperiodic=False
+        )
+    w = tuple(sys._branch(s) for s in rec.trajectory)
     return SeparatingReport(
-        start=x, cap=cap, periodic=False, period=0, word=(), aperiodic=False
+        start=x,
+        cap=cap,
+        periodic=True,
+        period=len(w),
+        word=w,
+        aperiodic=is_aperiodic(w),
     )
 
 

@@ -111,6 +111,16 @@ def closed_tables(draw, max_states=12):
     return branch, image, k
 
 
+def brute_primitive_period(seq) -> int:
+    """The least p dividing len(seq) with seq == seq[:p] * (len(seq) // p),
+    trying every p; independent of the KMP failure function."""
+    n = len(seq)
+    for p in range(1, n + 1):
+        if n % p == 0 and seq == seq[:p] * (n // p):
+            return p
+    raise ValueError("empty sequence")
+
+
 def brute_preimages(sys, x, bound):
     """Scan every y <= bound for f(y) = x; independent of preimages()."""
     out = []

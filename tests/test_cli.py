@@ -298,8 +298,10 @@ def test_negative_state_is_exit_2(capsys):
         ["tuc-scan", "--system", FIVE_STATE, "--window", "1..10"],
         ["operators", "build", "--system", FIVE_STATE, "--window", "1..10"],
         ["operators", "pm-limit", "--system", FIVE_STATE, "--window", "1..10"],
+        ["check", "separating", "--system", "collatz", "--x", "0", "--cap", "0"],
     ],
-    ids=["orbit", "code", "total-orbit", "minimality", "tuc-scan", "build", "pm-limit"],
+    ids=["orbit", "code", "total-orbit", "minimality", "tuc-scan", "build", "pm-limit",
+         "separating"],
 )
 def test_bad_entry_state_is_exit_2(capsys, argv):
     code = cli.main(argv)
@@ -318,6 +320,18 @@ def test_oversized_truncation_is_exit_2(capsys, deadline):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: window holds 1000000000 states")
+
+
+def test_oversized_morphism_check_is_exit_2(capsys, deadline):
+    # the homomorphism scan lists its window under the same state budget
+    deadline(5)
+    code = cli.main(["morphism", "check", "--source", "collatz", "--target", "collatz",
+                     "--phi", '{"kind": "identity"}', "--window", f"1..{10**12}"])
+    deadline(0)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: window holds {10**12} states")
 
 
 def _one_label_cycle(n):
@@ -841,6 +855,8 @@ def set_dir(tmp_path_factory):
 @example(argv=["minimality", "--system", SWAP1])
 @example(argv=["total-orbit", "--system", SWAP1, "--x", "1"])
 @example(argv=["operators", "reduce-check", "--system", SWAP1, "--set-file", "five.json"])
+@example(argv=["morphism", "check", "--source", "collatz", "--target", "collatz",
+               "--phi", '{"kind": "identity"}', "--window", f"1..{10**12}"])
 def test_cli_fuzz(deadline, set_dir, argv):
     argv = [str(set_dir / a) if a in SET_FILES else a for a in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -90,7 +90,9 @@ def per_branch_truncation(sys, states):
     return out
 
 
-@pytest.mark.parametrize("window", [(1, 300), (40, 90), [2, 4, 8, 3, 10, 5, 16]])
+@pytest.mark.parametrize(
+    "window", [(1, 300), (40, 90), systems.SetWindow([2, 4, 8, 3, 10, 5, 16])]
+)
 def test_one_pass_truncation_matches_per_branch_build(collatz, alphabeta3, window):
     for sys in (collatz, alphabeta3):
         states = operators.build_truncation(sys, window).states
@@ -109,12 +111,12 @@ def test_truncation_state_budget(collatz, monkeypatch, deadline):
     monkeypatch.setattr(systems, "MAX_WINDOW_STATES", 5)
     assert operators.build_truncation(collatz, (1, 5)).n == 5
     with pytest.raises(InvalidSpec):
-        operators.build_truncation(collatz, [1, 2, 3, 4, 5, 6])
+        operators.build_truncation(collatz, systems.SetWindow(range(1, 7)))
 
 
 def test_branch_window_disjoint(collatz):
     # a window of even numbers never meets the odd branch
-    t = operators.build_truncation(collatz, [2, 4, 8])
+    t = operators.build_truncation(collatz, systems.SetWindow([2, 4, 8]))
     assert t.maps[0] == {}
     assert branch_matrix(t, 1) == linalg.zeros(3, 3)
 
@@ -719,7 +721,7 @@ def test_fixed_vectors_match_the_nullspace_oracle(sys, data):
     # on a random sub-window the word's index map has chains as well as cycles
     states = sys.states()
     window = data.draw(st.sets(st.sampled_from(states), min_size=1))
-    t = operators.build_truncation(sys, window)
+    t = operators.build_truncation(sys, systems.SetWindow(window))
     word = data.draw(st.lists(st.integers(1, t.k), min_size=1, max_size=4))
     rep = operators.fixed_vectors_of_word(t, word)
     dense = nullspace_fixed_vectors(t, word)

@@ -86,6 +86,12 @@ def test_closure_of_empty_seed(collatz):
     assert rep.frontier == frozenset()
 
 
+def test_closure_refuses_a_seed_outside_the_window(collatz, swap1):
+    for sys, seed, window in ((collatz, 5, (1, 4)), (swap1, 3, None)):
+        with pytest.raises(InvalidSpec, match=f"^seed {seed} is outside the window$"):
+            orbits.invariant_closure(sys, [1, seed], window)
+
+
 def test_collatz_closure_from_3(collatz):
     rep = orbits.invariant_closure(collatz, [3], window=(1, 30))
     for x in (3, 10, 5, 16, 8, 4, 2, 1, 6, 12, 24, 20):

@@ -11,7 +11,7 @@ from branchdyn.errors import (
     OutOfDomain,
 )
 
-from conftest import brute_preimages, preimage_scan_bound
+from conftest import brute_preimages, brute_primitive_period, preimage_scan_bound
 
 
 # -- construction and validation -------------------------------------------
@@ -192,6 +192,9 @@ WINDOW_SCANS = {
     "check_alphabeta_hypotheses": coding.check_alphabeta_hypotheses,
     "minimality_probe": orbits.minimality_probe,
     "is_isomorphism": lambda sys, w: morphisms.is_isomorphism(morphisms.identity(sys), w),
+    "check_homomorphism": lambda sys, w: morphisms.check_homomorphism(
+        morphisms.identity(sys), w
+    ),
     "build_truncation": operators.build_truncation,
 }
 
@@ -200,10 +203,18 @@ WINDOW_SCANS = {
 def test_window_scans_share_the_state_budget(collatz, monkeypatch, scan):
     monkeypatch.setattr(systems, "MAX_WINDOW_STATES", 5)
     WINDOW_SCANS[scan](collatz, (1, 5))
-    WINDOW_SCANS[scan](collatz, [2, 4, 6, 8, 10])
-    for window in ((1, 6), [2, 4, 6, 8, 10, 12]):
+    WINDOW_SCANS[scan](collatz, systems.SetWindow([2, 4, 6, 8, 10]))
+    for window in ((1, 6), systems.SetWindow([2, 4, 6, 8, 10, 12])):
         with pytest.raises(InvalidSpec, match="^window holds 6 states; at most MAX_WINDOW_STATES = 5"):
             WINDOW_SCANS[scan](collatz, window)
+
+
+@pytest.mark.parametrize(
+    "window", [[1, 2], {1, 2}, "1..2", ("a", "b"), (1.0, 2.0), (1, 2, 3)], ids=repr
+)
+def test_as_window_refuses_anything_but_a_window_none_or_an_int_pair(collatz, window):
+    with pytest.raises(InvalidSpec, match="wrap a set of states in SetWindow$"):
+        systems.as_window(collatz, window)
 
 
 def test_window_size_beyond_sys_maxsize():
@@ -224,6 +235,23 @@ def test_eventually_periodic_normalization():
     c = systems.EventuallyPeriodic.make((), (1, 2, 2))
     d = systems.EventuallyPeriodic.make((1,), (2, 2, 1))
     assert c == d  # same sequence, different presentation
+
+
+symbols = st.lists(st.integers(1, 2), max_size=6).map(tuple)
+powers = st.tuples(symbols.filter(bool), st.integers(1, 4)).map(lambda t: t[0] * t[1])
+
+
+@given(symbols, powers | symbols.filter(bool))
+def test_primitive_period_matches_the_brute_force_oracle(pre, per):
+    p = brute_primitive_period(per)
+    assert systems._primitive_period(per) == p
+    assert words.is_aperiodic(per) == (p == len(per))
+    # the normal form: the same sequence, a primitive period, the shortest head
+    x = systems.EventuallyPeriodic.make(pre, per)
+    n = len(pre) + len(per)
+    assert x.prefix(n) == (pre + per * n)[:n]
+    assert brute_primitive_period(x.per) == len(x.per)
+    assert not x.pre or x.pre[-1] != x.per[-1]
 
 
 def test_eventually_periodic_shift_and_prefix():
@@ -389,19 +417,24 @@ def test_shift_kernels_agree_with_public_methods(pre, per):
 SWAP = systems.FiniteTable.make({"a": 1, "b": 1}, {"a": "b", "b": "a"})
 
 
+def _at(x):
+    return systems.SetWindow([x])
+
+
 ENTRY_LOOPS = {
     "orbit_iterate": lambda sys, x: orbits.orbit_iterate(sys, x, 10),
-    "minimality_probe": lambda sys, x: orbits.minimality_probe(sys, [x]),
-    "invariant_closure": lambda sys, x: orbits.invariant_closure(sys, [x], [x]),
-    "verify_tuc_window": lambda sys, x: coding.verify_tuc_window(sys, [x]),
+    "check_separating": lambda sys, x: words.check_separating(sys, x, 10),
+    "minimality_probe": lambda sys, x: orbits.minimality_probe(sys, _at(x)),
+    "invariant_closure": lambda sys, x: orbits.invariant_closure(sys, [x], _at(x)),
+    "verify_tuc_window": lambda sys, x: coding.verify_tuc_window(sys, _at(x)),
     "coding_prefix": lambda sys, x: coding.coding_prefix(sys, x, 4),
     "distinguishing_prefix_length": lambda sys, x: coding.distinguishing_prefix_length(
         sys, x, 3 if sys.is_affine else "a", 8
     ),
     "check_alphabeta_hypotheses": lambda sys, x: coding.check_alphabeta_hypotheses(
-        sys, [x]
+        sys, _at(x)
     ),
-    "build_truncation": lambda sys, x: operators.build_truncation(sys, [x]),
+    "build_truncation": lambda sys, x: operators.build_truncation(sys, _at(x)),
 }
 
 BAD_ENTRIES = {
@@ -430,7 +463,7 @@ def test_loops_reject_a_bad_entry_state(loop, case):
 
 
 def _pm_limit(sys, x):
-    window = [1, 2, 3] if sys.is_affine else sys.states()
+    window = systems.SetWindow([1, 2, 3] if sys.is_affine else sys.states())
     trunc = operators.build_truncation(sys, window)
     return operators.verify_pm_limit(trunc, {0: 1}, x)
 
@@ -450,9 +483,10 @@ def test_entry_state_is_checked_before_any_step():
     for run in (
         lambda: orbits.orbit_iterate(collatz, 0, 0),
         lambda: coding.coding_prefix(collatz, 0, 0),
-        lambda: coding.verify_tuc_window(collatz, [0], cap=0),
-        lambda: coding.check_alphabeta_hypotheses(collatz, [4.0], horizon=0),
-        lambda: orbits.invariant_closure(collatz, [0], [0], node_budget=0),
+        lambda: words.check_separating(collatz, 0, 0),
+        lambda: coding.verify_tuc_window(collatz, _at(0), cap=0),
+        lambda: coding.check_alphabeta_hypotheses(collatz, _at(4.0), horizon=0),
+        lambda: orbits.invariant_closure(collatz, [0], _at(0), node_budget=0),
     ):
         with pytest.raises(OutOfDomain):
             run()

@@ -35,6 +35,7 @@ def test_aperiodicity_frozen():
     assert not words.is_aperiodic((1, 2, 1, 2))
     assert words.is_aperiodic((1,))
     assert not words.is_aperiodic((2, 2))
+    assert not words.is_aperiodic(())
 
 
 @given(short_words)
