@@ -220,8 +220,7 @@ def check_aperiodic_cycle_words() -> CheckResult:
                 failures.append(f"cycle {r.cycle}: word {wrep.word} periodic")
             if r.word is not None and not words.is_aperiodic(r.word):
                 failures.append(f"word {r.word} periodic")
-            parity = tuple(s % 2 for s in r.cycle)
-            if not words.is_aperiodic(parity):
+            if not wrep.parity_aperiodic:
                 failures.append(f"cycle {r.cycle}: parity tuple periodic")
     return _result(
         5,

@@ -274,25 +274,6 @@ class ResidueTower:
         return self.value % self.k
 
 
-_SET_K = ResidueTower.k.__set__
-_SET_DEPTH = ResidueTower.depth.__set__
-_SET_VALUE = ResidueTower.value.__set__
-
-
-def _trusted_tower(k: int, depth: int, value: int) -> ResidueTower:
-    """A tower whose fields the caller has already checked.
-
-    Sets the slots directly, skipping the frozen ``__init__`` and
-    ``__post_init__``; the result is equal, with equal hash and repr, to
-    ``ResidueTower(k, depth, value)``.
-    """
-    tower = object.__new__(ResidueTower)
-    _SET_K(tower, k)
-    _SET_DEPTH(tower, depth)
-    _SET_VALUE(tower, value)
-    return tower
-
-
 def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
     if x < 1:
         raise InvalidSpec("states are positive integers")
@@ -300,7 +281,7 @@ def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
         raise InvalidSpec("need depth >= 1")
     if k < 2:
         raise InvalidSpec("need k >= 2")
-    return _trusted_tower(k, depth, x % k**depth)
+    return ResidueTower(k, depth, x % k**depth)
 
 
 def _tower_rows(sys: DynamicalSystem, k: int) -> tuple:
@@ -350,7 +331,7 @@ def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
     k = tower.k
     rows = _tower_rows(sys, k)
     depth, value = _tower_step(rows, k, tower.depth, tower.value)
-    return _trusted_tower(k, depth, value)
+    return ResidueTower(k, depth, value)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ States of the window whose image under f leaves the window are
 images (reducing-subspace checks near the boundary, conjugation
 identities) are only asserted on interior coordinates.
 
-Vectors are sparse dicts {coordinate: Fraction}, the only vector format
-here: an invariant set K becomes span{e_x : x in K} as one unit dict per
-member, and the fixed vectors of a word operator are read off the cycles
-of the word's index map.
+Vectors are sparse dicts {coordinate: value}, the only vector format
+here.  Every basis built here holds int entries: an invariant set K
+becomes span{e_x : x in K} as one unit dict per member, and the fixed
+vectors of a word operator are read off the cycles of the word's index
+map.  Fractions appear only as projection coefficients and in vectors
+that callers pass in.
 
 The commutant is read off the bisimulation quotient of a closed
 truncation.  Each total-orbit component is one cycle with in-trees and
@@ -36,13 +38,8 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
-from .coding import CodingPrefix
-from .orbits import _UnionFind
 from .systems import DynamicalSystem, _primitive_period, as_window
 from .words import check_word
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 # the most entries commutant_projections builds for its block bases,
 # counted in closed form before any vector exists
@@ -124,13 +121,13 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
 
 
 # ---------------------------------------------------------------------------
-# vectors: sparse dicts {coordinate: Fraction}, the only format
+# vectors: sparse dicts {coordinate: value}, the only format
 
 
-def _dot(u: dict, v: dict) -> Fraction:
+def _dot(u: dict, v: dict):
     if len(u) > len(v):
         u, v = v, u
-    return sum((x * v[c] for c, x in u.items() if c in v), F0)
+    return sum((x * v[c] for c, x in u.items() if c in v), 0)
 
 
 def _chase(trunc: Truncation, symbols) -> dict:
@@ -148,7 +145,7 @@ def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) ->
     for c, v in vec.items():
         r = table.get(c)
         if r is not None and v:
-            out[r] = out.get(r, F0) + v
+            out[r] = out.get(r, 0) + v
     return {r: v for r, v in out.items() if v}
 
 
@@ -181,8 +178,7 @@ def projection_P(trunc: Truncation, prefix) -> DiagonalProjection:
     chase then walks the same path backwards, so P is the diagonal
     indicator of the surviving start coordinates.
     """
-    symbols = prefix.symbols if isinstance(prefix, CodingPrefix) else tuple(prefix)
-    symbols = check_word(symbols, trunc.k)
+    symbols = check_word(prefix, trunc.k)
     return DiagonalProjection(
         n=trunc.n, prefix=symbols, coordinates=frozenset(_chase(trunc, symbols))
     )
@@ -300,14 +296,14 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
 class SubspaceBasis:
     """An orthogonal (not normalized) basis of a subspace of Q^n.
 
-    Every entry stays rational, so vectors are scaled to have integral
-    entries rather than unit length.  A coordinate -> vectors index lets
-    orthogonality checks and projections touch only vectors that share
-    a coordinate.
+    Vectors are scaled to have integral entries rather than unit length,
+    and every basis built here holds ints.  A coordinate -> vectors
+    index lets orthogonality checks and projections touch only vectors
+    that share a coordinate.
     """
 
     n: int
-    vectors: tuple  # tuple of sparse dicts {coordinate: Fraction}
+    vectors: tuple  # tuple of sparse dicts {coordinate: int}
     _by_coord: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -338,9 +334,9 @@ class SubspaceBasis:
         out: dict = {}
         for j in self._sharing(w):
             b = self.vectors[j]
-            coeff = _dot(b, w) / _dot(b, b)
+            coeff = Fraction(_dot(b, w), _dot(b, b))
             for c, x in b.items():
-                out[c] = out.get(c, F0) + coeff * x
+                out[c] = out.get(c, 0) + coeff * x
         return {c: x for c, x in out.items() if x}
 
     def contains(self, w: dict) -> bool:
@@ -353,7 +349,7 @@ def make_subspace(n: int, vectors: list) -> SubspaceBasis:
     for v in linalg.gram_schmidt_orthogonal(vectors):
         den = lcm(*(x.denominator for x in v))
         g = gcd(*(int(x * den) for x in v))
-        out.append({c: Fraction(int(x * den), g) for c, x in enumerate(v) if x})
+        out.append({c: int(x * den) // g for c, x in enumerate(v) if x})
     return SubspaceBasis(n=n, vectors=tuple(out))
 
 
@@ -376,7 +372,7 @@ def subspace_from_invariant_set(trunc: Truncation, states) -> SubspaceBasis:
                 raise InvalidSpec(f"K is not preimage closed: {p!r} -> {x!r}")
     return SubspaceBasis(
         n=trunc.n,
-        vectors=tuple({trunc.index[x]: F1} for x in trunc.states if x in k_set),
+        vectors=tuple({trunc.index[x]: 1} for x in trunc.states if x in k_set),
     )
 
 
@@ -525,15 +521,6 @@ def commutant_projections(trunc: Truncation) -> CommutantReport:
     )
 
 
-def _components(trunc: Truncation) -> list:
-    """Total-orbit components of a closed truncation: sorted coordinates."""
-    uf = _UnionFind(trunc.n)
-    for fwd in trunc.maps:
-        for c, r in fwd.items():
-            uf.union(c, r)
-    return uf.groups()
-
-
 def _covers(trunc: Truncation) -> list:
     """The covering data of each total-orbit component, in linear time.
 
@@ -547,6 +534,12 @@ def _covers(trunc: Truncation) -> list:
     type sequences agree from there on.  L_Q is the primitive period of
     the types and the key is their least rotation; one intern table
     serves all components, so equal keys mean the same Q.
+
+    Components are found in one walk: from each coordinate that no
+    earlier component has placed, forward to the cycle, then backward
+    over preimages through the whole component.  That coordinate is the
+    least of its component, so the covers come in order of least
+    coordinate.
     """
     label, image = {}, {}
     pre: dict = {}  # state -> [(label, preimage)], one per label that has one
@@ -557,9 +550,12 @@ def _covers(trunc: Truncation) -> list:
     intern: dict = {}
     paths: dict = {}
     covers = []
-    for comp in _components(trunc):
+    placed: set = set()
+    for head in range(trunc.n):
+        if head in placed:
+            continue
         seen: dict = {}
-        c = comp[0]
+        c = head
         while c not in seen:
             seen[c] = len(seen)
             c = image[c]
@@ -583,6 +579,7 @@ def _covers(trunc: Truncation) -> list:
         start = _least_rotation(types[:period])
         key = tuple(types[start:period] + types[:start])
         covers.append(_Cover(place, period, len(cycle) // period, key, cycle[start]))
+        placed.update(place)
     return covers
 
 
@@ -642,7 +639,7 @@ def _field_functions(a: int) -> list:
                 for h in _prime_power_factor(p, e, f)
             ]
             modulus *= q
-        out.append((d, [{j: Fraction(x) for j, x in g.items()} for g in basis]))
+        out.append((d, basis))
     return out
 
 
@@ -718,5 +715,5 @@ def fixed_vectors_of_word(trunc: Truncation, word) -> FixedVectorsReport:
         if path and cur == c:
             cycles.append(sorted(path))
     cycles.sort(key=max)
-    basis = SubspaceBasis(n=trunc.n, vectors=tuple(dict.fromkeys(c, F1) for c in cycles))
+    basis = SubspaceBasis(n=trunc.n, vectors=tuple(dict.fromkeys(c, 1) for c in cycles))
     return FixedVectorsReport(word=word, basis=basis, dimension=basis.dimension)

@@ -291,24 +291,34 @@ class SeparatingReport:
 def check_separating(sys: DynamicalSystem, x, cap: int) -> SeparatingReport:
     """Is x periodic with an aperiodic branch word?
 
-    Follows the orbit of x for up to ``cap`` steps; x is periodic when
-    the first repeat is a return to x itself, and the branch word of that
-    period is then tested for being a proper power.  A non-return within
-    the cap is reported, not an error.
+    Follows the orbit of x for up to ``cap`` steps, keeping only the
+    branch word, the current state and one earlier state, which moves up
+    to the current one after 1, 2, 4, ... steps (Brent's cycle test).
+    The walk stops at the first return to x, whose branch word is then
+    tested for being a proper power, or when it meets the earlier state
+    again: the orbit ran into a cycle without x.  A non-return is
+    reported, not an error.
     """
-    rec = orbit_iterate(sys, x, cap)
-    if rec.entry_index != 0:
-        return SeparatingReport(
-            start=x, cap=cap, periodic=False, period=0, word=(), aperiodic=False
-        )
-    w = tuple(sys._branch(s) for s in rec.trajectory)
+    if cap < 0:
+        raise InvalidSpec(f"need cap >= 0, got {cap}")
+    sys._require(x)
+    step, branch = sys._step, sys._branch
+    word = []
+    cur = earlier = x
+    for n in range(1, cap + 1):
+        word.append(branch(cur))
+        cur = step(cur)
+        if cur == x:
+            w = tuple(word)
+            return SeparatingReport(
+                start=x, cap=cap, periodic=True, period=len(w), word=w, aperiodic=is_aperiodic(w)
+            )
+        if cur == earlier:
+            break
+        if n & (n - 1) == 0:
+            earlier = cur
     return SeparatingReport(
-        start=x,
-        cap=cap,
-        periodic=True,
-        period=len(w),
-        word=w,
-        aperiodic=is_aperiodic(w),
+        start=x, cap=cap, periodic=False, period=0, word=(), aperiodic=False
     )
 
 

@@ -259,6 +259,16 @@ def integer_eigenvalues(a):
     return roots
 
 
+def total_orbit_components(trunc):
+    """Total-orbit components of a truncation: sorted coordinate lists,
+    by union-find over the branch edges."""
+    uf = orbits._UnionFind(trunc.n)
+    for fwd in trunc.maps:
+        for c, r in fwd.items():
+            uf.union(c, r)
+    return uf.groups()
+
+
 def _entry_classes(trunc):
     """Classes of matrix entries tied by the commutant equations.
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchdyn import coding, linalg, operators, orbits, systems
+from branchdyn import linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
     apply_word_adjoint,
@@ -17,10 +17,24 @@ from conftest import (
     injective_table,
     mat_add,
     mat_scale,
+    total_orbit_components,
     whole_space_commutant_blocks,
 )
 
 F = Fraction
+
+
+def assert_integral(trunc, basis):
+    """Every entry of a library-built basis is an int, and projecting the
+    branch images of its vectors stays exact: ints and Fractions only."""
+    for v in basis.vectors:
+        assert all(type(x) is int for x in v.values())
+        for i in range(1, trunc.k + 1):
+            for adjoint in (False, True):
+                w = operators.apply_branch(trunc, i, v, adjoint=adjoint)
+                assert all(type(x) is int for x in w.values())
+                p = basis.project(w)
+                assert all(type(x) in (int, Fraction) for x in p.values())
 
 
 def _table(branch, image, k=None):
@@ -396,6 +410,7 @@ def test_invariant_sets_give_reducing_subspaces():
         if any(p not in K for x in K for p, _ in sys.preimages(x)):
             continue
         basis = operators.subspace_from_invariant_set(t, K)
+        assert_integral(t, basis)
         if basis.dimension:
             assert operators.is_reducing(t, basis).passed
 
@@ -543,6 +558,17 @@ def test_single_branch_1200_cycle(deadline):
     assert sorted(rep.block_field) == [d for d in range(1, 1201) if 1200 % d == 0]
 
 
+def test_single_branch_1001_cycle(deadline):
+    # 1001 = 7 * 11 * 13: the slowest commutant the entry budget admits,
+    # 83,700 basis entries in 8 blocks, each checked orthogonal
+    t = operators.build_truncation(cycle(1001, lambda x: 1), None)
+    deadline(2)
+    rep = operators.commutant_projections(t)
+    assert rep.dimension == 1001 and rep.abelian
+    assert sum(len(v) for b in rep.blocks for v in b.vectors) == 83700
+    assert sorted(rep.block_field) == [1, 7, 11, 13, 77, 91, 143, 1001]
+
+
 def test_injective_50_cycle_is_one_scalar_block():
     t = operators.build_truncation(cycle(50, lambda x: 1 if x == 1 else 2), None)
     rep = operators.commutant_projections(t)
@@ -584,12 +610,14 @@ def assert_commutant_matches_oracles(t, dense_max_states):
     if not abelian:
         x, y = (t.index[s] for s in rep.nonabelian_witness)
         assert (x, y) in bisimilar_pairs(t)
-        comp_of = {c: i for i, comp in enumerate(operators._components(t)) for c in comp}
+        comp_of = {c: i for i, comp in enumerate(total_orbit_components(t)) for c in comp}
         assert comp_of[x] != comp_of[y]
         assert rep.blocks == () and rep.lattice_size is None
         return
     # the same blocks as subspaces; a block is scalar exactly when d <= 2
     assert len(rep.blocks) == len(blocks)
+    for b in rep.blocks:
+        assert_integral(t, b)
     for b, d in zip(rep.blocks, rep.block_field):
         same = [
             scalar
@@ -727,4 +755,5 @@ def test_fixed_vectors_match_the_nullspace_oracle(sys, data):
     dense = nullspace_fixed_vectors(t, word)
     expected = operators.make_subspace(t.n, dense).vectors if dense else ()
     assert rep.basis.vectors == expected
+    assert_integral(t, rep.basis)
     assert rep.dimension == len(dense)

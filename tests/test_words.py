@@ -1,5 +1,6 @@
 """Branch words: aperiodicity, affine composition, cycles, condition checks."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from branchdyn.errors import (
     NotAffineFamily,
 )
 
-from conftest import all_words_cycles, fraction_compose, fraction_fixed_point
+from conftest import all_words_cycles, fraction_compose, fraction_fixed_point, injective_table
 
 F = Fraction
 
@@ -369,6 +370,43 @@ def test_separating_fails_on_swap(swap1):
     assert rep.periodic and rep.period == 2
     assert rep.word == (1, 1)
     assert not rep.aperiodic and not rep.passed
+
+
+@given(st.data())
+def test_separating_matches_the_orbit_oracle(data):
+    # a random table: tails into cycles, and periodic words when k = 1
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    branch, image = injective_table(data.draw, n, k)
+    sys = systems.make_system(systems.FiniteTable.make(branch, image, k=k))
+    cap = data.draw(st.integers(min_value=0, max_value=12))
+    for x in branch:
+        rep = words.check_separating(sys, x, cap)
+        rec = orbits.orbit_iterate(sys, x, cap)
+        periodic = rec.entry_index == 0
+        word = tuple(branch[s] for s in rec.trajectory) if periodic else ()
+        assert (rep.periodic, rep.word) == (periodic, word)
+        assert rep.aperiodic == (periodic and words.is_aperiodic(word))
+
+
+def test_separating_stops_on_a_cycle_without_x(collatz, deadline):
+    # 7 runs into 1 -> 4 -> 2 -> 1; the walk stops there, not at the cap
+    deadline(2)
+    rep = words.check_separating(collatz, 7, cap=10**7)
+    assert not rep.periodic and rep.period == 0
+
+
+def test_separating_memory_stays_flat(five_x_one):
+    # 7 diverges under 5x+1; a walk that stored every state would peak
+    # at about 23 MB here, since the states grow by about 0.1 bit a step
+    tracemalloc.start()
+    try:
+        rep = words.check_separating(five_x_one, 7, cap=5 * 10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.periodic
+    assert peak < 5 * 10**6
 
 
 # -- uniqueness condition ------------------------------------------------------------
