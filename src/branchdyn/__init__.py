@@ -13,7 +13,6 @@ from .errors import (
     OrbitConditionFailed,
     OutOfDomain,
     PreconditionUnmet,
-    TooShort,
     WindowMismatch,
     WindowTooSmall,
 )
@@ -53,13 +52,10 @@ from .words import (
     verify_unifix,
 )
 from .coding import (
-    CodingPrefix,
     ResidueTower,
     check_alphabeta_hypotheses,
     coding_prefix,
-    distinguishing_prefix_length,
     exact_coding,
-    shift_prefix,
     tower_apply,
     tower_from_state,
     verify_recovery_lemma,

@@ -280,7 +280,7 @@ def check_prefix_projection_mechanics() -> CheckResult:
     for _ in range(50):
         x = rng.randint(1, 10**4)
         length = rng.randint(1, 10)
-        prefix = coding.coding_prefix(sys, x, length).symbols
+        prefix = coding.coding_prefix(sys, x, length)
         proj = operators.projection_P(trunc, prefix)
         # independent route: compose the sub-permutation column maps
         colmap = {c: c for c in range(trunc.n)}
@@ -472,8 +472,8 @@ def check_morphism_suite() -> CheckResult:
     col = _collatz()
     for _ in range(100):
         x = rng.randint(1, 10**6)
-        pa = coding.coding_prefix(col, x, 64).symbols
-        pb = coding.coding_prefix(col, morphisms.identity(col)(x), 64).symbols
+        pa = coding.coding_prefix(col, x, 64)
+        pb = coding.coding_prefix(col, morphisms.identity(col)(x), 64)
         if pa != pb:
             failures.append(f"identity coding mismatch at {x}")
 

@@ -313,8 +313,8 @@ def cmd_check_alphabeta(args):
 
 
 def cmd_code(args):
-    prefix = coding.coding_prefix(args.system, args.x, args.length)
-    body = {"x": str(args.x), "symbols": list(prefix.symbols)}
+    symbols = coding.coding_prefix(args.system, args.x, args.length)
+    body = {"x": str(args.x), "symbols": list(symbols)}
     if args.exact_tail:
         seq = coding.exact_coding(args.system, args.x, args.cap)
         body["coding"] = _state(seq) if seq is not None else None

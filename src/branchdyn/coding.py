@@ -31,25 +31,13 @@ from .errors import (
     InvalidSpec,
     NotAffineFamily,
     PreconditionUnmet,
-    TooShort,
 )
 from .orbits import orbit_iterate
 from .systems import DynamicalSystem, EventuallyPeriodic, as_window
 
 
-@dataclass(frozen=True)
-class CodingPrefix:
-    """The first ``len(symbols)`` coding symbols of ``source``.
-
-    ``source`` is the state the prefix was read from (None for a bare
-    symbol tuple); keeping it allows shifts to stay replay-validated.
-    """
-
-    symbols: tuple
-    source: object = None
-
-
-def coding_prefix(sys: DynamicalSystem, x, length: int) -> CodingPrefix:
+def coding_prefix(sys: DynamicalSystem, x, length: int) -> tuple:
+    """The first ``length`` coding symbols of x."""
     if length < 0:
         raise InvalidSpec("need length >= 0")
     sys._require(x)
@@ -59,39 +47,7 @@ def coding_prefix(sys: DynamicalSystem, x, length: int) -> CodingPrefix:
     for _ in range(length):
         out.append(branch(cur))
         cur = step(cur)
-    return CodingPrefix(symbols=tuple(out), source=x)
-
-
-def shift_prefix(sys: DynamicalSystem, prefix: CodingPrefix) -> CodingPrefix:
-    """Drop the first symbol; the source advances one step under f.
-
-    The result must still be a nonempty prefix, so the input needs at
-    least two symbols.
-    """
-    if len(prefix.symbols) < 2:
-        raise TooShort("need at least two symbols to shift")
-    source = None if prefix.source is None else sys.apply(prefix.source)
-    return CodingPrefix(symbols=prefix.symbols[1:], source=source)
-
-
-def distinguishing_prefix_length(sys: DynamicalSystem, x, y, cap: int) -> int | None:
-    """Least j <= cap with branch(f^(j-1)(x)) != branch(f^(j-1)(y)).
-
-    Positions count from 1 (j = 1 means the states themselves take
-    different branches).  None when the codings agree through cap
-    symbols.  Requires x != y; equal states never separate.
-    """
-    if x == y:
-        raise InvalidSpec("need two distinct states")
-    sys._require(x)
-    sys._require(y)
-    step, branch = sys._step, sys._branch
-    cx, cy = x, y
-    for j in range(1, cap + 1):
-        if branch(cx) != branch(cy):
-            return j
-        cx, cy = step(cx), step(cy)
-    return None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -123,7 +79,7 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     step, branch = sys._step, sys._branch
     n = len(states)
     cursor = list(states)  # cursor[j] = f^rounds(states[j]) while j is unsplit
-    blocks = [range(n)]  # blocks of indices into states
+    blocks = [range(n)] if n > 1 else []  # blocks of indices into states
     rounds = 0
     for _ in range(cap):
         if not blocks:
@@ -173,12 +129,14 @@ def check_alphabeta_hypotheses(
     among x, f(x), ..., f^{k-1}(x))."""
     if not sys.is_affine:
         raise NotAffineFamily("hypotheses concern the affine families")
+    horizon = sys.k if horizon is None else horizon
+    if horizon < 1:
+        raise InvalidSpec(f"need horizon >= 1, got {horizon}")
     win = as_window(sys, window)
     states = win.materialize()
     for x in states:
         sys._require(x)
     step, k = sys._step, sys.k
-    horizon = k if horizon is None else horizon
     gcd_failures = sys.gcd_failures
     multiple_failures = []
     for x in states:
@@ -384,7 +342,8 @@ def exact_coding(sys: DynamicalSystem, x, cap: int) -> EventuallyPeriodic | None
     rec = orbit_iterate(sys, x, cap)
     if not rec.entered_cycle:
         return None
-    symbols = [sys.branch_of(s) for s in rec.trajectory]
+    branch = sys._branch  # orbit_iterate checked x; the rest are its images
+    symbols = [branch(s) for s in rec.trajectory]
     return EventuallyPeriodic.make(
         symbols[: rec.entry_index], symbols[rec.entry_index :]
     )

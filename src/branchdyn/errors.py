@@ -34,10 +34,6 @@ class NotACycle(BranchDynError):
     """A claimed cycle is not a cycle of the system."""
 
 
-class TooShort(BranchDynError):
-    """A coding prefix is too short for the requested operation."""
-
-
 class DepthExhausted(BranchDynError):
     """A residue tower of depth 1 was pushed through a division branch."""
 

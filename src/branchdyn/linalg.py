@@ -1,7 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
-These kernels serve ``make_subspace``'s dense input, the tests'
-brute-force oracles and the benchmark's kernel probes; the rest of
+``dot`` and ``gram_schmidt_orthogonal`` serve ``make_subspace``'s dense
+input; ``identity``, ``mat_mul``, ``rref``, ``char_poly``,
+``poly_eval`` and ``rational_eigenvalues`` are also the kernels the
+benchmark probes and the tests' oracles build on.  The rest of
 ``operators``, the commutant included, works on sparse vectors and
 builds no matrix.  Matrices are lists of rows of Fractions or ints; the
 products keep ints as ints.  Everything here is textbook elimination;
@@ -24,17 +26,9 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def zeros(n: int, m: int) -> list:
-    return [[F0] * m for _ in range(n)]
-
-
 def identity(n: int, one=F1) -> list:
     zero = one * 0
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def transpose(a: list) -> list:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -46,21 +40,6 @@ def mat_mul(a: list, b: list) -> list:
             if v:
                 acc = [x + v * y if y else x for x, y in zip(acc, brow)]
         out.append(acc)
-    return out
-
-
-def mat_vec(a: list, v: list) -> list:
-    return [sum((x * y for x, y in zip(row, v) if x and y), F0) for row in a]
-
-
-def mat_pow(a: list, e: int) -> list:
-    out = identity(len(a), 1)
-    base = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base) if e > 1 else base
-        e >>= 1
     return out
 
 
@@ -88,25 +67,6 @@ def rref(a: list) -> tuple:
         if r == rows:
             break
     return a, pivots
-
-
-def nullspace(a: list) -> list:
-    """A basis of {v : a v = 0}, one vector per free column."""
-    if not a:
-        return []
-    cols = len(a[0])
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [F0] * cols
-        v[free] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-    return basis
 
 
 def char_poly(a: list) -> list:

@@ -19,15 +19,18 @@ Two transport results are verified at the truncation level:
 * an injective morphism whose image is a union of total orbits induces
   an isometry V (orthonormal columns) with V^T N_i V = M_i.
 
-Both identities are checked entry by entry, restricted to interior
-coordinates where the windows force escape artifacts.
+Each check tabulates phi once on its window (``_tabulate``) and reads
+every verdict from that table.  Both identities come from one kernel,
+the columns where V^T N_i V and M_i differ: for a bijection compression
+is conjugation, so the unitary check uses every column and the isometry
+check its interior ones, where the windows force no escape artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coding import coding_prefix, exact_coding, verify_tuc_window
+from .coding import exact_coding, verify_tuc_window
 from .errors import (
     DomainMismatch,
     InvalidSpec,
@@ -185,6 +188,32 @@ def check_homomorphism(phi: Morphism, window) -> HomReport:
     )
 
 
+def _tabulate(phi: Morphism, states, within=None) -> tuple:
+    """phi on the states, walked once in window order.
+
+    Returns (table, image, fault): ``table`` maps each state where phi
+    is defined to its image, ``image`` maps each image to the first state
+    sent there, and ``fault`` is the first failure, ready to raise: the
+    OutOfDomain phi raised, or a WindowMismatch when phi identifies two
+    states or, with ``within`` given, sends one outside it.  Any other
+    error propagates at once.
+    """
+    table, image, fault = {}, {}, None
+    for x in states:
+        try:
+            y = table[x] = phi(x)
+        except OutOfDomain as exc:
+            fault = fault or exc
+            continue
+        if y in image:
+            fault = fault or WindowMismatch(f"phi identifies {image[y]!r} and {x!r}")
+        else:
+            image[y] = x
+            if within is not None and y not in within:
+                fault = fault or WindowMismatch(f"phi({x!r}) = {y!r} is outside window B")
+    return table, image, fault
+
+
 @dataclass(frozen=True)
 class IsoReport:
     passed: bool
@@ -202,35 +231,26 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
     and the inverse is verified to be a homomorphism as well (it always
     is: branch membership transports through the bijection).  With a
     window the same facts are checked on the window only and the result
-    is evidence, not a verdict about the full spaces.
+    is evidence, not a verdict about the full spaces.  Injectivity and
+    surjectivity are judged over every state where phi is defined; a
+    state where it is not fails the homomorphism check.
     """
     exact = (
         window is None
         and isinstance(phi.source.spec, FiniteTable)
         and isinstance(phi.target.spec, FiniteTable)
     )
-    if exact:
-        win = None  # the full state set
-        src = phi.source.states()
-        tgt = set(phi.target.states())
-    else:
-        if window is None:
-            raise InvalidSpec("infinite systems need a window")
-        win = as_window(phi.source, window)
-        src = win.materialize()
-        tgt = {phi(x) for x in src}
+    if not exact and window is None:
+        raise InvalidSpec("infinite systems need a window")
+    win = None if exact else as_window(phi.source, window)  # None: all states
+    src = phi.source.states() if exact else win.materialize()
+    table, image, _ = _tabulate(phi, src)
+    tgt = set(phi.target.states()) if exact else set(image)
     hom = check_homomorphism(phi, win)
-    image = {}
-    injective = True
-    witness = None
-    for x in src:
-        y = phi(x)
-        if y in image:
-            injective = False
-            witness = (image[y], x, y)
-            break
-        image[y] = x
+    injective = len(image) == len(table)
     surjective = set(image) == tgt
+    witness = None if injective else next(  # the first collision
+        (image[y], x, y) for x, y in table.items() if image[y] != x)
     if not surjective and witness is None:
         witness = tuple(sorted(tgt - set(image), key=repr))[:3]
     passed = hom.passed and injective and surjective
@@ -289,8 +309,9 @@ def verify_tuc_iso(sys: DynamicalSystem, window, cap: int = 2**10) -> TucIsoRepo
     Needs injectivity of the coding (totally uniqueness) on the window;
     refuses otherwise.  On a full finite state set the coding map is
     then a verified bijective homomorphism onto its image in the shift.
-    On an infinite window the shift equation is checked at prefix level
-    and reported as window evidence.
+    On any other window injectivity is reported as window evidence; the
+    shift equation needs no check there, since the coding of f(x) is by
+    definition the coding of x without its first symbol.
     """
     win = as_window(sys, window)
     tuc = verify_tuc_window(sys, win, cap)
@@ -300,53 +321,44 @@ def verify_tuc_iso(sys: DynamicalSystem, window, cap: int = 2**10) -> TucIsoRepo
             "groups undistinguished"
         )
     states = win.materialize()
-    finite_closed = (
-        isinstance(sys.spec, FiniteTable) and set(states) == set(sys.states())
-    )
-    if finite_closed:
+    exact = isinstance(sys.spec, FiniteTable) and set(states) == set(sys.states())
+    intertwined = injective = True
+    detail = "window evidence: coding injective and shift-intertwined"
+    if exact:
         n = len(sys.states())
         phi = Morphism(
             source=sys, target=symbolic_model(sys), rule=CodingRule(cap=n + 1)
         )
-        hom = check_homomorphism(phi, win)
-        codes = [phi(x) for x in states]
-        injective = len(set(codes)) == len(codes)
-        return TucIsoReport(
-            window=win.describe(),
-            passed=hom.passed and injective,
-            exact=True,
-            tuc_passed=True,
-            intertwined=hom.passed,
-            injective=injective,
-            detail="coding map verified as an isomorphism onto its image",
-        )
-    length = min(cap, 64)
-    for x in states:
-        a = coding_prefix(sys, x, length + 1).symbols
-        b = coding_prefix(sys, sys.apply(x), length).symbols
-        if a[1:] != b:
-            return TucIsoReport(
-                window=win.describe(),
-                passed=False,
-                exact=False,
-                tuc_passed=True,
-                intertwined=False,
-                injective=True,
-                detail=f"shift equation fails at {x!r}",
-            )
+        intertwined = check_homomorphism(phi, win).passed
+        table, image, _ = _tabulate(phi, states)
+        injective = len(image) == len(table)
+        detail = "coding map verified as an isomorphism onto its image"
     return TucIsoReport(
         window=win.describe(),
-        passed=True,
-        exact=False,
+        passed=intertwined and injective,
+        exact=exact,
         tuc_passed=True,
-        intertwined=True,
-        injective=True,
-        detail="window evidence: coding injective and shift-intertwined",
+        intertwined=intertwined,
+        injective=injective,
+        detail=detail,
     )
 
 
 # ---------------------------------------------------------------------------
 # operator transport
+
+
+def _mismatched_columns(trunc_a: Truncation, trunc_b: Truncation, v: dict) -> list:
+    """Per branch i, the columns c of window A, in order, where
+    V^T N_i V e_c != M_i e_c for V e_c = e_{v[c]} (N_i on window B,
+    M_i on window A).  For a bijective v this is U M_i U^T != N_i, read
+    column by column through U = V."""
+    back = {r: c for c, r in v.items()}.get
+    out = []
+    for i in range(trunc_a.k):
+        fwd_a, fwd_b = trunc_a.maps[i].get, trunc_b.maps[i].get
+        out.append([c for c, r in v.items() if back(fwd_b(r)) != fwd_a(c)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -367,36 +379,21 @@ def conjugate_unitary(
     confined to non-interior coordinates are separated out, since those
     rows depend on states outside the windows.
     """
-    a_states = trunc_a.states
-    image = {}
-    for x in a_states:
-        y = phi(x)
-        if y in image:
-            raise WindowMismatch(f"phi identifies {image[y]!r} and {x!r}")
-        image[y] = x
+    table, image, fault = _tabulate(phi, trunc_a.states)
+    if fault:
+        raise fault
     if set(image) != set(trunc_b.states):
         raise WindowMismatch("phi(window A) is not window B")
-    u = {trunc_a.index[x]: trunc_b.index[phi(x)] for x in a_states}
+    u = {trunc_a.index[x]: trunc_b.index[y] for x, y in table.items()}
     interior_a = {trunc_a.index[x] for x in trunc_a.interior()}
-    per_branch = []
-    interior_ok = True
-    witness = None
-    for i in range(1, trunc_a.k + 1):
-        transported = {
-            u[c]: u[r] for c, r in trunc_a.maps[i - 1].items()
-        }
-        actual = trunc_b.maps[i - 1]
-        ok = transported == actual
-        per_branch.append(ok)
-        if not ok:
-            cols = set(transported) | set(actual)
-            for cb in sorted(cols):
-                if transported.get(cb) != actual.get(cb):
-                    xa = image[trunc_b.states[cb]]
-                    if trunc_a.index[xa] in interior_a:
-                        interior_ok = False
-                    if witness is None:
-                        witness = (i, trunc_b.states[cb])
+    bad = _mismatched_columns(trunc_a, trunc_b, u)
+    per_branch = [not cols for cols in bad]
+    interior_ok = not any(c in interior_a for cols in bad for c in cols)
+    witness = next(
+        ((i, trunc_b.states[min(u[c] for c in cols)])
+         for i, cols in enumerate(bad, 1) if cols),
+        None,
+    )
     return ConjugationReport(
         passed=all(per_branch),
         per_branch=tuple(per_branch),
@@ -430,14 +427,9 @@ def induced_isometry(
     OrbitConditionFailed.
     """
     a_states = trunc_a.states
-    image = {}
-    for x in a_states:
-        y = phi(x)
-        if y in image:
-            raise WindowMismatch(f"phi identifies {image[y]!r} and {x!r}")
-        if y not in trunc_b.index:
-            raise WindowMismatch(f"phi({x!r}) = {y!r} is outside window B")
-        image[y] = x
+    table, image, fault = _tabulate(phi, a_states, within=trunc_b.index)
+    if fault:
+        raise fault
     orbit_status = "exact"
     done = set()
     win_a, win_b = SetWindow(a_states), SetWindow(trunc_b.states)
@@ -445,9 +437,9 @@ def induced_isometry(
         if x in done:
             continue
         oa = invariant_closure(phi.source, [x], win_a)
-        ob = invariant_closure(phi.target, [phi(x)], win_b)
+        ob = invariant_closure(phi.target, [table[x]], win_b)
         done |= oa.members
-        mapped = {phi(z) for z in oa.members}
+        mapped = {table[z] for z in oa.members}
         decisive = not oa.frontier and not ob.frontier
         if decisive:
             if mapped != ob.members:
@@ -458,24 +450,18 @@ def induced_isometry(
         else:
             # closures touched the window boundary: inconclusive
             orbit_status = "window-limited"
-    v = {trunc_a.index[x]: trunc_b.index[phi(x)] for x in a_states}
-    vinv = {r: c for c, r in v.items()}
-    isometry_identity = len(vinv) == trunc_a.n
+    v = {trunc_a.index[x]: trunc_b.index[y] for x, y in table.items()}
+    isometry_identity = len(image) == trunc_a.n
     interior_a = {trunc_a.index[x] for x in trunc_a.interior()}
-    per_branch = []
-    witness = None
-    for i in range(1, trunc_a.k + 1):
-        ok = True
-        for ca in range(trunc_a.n):
-            if ca not in interior_a:
-                continue
-            composite = vinv.get(trunc_b.maps[i - 1].get(v[ca], -1))
-            direct = trunc_a.maps[i - 1].get(ca)
-            if composite != direct:
-                ok = False
-                if witness is None:
-                    witness = (i, trunc_a.states[ca])
-        per_branch.append(ok)
+    bad = [
+        [c for c in cols if c in interior_a]
+        for cols in _mismatched_columns(trunc_a, trunc_b, v)
+    ]
+    per_branch = [not cols for cols in bad]
+    witness = next(
+        ((i, trunc_a.states[cols[0]]) for i, cols in enumerate(bad, 1) if cols),
+        None,
+    )
     return IsometryReport(
         passed=isometry_identity and all(per_branch),
         isometry_identity=isometry_identity,

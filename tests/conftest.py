@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from branchdyn import linalg, operators, orbits, systems, words
-from branchdyn.errors import DepthExhausted, IdentityComposition
+from branchdyn.errors import DepthExhausted, IdentityComposition, InvalidSpec
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -205,9 +205,54 @@ def digit_tower_apply(sys, digits):
     return tuple(r // k for r in digits[1:])
 
 
+def distinguishing_prefix_length(sys, x, y, cap):
+    """Least j <= cap with branch(f^(j-1)(x)) != branch(f^(j-1)(y)), by
+    walking the pair; the pairwise oracle of ``verify_tuc_window``.
+
+    Positions count from 1 (j = 1 means the states themselves take
+    different branches).  None when the codings agree through cap
+    symbols.  Requires x != y; equal states never separate.
+    """
+    if x == y:
+        raise InvalidSpec("need two distinct states")
+    for j in range(1, cap + 1):
+        if sys.branch_of(x) != sys.branch_of(y):
+            return j
+        x, y = sys.apply(x), sys.apply(y)
+    return None
+
+
+def zeros(n, m):
+    return [[Fraction(0)] * m for _ in range(n)]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
+
+
+def nullspace(a):
+    """A basis of {v : a v = 0}, one vector per free column of ``linalg.rref``."""
+    if not a:
+        return []
+    cols = len(a[0])
+    red, pivots = linalg.rref(a)
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = [Fraction(0)] * cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
 def branch_matrix(trunc, i):
     """The dense 0/1 matrix M_i of branch i on the truncation's window."""
-    m = linalg.zeros(trunc.n, trunc.n)
+    m = zeros(trunc.n, trunc.n)
     for c, r in trunc.maps[i - 1].items():
         m[r][c] = Fraction(1)
     return m
@@ -377,7 +422,7 @@ def whole_space_commutant_blocks(trunc):
         return False, []
     mats = []
     for cls in _entry_classes(trunc):
-        m = linalg.zeros(n, n)
+        m = zeros(n, n)
         for r, c in cls:
             m[r][c] = Fraction(1)
         mats.append(m)
@@ -410,8 +455,8 @@ def _whole_space_split(e, block, eigs):
         power = shifted
         for _ in range(n - 1):
             power = linalg.mat_mul(power, shifted)
-        reduced = linalg.mat_mul(power, linalg.transpose(block))
-        null = linalg.nullspace(reduced)
+        reduced = linalg.mat_mul(power, transpose(block))
+        null = nullspace(reduced)
         if null:
             pieces.append([[sum(x * v[r] for x, v in zip(coeff, block)) for r in range(n)] for coeff in null])
     if not pieces:
@@ -421,7 +466,7 @@ def _whole_space_split(e, block, eigs):
         shifted = [[e[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
         for _ in range(n):
             h = linalg.mat_mul(shifted, h)
-    rem = linalg.gram_schmidt_orthogonal([linalg.mat_vec(h, v) for v in block])
+    rem = linalg.gram_schmidt_orthogonal([mat_vec(h, v) for v in block])
     if rem:
         pieces.append(rem)
     assert sum(len(p) for p in pieces) == len(block)
@@ -432,7 +477,7 @@ def _acts_as_scalar(m, basis):
     lam = None
     for sparse in basis.vectors:
         v = [sparse.get(c, Fraction(0)) for c in range(len(m))]
-        w = linalg.mat_vec(m, v)
+        w = mat_vec(m, v)
         ratio = linalg.dot(w, v) / linalg.dot(v, v)
         if lam is None:
             lam = ratio

@@ -238,6 +238,27 @@ def test_tuc_scan_failure_is_exit_1(capsys):
     assert rep["undistinguished"] == [["1", "2"]]
 
 
+@pytest.mark.parametrize("cap", ["0", "1", "64"])
+def test_tuc_scan_on_one_state_passes(capsys, cap):
+    # a one-state window has no pair to distinguish
+    code, rep = run(
+        capsys, "tuc-scan", "--system", "collatz", "--window", "5..5", "--cap", cap
+    )
+    assert code == 0 and rep["passed"]
+    assert rep["pairs"] == 0 and rep["max_prefix_length"] == 0
+    assert rep["undistinguished"] == []
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_check_alphabeta_horizon_below_one_is_exit_2(capsys, horizon):
+    # no step is examined, so no state can be said to fail
+    code = cli.main(["check", "alphabeta", "--system", "collatz", "--window", "1..6",
+                     "--horizon", horizon])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: need horizon >= 1, got {horizon}\n"
+
+
 def test_malformed_spec_is_exit_2(capsys):
     code = cli.main(["orbit", "--system", '{"family":"bogus"}', "--x", "1"])
     capsys.readouterr()
@@ -489,6 +510,13 @@ def test_readme_cli_lines_parse():
         parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
+
+def test_readme_library_block_runs():
+    # the README's Python example must still run as printed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S)[1]
+    exec(compile(block, "README.md", "exec"), {})
+
 # -- operators subcommands ---------------------------------------------------------
 
 
@@ -653,6 +681,24 @@ def test_morphism_isometry_orbit_failure_is_exit_1(capsys):
         "--phi", '{"kind": "table", "map": {"1": "1", "2": "2"}}',
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "source,phi,window",
+    [
+        (TABLE_1_5, '{"kind": "table", "map": {"1": "1"}}', None),
+        ("collatz", '{"kind": "affine", "u": "1", "v": "-1"}', "1..5"),
+    ],
+    ids=["table-missing-a-state", "affine-leaves-the-target"],
+)
+def test_morphism_iso_on_a_partial_phi_is_exit_1(capsys, source, phi, window):
+    # phi undefined at a window state fails the homomorphism check, so
+    # iso reports it as check does
+    for what in ("check", "iso"):
+        argv = ["morphism", what, "--source", source, "--target", source, "--phi", phi]
+        code, rep = run(capsys, *argv, *(["--window", window] if window else []))
+        assert code == 1 and rep["passed"] is False
+    assert rep["homomorphism"] is False
 
 
 # -- config_hash -----------------------------------------------------------------------

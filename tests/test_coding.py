@@ -12,48 +12,43 @@ from branchdyn.errors import (
     InvalidSpec,
     NotAffineFamily,
     PreconditionUnmet,
-    TooShort,
 )
-from conftest import digit_tower_apply, state_digits
+from conftest import (
+    closed_tables,
+    digit_tower_apply,
+    distinguishing_prefix_length,
+    state_digits,
+)
 
 
 # -- coding prefixes ---------------------------------------------------------
 
 
 def test_coding_prefix_frozen(collatz, swap1):
-    assert coding.coding_prefix(collatz, 1, 6).symbols == (1, 2, 2, 1, 2, 2)
-    assert coding.coding_prefix(collatz, 5, 6).symbols == (1, 2, 2, 2, 2, 1)
-    assert coding.coding_prefix(swap1, 1, 4).symbols == (1, 1, 1, 1)
-    assert coding.coding_prefix(swap1, 2, 4).symbols == (1, 1, 1, 1)
+    assert coding.coding_prefix(collatz, 1, 6) == (1, 2, 2, 1, 2, 2)
+    assert coding.coding_prefix(collatz, 5, 6) == (1, 2, 2, 2, 2, 1)
+    assert coding.coding_prefix(swap1, 1, 4) == (1, 1, 1, 1)
+    assert coding.coding_prefix(swap1, 2, 4) == (1, 1, 1, 1)
 
 
-def test_coding_prefix_records_source(collatz):
-    p = coding.coding_prefix(collatz, 5, 3)
-    assert p.source == 5
+def test_coding_prefix_is_a_plain_tuple(collatz):
+    assert type(coding.coding_prefix(collatz, 5, 3)) is tuple
+    assert coding.coding_prefix(collatz, 5, 0) == ()
 
 
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=12))
 def test_prefix_replay_soundness(x, m):
     sys = systems.make_system(systems.collatz())
-    head = coding.coding_prefix(sys, x, m + 1).symbols
-    tail = coding.coding_prefix(sys, sys.apply(x), m).symbols
+    head = coding.coding_prefix(sys, x, m + 1)
+    tail = coding.coding_prefix(sys, sys.apply(x), m)
     assert head == (sys.branch_of(x),) + tail
 
 
 def test_shift_drops_first_symbol(collatz):
-    p = coding.coding_prefix(collatz, 1, 4)
-    s = coding.shift_prefix(collatz, p)
-    assert s.symbols == (2, 2, 1)
-    assert s.source == 4
-    assert (
-        coding.shift_prefix(collatz, coding.coding_prefix(collatz, 1, 6)).symbols
-        == coding.coding_prefix(collatz, 4, 5).symbols
-    )
-
-
-def test_shift_needs_two_symbols(collatz):
-    with pytest.raises(TooShort):
-        coding.shift_prefix(collatz, coding.coding_prefix(collatz, 1, 1))
+    # the shift on prefixes is slicing: x's prefix without its first
+    # symbol is the prefix of f(x)
+    assert coding.coding_prefix(collatz, 1, 4)[1:] == (2, 2, 1)
+    assert coding.coding_prefix(collatz, 1, 6)[1:] == coding.coding_prefix(collatz, 4, 5)
 
 
 def test_exact_coding_is_eventually_periodic(collatz):
@@ -62,27 +57,27 @@ def test_exact_coding_is_eventually_periodic(collatz):
     assert coding.exact_coding(collatz, 5, 100).prefix(6) == (1, 2, 2, 2, 2, 1)
 
 
-# -- distinguishing prefixes -----------------------------------------------------
+# -- distinguishing prefixes: the pairwise oracle -----------------------------------
 
 
 def test_distinguishing_length_frozen(collatz, swap1):
-    assert coding.distinguishing_prefix_length(collatz, 1, 5, cap=64) == 4
-    assert coding.distinguishing_prefix_length(collatz, 1, 2, cap=64) == 1
-    assert coding.distinguishing_prefix_length(swap1, 1, 2, cap=512) is None
+    assert distinguishing_prefix_length(collatz, 1, 5, cap=64) == 4
+    assert distinguishing_prefix_length(collatz, 1, 2, cap=64) == 1
+    assert distinguishing_prefix_length(swap1, 1, 2, cap=512) is None
 
 
 def test_distinguishing_rejects_equal_states(collatz):
     with pytest.raises(InvalidSpec):
-        coding.distinguishing_prefix_length(collatz, 7, 7, cap=8)
+        distinguishing_prefix_length(collatz, 7, 7, cap=8)
 
 
 def test_distinguishing_length_is_first_difference(collatz):
     # cross-check against direct prefix comparison
     for x in range(1, 60):
         for y in range(x + 1, 60):
-            j = coding.distinguishing_prefix_length(collatz, x, y, cap=128)
-            px = coding.coding_prefix(collatz, x, 128).symbols
-            py = coding.coding_prefix(collatz, y, 128).symbols
+            j = distinguishing_prefix_length(collatz, x, y, cap=128)
+            px = coding.coding_prefix(collatz, x, 128)
+            py = coding.coding_prefix(collatz, y, 128)
             diffs = [i + 1 for i in range(128) if px[i] != py[i]]
             assert j == (diffs[0] if diffs else None)
 
@@ -106,6 +101,34 @@ def test_tuc_fails_on_swap(swap1):
     assert rep.undistinguished == ((1, 2),)
 
 
+@given(closed_tables(), st.integers(min_value=0, max_value=12))
+def test_tuc_window_matches_the_pairwise_oracle(table, cap):
+    branch, image, k = table
+    sys = systems.make_system(systems.FiniteTable.make(branch, image, k=k))
+    rep = coding.verify_tuc_window(sys, None, cap=cap)
+    states = sys.states()
+    lengths = {
+        (x, y): distinguishing_prefix_length(sys, x, y, cap)
+        for i, x in enumerate(states)
+        for y in states[i + 1:]
+    }
+    merged = {pair for pair, j in lengths.items() if j is None}
+    grouped = {(x, y) for g in rep.undistinguished for x in g for y in g if x < y}
+    assert rep.pairs == len(lengths)
+    assert rep.passed == (not merged)
+    assert grouped == merged
+    expected = max(lengths.values(), default=0) if not merged else cap
+    assert rep.max_prefix_length == expected
+
+
+@pytest.mark.parametrize("window", [(5, 5), systems.SetWindow([])], ids=["one", "empty"])
+@pytest.mark.parametrize("cap", [0, 1, 64])
+def test_tuc_window_without_a_pair_passes(collatz, window, cap):
+    rep = coding.verify_tuc_window(collatz, window, cap=cap)
+    assert rep.passed and rep.pairs == 0
+    assert rep.max_prefix_length == 0 and rep.undistinguished == ()
+
+
 # -- section hypotheses -----------------------------------------------------------
 
 
@@ -120,6 +143,12 @@ def test_hypotheses_alphabeta_window(alphabeta3):
     assert rep.gcd_passed  # gcd(2,3) = gcd(4,3) = 1
     # multiples of 3 appear within every length-3 orbit segment here
     assert rep.multiple_passed
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_hypotheses_need_a_positive_horizon(collatz, horizon):
+    with pytest.raises(InvalidSpec, match=f"^need horizon >= 1, got {horizon}$"):
+        coding.check_alphabeta_hypotheses(collatz, (1, 10), horizon=horizon)
 
 
 def test_hypotheses_catch_shared_factor():

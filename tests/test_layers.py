@@ -67,7 +67,7 @@ def test_every_import_form_is_read(tmp_path):
     src = tmp_path / "probe.py"
     src.write_text(
         "from . import __version__, battery\n"
-        "from .coding import CodingPrefix\n"
+        "from .coding import coding_prefix\n"
         "import branchdyn.orbits\n"
         "def f():\n"
         "    from branchdyn import words\n"

@@ -88,9 +88,3 @@ def test_non_integral_matrix_is_rejected():
         linalg.rational_eigenvalues([[F(1, 2)]])
     with pytest.raises(ValueError):
         linalg.rational_eigenvalues([[F(1, 3), 1], [0, 2]])
-
-
-def test_mat_pow_stays_integral():
-    shift = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-    assert linalg.mat_pow(shift, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert all(type(x) is int for row in linalg.mat_pow(shift, 5) for x in row)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchdyn import coding, morphisms, operators, orbits, systems
+from branchdyn import coding, linalg, morphisms, operators, orbits, systems
 from branchdyn.errors import (
     DomainMismatch,
     InvalidSpec,
@@ -14,7 +14,7 @@ from branchdyn.errors import (
     PreconditionUnmet,
     WindowMismatch,
 )
-from conftest import closed_tables
+from conftest import branch_matrix, closed_tables, transpose, zeros
 
 
 def _table(branch, image, k=None):
@@ -153,6 +153,27 @@ def test_relabelled_closed_table_is_isomorphic(table, data):
     assert morphisms.conjugate_unitary(phi, ta, tb).passed
 
 
+def test_non_injective_onto_map_is_surjective():
+    # a 3-cycle onto a 2-cycle: every target state is hit, 1 and 2 collide
+    three = _table({1: 1, 2: 1, 3: 1}, {1: 2, 2: 3, 3: 1}, k=1)
+    two = _table({1: 1, 2: 1}, {1: 2, 2: 1}, k=1)
+    phi = morphisms.Morphism(three, two, morphisms.TableRule({1: 1, 2: 1, 3: 2}))
+    rep = morphisms.is_isomorphism(phi)
+    assert rep.surjective and not rep.injective and not rep.passed
+    assert rep.witness == (1, 2, 1)
+
+
+def test_partial_phi_fails_the_homomorphism_check(collatz):
+    sys = two_plus_three()
+    partial = morphisms.Morphism(sys, sys, morphisms.TableRule({1: 1, 2: 2, 3: 3, 4: 4}))
+    leaving = morphisms.Morphism(collatz, collatz, morphisms.AffineRule(1, -1))
+    for phi, window in ((partial, None), (leaving, (1, 5))):
+        rep = morphisms.is_isomorphism(phi, window)
+        assert not rep.passed and not rep.homomorphism
+        assert rep.injective and rep.surjective == (window is not None)
+    assert morphisms.is_isomorphism(partial).witness == (5,)
+
+
 def test_swap_coding_map_is_not_injective(swap1):
     shift = morphisms.symbolic_model(swap1)
     phi = morphisms.Morphism(swap1, shift, morphisms.CodingRule(cap=16))
@@ -248,6 +269,73 @@ def test_conjugation_window_mismatch(collatz):
     tb = operators.build_truncation(collatz, (1, 60))
     with pytest.raises(WindowMismatch):
         morphisms.conjugate_unitary(morphisms.identity(collatz), ta, tb)
+
+
+def _column(m, c):
+    return [row[c] for row in m]
+
+
+@given(closed_tables(), st.data())
+def test_transport_matches_dense_conjugation(table, data):
+    # B is a relabelled copy of A, with a second copy beside it in some
+    # draws; phi is the relabelling, with two images swapped in some.
+    # Window A is all of A or part of it, window B the image of window A
+    # (and the copy of window A).
+    branch, image, k = table
+    sys = _table(branch, image, k=k)
+    states = sorted(branch)
+    labels = data.draw(st.permutations(range(len(states))))
+    perm = {x: 3 * v + 5 for x, v in zip(states, labels)}
+    copy = data.draw(st.booleans())
+    b_branch = {perm[x]: branch[x] for x in states}
+    b_image = {perm[x]: perm[image[x]] for x in states}
+    if copy:
+        b_branch.update({3 * x + 4: branch[x] for x in states})
+        b_image.update({3 * x + 4: 3 * image[x] + 4 for x in states})
+    target = _table(b_branch, b_image, k=k)
+    rule = dict(perm)
+    if len(states) > 1 and data.draw(st.booleans()):
+        x, y = data.draw(st.lists(st.sampled_from(states), min_size=2, max_size=2, unique=True))
+        rule[x], rule[y] = rule[y], rule[x]
+    phi = morphisms.Morphism(sys, target, morphisms.TableRule(rule))
+    window = data.draw(st.one_of(
+        st.just(states), st.lists(st.sampled_from(states), min_size=1, unique=True)))
+    window_b = {rule[x] for x in window} | ({3 * x + 4 for x in window} if copy else set())
+    ta = operators.build_truncation(sys, systems.SetWindow(window))
+    tb = operators.build_truncation(target, systems.SetWindow(window_b))
+    interior = sorted(ta.index[x] for x in ta.interior())
+    v = zeros(tb.n, ta.n)
+    for x in window:
+        v[tb.index[rule[x]]][ta.index[x]] = 1
+    vt = transpose(v)
+    # per branch: mismatched columns of U M_i U^T against N_i (window B)
+    # and of V^T N_i V against M_i (interior columns of window A)
+    conjugated, compressed = [], []
+    for i in range(1, k + 1):
+        m, n = branch_matrix(ta, i), branch_matrix(tb, i)
+        umu = linalg.mat_mul(linalg.mat_mul(v, m), vt)
+        vnv = linalg.mat_mul(linalg.mat_mul(vt, n), v)
+        conjugated.append([c for c in range(tb.n) if _column(umu, c) != _column(n, c)])
+        compressed.append([c for c in interior if _column(vnv, c) != _column(m, c)])
+    if copy:
+        with pytest.raises(WindowMismatch):
+            morphisms.conjugate_unitary(phi, ta, tb)
+    else:
+        rep = morphisms.conjugate_unitary(phi, ta, tb)
+        assert rep.per_branch == tuple(not cols for cols in conjugated)
+        back = {tb.index[rule[x]]: ta.index[x] for x in window}
+        assert rep.interior_passed == (not any(
+            back[c] in interior for cols in conjugated for c in cols))
+        assert rep.witness == next(
+            ((i, tb.states[cols[0]]) for i, cols in enumerate(conjugated, 1) if cols), None)
+    try:
+        rep = morphisms.induced_isometry(phi, ta, tb)
+    except OrbitConditionFailed:
+        assert rule != perm  # a relabelling carries total orbits onto total orbits
+    else:
+        assert rep.per_branch_interior == tuple(not cols for cols in compressed)
+        assert rep.witness == next(
+            ((i, ta.states[cols[0]]) for i, cols in enumerate(compressed, 1) if cols), None)
 
 
 # -- isometric embeddings ------------------------------------------------------------------

@@ -17,8 +17,11 @@ from conftest import (
     injective_table,
     mat_add,
     mat_scale,
+    nullspace,
     total_orbit_components,
+    transpose,
     whole_space_commutant_blocks,
+    zeros,
 )
 
 F = Fraction
@@ -132,7 +135,7 @@ def test_branch_window_disjoint(collatz):
     # a window of even numbers never meets the odd branch
     t = operators.build_truncation(collatz, systems.SetWindow([2, 4, 8]))
     assert t.maps[0] == {}
-    assert branch_matrix(t, 1) == linalg.zeros(3, 3)
+    assert branch_matrix(t, 1) == zeros(3, 3)
 
 
 def test_partial_isometry_identity(collatz, swap1, alphabeta3):
@@ -144,7 +147,7 @@ def test_partial_isometry_identity(collatz, swap1, alphabeta3):
         t = operators.build_truncation(sys, window)
         for i in range(1, t.k + 1):
             m = branch_matrix(t, i)
-            mt = linalg.transpose(m)
+            mt = transpose(m)
             assert linalg.mat_mul(linalg.mat_mul(m, mt), m) == m
 
 
@@ -245,9 +248,9 @@ def test_projection_idempotent_self_adjoint(collatz):
         mi = linalg.identity(t.n)
         for i in prefix:
             mi = linalg.mat_mul(branch_matrix(t, i), mi)
-        m = linalg.mat_mul(linalg.transpose(mi), mi)
+        m = linalg.mat_mul(transpose(mi), mi)
         assert linalg.mat_mul(m, m) == m
-        assert linalg.transpose(m) == m
+        assert transpose(m) == m
         coords = operators.projection_P(t, prefix).coordinates
         assert m == [[int(r == c and c in coords) for c in range(t.n)] for r in range(t.n)]
 
@@ -426,7 +429,7 @@ def dense_commutant_dimension(trunc):
     for i in range(1, trunc.k + 1):
         m = branch_matrix(trunc, i)
         mats.append(m)
-        mats.append(linalg.transpose(m))
+        mats.append(transpose(m))
     rows = []
     for m in mats:
         for r in range(n):
@@ -436,7 +439,7 @@ def dense_commutant_dimension(trunc):
                     row[r * n + t_] += m[t_][c]  # (A m)[r][c]
                     row[t_ * n + c] -= m[r][t_]  # (m A)[r][c]
                 rows.append(row)
-    return len(linalg.nullspace(rows))
+    return len(nullspace(rows))
 
 
 def test_swap_k1_commutant(swap1):
@@ -702,7 +705,7 @@ def nullspace_fixed_vectors(trunc, word):
     for i in word:
         dense = linalg.mat_mul(branch_matrix(trunc, i), dense)
     a = mat_add(dense, mat_scale(linalg.identity(trunc.n), F(-1)))
-    return linalg.nullspace(a)
+    return nullspace(a)
 
 
 def test_fixed_vectors_of_cycle_word(collatz):

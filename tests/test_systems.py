@@ -428,9 +428,6 @@ ENTRY_LOOPS = {
     "invariant_closure": lambda sys, x: orbits.invariant_closure(sys, [x], _at(x)),
     "verify_tuc_window": lambda sys, x: coding.verify_tuc_window(sys, _at(x)),
     "coding_prefix": lambda sys, x: coding.coding_prefix(sys, x, 4),
-    "distinguishing_prefix_length": lambda sys, x: coding.distinguishing_prefix_length(
-        sys, x, 3 if sys.is_affine else "a", 8
-    ),
     "check_alphabeta_hypotheses": lambda sys, x: coding.check_alphabeta_hypotheses(
         sys, _at(x)
     ),
@@ -485,7 +482,7 @@ def test_entry_state_is_checked_before_any_step():
         lambda: coding.coding_prefix(collatz, 0, 0),
         lambda: words.check_separating(collatz, 0, 0),
         lambda: coding.verify_tuc_window(collatz, _at(0), cap=0),
-        lambda: coding.check_alphabeta_hypotheses(collatz, _at(4.0), horizon=0),
+        lambda: coding.check_alphabeta_hypotheses(collatz, _at(4.0), horizon=1),
         lambda: orbits.invariant_closure(collatz, [0], _at(0), node_budget=0),
     ):
         with pytest.raises(OutOfDomain):
