@@ -82,7 +82,6 @@ from .morphisms import (
     induced_isometry,
     induced_symbolic,
     is_isomorphism,
-    verify_tuc_iso,
 )
 
 __version__ = "0.1.0"

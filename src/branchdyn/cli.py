@@ -466,7 +466,6 @@ def cmd_morphism_isometry(args):
     rep = morphisms.induced_isometry(*_phi_and_truncations(args))
     return {
         "passed": rep.passed,
-        "isometry_identity": rep.isometry_identity,
         "per_branch_interior": list(rep.per_branch_interior),
         "orbit_condition": rep.orbit_condition,
         "witness": _jsonable(rep.witness),

@@ -19,8 +19,9 @@ Two transport results are verified at the truncation level:
 * an injective morphism whose image is a union of total orbits induces
   an isometry V (orthonormal columns) with V^T N_i V = M_i.
 
-Each check tabulates phi once on its window (``_tabulate``) and reads
-every verdict from that table.  Both identities come from one kernel,
+The isomorphism and transport checks tabulate phi once on their window
+(``_tabulate``) and read every verdict from that table;
+``check_homomorphism`` keeps no table.  Both identities come from one kernel,
 the columns where V^T N_i V and M_i differ: for a bijection compression
 is conjugation, so the unitary check uses every column and the isometry
 check its interior ones, where the windows force no escape artifacts.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coding import exact_coding, verify_tuc_window
+from .coding import exact_coding
 from .errors import (
     DomainMismatch,
     InvalidSpec,
@@ -161,30 +162,42 @@ class HomReport:
     violations: tuple  # (state, reason) up to a small limit
 
 
-def check_homomorphism(phi: Morphism, window) -> HomReport:
-    """Branch preservation and intertwining, state by state on a window."""
-    win = as_window(phi.source, window)
+def _violations(phi: Morphism, states, image_of) -> tuple:
+    """(checked, violations) of branch preservation and intertwining,
+    state by state in order, up to VIOLATION_LIMIT violations; phi's
+    values are read through ``image_of``."""
+    source, target = phi.source, phi.target
     violations = []
     checked = 0
-    for x in win.materialize():
+    for x in states:
         checked += 1
         try:
-            y = phi(x)
-            if not phi.target.contains(y):
+            y = image_of(x)
+            if not target.contains(y):
                 violations.append((x, "image outside target"))
-            elif phi.source.branch_of(x) != phi.target.branch_of(y):
+            elif source.branch_of(x) != target.branch_of(y):
                 violations.append((x, "branch not preserved"))
-            elif phi(phi.source.apply(x)) != phi.target.apply(y):
+            elif image_of(source.apply(x)) != target.apply(y):
                 violations.append((x, "does not intertwine f and g"))
         except OutOfDomain as exc:
             violations.append((x, f"domain error: {exc}"))
         if len(violations) >= VIOLATION_LIMIT:
             break
+    return checked, tuple(violations)
+
+
+def check_homomorphism(phi: Morphism, window) -> HomReport:
+    """Branch preservation and intertwining, state by state on a window.
+
+    phi is evaluated afresh at x and f(x), so no table of it is kept.
+    """
+    win = as_window(phi.source, window)
+    checked, violations = _violations(phi, win.materialize(), phi)
     return HomReport(
         window=win.describe(),
         checked=checked,
         passed=not violations,
-        violations=tuple(violations),
+        violations=violations,
     )
 
 
@@ -220,54 +233,43 @@ class IsoReport:
     exact: bool  # True when decided on full finite state sets
     homomorphism: bool
     injective: bool
-    surjective: bool
+    surjective: bool | None  # onto the target; None on a window, not measured
     witness: object
 
 
 def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
     """Bijective homomorphism test.
 
-    With finite source and target and no window, the verdict is exact
-    and the inverse is verified to be a homomorphism as well (it always
-    is: branch membership transports through the bijection).  With a
-    window the same facts are checked on the window only and the result
-    is evidence, not a verdict about the full spaces.  Injectivity and
-    surjectivity are judged over every state where phi is defined; a
-    state where it is not fails the homomorphism check.
+    With finite source and target and no window, the verdict is exact:
+    surjective means every target state is hit, and the inverse of a
+    bijective homomorphism is one as well.  Otherwise the homomorphism
+    and injectivity are checked on the window (all states of a finite
+    source when none is given) and the result is evidence, not a verdict
+    about the full spaces; surjectivity is not measured there.  phi is
+    evaluated once per state: the homomorphism check reads the table
+    and evaluates phi only at images f(x) outside it.
     """
-    exact = (
-        window is None
-        and isinstance(phi.source.spec, FiniteTable)
-        and isinstance(phi.target.spec, FiniteTable)
-    )
-    if not exact and window is None:
+    if window is None and not isinstance(phi.source.spec, FiniteTable):
         raise InvalidSpec("infinite systems need a window")
-    win = None if exact else as_window(phi.source, window)  # None: all states
-    src = phi.source.states() if exact else win.materialize()
-    table, image, _ = _tabulate(phi, src)
-    tgt = set(phi.target.states()) if exact else set(image)
-    hom = check_homomorphism(phi, win)
+    exact = window is None and isinstance(phi.target.spec, FiniteTable)
+    states = as_window(phi.source, window).materialize()
+    table, image, _ = _tabulate(phi, states)
+    _, violations = _violations(phi, states, lambda x: table[x] if x in table else phi(x))
     injective = len(image) == len(table)
-    surjective = set(image) == tgt
     witness = None if injective else next(  # the first collision
         (image[y], x, y) for x, y in table.items() if image[y] != x)
-    if not surjective and witness is None:
-        witness = tuple(sorted(tgt - set(image), key=repr))[:3]
-    passed = hom.passed and injective and surjective
-    if not hom.passed and witness is None:
-        witness = hom.violations[:1]
-    if exact and passed:
-        inverse = Morphism(
-            source=phi.target, target=phi.source, rule=TableRule(image)
-        )
-        back = check_homomorphism(inverse, None)
-        if not back.passed:
-            passed = False
-            witness = ("inverse fails", back.violations[:1])
+    surjective = None
+    if exact:
+        missed = [y for y in phi.target.states() if y not in image]
+        surjective = not missed
+        if witness is None and missed:
+            witness = tuple(sorted(missed, key=repr))[:3]
+    if violations and witness is None:
+        witness = violations[:1]
     return IsoReport(
-        passed=passed,
+        passed=not violations and injective and surjective is not False,
         exact=exact,
-        homomorphism=hom.passed,
+        homomorphism=not violations,
         injective=injective,
         surjective=surjective,
         witness=witness,
@@ -289,58 +291,6 @@ def induced_symbolic(phi: Morphism) -> Morphism:
         source=symbolic_model(phi.source),
         target=symbolic_model(phi.target),
         rule=IdentityRule(),
-    )
-
-
-@dataclass(frozen=True)
-class TucIsoReport:
-    window: str
-    passed: bool
-    exact: bool  # full finite state set, orbit-closed: genuine conjugacy
-    tuc_passed: bool
-    intertwined: bool
-    injective: bool
-    detail: str
-
-
-def verify_tuc_iso(sys: DynamicalSystem, window, cap: int = 2**10) -> TucIsoReport:
-    """Coding as an isomorphism onto the symbolic model.
-
-    Needs injectivity of the coding (totally uniqueness) on the window;
-    refuses otherwise.  On a full finite state set the coding map is
-    then a verified bijective homomorphism onto its image in the shift.
-    On any other window injectivity is reported as window evidence; the
-    shift equation needs no check there, since the coding of f(x) is by
-    definition the coding of x without its first symbol.
-    """
-    win = as_window(sys, window)
-    tuc = verify_tuc_window(sys, win, cap)
-    if not tuc.passed:
-        raise PreconditionUnmet(
-            f"coding not injective on the window: {len(tuc.undistinguished)} "
-            "groups undistinguished"
-        )
-    states = win.materialize()
-    exact = isinstance(sys.spec, FiniteTable) and set(states) == set(sys.states())
-    intertwined = injective = True
-    detail = "window evidence: coding injective and shift-intertwined"
-    if exact:
-        n = len(sys.states())
-        phi = Morphism(
-            source=sys, target=symbolic_model(sys), rule=CodingRule(cap=n + 1)
-        )
-        intertwined = check_homomorphism(phi, win).passed
-        table, image, _ = _tabulate(phi, states)
-        injective = len(image) == len(table)
-        detail = "coding map verified as an isomorphism onto its image"
-    return TucIsoReport(
-        window=win.describe(),
-        passed=intertwined and injective,
-        exact=exact,
-        tuc_passed=True,
-        intertwined=intertwined,
-        injective=injective,
-        detail=detail,
     )
 
 
@@ -405,7 +355,6 @@ def conjugate_unitary(
 @dataclass(frozen=True)
 class IsometryReport:
     passed: bool
-    isometry_identity: bool  # V^T V = Id on the source window
     per_branch_interior: tuple  # bool per branch on interior columns
     orbit_condition: str  # "exact", "window-limited"
     witness: object
@@ -418,7 +367,8 @@ def induced_isometry(
 ) -> IsometryReport:
     """V^T N_i V = M_i for the isometry V e_x = e_{phi(x)}.
 
-    Needs phi injective (into window B) and, for the compression to be
+    Needs phi injective into window B, which makes V^T V = Id (anything
+    else raises WindowMismatch), and, for the compression to be
     exact rather than an inequality, the image must be a union of total
     orbits: phi(Orb(x; f)) = Orb(phi(x); g).  The orbit condition is
     checked by comparing closure computations on both windows; it is
@@ -427,7 +377,7 @@ def induced_isometry(
     OrbitConditionFailed.
     """
     a_states = trunc_a.states
-    table, image, fault = _tabulate(phi, a_states, within=trunc_b.index)
+    table, _, fault = _tabulate(phi, a_states, within=trunc_b.index)
     if fault:
         raise fault
     orbit_status = "exact"
@@ -451,7 +401,6 @@ def induced_isometry(
             # closures touched the window boundary: inconclusive
             orbit_status = "window-limited"
     v = {trunc_a.index[x]: trunc_b.index[y] for x, y in table.items()}
-    isometry_identity = len(image) == trunc_a.n
     interior_a = {trunc_a.index[x] for x in trunc_a.interior()}
     bad = [
         [c for c in cols if c in interior_a]
@@ -463,8 +412,7 @@ def induced_isometry(
         None,
     )
     return IsometryReport(
-        passed=isometry_identity and all(per_branch),
-        isometry_identity=isometry_identity,
+        passed=all(per_branch),
         per_branch_interior=tuple(per_branch),
         orbit_condition=orbit_status,
         witness=witness,

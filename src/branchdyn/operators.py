@@ -203,8 +203,10 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
     the stabilization index.  A support state whose chase against x
     revisits a state pair can never be eliminated (the codings agree
     forever); that is reported, not raised.  WindowTooSmall is raised
-    only when the verdict is window or cap limited: x leaves the window,
-    or the cap runs out before separation or a pair revisit.
+    only when the verdict is window or cap limited: x leaves the window
+    before a support state separates from it, or, itself in the support,
+    at the stabilization index (P_m then drops e_x), or the cap runs out
+    before separation or a pair revisit.
     """
     if x not in trunc.index:
         raise InvalidSpec(f"{x!r} is not in the window")
@@ -270,14 +272,16 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
             window_horizon=x_exit,
             passed=False,
         )
-    if x_exit is not None and x_exit < worst:
+    target = {trunc.index[x]: a[trunc.index[x]]} if a.get(trunc.index[x]) else {}
+    # each chase stops by x's exit, so worst <= x_exit; at equality the
+    # window drops e_x itself from P_worst a
+    if target and x_exit == worst:
         raise WindowTooSmall(
-            f"{x!r} leaves the window after {x_exit} steps, "
-            f"before stabilization at {worst}"
+            f"{x!r} leaves the window after {x_exit} steps, at the "
+            f"stabilization index: e_{x!r} drops out of P_{worst} a there"
         )
     prefix = tuple(symbols[:worst])
     result = projection_P(trunc, prefix).apply(a)
-    target = {trunc.index[x]: a[trunc.index[x]]} if a.get(trunc.index[x]) else {}
     return PmLimitReport(
         x=x,
         stabilization_index=worst,

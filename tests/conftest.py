@@ -222,6 +222,27 @@ def distinguishing_prefix_length(sys, x, y, cap):
     return None
 
 
+def iso_oracle(source, target, mapping, states=None):
+    """(homomorphism, injective, onto) of the table ``mapping`` from one
+    finite table system to another, by brute force over both full
+    tables; ``states`` limits the first two to a window of the source.
+
+    Homomorphism: at every window state x, phi(x) is a target state on
+    x's branch and phi(f(x)) = g(phi(x)), both read from ``mapping``.
+    Injective and onto are judged over the states where phi is defined.
+    """
+    f_branch, f = dict(source.spec.branch), dict(source.spec.image)
+    g_branch, g = dict(target.spec.branch), dict(target.spec.image)
+    states = list(f) if states is None else list(states)
+    hom = all(
+        x in mapping and mapping[x] in g and g_branch[mapping[x]] == f_branch[x]
+        and f[x] in mapping and mapping[f[x]] == g[mapping[x]]
+        for x in states
+    )
+    images = [mapping[x] for x in states if x in mapping]
+    return hom, len(set(images)) == len(images), set(g) <= set(images)
+
+
 def zeros(n, m):
     return [[Fraction(0)] * m for _ in range(n)]
 

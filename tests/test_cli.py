@@ -38,6 +38,19 @@ FIVE_STATE = json.dumps(
 TABLE_1_5 = json.dumps(
     {"family": "table", "k": 1, "branch": {"1": 1, "5": 1}, "image": {"1": "5", "5": "1"}}
 )
+# FIVE_STATE relabelled by RELABEL_FIVE
+FIVE_STATE_RELABELED = json.dumps(
+    {
+        "family": "table",
+        "k": 2,
+        "states": ["1", "2", "3", "4", "5"],
+        "branch": {"4": 1, "5": 2, "1": 1, "2": 2, "3": 1},
+        "image": {"4": "5", "5": "4", "1": "2", "2": "3", "3": "1"},
+    }
+)
+RELABEL_FIVE = json.dumps(
+    {"kind": "table", "map": {"1": "4", "2": "5", "3": "1", "4": "2", "5": "3"}}
+)
 
 
 def run(capsys, *argv):
@@ -170,6 +183,17 @@ PERIOD3_30 = json.dumps(
         ("morphism_iso_table_1_5.json",
          ["morphism", "iso", "--source", TABLE_1_5, "--target", TABLE_1_5,
           "--phi", '{"kind": "identity"}']),
+        ("morphism_isometry_five_relabeled.json",
+         ["morphism", "isometry", "--source", FIVE_STATE, "--target", FIVE_STATE_RELABELED,
+          "--phi", RELABEL_FIVE]),
+        # surjectivity is not measured on a window
+        ("morphism_iso_collatz_identity_w30.json",
+         ["morphism", "iso", "--source", "collatz", "--target", "collatz",
+          "--phi", '{"kind": "identity"}', "--window", "1..30"]),
+        # a finite source needs no window, whatever the target
+        ("morphism_iso_five_coding.json",
+         ["morphism", "iso", "--source", FIVE_STATE, "--target", "shift:2",
+          "--phi", '{"kind": "coding"}']),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -587,6 +611,17 @@ def test_reduce_check_set_file_must_list_states(tmp_path, capsys, content):
     assert captured.err.startswith("error: malformed ")
 
 
+def test_pm_limit_x_leaving_at_stabilization_is_exit_2(capsys):
+    # 15 -> 46 leaves 1..60 at step 3, where 1 separates from 15: the
+    # window drops e_15 from P_3 a, so it cannot show the limit
+    code = cli.main(["operators", "pm-limit", "--system", "collatz", "--window", "1..60",
+                     "--x", "15", "--support", "15,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: 15 leaves the window after 3 steps")
+
+
 def test_operators_pm_limit(capsys):
     code, rep = run(
         capsys, "operators", "pm-limit", "--system", "collatz",
@@ -638,21 +673,9 @@ def test_malformed_morphism_is_exit_2(capsys, phi):
 
 
 def test_morphism_conjugate_relabel(capsys):
-    relabeled = json.dumps(
-        {
-            "family": "table",
-            "k": 2,
-            "states": ["1", "2", "3", "4", "5"],
-            "branch": {"4": 1, "5": 2, "1": 1, "2": 2, "3": 1},
-            "image": {"4": "5", "5": "4", "1": "2", "2": "3", "3": "1"},
-        }
-    )
-    phi = json.dumps(
-        {"kind": "table", "map": {"1": "4", "2": "5", "3": "1", "4": "2", "5": "3"}}
-    )
     code, rep = run(
         capsys, "morphism", "conjugate", "--source", FIVE_STATE,
-        "--target", relabeled, "--phi", phi,
+        "--target", FIVE_STATE_RELABELED, "--phi", RELABEL_FIVE,
     )
     assert code == 0 and rep["passed"]
 
@@ -753,8 +776,11 @@ TABLE_MORPHISM = {
     "--window": (None, "1..5"),
     "--target-window": (None, "1..5"),
 }
+# x = 5 never leaves FIVE_STATE, so every pm-limit variant is a report
+PM_LIMIT_TABLE = {"--system": (FIVE_STATE, FIVE_STATE_B), "--window": (None, "1..5")}
 HASH_OVERRIDES = {
     ("operators", "reduce-check"): CLOSED_TABLES,
+    ("operators", "pm-limit"): PM_LIMIT_TABLE,
     ("operators", "commutant"): CLOSED_TABLES,
     **{("morphism", what): TABLE_MORPHISM
        for what in ("check", "iso", "conjugate", "isometry")},

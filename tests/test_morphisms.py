@@ -11,10 +11,9 @@ from branchdyn.errors import (
     DomainMismatch,
     InvalidSpec,
     OrbitConditionFailed,
-    PreconditionUnmet,
     WindowMismatch,
 )
-from conftest import branch_matrix, closed_tables, transpose, zeros
+from conftest import branch_matrix, closed_tables, iso_oracle, transpose, zeros
 
 
 def _table(branch, image, k=None):
@@ -169,9 +168,108 @@ def test_partial_phi_fails_the_homomorphism_check(collatz):
     leaving = morphisms.Morphism(collatz, collatz, morphisms.AffineRule(1, -1))
     for phi, window in ((partial, None), (leaving, (1, 5))):
         rep = morphisms.is_isomorphism(phi, window)
-        assert not rep.passed and not rep.homomorphism
-        assert rep.injective and rep.surjective == (window is not None)
+        assert not rep.passed and not rep.homomorphism and rep.injective
+    assert morphisms.is_isomorphism(partial).surjective is False
     assert morphisms.is_isomorphism(partial).witness == (5,)
+    assert morphisms.is_isomorphism(leaving, (1, 5)).surjective is None  # not measured
+
+
+def test_onto_map_with_an_image_outside_the_target():
+    # every state of the 2-cycle is hit; 3 -> 99 fails the homomorphism check
+    three = _table({1: 1, 2: 1, 3: 1}, {1: 2, 2: 3, 3: 1}, k=1)
+    two = _table({1: 1, 2: 1}, {1: 2, 2: 1}, k=1)
+    phi = morphisms.Morphism(three, two, morphisms.TableRule({1: 1, 2: 2, 3: 99}))
+    rep = morphisms.is_isomorphism(phi)
+    assert rep.surjective and rep.injective and not rep.homomorphism and not rep.passed
+    assert rep.witness == ((2, "does not intertwine f and g"),)
+
+
+def test_infinite_source_needs_a_window(collatz):
+    # a finite source needs none, whatever the target: see the coding map below
+    with pytest.raises(InvalidSpec, match="^infinite systems need a window$"):
+        morphisms.is_isomorphism(morphisms.identity(collatz))
+
+
+@given(closed_tables(), st.data())
+def test_is_isomorphism_matches_the_brute_force_oracle(table, data):
+    # the target is a relabelled copy; phi is the relabelling, in some
+    # draws with two images swapped, one state dropped or one image sent
+    # outside the target, on all of the source or on a window of it
+    branch, image, k = table
+    sys = _table(branch, image, k=k)
+    states = sorted(branch)
+    labels = data.draw(st.permutations(range(len(states))))
+    perm = {x: 3 * v + 5 for x, v in zip(states, labels)}
+    target, _ = relabeled_copy(sys, perm)
+    rule = dict(perm)
+    x, y = data.draw(st.sampled_from(states)), data.draw(st.sampled_from(states))
+    change = data.draw(st.sampled_from(["none", "swap", "drop", "outside"]))
+    if change == "swap":
+        rule[x], rule[y] = rule[y], rule[x]
+    elif change == "drop":
+        del rule[x]
+    elif change == "outside":
+        rule[x] = 0
+    window = data.draw(st.one_of(
+        st.none(), st.lists(st.sampled_from(states), min_size=1, unique=True)))
+    phi = morphisms.Morphism(sys, target, morphisms.TableRule(rule))
+    win = None if window is None else systems.SetWindow(window)
+    on = states if window is None else sorted(window)
+    rep = morphisms.is_isomorphism(phi, win)
+    hom, injective, onto = iso_oracle(sys, target, rule, on)
+    assert rep.exact == (window is None)
+    assert (rep.homomorphism, rep.injective) == (hom, injective)
+    assert rep.surjective == (onto if rep.exact else None)
+    assert rep.passed == (hom and injective and (onto or not rep.exact))
+    # the first collision, else the target states missed, else the first violation
+    first, collision = {}, None
+    for s in on:
+        if s in rule:
+            if rule[s] in first and collision is None:
+                collision = (first[rule[s]], s, rule[s])
+            first.setdefault(rule[s], s)
+    missed = tuple(sorted(set(target.states()) - set(first), key=repr))[:3] if rep.exact else ()
+    violation = morphisms.check_homomorphism(phi, win).violations[:1]
+    assert rep.witness == (collision or missed or violation or None)
+    if rep.passed and rep.exact:
+        inverse = morphisms.Morphism(
+            target, sys, morphisms.TableRule({b: a for a, b in rule.items()}))
+        assert morphisms.check_homomorphism(inverse, None).passed
+
+
+class _CountedRule:
+    """A table rule that counts its evaluations."""
+
+    def __init__(self, mapping):
+        self.mapping, self.calls = mapping, 0
+
+    def apply(self, m, x):
+        self.calls += 1
+        return self.mapping[x]
+
+
+@given(closed_tables(), st.data())
+def test_phi_evaluations_per_state(table, data):
+    # the checks that tabulate phi evaluate it once per state;
+    # check_homomorphism keeps no table, so evaluates phi(x) and phi(f(x))
+    branch, image, k = table
+    sys = _table(branch, image, k=k)
+    states = sorted(branch)
+    labels = data.draw(st.permutations(range(len(states))))
+    perm = {x: 3 * v + 5 for x, v in zip(states, labels)}
+    target, _ = relabeled_copy(sys, perm)
+    ta = operators.build_truncation(sys, None)
+    tb = operators.build_truncation(target, None)
+    checks = (
+        (lambda phi: morphisms.is_isomorphism(phi), 1),
+        (lambda phi: morphisms.conjugate_unitary(phi, ta, tb), 1),
+        (lambda phi: morphisms.induced_isometry(phi, ta, tb), 1),
+        (lambda phi: morphisms.check_homomorphism(phi, None), 2),
+    )
+    for check, per_state in checks:
+        rule = _CountedRule(perm)
+        assert check(morphisms.Morphism(sys, target, rule)).passed
+        assert rule.calls == per_state * len(states)
 
 
 def test_swap_coding_map_is_not_injective(swap1):
@@ -215,24 +313,39 @@ def test_functor_respects_composition():
         assert f_comp(seq) == f_psi(f_phi(seq))
 
 
-# -- coding isomorphism under totally unique codings ------------------------------------
+# -- the coding map under totally unique codings ------------------------------------
 
 
-def test_tuc_iso_collatz_window(collatz):
-    rep = morphisms.verify_tuc_iso(collatz, (1, 500), cap=1024)
-    assert rep.passed
-    assert rep.tuc_passed and rep.intertwined and rep.injective
-    assert not rep.exact  # window evidence for an infinite system
+@given(closed_tables())
+def test_coding_map_is_injective_exactly_under_tuc(table):
+    # a cycle of n states needs at most n + 1 steps to close, and two
+    # states that separate do so within n * n + 2 symbols
+    branch, image, k = table
+    sys = _table(branch, image, k=k)
+    n = len(branch)
+    phi = morphisms.Morphism(sys, morphisms.symbolic_model(sys), morphisms.CodingRule(n + 1))
+    rep = morphisms.is_isomorphism(phi)
+    assert rep.injective == coding.verify_tuc_window(sys, None, cap=n * n + 2).passed
+    assert rep.homomorphism and rep.passed == rep.injective
+    assert not rep.exact and rep.surjective is None
+    assert morphisms.check_homomorphism(phi, None).passed
 
 
-def test_tuc_iso_exact_on_finite_system():
-    rep = morphisms.verify_tuc_iso(two_plus_three(), None, cap=64)
-    assert rep.passed and rep.exact
+def test_coding_map_on_a_collatz_window(collatz):
+    assert coding.verify_tuc_window(collatz, (1, 500), 1024).passed
+    phi = morphisms.Morphism(
+        collatz, morphisms.symbolic_model(collatz), morphisms.CodingRule(1024))
+    rep = morphisms.is_isomorphism(phi, (1, 500))
+    assert rep.passed and rep.injective
+    assert not rep.exact and rep.surjective is None  # window evidence only
 
 
-def test_tuc_iso_refuses_swap(swap1):
-    with pytest.raises(PreconditionUnmet):
-        morphisms.verify_tuc_iso(swap1, (1, 2), cap=64)
+def test_swap_coding_map_is_not_an_isomorphism(swap1):
+    assert not coding.verify_tuc_window(swap1, None, cap=64).passed
+    phi = morphisms.Morphism(swap1, morphisms.symbolic_model(swap1), morphisms.CodingRule(64))
+    rep = morphisms.is_isomorphism(phi)
+    assert rep.homomorphism and not rep.injective and not rep.passed
+    assert rep.witness[:2] == (1, 2)
 
 
 # -- unitary conjugation ------------------------------------------------------------------
@@ -350,7 +463,6 @@ def test_inclusion_of_invariant_component():
     tb = operators.build_truncation(big, None)
     rep = morphisms.induced_isometry(phi, ta, tb)
     assert rep.passed
-    assert rep.isometry_identity
     assert rep.orbit_condition == "exact"
 
 
@@ -360,7 +472,7 @@ def test_isomorphism_reduces_to_unitary():
     ta = operators.build_truncation(sys, None)
     tb = operators.build_truncation(target, None)
     rep = morphisms.induced_isometry(phi, ta, tb)
-    assert rep.passed and rep.isometry_identity
+    assert rep.passed
     assert morphisms.conjugate_unitary(phi, ta, tb).passed
 
 
@@ -384,7 +496,7 @@ def test_identity_isometry_on_many_fixed_points(deadline):
     t = operators.build_truncation(sys, None)
     deadline(5)
     rep = morphisms.induced_isometry(morphisms.identity(sys), t, t)
-    assert rep.passed and rep.isometry_identity
+    assert rep.passed
     assert rep.orbit_condition == "exact"
 
 

@@ -310,6 +310,29 @@ def test_pm_window_too_small(collatz):
         operators.verify_pm_limit(t, a, 7)  # 7 exits before separating from 1
 
 
+def test_pm_x_leaving_at_stabilization(collatz):
+    # 15 leaves 1..60 at step 3, where 1 separates from it: P_3 drops e_15,
+    # so the window cannot show the limit e_15; without 15 in the support
+    # the limit is 0 and the window shows it
+    t = operators.build_truncation(collatz, (1, 60))
+    with pytest.raises(WindowTooSmall, match="^15 leaves the window after 3 steps"):
+        operators.verify_pm_limit(t, {t.index[15]: F(1), t.index[1]: F(1)}, 15)
+    rep = operators.verify_pm_limit(t, e(t, 1), 15)
+    assert rep.passed and rep.stabilization_index == rep.window_horizon == 3
+
+
+@given(st.integers(1, 60), st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True))
+def test_pm_report_passes_unless_a_support_state_never_drops_out(collatz, x, support):
+    t = operators.build_truncation(collatz, (1, 60))
+    try:
+        rep = operators.verify_pm_limit(t, {t.index[s]: F(1) for s in support}, x)
+    except WindowTooSmall:
+        return
+    assert rep.passed == (not rep.never)
+    if rep.never == ():
+        assert rep.window_horizon is None or rep.window_horizon >= rep.stabilization_index
+
+
 def test_pm_cap_limited(collatz):
     t = operators.build_truncation(collatz, (1, 10**4))
     a = {t.index[1]: F(1), t.index[5]: F(1)}
