@@ -479,8 +479,8 @@ def check_morphism_suite() -> CheckResult:
 
     # orbit image and pullback invariance
     for x in sys_a.states():
-        orb_a = orbits.orbit_iterate(sys_a, x, cap=100).trajectory
-        orb_q = orbits.orbit_iterate(sys_q, to_q[x], cap=100).trajectory
+        orb_a = orbits.orbit_iterate(sys_a, x, cap=100).replay()
+        orb_q = orbits.orbit_iterate(sys_q, to_q[x], cap=100).replay()
         if {to_q[s] for s in orb_a} != set(orb_q):
             failures.append(f"orbit image mismatch at {x}")
     chi = morphisms.compose(tau, phi)

@@ -223,7 +223,7 @@ def cmd_orbit(args):
     rec = orbits.orbit_iterate(args.system, args.x, args.cap)
     return {
         "start": _state(rec.start),
-        "trajectory": _states(rec.trajectory),
+        "trajectory": _states(rec.replay()),
         "entered_cycle": rec.entered_cycle,
         "cycle": _states(rec.cycle),
         "entry_index": rec.entry_index,

@@ -342,8 +342,8 @@ def exact_coding(sys: DynamicalSystem, x, cap: int) -> EventuallyPeriodic | None
     rec = orbit_iterate(sys, x, cap)
     if not rec.entered_cycle:
         return None
-    branch = sys._branch  # orbit_iterate checked x; the rest are its images
-    symbols = [branch(s) for s in rec.trajectory]
+    # orbit_iterate checked x; the rest are its images, replayed one at a time
+    symbols = list(map(sys._branch, rec.replay()))
     return EventuallyPeriodic.make(
         symbols[: rec.entry_index], symbols[rec.entry_index :]
     )

@@ -11,7 +11,7 @@ leaves the window) and the node budget was not exhausted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import deque
 
 from .errors import InvalidSpec
@@ -27,12 +27,37 @@ def canonical_cycle(cycle) -> tuple:
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """The walk x, f(x), f(f(x)), ... of ``orbit_iterate``, without its states.
+
+    The trajectory is replayed on demand from ``start`` with the same
+    step kernel the walk used, so a census of many orbits holds no
+    states beyond each record's cycle.  It has ``entry_index +
+    len(cycle)`` states when the orbit entered a cycle (the first repeat
+    ends it) and ``cap + 1`` otherwise.  ``entry_index`` counts the steps
+    from ``start`` to the first state of the cycle, f^entry_index(start),
+    which is that state's index in the trajectory.
+    """
+
     start: object
-    trajectory: tuple
     entered_cycle: bool
     cycle: tuple  # canonical rotation; () if cap was hit first
-    entry_index: int  # index into trajectory where the cycle begins; -1 if none
+    entry_index: int  # steps from start to the cycle; -1 if none
     cap: int
+    system: DynamicalSystem = field(repr=False)
+
+    def replay(self):
+        """Yield the trajectory's states, one step at a time."""
+        n = self.entry_index + len(self.cycle) if self.entered_cycle else self.cap + 1
+        step = self.system._step
+        cur = self.start
+        yield cur
+        for _ in range(n - 1):
+            cur = step(cur)
+            yield cur
+
+    @property
+    def trajectory(self) -> tuple:
+        return tuple(self.replay())
 
 
 def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
@@ -41,29 +66,28 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     sys._require(x)
     step = sys._step
-    seen = {x: 0}  # state -> index; its keys, in order, are the trajectory
+    seen = {x: 0}  # state -> index in the trajectory
     cur = x
     for n in range(1, cap + 1):
         cur = step(cur)
         if cur in seen:
             i = seen[cur]
-            traj = tuple(seen)
+            seen.clear()  # the walk around the cycle needs none of it
+            cycle = [cur]
+            for _ in range(n - i - 1):
+                cur = step(cur)
+                cycle.append(cur)
             return OrbitRecord(
                 start=x,
-                trajectory=traj,
                 entered_cycle=True,
-                cycle=canonical_cycle(traj[i:]),
+                cycle=canonical_cycle(cycle),
                 entry_index=i,
                 cap=cap,
+                system=sys,
             )
         seen[cur] = n
     return OrbitRecord(
-        start=x,
-        trajectory=tuple(seen),
-        entered_cycle=False,
-        cycle=(),
-        entry_index=-1,
-        cap=cap,
+        start=x, entered_cycle=False, cycle=(), entry_index=-1, cap=cap, system=sys
     )
 
 

@@ -185,6 +185,26 @@ def all_words_cycles(sys, max_len):
     return found
 
 
+def orbit_oracle(sys, x, cap):
+    """The eager orbit walk: every state kept in order, through the public
+    ``apply``.  Returns the fields of ``orbits.OrbitRecord`` as a dict,
+    with the trajectory the walk saw."""
+    seen = {x: 0}
+    cur = x
+    for n in range(1, cap + 1):
+        cur = sys.apply(cur)
+        if cur in seen:
+            i = seen[cur]
+            traj = tuple(seen)
+            cyc = traj[i:]
+            j = cyc.index(min(cyc))
+            return {"start": x, "trajectory": traj, "entered_cycle": True,
+                    "cycle": cyc[j:] + cyc[:j], "entry_index": i, "cap": cap}
+        seen[cur] = n
+    return {"start": x, "trajectory": tuple(seen), "entered_cycle": False,
+            "cycle": (), "entry_index": -1, "cap": cap}
+
+
 def state_digits(x, k, depth):
     """(x mod k, x mod k^2, ..., x mod k^depth), one power at a time."""
     return tuple(x % k**j for j in range(1, depth + 1))

@@ -194,6 +194,13 @@ PERIOD3_30 = json.dumps(
         ("morphism_iso_five_coding.json",
          ["morphism", "iso", "--source", FIVE_STATE, "--target", "shift:2",
           "--phi", '{"kind": "coding"}']),
+        ("orbit_qxd5_1_x13_cap12.json",
+         ["orbit", "--system", "qxd:5,1", "--x", "13", "--cap", "12"]),
+        # the orbit of 7 diverges: cap + 1 states, no cycle
+        ("orbit_qxd5_1_x7_cap50.json",
+         ["orbit", "--system", "qxd:5,1", "--x", "7", "--cap", "50"]),
+        ("code_qxd5_1_x13_exact_tail.json",
+         ["code", "--system", "qxd:5,1", "--x", "13", "--exact-tail"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):

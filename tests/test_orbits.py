@@ -1,12 +1,15 @@
 """Orbit iteration, total-orbit closure, minimality probing."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from branchdyn import orbits, systems
 from branchdyn.errors import InvalidSpec
+
+from conftest import closed_tables, orbit_oracle
 
 
 def _table(branch, image, k=None):
@@ -27,6 +30,11 @@ def test_collatz_orbit_of_one(collatz):
     assert rec.entered_cycle
     assert rec.cycle == (1, 4, 2)
     assert rec.entry_index == 0
+    # the walk sees 1 again at step 3; at cap 2 it stops one step short
+    entered = orbits.orbit_iterate(collatz, 1, cap=3)
+    capped = orbits.orbit_iterate(collatz, 1, cap=2)
+    assert entered.entered_cycle and not capped.entered_cycle
+    assert entered.trajectory == capped.trajectory == (1, 4, 2)
 
 
 def test_five_x_one_orbit_of_13(five_x_one):
@@ -68,6 +76,74 @@ def test_orbit_trajectory_satisfies_recurrence(x):
     assert rec.trajectory[0] == x
     for a, b in zip(rec.trajectory, rec.trajectory[1:]):
         assert sys.apply(a) == b
+
+
+def assert_matches_oracle(sys, x, cap):
+    want = orbit_oracle(sys, x, cap)
+    rec = orbits.orbit_iterate(sys, x, cap)
+    assert {name: getattr(rec, name) for name in want} == want
+    assert rec.system == sys
+
+
+def check_caps(sys, x, cap):
+    """The drawn cap, cap 0, and the caps either side of the first repeat:
+    mu + lam, where the walk sees it, and mu + lam - 1."""
+    caps = {0, cap}
+    full = orbit_oracle(sys, x, 1000)
+    if full["entered_cycle"]:
+        mu_lam = full["entry_index"] + len(full["cycle"])
+        caps |= {mu_lam - 1, mu_lam}
+    for c in sorted(caps):
+        assert_matches_oracle(sys, x, c)
+
+
+AFFINE = {
+    "collatz": systems.make_system(systems.collatz()),
+    "qxd:5,1": systems.make_system(systems.QxPlusD(5, 1)),
+    "alphabeta3": systems.make_system(systems.AlphaBeta(3, (2, 4), (1, 5))),
+}
+
+
+@given(
+    st.sampled_from(sorted(AFFINE)),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=0, max_value=300),
+)
+def test_orbit_matches_eager_oracle_on_affine_systems(name, x, cap):
+    check_caps(AFFINE[name], x, cap)
+
+
+@given(closed_tables(), st.data())
+def test_orbit_matches_eager_oracle_on_tables(table, data):
+    branch, image, k = table
+    sys = systems.make_system(systems.FiniteTable.make(branch, image, k=k))
+    x = data.draw(st.sampled_from(sorted(branch)))
+    check_caps(sys, x, data.draw(st.integers(min_value=0, max_value=2 * len(branch))))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=2), max_size=5),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=12),
+)
+def test_orbit_matches_eager_oracle_on_shift(pre, per, cap):
+    sys = systems.make_system(systems.SymbolicShift(2))
+    check_caps(sys, systems.EventuallyPeriodic.make(pre, per), cap)
+
+
+def test_records_hold_no_states(five_x_one):
+    # five of these orbits pass the cap; records that kept their
+    # trajectories would hold 10^4 states of up to ~1000 bits for each,
+    # about 4.9 MB in all
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        recs = [orbits.orbit_iterate(five_x_one, x, cap=10**4) for x in range(1, 21)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(not r.entered_cycle for r in recs) == 5
+    assert retained < 5 * 10**5
 
 
 # -- invariant_closure / total_orbit ------------------------------------------
