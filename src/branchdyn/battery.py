@@ -22,9 +22,11 @@ from .systems import (
     AlphaBeta,
     DynamicalSystem,
     FiniteTable,
+    IntWindow,
     QxPlusD,
     collatz,
     make_system,
+    window_states,
 )
 
 
@@ -542,14 +544,12 @@ def check_digit_towers() -> CheckResult:
         (make_system(AlphaBeta(3, (4, 4), (2, 1))), 3),
         (make_system(AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1))), 5),
     ]
-    states = range(1, 10**4 + 1)
     tower_step = coding._tower_step
     for sys, k in towers:
         # the system checks of tower_apply and the state checks of
         # tower_from_state, once per system; the sweep runs on residues
         rows = coding._tower_rows(sys, k)
-        for x in states:
-            sys._require(x)
+        _, states = window_states(sys, IntWindow(1, 10**4))
         step, branch = sys._step, sys._branch
         powers = [k**depth for depth in range(9)]
         for x in states:

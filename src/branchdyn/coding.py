@@ -33,7 +33,7 @@ from .errors import (
     PreconditionUnmet,
 )
 from .orbits import orbit_iterate
-from .systems import DynamicalSystem, EventuallyPeriodic, as_window
+from .systems import DynamicalSystem, EventuallyPeriodic, window_states
 
 
 def coding_prefix(sys: DynamicalSystem, x, length: int) -> tuple:
@@ -72,10 +72,7 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     """
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
-    win = as_window(sys, window)
-    states = win.materialize()
-    for x in states:
-        sys._require(x)
+    win, states = window_states(sys, window)
     step, branch = sys._step, sys._branch
     n = len(states)
     cursor = list(states)  # cursor[j] = f^rounds(states[j]) while j is unsplit
@@ -132,10 +129,7 @@ def check_alphabeta_hypotheses(
     horizon = sys.k if horizon is None else horizon
     if horizon < 1:
         raise InvalidSpec(f"need horizon >= 1, got {horizon}")
-    win = as_window(sys, window)
-    states = win.materialize()
-    for x in states:
-        sys._require(x)
+    win, states = window_states(sys, window)
     step, k = sys._step, sys.k
     gcd_failures = sys.gcd_failures
     multiple_failures = []

@@ -43,7 +43,6 @@ from .errors import (
 from .orbits import invariant_closure
 from .systems import (
     DynamicalSystem,
-    FiniteTable,
     SetWindow,
     SymbolicShift,
     as_window,
@@ -140,7 +139,7 @@ def compose(psi: Morphism, phi: Morphism) -> Morphism:
         return Morphism(source=phi.source, target=psi.target, rule=psi.rule)
     if isinstance(psi.rule, IdentityRule):
         return Morphism(source=phi.source, target=psi.target, rule=phi.rule)
-    if isinstance(phi.source.spec, FiniteTable):
+    if phi.source.is_finite:
         mapping = {x: psi(phi(x)) for x in phi.source.states()}
         return Morphism(source=phi.source, target=psi.target, rule=TableRule(mapping))
     return Morphism(
@@ -249,9 +248,9 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
     evaluated once per state: the homomorphism check reads the table
     and evaluates phi only at images f(x) outside it.
     """
-    if window is None and not isinstance(phi.source.spec, FiniteTable):
+    if window is None and not phi.source.is_finite:
         raise InvalidSpec("infinite systems need a window")
-    exact = window is None and isinstance(phi.target.spec, FiniteTable)
+    exact = window is None and phi.target.is_finite
     states = as_window(phi.source, window).materialize()
     table, image, _ = _tabulate(phi, states)
     _, violations = _violations(phi, states, lambda x: table[x] if x in table else phi(x))

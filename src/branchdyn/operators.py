@@ -38,7 +38,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
-from .systems import DynamicalSystem, _primitive_period, as_window
+from .systems import DynamicalSystem, _primitive_period, window_states
 from .words import check_word
 
 # the most entries commutant_projections builds for its block bases,
@@ -85,14 +85,11 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
 
     One pass over the states reads each state's branch and image once.
     """
-    win = as_window(sys, window)
-    states = win.materialize()
+    _, states = window_states(sys, window)
     if order is not None:
         if set(order) != set(states) or len(set(order)) != len(states):
             raise InvalidSpec("order must be a permutation of the window")
         states = tuple(order)
-    for x in states:
-        sys._require(x)
     step, branch = sys._step, sys._branch
     index = {x: n for n, x in enumerate(states)}
     maps = [{} for _ in range(sys.k)]
@@ -281,7 +278,8 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
             f"stabilization index: e_{x!r} drops out of P_{worst} a there"
         )
     prefix = tuple(symbols[:worst])
-    result = projection_P(trunc, prefix).apply(a)
+    # a zero coefficient of a is no support: compare nonzero entries only
+    result = {c: v for c, v in projection_P(trunc, prefix).apply(a).items() if v}
     return PmLimitReport(
         x=x,
         stabilization_index=worst,

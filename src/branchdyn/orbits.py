@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from collections import deque
 
 from .errors import InvalidSpec
-from .systems import DynamicalSystem, as_window
+from .systems import DynamicalSystem, as_window, window_states
 
 
 def canonical_cycle(cycle) -> tuple:
@@ -205,10 +205,7 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     """
     if budget < 0:
         raise InvalidSpec(f"need budget >= 0, got {budget}")
-    win = as_window(sys, window)
-    order = win.materialize()
-    for x in order:
-        sys._require(x)
+    win, order = window_states(sys, window)
     step = sys._step
     pos = {x: j for j, x in enumerate(order)}
     uf = _UnionFind(len(order))

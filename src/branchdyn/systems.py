@@ -192,42 +192,23 @@ def _affine_kernels(k: int, rows: tuple) -> tuple:
     return step, branch, preimages
 
 
-def _table_kernels(branch: dict, image: dict, preimage_lists: dict) -> tuple:
-    """Trusted step, branch and preimage functions of a finite table."""
-
-    def preimages(x):
-        return list(preimage_lists.get(x, ()))
-
-    return image.__getitem__, branch.__getitem__, preimages
-
-
-def _shift_kernels(k: int) -> tuple:
-    """Trusted step, branch and preimage functions of the shift on k symbols."""
-
-    def preimages(x):
-        return [(x.prepend(i), i) for i in range(1, k + 1)]
-
-    return EventuallyPeriodic.shift, EventuallyPeriodic.head, preimages
-
-
 class DynamicalSystem:
     """A validated system: branch lookup, forward map, exact preimages.
 
-    An affine system holds one integer branch table, ``_affine[r - 1] =
-    (a_r, b_r)`` for the residues 0 < r < k, and residue 0 divides by k;
-    ``QxPlusD(q, d)`` is the k = 2 table ((q, d),).  A finite table holds
-    its branch, image and preimage dicts.  A system holding neither is a
-    shift.
-
-    ``__init__`` builds one step kernel per system: private ``_step``,
-    ``_branch`` and ``_preimages`` functions specialised to the family
-    (for k = 2, ``q*x + d if x & 1 else x >> 1``).  The public methods
-    ``apply``, ``branch_of`` and ``preimages`` validate every argument and
-    then call them.  The kernels validate nothing: they trust states the
-    system produced, which are states by construction, since positive
-    integers map to positive integers and a table's image is total
-    (``__init__`` checks it).  Internal loops validate their entry states
-    once with ``_require`` and then run on the kernels.
+    ``__init__`` reads the family of the spec once: its branch checks the
+    spec and binds private ``_step``, ``_branch`` and ``_preimages``
+    kernels specialised to the family (for k = 2, ``q*x + d if x & 1
+    else x >> 1``).  An affine system holds one integer branch table,
+    ``_affine[r - 1] = (a_r, b_r)`` for the residues 0 < r < k, and
+    residue 0 divides by k; ``QxPlusD(q, d)`` is the k = 2 table ((q,
+    d),).  A finite table holds its state set.  A system holding neither
+    is a shift.  The public methods ``apply``, ``branch_of`` and
+    ``preimages`` validate every argument and then call the kernels.
+    The kernels validate nothing: they trust states the system produced,
+    which are states by construction, since positive integers map to
+    positive integers and a table's image is total (``__init__`` checks
+    it).  Window scans on the kernels validate their states once, with
+    ``window_states``.
 
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
@@ -237,62 +218,15 @@ class DynamicalSystem:
     def __init__(self, spec):
         self.spec = spec
         self._affine = None
-        self._image = None
+        self._state_set = None
+        self.gcd_failures = ()
         if isinstance(spec, QxPlusD):
-            self.k = 2
-            self._affine = ((spec.q, spec.d),)
-        elif isinstance(spec, AlphaBeta):
-            self.k = spec.k
-            self._affine = tuple(zip(spec.alpha, spec.beta))
-        elif isinstance(spec, FiniteTable):
-            self.k = spec.k
-            self._branch_table = dict(spec.branch)
-            self._image = dict(spec.image)
-            self._state_set = frozenset(spec.states)
-        elif isinstance(spec, SymbolicShift):
-            self.k = spec.k
-        else:
-            raise InvalidSpec(f"unknown family: {spec!r}")
-        self.gcd_failures = tuple(
-            i
-            for i, (a, _) in enumerate(self._affine or (), start=1)
-            if gcd(a, self.k) > 1
-        )
-        self._validate()
-        if self._affine is not None:
-            kernels = _affine_kernels(self.k, self._affine)
-        elif self._image is not None:
-            # after validation, which checks that branch and image are total
-            preimage_lists: dict = {}
-            for x in spec.states:
-                preimage_lists.setdefault(self._image[x], []).append(
-                    (x, self._branch_table[x])
-                )
-            for lst in preimage_lists.values():
-                lst.sort(key=lambda pair: pair[1])
-            kernels = _table_kernels(self._branch_table, self._image, preimage_lists)
-        else:
-            kernels = _shift_kernels(self.k)
-        self._step, self._branch, self._preimages = kernels
-
-    # systems with equal specs are interchangeable
-    def __eq__(self, other):
-        return isinstance(other, DynamicalSystem) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
-
-    def __repr__(self):
-        return f"DynamicalSystem({self.spec!r})"
-
-    # -- validation --------------------------------------------------------
-
-    def _validate(self):
-        spec = self.spec
-        if isinstance(spec, QxPlusD):
+            self._set_affine(2, ((spec.q, spec.d),))
             if spec.q < 1 or spec.d < 1 or spec.q % 2 == 0 or spec.d % 2 == 0:
                 raise InvalidSpec("q and d must be odd positive integers")
+            kernels = _affine_kernels(2, self._affine)
         elif isinstance(spec, AlphaBeta):
+            self._set_affine(spec.k, tuple(zip(spec.alpha, spec.beta)))
             if spec.k < 2:
                 raise InvalidSpec("need k >= 2")
             if len(spec.alpha) != spec.k - 1 or len(spec.beta) != spec.k - 1:
@@ -302,12 +236,16 @@ class DynamicalSystem:
                     raise InvalidSpec("coefficients must be positive integers")
             # a_i*n + b_i must land back in {1,2,...}: automatic for
             # positive coefficients; residue classes need no check.
+            kernels = _affine_kernels(spec.k, self._affine)
         elif isinstance(spec, FiniteTable):
+            self.k = spec.k
+            branch = dict(spec.branch)
+            image = dict(spec.image)
+            self._state_set = frozenset(spec.states)
             if not spec.states:
                 raise InvalidSpec("state set must be nonempty")
             if spec.k < 1:
                 raise InvalidSpec("need k >= 1")
-            branch, image = self._branch_table, self._image
             if set(branch) != self._state_set or set(image) != self._state_set:
                 raise InvalidSpec("branch and image must be total on the states")
             for x, i in branch.items():
@@ -321,15 +259,51 @@ class DynamicalSystem:
                 raise NonInjectiveBranch(
                     f"branch {i}: states {x!r} and {y!r} share image {fx!r}"
                 )
-        elif spec.k < 1:  # SymbolicShift
-            raise InvalidSpec("need k >= 1")
+            preimage_lists: dict = {}
+            for x in sorted(spec.states, key=branch.__getitem__):
+                preimage_lists.setdefault(image[x], []).append((x, branch[x]))
+
+            def preimages(x):
+                return list(preimage_lists.get(x, ()))
+
+            kernels = image.__getitem__, branch.__getitem__, preimages
+        elif isinstance(spec, SymbolicShift):
+            self.k = k = spec.k
+            if k < 1:
+                raise InvalidSpec("need k >= 1")
+
+            def preimages(x):
+                return [(x.prepend(i), i) for i in range(1, k + 1)]
+
+            kernels = EventuallyPeriodic.shift, EventuallyPeriodic.head, preimages
+        else:
+            raise InvalidSpec(f"unknown family: {spec!r}")
+        self._step, self._branch, self._preimages = kernels
+
+    def _set_affine(self, k: int, rows: tuple) -> None:
+        # before the family checks: gcd raises TypeError on a non-integer
+        # coefficient, which the sign and parity checks would let through
+        self.k, self._affine = k, rows
+        self.gcd_failures = tuple(
+            i for i, (a, _) in enumerate(rows, start=1) if gcd(a, k) > 1
+        )
+
+    # systems with equal specs are interchangeable
+    def __eq__(self, other):
+        return isinstance(other, DynamicalSystem) and self.spec == other.spec
+
+    def __hash__(self):
+        return hash(self.spec)
+
+    def __repr__(self):
+        return f"DynamicalSystem({self.spec!r})"
 
     # -- state space -------------------------------------------------------
 
     def contains(self, x: State) -> bool:
         if self._affine is not None:
             return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-        if self._image is not None:
+        if self._state_set is not None:
             return x in self._state_set
         return isinstance(x, EventuallyPeriodic) and all(
             1 <= s <= self.k for s in x.pre + x.per
@@ -341,7 +315,7 @@ class DynamicalSystem:
 
     def states(self) -> tuple:
         """The full state set; finite tables only."""
-        if self._image is None:
+        if self._state_set is None:
             raise OutOfDomain("state set is infinite; pass an explicit window")
         return self.spec.states
 
@@ -369,6 +343,10 @@ class DynamicalSystem:
     @property
     def is_affine(self) -> bool:
         return self._affine is not None
+
+    @property
+    def is_finite(self) -> bool:
+        return self._state_set is not None
 
     def _affine_branch(self, i: int) -> tuple | None:
         """Row i of the branch table, or None for the division branch k."""
@@ -514,6 +492,16 @@ def as_window(sys: DynamicalSystem, window) -> Window:
     )
 
 
+def window_states(sys: DynamicalSystem, window) -> tuple:
+    """(Window, its states): ``as_window``, then ``materialize``, then a
+    domain check of every state, so a scan can run on the kernels."""
+    win = as_window(sys, window)
+    states = win.materialize()
+    for x in states:
+        sys._require(x)
+    return win, states
+
+
 # ---------------------------------------------------------------------------
 # bounded-condition verification
 
@@ -529,13 +517,12 @@ class BoundedConditionReport:
 def verify_bounded_condition(sys: DynamicalSystem, window) -> BoundedConditionReport:
     """Check the branch partition and per-branch injectivity on a window.
 
-    Branch totality is structural for the built-in families; the real
-    content is the injectivity scan, which catches hand-built tables
-    whose validation was skipped.
+    Construction already checks both, so every system that
+    ``DynamicalSystem`` accepts passes; the scan re-checks injectivity on
+    the window's states.
     """
-    win = as_window(sys, window)
-    states = win.materialize()
-    violations = tuple(_collisions(states, sys.branch_of, sys.apply))
+    win, states = window_states(sys, window)
+    violations = tuple(_collisions(states, sys._branch, sys._step))
     return BoundedConditionReport(
         passed=not violations,
         window=win.describe(),

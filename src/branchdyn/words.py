@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
 from .orbits import orbit_iterate
-from .systems import DynamicalSystem, FiniteTable, _primitive_period
+from .systems import DynamicalSystem, _primitive_period
 
 Word = tuple
 
@@ -48,7 +48,7 @@ def check_word(word: Iterable, k: int) -> Word:
     if not word:
         raise InvalidSpec("empty word")
     for i in word:
-        if not isinstance(i, int) or not 1 <= i <= k:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= k:
             raise InvalidSpec(f"symbol {i!r} outside 1..{k}")
     return word
 
@@ -349,7 +349,7 @@ def check_uniqueness(
         raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
     violations = []
     checked = 0
-    if isinstance(sys.spec, FiniteTable):
+    if sys.is_finite:
         states = sys.states()
         for word in _all_words(sys.k, max_len):
             checked += 1

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from branchdyn import linalg, operators, orbits, systems
@@ -321,11 +321,15 @@ def test_pm_x_leaving_at_stabilization(collatz):
     assert rep.passed and rep.stabilization_index == rep.window_horizon == 3
 
 
-@given(st.integers(1, 60), st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True))
-def test_pm_report_passes_unless_a_support_state_never_drops_out(collatz, x, support):
+@given(
+    st.integers(1, 60),
+    st.dictionaries(st.integers(1, 60), st.integers(-2, 2).map(F), min_size=1, max_size=3),
+)
+@example(x=1, coeffs={1: F(1), 5: F(0)})  # P_1 a keeps the zero entry at e_5
+def test_pm_report_passes_unless_a_support_state_never_drops_out(collatz, x, coeffs):
     t = operators.build_truncation(collatz, (1, 60))
     try:
-        rep = operators.verify_pm_limit(t, {t.index[s]: F(1) for s in support}, x)
+        rep = operators.verify_pm_limit(t, {t.index[s]: v for s, v in coeffs.items()}, x)
     except WindowTooSmall:
         return
     assert rep.passed == (not rep.never)

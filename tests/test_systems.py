@@ -171,13 +171,14 @@ def test_bounded_condition_holds_on_window(collatz, alphabeta3):
 
 
 def test_bounded_condition_catches_corrupted_table(monkeypatch):
-    # bypass construction-time validation to exercise the checker itself:
-    # states 1 and 2 collide on image 3 inside branch 1
+    # bypass construction's injectivity check to exercise the checker
+    # itself: states 1 and 2 collide on image 3 inside branch 1
     bad_spec = systems.FiniteTable.make(
         {1: 1, 2: 1, 3: 1}, {1: 3, 2: 3, 3: 1}, k=1
     )
-    monkeypatch.setattr(systems.DynamicalSystem, "_validate", lambda self: None)
-    bad = systems.DynamicalSystem(bad_spec)
+    with monkeypatch.context() as m:
+        m.setattr(systems, "_collisions", lambda *args: iter(()))
+        bad = systems.DynamicalSystem(bad_spec)
     rep = systems.verify_bounded_condition(bad, (1, 3))
     assert not rep.passed
     # (branch, first state, second state, shared image)
@@ -422,6 +423,7 @@ def _at(x):
 
 
 ENTRY_LOOPS = {
+    "verify_bounded_condition": lambda sys, x: systems.verify_bounded_condition(sys, _at(x)),
     "orbit_iterate": lambda sys, x: orbits.orbit_iterate(sys, x, 10),
     "check_separating": lambda sys, x: words.check_separating(sys, x, 10),
     "minimality_probe": lambda sys, x: orbits.minimality_probe(sys, _at(x)),

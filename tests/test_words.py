@@ -65,6 +65,9 @@ def test_word_validation():
         words.check_word((), 2)
     with pytest.raises(InvalidSpec):
         words.check_word((1, 3), 2)
+    # True == 1, but a symbol is an int, as a state is
+    with pytest.raises(InvalidSpec, match="^symbol True outside 1..2$"):
+        words.check_word((True, 2), 2)
     assert words.check_word([2, 1], 2) == (2, 1)
 
 
