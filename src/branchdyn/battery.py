@@ -117,10 +117,9 @@ def check_collatz_cycle_census() -> CheckResult:
         failures.append(f"enumeration returned {sorted(found)}")
     sys = _collatz()
     oracle = set()
-    for n in range(1, 10**4 + 1):
-        rec = orbits.orbit_iterate(sys, n, cap=10**4)
+    for rec in orbits.orbit_census(sys, range(1, 10**4 + 1), cap=10**4):
         if not rec.entered_cycle:
-            failures.append(f"orbit of {n} hit the cap")
+            failures.append(f"orbit of {rec.start} hit the cap")
             break
         oracle.add(rec.cycle)
     if oracle != {(1, 4, 2)}:

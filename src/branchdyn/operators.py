@@ -87,9 +87,10 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
     """
     _, states = window_states(sys, window)
     if order is not None:
-        if set(order) != set(states) or len(set(order)) != len(states):
+        order = tuple(order)
+        if len(order) != len(states) or set(order) != set(states):
             raise InvalidSpec("order must be a permutation of the window")
-        states = tuple(order)
+        states = order
     step, branch = sys._step, sys._branch
     index = {x: n for n, x in enumerate(states)}
     maps = [{} for _ in range(sys.k)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from itertools import islice
 
 from .errors import InvalidSpec
 from .systems import DynamicalSystem, as_window, window_states
@@ -25,7 +26,7 @@ def canonical_cycle(cycle) -> tuple:
     return cycle[j:] + cycle[:j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitRecord:
     """The walk x, f(x), f(f(x)), ... of ``orbit_iterate``, without its states.
 
@@ -89,6 +90,51 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     return OrbitRecord(
         start=x, entered_cycle=False, cycle=(), entry_index=-1, cap=cap, system=sys
     )
+
+
+def orbit_census(sys: DynamicalSystem, starts, cap: int) -> tuple:
+    """``tuple(orbit_iterate(sys, x, cap) for x in starts)``, sharing work.
+
+    A ``settled`` map records, for every start walked so far and every
+    state of every cycle found, its steps to the cycle and the canonical
+    cycle, so it holds O(len(starts)) states.  Each walk stops at its
+    first settled state y, d steps from its cycle C: the start then
+    enters C after n + d steps, n being the steps walked, and
+    ``orbit_iterate`` would see its first repeat one lap later, so the
+    orbit entered C within the cap exactly when n + d + len(C) <= cap.
+    A walk that meets no settled state stops at its own first repeat or
+    at the cap, as ``orbit_iterate`` does.
+    """
+    if cap < 0:
+        raise InvalidSpec(f"need cap >= 0, got {cap}")
+    step = sys._step
+    settled = {}  # state -> (steps to its cycle, canonical cycle)
+    records = []
+    for x in starts:
+        sys._require(x)
+        hit = settled.get(x)
+        seen = {x: 0}  # the walk in order: state -> steps from x
+        cur = x
+        n = 0
+        while hit is None and n < cap:
+            n += 1
+            cur = step(cur)
+            if cur in seen:  # the walk closed a cycle no earlier walk met
+                i = seen[cur]
+                cycle = canonical_cycle(islice(seen, i, None))
+                settled.update(dict.fromkeys(cycle, (0, cycle)))
+                hit = settled[x] = (i, cycle)
+                break
+            hit = settled.get(cur)
+            if hit is not None:
+                hit = settled[x] = (n + hit[0], hit[1])
+                break
+            seen[cur] = n
+        if hit is not None and hit[0] + len(hit[1]) <= cap:
+            records.append(OrbitRecord(x, True, hit[1], hit[0], cap, sys))
+        else:
+            records.append(OrbitRecord(x, False, (), -1, cap, sys))
+    return tuple(records)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,10 @@ class SymbolicShift:
     k: int
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def collatz() -> QxPlusD:
     return QxPlusD(3, 1)
 
@@ -221,21 +225,22 @@ class DynamicalSystem:
         self._state_set = None
         self.gcd_failures = ()
         if isinstance(spec, QxPlusD):
-            self._set_affine(2, ((spec.q, spec.d),))
-            if spec.q < 1 or spec.d < 1 or spec.q % 2 == 0 or spec.d % 2 == 0:
+            q, d = spec.q, spec.d
+            if not (_is_int(q) and _is_int(d) and q >= 1 and d >= 1 and q % 2 and d % 2):
                 raise InvalidSpec("q and d must be odd positive integers")
+            self._set_affine(2, ((q, d),))
             kernels = _affine_kernels(2, self._affine)
         elif isinstance(spec, AlphaBeta):
-            self._set_affine(spec.k, tuple(zip(spec.alpha, spec.beta)))
             if spec.k < 2:
                 raise InvalidSpec("need k >= 2")
             if len(spec.alpha) != spec.k - 1 or len(spec.beta) != spec.k - 1:
                 raise InvalidSpec("need k - 1 coefficients a_i and b_i")
             for a, b in zip(spec.alpha, spec.beta):
-                if a < 1 or b < 1:
+                if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
                     raise InvalidSpec("coefficients must be positive integers")
             # a_i*n + b_i must land back in {1,2,...}: automatic for
             # positive coefficients; residue classes need no check.
+            self._set_affine(spec.k, tuple(zip(spec.alpha, spec.beta)))
             kernels = _affine_kernels(spec.k, self._affine)
         elif isinstance(spec, FiniteTable):
             self.k = spec.k
@@ -281,8 +286,6 @@ class DynamicalSystem:
         self._step, self._branch, self._preimages = kernels
 
     def _set_affine(self, k: int, rows: tuple) -> None:
-        # before the family checks: gcd raises TypeError on a non-integer
-        # coefficient, which the sign and parity checks would let through
         self.k, self._affine = k, rows
         self.gcd_failures = tuple(
             i for i, (a, _) in enumerate(rows, start=1) if gcd(a, k) > 1

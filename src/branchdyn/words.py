@@ -337,10 +337,16 @@ def check_uniqueness(
 
     Affine families: the fixed-point equation a*x = x - b has at most
     one solution unless f_I is the identity; identity composition is a
-    counted violation (every state is fixed).  With ``scan_bound`` set,
-    an independent window scan re-derives each word's fixed points by
-    replay, guarding the algebra.  Finite tables: exhaustive replay
-    over all states and all words.
+    counted violation (every state is fixed).  The words are walked
+    depth first on an explicit stack of O(k * max_len) nodes, each
+    carrying the integer fold (na, nb, k**e) of its word, so a word
+    costs one fold step.  Its tuple is built, and the fold solved and
+    replayed, only when ``scan_bound`` is set or (na*x + nb) / k**e = x
+    can have a positive integer solution; violations are then listed in
+    (length, word) order.  With ``scan_bound`` set, an independent
+    window scan re-derives each word's fixed points by replay, guarding
+    the algebra.  Finite tables: exhaustive replay over all states and
+    all words.
     """
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
@@ -365,24 +371,46 @@ def check_uniqueness(
     if not sys.is_affine:
         raise NotAffineFamily("uniqueness check needs affine or finite-table systems")
     rows = _expanding_rows(sys)
-    for word in _all_words(sys.k, max_len):
-        checked += 1
-        try:
-            x = _solve_fold(sys, word, *_fold(sys.k, word, rows))
-        except IdentityComposition:
-            violations.append((word, ("identity",)))
-            continue
-        solved = set() if x is None else {x}
-        if scan_bound is not None:
-            scanned = {
-                y
-                for y in range(1, scan_bound + 1)
-                if replay_word(sys, y, word) == y
-            }
-            if scanned != {y for y in solved if y <= scan_bound}:
-                violations.append(
-                    (word, tuple(sorted(scanned | solved)))
-                )
+    k = sys.k
+    prefix = [0] * (max_len + 1)  # prefix[1:t + 1] is a word of length t
+    # node: (length t, last symbol, fold of its word), a word whose
+    # one-symbol extensions are still to check
+    stack = [(0, 0, 1, 0, 1)]
+    while stack:
+        t, i, na, nb, pk = stack.pop()
+        prefix[t] = i
+        m = t + 1
+        for i in range(1, k + 1):
+            prefix[m] = i
+            if i == k:
+                cna, cnb, cpk = na, nb, pk * k
+            else:
+                a, b = rows[i - 1]
+                cna, cnb, cpk = a * na, a * nb + b * pk, pk
+            if m < max_len:
+                stack.append((m, i, cna, cnb, cpk))
+            checked += 1
+            den = cpk - cna
+            if scan_bound is None and den and (cnb % den or cnb // den < 1):
+                continue  # no positive integer solves it: nothing to replay
+            word = tuple(prefix[1 : m + 1])
+            try:
+                x = _solve_fold(sys, word, cna, cnb, cpk)
+            except IdentityComposition:
+                violations.append((word, ("identity",)))
+                continue
+            solved = set() if x is None else {x}
+            if scan_bound is not None:
+                scanned = {
+                    y
+                    for y in range(1, scan_bound + 1)
+                    if replay_word(sys, y, word) == y
+                }
+                if scanned != {y for y in solved if y <= scan_bound}:
+                    violations.append(
+                        (word, tuple(sorted(scanned | solved)))
+                    )
+    violations.sort(key=lambda v: (len(v[0]), v[0]))
     return UniquenessReport(
         max_len=max_len,
         words_checked=checked,

@@ -6,6 +6,7 @@ library code under test (window scans, direct folds, graph walks).
 
 import signal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import settings
@@ -183,6 +184,35 @@ def all_words_cycles(sys, max_len):
             for i, (ai, bi) in enumerate(branches, 1):
                 stack.append((word + (i,), ai * a, ai * b + bi))
     return found
+
+
+def uniqueness_oracle(sys, max_len, scan_bound=None):
+    """The affine ``check_uniqueness`` report, folding every word from
+    scratch in ``itertools.product`` order: (length, word)."""
+    rows = words._expanding_rows(sys)
+    violations = []
+    checked = 0
+    for m in range(1, max_len + 1):
+        for word in product(range(1, sys.k + 1), repeat=m):
+            checked += 1
+            try:
+                x = words._solve_fold(sys, word, *words._fold(sys.k, word, rows))
+            except IdentityComposition:
+                violations.append((word, ("identity",)))
+                continue
+            solved = set() if x is None else {x}
+            if scan_bound is not None:
+                scanned = {
+                    y for y in range(1, scan_bound + 1) if words.replay_word(sys, y, word) == y
+                }
+                if scanned != {y for y in solved if y <= scan_bound}:
+                    violations.append((word, tuple(sorted(scanned | solved))))
+    return words.UniquenessReport(
+        max_len=max_len,
+        words_checked=checked,
+        passed=not violations,
+        violations=tuple(violations),
+    )
 
 
 def orbit_oracle(sys, x, cap):

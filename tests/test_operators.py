@@ -165,8 +165,10 @@ def test_interior_excludes_escape_neighbors(collatz):
 
 
 def test_custom_order_must_be_permutation(collatz):
-    with pytest.raises(InvalidSpec):
-        operators.build_truncation(collatz, (1, 4), order=(1, 2, 3))
+    # the second order holds every state of the window, and one of them twice
+    for window, order in (((1, 4), (1, 2, 3)), ((1, 5), [1, 2, 3, 4, 5, 1])):
+        with pytest.raises(InvalidSpec, match="^order must be a permutation of the window$"):
+            operators.build_truncation(collatz, window, order=order)
 
 
 # -- word operators -----------------------------------------------------------

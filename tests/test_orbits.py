@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from branchdyn import orbits, systems
-from branchdyn.errors import InvalidSpec
+from branchdyn.errors import InvalidSpec, OutOfDomain
 
 from conftest import closed_tables, orbit_oracle
 
@@ -144,6 +144,74 @@ def test_records_hold_no_states(five_x_one):
         tracemalloc.stop()
     assert sum(not r.entered_cycle for r in recs) == 5
     assert retained < 5 * 10**5
+
+
+# -- orbit_census ---------------------------------------------------------------
+
+
+def check_census(sys, starts, cap):
+    """orbit_census against orbit_iterate per start, with the starts
+    repeated and a state of each start's cycle appended, at cap 0, the
+    drawn cap and either side of each start's first repeat."""
+    caps = {0, cap}
+    extra = list(starts[::2])
+    for x in starts:
+        full = orbits.orbit_iterate(sys, x, 1000)
+        if full.entered_cycle:
+            mu_lam = full.entry_index + len(full.cycle)
+            caps |= {mu_lam - 1, mu_lam}
+            extra.append(full.cycle[-1])
+    starts = list(starts) + extra
+    for c in sorted(caps):
+        census = orbits.orbit_census(sys, starts, c)
+        assert census == tuple(orbits.orbit_iterate(sys, x, c) for x in starts)
+
+
+@given(
+    st.sampled_from(sorted(AFFINE)),
+    st.lists(st.integers(min_value=1, max_value=10**4), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=300),
+)
+def test_census_matches_orbit_iterate_on_affine_systems(name, starts, cap):
+    check_census(AFFINE[name], starts, cap)
+
+
+@given(closed_tables(), st.data())
+def test_census_matches_orbit_iterate_on_tables(table, data):
+    branch, image, k = table
+    sys = systems.make_system(systems.FiniteTable.make(branch, image, k=k))
+    starts = data.draw(st.lists(st.sampled_from(sorted(branch)), min_size=1, max_size=6))
+    check_census(sys, starts, data.draw(st.integers(min_value=0, max_value=2 * len(branch))))
+
+
+eventually_periodic = st.builds(
+    systems.EventuallyPeriodic.make,
+    st.lists(st.integers(min_value=1, max_value=2), max_size=5),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=5),
+)
+
+
+@given(st.lists(eventually_periodic, min_size=1, max_size=4), st.integers(min_value=0, max_value=12))
+def test_census_matches_orbit_iterate_on_shift(starts, cap):
+    check_census(systems.make_system(systems.SymbolicShift(2)), starts, cap)
+
+
+def test_census_of_collatz_to_10_4(collatz):
+    starts = range(1, 10**4 + 1)
+    census = orbits.orbit_census(collatz, starts, cap=10**4)
+    assert census == tuple(orbits.orbit_iterate(collatz, x, 10**4) for x in starts)
+    assert not hasattr(census[0], "__dict__")  # slotted: 10^4 records stay small
+
+
+def test_census_validates_like_orbit_iterate(collatz):
+    with pytest.raises(InvalidSpec, match="^need cap >= 0, got -1$"):
+        orbits.orbit_census(collatz, [7], cap=-1)
+    with pytest.raises(OutOfDomain) as want:
+        orbits.orbit_iterate(collatz, 0, cap=5)
+    with pytest.raises(OutOfDomain) as got:
+        orbits.orbit_census(collatz, [3, 0, 5], cap=5)
+    assert str(got.value) == str(want.value)
+    assert orbits.orbit_census(collatz, [], cap=5) == ()
 
 
 # -- invariant_closure / total_orbit ------------------------------------------

@@ -26,10 +26,22 @@ def test_mersenne_family():
     assert systems.mersenne(5) == systems.QxPlusD(31, 1)
 
 
-@pytest.mark.parametrize("q,d", [(2, 1), (3, 2), (0, 1), (3, -1), (3, 0), (-3, 1)])
+@pytest.mark.parametrize(
+    "q,d",
+    [(2, 1), (3, 2), (0, 1), (3, -1), (3, 0), (-3, 1),
+     (3, 1.0), (3.0, 1), (True, 1), (3, True), (3, "1"), (3, None)],
+)
 def test_qxd_rejects_bad_parameters(q, d):
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="^q and d must be odd positive integers$"):
         systems.make_system(systems.QxPlusD(q, d))
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [((4, 4), (2.0, 1)), ((4.0, 4), (2, 1)), ((4, True), (2, 1))]
+)
+def test_alphabeta_rejects_non_integer_coefficients(alpha, beta):
+    with pytest.raises(InvalidSpec, match="^coefficients must be positive integers$"):
+        systems.make_system(systems.AlphaBeta(3, alpha, beta))
 
 
 def test_alphabeta_rejects_bad_shapes():

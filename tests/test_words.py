@@ -14,7 +14,13 @@ from branchdyn.errors import (
     NotAffineFamily,
 )
 
-from conftest import all_words_cycles, fraction_compose, fraction_fixed_point, injective_table
+from conftest import (
+    all_words_cycles,
+    fraction_compose,
+    fraction_fixed_point,
+    injective_table,
+    uniqueness_oracle,
+)
 
 F = Fraction
 
@@ -434,6 +440,45 @@ def test_uniqueness_fails_on_swap(swap1):
 def test_uniqueness_with_scan_guard(collatz):
     # algebra and brute replay agree on a small window
     assert words.check_uniqueness(collatz, max_len=6, scan_bound=200).passed
+
+
+odd_digits = st.sampled_from((1, 3, 5, 7, 9))
+
+
+@given(odd_digits, odd_digits, st.integers(min_value=1, max_value=10))
+def test_uniqueness_matches_the_oracle_on_qxd(q, d, max_len):
+    sys = sys_of(systems.QxPlusD(q, d))
+    assert words.check_uniqueness(sys, max_len) == uniqueness_oracle(sys, max_len)
+
+
+@given(small_alphabeta(), st.integers(min_value=1, max_value=5))
+def test_uniqueness_matches_the_oracle_on_alphabeta(spec, max_len):
+    sys = sys_of(spec)
+    assert words.check_uniqueness(sys, max_len) == uniqueness_oracle(sys, max_len)
+
+
+@given(
+    st.one_of(
+        st.builds(systems.QxPlusD, odd_digits, odd_digits),
+        small_alphabeta().filter(lambda spec: spec.k <= 3),
+    ),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=40),
+)
+def test_uniqueness_with_scan_matches_the_oracle(spec, max_len, scan_bound):
+    sys = sys_of(spec)
+    rep = words.check_uniqueness(sys, max_len, scan_bound=scan_bound)
+    assert rep == uniqueness_oracle(sys, max_len, scan_bound=scan_bound)
+
+
+def test_uniqueness_scan_flags_a_wrong_fold(collatz, monkeypatch):
+    # folded as 5x+1, the words fixing 1, 2 and 4 have no positive
+    # integer solution; the scan, replaying collatz itself, finds them,
+    # and they are listed in (length, word) order
+    monkeypatch.setattr(words, "_expanding_rows", lambda sys: [(5, 1)])
+    rep = words.check_uniqueness(collatz, max_len=3, scan_bound=4)
+    assert rep.violations == (((1, 2, 2), (1,)), ((2, 1, 2), (2,)), ((2, 2, 1), (4,)))
+    assert rep == uniqueness_oracle(collatz, 3, scan_bound=4)
 
 
 # -- unifix equivalence ---------------------------------------------------------------
