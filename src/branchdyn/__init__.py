@@ -30,7 +30,6 @@ from .systems import (
     mersenne,
     spec_from_json,
     spec_to_json,
-    verify_bounded_condition,
 )
 from .orbits import (
     canonical_cycle,

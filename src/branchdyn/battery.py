@@ -1,7 +1,7 @@
 """The verification battery behind `branchdyn verify-all`.
 
 Thirteen desk-scale checks, every one exact: cycle censuses against
-brute-force orbit oracles, exhaustive uniqueness sweeps, coding
+brute-force orbit oracles, uniqueness cross-checks by state walks, coding
 injectivity scans, projection mechanics, the invariant-set to
 reducing-subspace correspondence on randomized finite systems, the
 morphism laws, digit-tower transport, and a convergence probe.  All
@@ -177,22 +177,25 @@ def check_3x_plus_d_fixed_points() -> CheckResult:
 
 
 def check_uniqueness_sweep() -> CheckResult:
-    """No word of length <= 12 in any qx+d system, odd q,d <= 9, has two
-    validated fixed points."""
+    """In every qx+d system, odd q,d <= 9, each word of length <= 12 that
+    fixes a state in 1..UNIQUENESS_SCAN_BOUND fixes exactly the state its
+    fold solves for there."""
     failures = []
     count = 0
     for q in (1, 3, 5, 7, 9):
         for d in (1, 3, 5, 7, 9):
             sys = make_system(QxPlusD(q, d))
             rep = words.check_uniqueness(sys, 12)
-            count += rep.words_checked
+            count += rep.fixed_words
             if not rep.passed:
-                failures.append(f"q={q} d={d}: {rep.violations[:1]}")
+                word, points = rep.violations[0]
+                failures.append(f"q={q} d={d}: word {word} fixes {list(points)}")
     return _result(
         4,
-        "fixed-point uniqueness sweep, 25 systems, words to length 12",
+        f"fixed-point uniqueness, 25 systems, words to length 12 "
+        f"on states 1..{words.UNIQUENESS_SCAN_BOUND}",
         failures,
-        f"{count} words checked",
+        f"{count} fixed words cross-checked",
     )
 
 

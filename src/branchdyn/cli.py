@@ -269,7 +269,8 @@ def cmd_check_uniqueness(args):
     rep = words.check_uniqueness(args.system, args.max_len, scan_bound=args.scan_bound)
     return {
         "passed": rep.passed,
-        "words_checked": rep.words_checked,
+        "fixed_words": rep.fixed_words,
+        "scan_bound": rep.scan_bound,
         "violations": [
             {"word": list(w), "fixed_points": [str(p) for p in pts]}
             for w, pts in rep.violations
@@ -285,18 +286,6 @@ def cmd_check_separating(args):
         "period": rep.period,
         "word": list(rep.word),
         "aperiodic": rep.aperiodic,
-    }
-
-
-def cmd_check_bounded(args):
-    rep = systems.verify_bounded_condition(args.system, args.window)
-    return {
-        "passed": rep.passed,
-        "states_checked": rep.states_checked,
-        "violations": [
-            {"branch": b, "states": _states((x, y)), "image": _state(img)}
-            for b, x, y, img in rep.violations
-        ],
     }
 
 
@@ -533,14 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=24)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    check = group("check", "uniqueness / separating / bounded / alphabeta")
+    check = group("check", "uniqueness / separating / alphabeta")
     sp = leaf(check, "uniqueness", cmd_check_uniqueness)
     sp.add_argument("--max-len", type=int, default=12)
-    sp.add_argument("--scan-bound", type=int, default=None)
+    sp.add_argument("--scan-bound", type=int, default=words.UNIQUENESS_SCAN_BOUND)
     sp = leaf(check, "separating", cmd_check_separating)
     sp.add_argument("--x", type=int, default=1)
     sp.add_argument("--cap", type=int, default=2**10)
-    leaf(check, "bounded", cmd_check_bounded, window=True)
     sp = leaf(check, "alphabeta", cmd_check_alphabeta, window=True)
     sp.add_argument("--horizon", type=int, default=None)
 

@@ -506,35 +506,6 @@ def window_states(sys: DynamicalSystem, window) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# bounded-condition verification
-
-
-@dataclass(frozen=True)
-class BoundedConditionReport:
-    passed: bool
-    window: str
-    states_checked: int
-    violations: tuple  # (branch, state, state, shared image)
-
-
-def verify_bounded_condition(sys: DynamicalSystem, window) -> BoundedConditionReport:
-    """Check the branch partition and per-branch injectivity on a window.
-
-    Construction already checks both, so every system that
-    ``DynamicalSystem`` accepts passes; the scan re-checks injectivity on
-    the window's states.
-    """
-    win, states = window_states(sys, window)
-    violations = tuple(_collisions(states, sys._branch, sys._step))
-    return BoundedConditionReport(
-        passed=not violations,
-        window=win.describe(),
-        states_checked=len(states),
-        violations=violations,
-    )
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange
 
 def spec_to_json(spec) -> dict:

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
 from .orbits import orbit_iterate
-from .systems import DynamicalSystem, _primitive_period
+from .systems import DynamicalSystem, IntWindow, _primitive_period, window_states
 
 Word = tuple
 
@@ -268,12 +267,6 @@ def enumerate_cycles(sys: DynamicalSystem, max_len: int) -> CycleSearchReport:
     )
 
 
-def _all_words(k, max_len):
-    for m in range(1, max_len + 1):
-        for word in product(range(1, k + 1), repeat=m):
-            yield word
-
-
 @dataclass(frozen=True)
 class SeparatingReport:
     start: object
@@ -322,98 +315,83 @@ def check_separating(sys: DynamicalSystem, x, cap: int) -> SeparatingReport:
     )
 
 
+# check_uniqueness walks an affine system's states 1..UNIQUENESS_SCAN_BOUND by default
+UNIQUENESS_SCAN_BOUND = 1000
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
     max_len: int
-    words_checked: int
+    scan_bound: int | None  # None for a finite table: every state is walked
+    fixed_words: int  # distinct words fixing a walked state, each cross-checked
     passed: bool
-    violations: tuple  # (word, sorted fixed points) with >= 2 fixed points
+    violations: tuple  # (word, sorted fixed points), in (length, word) order
+
+
+def _fixed_words(sys: DynamicalSystem, states, max_len: int) -> dict:
+    """{word: [states it fixes]}, words of length <= max_len: y is fixed by
+    w exactly when w is y's coding prefix and f^|w|(y) = y, so y is walked
+    to its first return, after p steps; one more lap reads its word, and y
+    is fixed by that word's powers alone."""
+    step, branch = sys._step, sys._branch
+    fixed: dict = {}
+    for y in states:
+        cur = y
+        for p in range(1, max_len + 1):
+            cur = step(cur)
+            if cur == y:
+                word = []
+                for _ in range(p):
+                    word.append(branch(cur))
+                    cur = step(cur)
+                for r in range(1, max_len // p + 1):
+                    fixed.setdefault(tuple(word) * r, []).append(y)
+                break
+    return fixed
 
 
 def check_uniqueness(
-    sys: DynamicalSystem, max_len: int, scan_bound: int | None = None
+    sys: DynamicalSystem, max_len: int, scan_bound: int = UNIQUENESS_SCAN_BOUND
 ) -> UniquenessReport:
     """Does every word of length <= max_len have at most one fixed point?
 
-    Affine families: the fixed-point equation a*x = x - b has at most
-    one solution unless f_I is the identity; identity composition is a
-    counted violation (every state is fixed).  The words are walked
-    depth first on an explicit stack of O(k * max_len) nodes, each
-    carrying the integer fold (na, nb, k**e) of its word, so a word
-    costs one fold step.  Its tuple is built, and the fold solved and
-    replayed, only when ``scan_bound`` is set or (na*x + nb) / k**e = x
-    can have a positive integer solution; violations are then listed in
-    (length, word) order.  With ``scan_bound`` set, an independent
-    window scan re-derives each word's fixed points by replay, guarding
-    the algebra.  Finite tables: exhaustive replay over all states and
-    all words.
+    ``_fixed_words`` lists each word that fixes a walked state.  A finite
+    table walks all of its states; a word fixing two is a violation.  The
+    affine algebra gives at most one fixed point, x = nb / (k**e - na),
+    unless f_I is the identity (reported as "identity"), and the walk
+    over 1..scan_bound cross-checks the solver: a word whose fixed states
+    there are not its solved point is a violation, listed with both.  A
+    solved point within the bound replays, so no unlisted word can be one.
     """
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
-    if scan_bound is not None and scan_bound < 1:
+    if scan_bound < 1:
         # a scan over no state would guard nothing yet still pass
         raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
-    violations = []
-    checked = 0
     if sys.is_finite:
-        states = sys.states()
-        for word in _all_words(sys.k, max_len):
-            checked += 1
-            fixed = [x for x in states if replay_word(sys, x, word) == x]
-            if len(fixed) > 1:
-                violations.append((word, tuple(sorted(fixed, key=repr))))
-        return UniquenessReport(
-            max_len=max_len,
-            words_checked=checked,
-            passed=not violations,
-            violations=tuple(violations),
-        )
-    if not sys.is_affine:
+        scan_bound = None
+    elif not sys.is_affine:
         raise NotAffineFamily("uniqueness check needs affine or finite-table systems")
-    rows = _expanding_rows(sys)
-    k = sys.k
-    prefix = [0] * (max_len + 1)  # prefix[1:t + 1] is a word of length t
-    # node: (length t, last symbol, fold of its word), a word whose
-    # one-symbol extensions are still to check
-    stack = [(0, 0, 1, 0, 1)]
-    while stack:
-        t, i, na, nb, pk = stack.pop()
-        prefix[t] = i
-        m = t + 1
-        for i in range(1, k + 1):
-            prefix[m] = i
-            if i == k:
-                cna, cnb, cpk = na, nb, pk * k
-            else:
-                a, b = rows[i - 1]
-                cna, cnb, cpk = a * na, a * nb + b * pk, pk
-            if m < max_len:
-                stack.append((m, i, cna, cnb, cpk))
-            checked += 1
-            den = cpk - cna
-            if scan_bound is None and den and (cnb % den or cnb // den < 1):
-                continue  # no positive integer solves it: nothing to replay
-            word = tuple(prefix[1 : m + 1])
+    window = None if scan_bound is None else IntWindow(1, scan_bound)
+    fixed = _fixed_words(sys, window_states(sys, window)[1], max_len)
+    if scan_bound is None:
+        violations = [(w, tuple(sorted(ys, key=repr))) for w, ys in fixed.items() if len(ys) > 1]
+    else:
+        violations = []
+        rows = _expanding_rows(sys)
+        for word, ys in fixed.items():
             try:
-                x = _solve_fold(sys, word, cna, cnb, cpk)
+                x = _solve_fold(sys, word, *_fold(sys.k, word, rows))
             except IdentityComposition:
                 violations.append((word, ("identity",)))
                 continue
-            solved = set() if x is None else {x}
-            if scan_bound is not None:
-                scanned = {
-                    y
-                    for y in range(1, scan_bound + 1)
-                    if replay_word(sys, y, word) == y
-                }
-                if scanned != {y for y in solved if y <= scan_bound}:
-                    violations.append(
-                        (word, tuple(sorted(scanned | solved)))
-                    )
+            if ys != [x]:  # agreement: x is the one walked state fixed
+                violations.append((word, tuple(sorted({*ys, x} - {None}))))
     violations.sort(key=lambda v: (len(v[0]), v[0]))
     return UniquenessReport(
         max_len=max_len,
-        words_checked=checked,
+        scan_bound=scan_bound,
+        fixed_words=len(fixed),
         passed=not violations,
         violations=tuple(violations),
     )

@@ -186,30 +186,52 @@ def all_words_cycles(sys, max_len):
     return found
 
 
-def uniqueness_oracle(sys, max_len, scan_bound=None):
+def uniqueness_oracle(sys, max_len, scan_bound):
     """The affine ``check_uniqueness`` report, folding every word from
-    scratch in ``itertools.product`` order: (length, word)."""
+    scratch in ``itertools.product`` order, (length, word), and replaying
+    it from every state of 1..scan_bound."""
     rows = words._expanding_rows(sys)
     violations = []
-    checked = 0
+    fixed_words = 0
     for m in range(1, max_len + 1):
         for word in product(range(1, sys.k + 1), repeat=m):
-            checked += 1
+            scanned = {
+                y for y in range(1, scan_bound + 1) if words.replay_word(sys, y, word) == y
+            }
+            fixed_words += bool(scanned)
             try:
                 x = words._solve_fold(sys, word, *words._fold(sys.k, word, rows))
             except IdentityComposition:
                 violations.append((word, ("identity",)))
                 continue
             solved = set() if x is None else {x}
-            if scan_bound is not None:
-                scanned = {
-                    y for y in range(1, scan_bound + 1) if words.replay_word(sys, y, word) == y
-                }
-                if scanned != {y for y in solved if y <= scan_bound}:
-                    violations.append((word, tuple(sorted(scanned | solved))))
+            if scanned != {y for y in solved if y <= scan_bound}:
+                violations.append((word, tuple(sorted(scanned | solved))))
     return words.UniquenessReport(
         max_len=max_len,
-        words_checked=checked,
+        scan_bound=scan_bound,
+        fixed_words=fixed_words,
+        passed=not violations,
+        violations=tuple(violations),
+    )
+
+
+def finite_uniqueness_oracle(sys, max_len):
+    """The finite-table ``check_uniqueness`` report: every word of length
+    <= max_len, in (length, word) order, replayed from every state."""
+    states = sys.states()
+    violations = []
+    fixed_words = 0
+    for m in range(1, max_len + 1):
+        for word in product(range(1, sys.k + 1), repeat=m):
+            fixed = [x for x in states if words.replay_word(sys, x, word) == x]
+            fixed_words += bool(fixed)
+            if len(fixed) > 1:
+                violations.append((word, tuple(sorted(fixed, key=repr))))
+    return words.UniquenessReport(
+        max_len=max_len,
+        scan_bound=None,
+        fixed_words=fixed_words,
         passed=not violations,
         violations=tuple(violations),
     )

@@ -221,18 +221,29 @@ def test_tower_needs_an_affine_system(capsys, system):
 # -- checks and exit codes ------------------------------------------------------
 
 
-def test_check_bounded(capsys):
-    code, rep = run(
-        capsys, "check", "bounded", "--system", "collatz", "--window", "1..500"
-    )
-    assert code == 0 and rep["passed"]
-
-
 def test_check_uniqueness(capsys):
     code, rep = run(
         capsys, "check", "uniqueness", "--system", "collatz", "--max-len", "8"
     )
     assert code == 0 and rep["passed"]
+
+
+def test_check_uniqueness_failure_is_exit_1(capsys):
+    code, rep = run(capsys, "check", "uniqueness", "--system", SWAP1, "--max-len", "2")
+    assert code == 1
+    assert rep["passed"] is False and rep["scan_bound"] is None
+    assert rep["violations"] == [{"word": [1, 1], "fixed_points": ["1", "2"]}]
+
+
+def test_check_uniqueness_scan_beyond_the_budget_is_exit_2(capsys, deadline):
+    # refused before a state is listed, not walked
+    deadline(2)
+    code = cli.main(["check", "uniqueness", "--system", "collatz", "--scan-bound", "2000000"])
+    deadline(0)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: window holds 2000000 states")
 
 
 def test_check_separating(capsys):
@@ -318,7 +329,7 @@ def test_malformed_spec_is_exit_2(capsys):
     ],
 )
 def test_malformed_table_spec_is_exit_2(capsys, spec):
-    code = cli.main(["check", "bounded", "--system", spec, "--window", "1..1"])
+    code = cli.main(["check", "uniqueness", "--system", spec, "--max-len", "1"])
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
@@ -458,13 +469,13 @@ def test_oversized_commutant_dimension_is_exit_2(capsys, deadline):
     [
         ["tuc-scan", "--system", "collatz", "--window", "1..6"],
         ["minimality", "--system", "collatz", "--window", "1..6"],
-        ["check", "bounded", "--system", "collatz", "--window", "1..6"],
+        ["check", "uniqueness", "--system", "collatz", "--scan-bound", "6"],
         ["check", "alphabeta", "--system", "collatz", "--window", "1..6"],
         ["morphism", "iso", "--source", "collatz", "--target", "collatz",
          "--phi", '{"kind": "identity"}', "--window", "1..6"],
         ["operators", "build", "--system", "collatz", "--window", "1..6"],
     ],
-    ids=["tuc-scan", "minimality", "bounded", "alphabeta", "iso", "build"],
+    ids=["tuc-scan", "minimality", "uniqueness", "alphabeta", "iso", "build"],
 )
 def test_window_state_budget_is_exit_2(capsys, monkeypatch, argv):
     monkeypatch.setattr(systems, "MAX_WINDOW_STATES", 5)

@@ -172,35 +172,9 @@ def test_table_preimages(swap1):
     assert swap1.preimages(2) == [(1, 1)]
 
 
-# -- bounded condition -------------------------------------------------------
-
-
-def test_bounded_condition_holds_on_window(collatz, alphabeta3):
-    for sys in (collatz, alphabeta3):
-        rep = systems.verify_bounded_condition(sys, (1, 500))
-        assert rep.passed
-        assert rep.violations == ()
-
-
-def test_bounded_condition_catches_corrupted_table(monkeypatch):
-    # bypass construction's injectivity check to exercise the checker
-    # itself: states 1 and 2 collide on image 3 inside branch 1
-    bad_spec = systems.FiniteTable.make(
-        {1: 1, 2: 1, 3: 1}, {1: 3, 2: 3, 3: 1}, k=1
-    )
-    with monkeypatch.context() as m:
-        m.setattr(systems, "_collisions", lambda *args: iter(()))
-        bad = systems.DynamicalSystem(bad_spec)
-    rep = systems.verify_bounded_condition(bad, (1, 3))
-    assert not rep.passed
-    # (branch, first state, second state, shared image)
-    assert rep.violations == ((1, 1, 2, 3),)
-
-
 # -- window state budget -----------------------------------------------------
 
 WINDOW_SCANS = {
-    "verify_bounded_condition": systems.verify_bounded_condition,
     "verify_tuc_window": coding.verify_tuc_window,
     "check_alphabeta_hypotheses": coding.check_alphabeta_hypotheses,
     "minimality_probe": orbits.minimality_probe,
@@ -435,7 +409,6 @@ def _at(x):
 
 
 ENTRY_LOOPS = {
-    "verify_bounded_condition": lambda sys, x: systems.verify_bounded_condition(sys, _at(x)),
     "orbit_iterate": lambda sys, x: orbits.orbit_iterate(sys, x, 10),
     "check_separating": lambda sys, x: words.check_separating(sys, x, 10),
     "minimality_probe": lambda sys, x: orbits.minimality_probe(sys, _at(x)),

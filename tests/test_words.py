@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from branchdyn import orbits, systems, words
+from branchdyn import battery, orbits, systems, words
 from branchdyn.errors import (
     IdentityComposition,
     InvalidSpec,
@@ -18,6 +18,7 @@ from conftest import (
     all_words_cycles,
     fraction_compose,
     fraction_fixed_point,
+    finite_uniqueness_oracle,
     injective_table,
     uniqueness_oracle,
 )
@@ -424,7 +425,10 @@ def test_separating_memory_stays_flat(five_x_one):
 def test_uniqueness_collatz(collatz):
     rep = words.check_uniqueness(collatz, max_len=12)
     assert rep.passed
-    assert rep.words_checked == 2**13 - 2
+    assert rep.scan_bound == words.UNIQUENESS_SCAN_BOUND == 1000
+    # 1, 2 and 4 are the only fixed states: the three rotations of 1 2 2
+    # and their powers to length 12
+    assert rep.fixed_words == 12
 
 
 def test_uniqueness_alphabeta(alphabeta3):
@@ -435,6 +439,7 @@ def test_uniqueness_fails_on_swap(swap1):
     rep = words.check_uniqueness(swap1, max_len=2)
     assert not rep.passed
     assert ((1, 1), (1, 2)) in rep.violations
+    assert rep.scan_bound is None
 
 
 def test_uniqueness_with_scan_guard(collatz):
@@ -445,16 +450,22 @@ def test_uniqueness_with_scan_guard(collatz):
 odd_digits = st.sampled_from((1, 3, 5, 7, 9))
 
 
-@given(odd_digits, odd_digits, st.integers(min_value=1, max_value=10))
+# the default scan of 1..UNIQUENESS_SCAN_BOUND makes the oracle replay
+# every word from 1000 states, so the words stay short
+@given(odd_digits, odd_digits, st.integers(min_value=1, max_value=4))
 def test_uniqueness_matches_the_oracle_on_qxd(q, d, max_len):
     sys = sys_of(systems.QxPlusD(q, d))
-    assert words.check_uniqueness(sys, max_len) == uniqueness_oracle(sys, max_len)
+    assert words.check_uniqueness(sys, max_len) == uniqueness_oracle(
+        sys, max_len, words.UNIQUENESS_SCAN_BOUND
+    )
 
 
-@given(small_alphabeta(), st.integers(min_value=1, max_value=5))
+@given(small_alphabeta(), st.integers(min_value=1, max_value=2))
 def test_uniqueness_matches_the_oracle_on_alphabeta(spec, max_len):
     sys = sys_of(spec)
-    assert words.check_uniqueness(sys, max_len) == uniqueness_oracle(sys, max_len)
+    assert words.check_uniqueness(sys, max_len) == uniqueness_oracle(
+        sys, max_len, words.UNIQUENESS_SCAN_BOUND
+    )
 
 
 @given(
@@ -468,7 +479,17 @@ def test_uniqueness_matches_the_oracle_on_alphabeta(spec, max_len):
 def test_uniqueness_with_scan_matches_the_oracle(spec, max_len, scan_bound):
     sys = sys_of(spec)
     rep = words.check_uniqueness(sys, max_len, scan_bound=scan_bound)
-    assert rep == uniqueness_oracle(sys, max_len, scan_bound=scan_bound)
+    assert rep == uniqueness_oracle(sys, max_len, scan_bound)
+
+
+@given(st.data())
+def test_uniqueness_matches_the_oracle_on_tables(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    branch, image = injective_table(data.draw, n, k)
+    sys = systems.make_system(systems.FiniteTable.make(branch, image, k=k))
+    max_len = data.draw(st.integers(min_value=1, max_value=7))
+    assert words.check_uniqueness(sys, max_len) == finite_uniqueness_oracle(sys, max_len)
 
 
 def test_uniqueness_scan_flags_a_wrong_fold(collatz, monkeypatch):
@@ -478,7 +499,37 @@ def test_uniqueness_scan_flags_a_wrong_fold(collatz, monkeypatch):
     monkeypatch.setattr(words, "_expanding_rows", lambda sys: [(5, 1)])
     rep = words.check_uniqueness(collatz, max_len=3, scan_bound=4)
     assert rep.violations == (((1, 2, 2), (1,)), ((2, 1, 2), (2,)), ((2, 2, 1), (4,)))
-    assert rep == uniqueness_oracle(collatz, 3, scan_bound=4)
+    assert rep == uniqueness_oracle(collatz, 3, 4)
+
+
+def test_uniqueness_reports_an_identity_fold(collatz, monkeypatch):
+    # folded as 4x, a word with one expanding symbol and two divisions is
+    # the identity: each walked word fixing 1, 2 or 4 is reported as such
+    monkeypatch.setattr(words, "_expanding_rows", lambda sys: [(4, 0)])
+    rep = words.check_uniqueness(collatz, max_len=3, scan_bound=4)
+    assert rep.violations == tuple((w, ("identity",)) for w in ((1, 2, 2), (2, 1, 2), (2, 2, 1)))
+    assert rep == uniqueness_oracle(collatz, 3, 4)
+
+
+def test_uniqueness_scan_shares_the_window_budget(collatz, monkeypatch):
+    monkeypatch.setattr(systems, "MAX_WINDOW_STATES", 5)
+    assert words.check_uniqueness(collatz, 3, scan_bound=5).passed
+    with pytest.raises(InvalidSpec, match="^window holds 6 states; at most MAX_WINDOW_STATES = 5"):
+        words.check_uniqueness(collatz, 3, scan_bound=6)
+
+
+def test_uniqueness_sweep_catches_one_wrong_fold(monkeypatch):
+    # check 4 folds collatz alone as 5x+1: its first violation in
+    # (length, word) order is the word of the fixed state 1
+    true_rows = words._expanding_rows
+    monkeypatch.setattr(
+        words,
+        "_expanding_rows",
+        lambda sys: [(5, 1)] if sys.spec == systems.collatz() else true_rows(sys),
+    )
+    result = battery.check_uniqueness_sweep()
+    assert not result.passed
+    assert result.detail == "q=3 d=1: word (1, 2, 2) fixes [1]"
 
 
 # -- unifix equivalence ---------------------------------------------------------------
