@@ -10,7 +10,6 @@ from .errors import (
     NotACycle,
     NotAffineFamily,
     NotClosedSystem,
-    OrbitConditionFailed,
     OutOfDomain,
     PreconditionUnmet,
     WindowMismatch,
@@ -63,13 +62,12 @@ from .coding import (
 from .operators import (
     SubspaceBasis,
     Truncation,
-    apply_word_op,
     build_truncation,
     commutant_projections,
+    coordinate_subspace,
     fixed_vectors_of_word,
     is_reducing,
     projection_P,
-    subspace_from_invariant_set,
     verify_pm_limit,
 )
 from .morphisms import (

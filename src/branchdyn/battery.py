@@ -362,7 +362,7 @@ def check_correspondence_bijection() -> CheckResult:
         if len(sample) > 64:
             sample = rng.sample(sample, 64)
         for K in sample:
-            basis = operators.subspace_from_invariant_set(trunc, K)
+            basis = operators.coordinate_subspace(trunc, K)
             if not operators.is_reducing(trunc, basis).passed:
                 failures.append(f"system {sys.spec}: H_K not reducing for K={sorted(K)}")
                 break
@@ -388,7 +388,7 @@ def check_correspondence_bijection() -> CheckResult:
             f"swap: lattice {srep.lattice_size}, invariant sets {len(sinv)}"
         )
     for K in sinv:  # the injection direction still holds
-        basis = operators.subspace_from_invariant_set(strunc, K)
+        basis = operators.coordinate_subspace(strunc, K)
         if basis.dimension and not operators.is_reducing(strunc, basis).passed:
             failures.append(f"swap: H_K not reducing for K={sorted(K)}")
     return _result(

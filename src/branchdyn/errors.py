@@ -54,9 +54,5 @@ class WindowMismatch(BranchDynError):
     """Two truncations cover windows that do not correspond under the map."""
 
 
-class OrbitConditionFailed(BranchDynError):
-    """A morphism does not carry total orbits onto total orbits."""
-
-
 class WindowTooSmall(BranchDynError):
     """The truncation window is missing orbit segments needed by the computation."""

@@ -35,7 +35,6 @@ from .coding import exact_coding
 from .errors import (
     DomainMismatch,
     InvalidSpec,
-    OrbitConditionFailed,
     OutOfDomain,
     PreconditionUnmet,
     WindowMismatch,
@@ -355,7 +354,7 @@ def conjugate_unitary(
 class IsometryReport:
     passed: bool
     per_branch_interior: tuple  # bool per branch on interior columns
-    orbit_condition: str  # "exact", "window-limited"
+    orbit_condition: str  # "exact", "window-limited", "failed"
     witness: object
 
 
@@ -372,14 +371,17 @@ def induced_isometry(
     orbits: phi(Orb(x; f)) = Orb(phi(x); g).  The orbit condition is
     checked by comparing closure computations on both windows; it is
     decisive when neither closure touches its window boundary, and
-    reported as window-limited otherwise.  A verified failure raises
-    OrbitConditionFailed.
+    reported as window-limited otherwise.  A decisive failure fails the
+    report, with x and up to four states of Orb(phi(x)) - phi(Orb(x))
+    ("unreached") and of the reverse difference ("outside", reachable
+    when phi is no homomorphism) as its witness.
     """
     a_states = trunc_a.states
     table, _, fault = _tabulate(phi, a_states, within=trunc_b.index)
     if fault:
         raise fault
     orbit_status = "exact"
+    orbit_witness = None
     done = set()
     win_a, win_b = SetWindow(a_states), SetWindow(trunc_b.states)
     for x in a_states:
@@ -389,16 +391,14 @@ def induced_isometry(
         ob = invariant_closure(phi.target, [table[x]], win_b)
         done |= oa.members
         mapped = {table[z] for z in oa.members}
-        decisive = not oa.frontier and not ob.frontier
-        if decisive:
-            if mapped != ob.members:
-                raise OrbitConditionFailed(
-                    f"phi(Orb({x!r})) != Orb(phi({x!r})): "
-                    f"{sorted(ob.members - mapped, key=repr)[:4]} unreached"
-                )
-        else:
+        if oa.frontier or ob.frontier:
             # closures touched the window boundary: inconclusive
             orbit_status = "window-limited"
+        elif mapped != ob.members:
+            orbit_status = "failed"
+            orbit_witness = {"x": x, "unreached": SetWindow(ob.members - mapped).materialize()[:4],
+                             "outside": SetWindow(mapped - ob.members).materialize()[:4]}
+            break
     v = {trunc_a.index[x]: trunc_b.index[y] for x, y in table.items()}
     interior_a = {trunc_a.index[x] for x in trunc_a.interior()}
     bad = [
@@ -411,8 +411,8 @@ def induced_isometry(
         None,
     )
     return IsometryReport(
-        passed=all(per_branch),
+        passed=all(per_branch) and orbit_witness is None,
         per_branch_interior=tuple(per_branch),
         orbit_condition=orbit_status,
-        witness=witness,
+        witness=orbit_witness or witness,
     )

@@ -14,10 +14,10 @@ images (reducing-subspace checks near the boundary, conjugation
 identities) are only asserted on interior coordinates.
 
 Vectors are sparse dicts {coordinate: value}, the only vector format
-here.  Every basis built here holds int entries: an invariant set K
-becomes span{e_x : x in K} as one unit dict per member, and the fixed
-vectors of a word operator are read off the cycles of the word's index
-map.  Fractions appear only as projection coefficients and in vectors
+here.  Every basis built here holds int entries: a set K of window
+states becomes span{e_x : x in K} as one unit dict per member, and the
+fixed vectors of a word operator are read off the cycles of the word's
+index map.  Fractions appear only as projection coefficients and in vectors
 that callers pass in.
 
 The commutant is read off the bisimulation quotient of a closed
@@ -145,15 +145,6 @@ def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) ->
         if r is not None and v:
             out[r] = out.get(r, 0) + v
     return {r: v for r, v in out.items() if v}
-
-
-def apply_word_op(trunc: Truncation, word, vec: dict) -> dict:
-    """T_I vec with the first symbol of the word acting first."""
-    word = check_word(word, trunc.k)
-    cur = dict(vec)
-    for i in word:
-        cur = apply_branch(trunc, i, cur)
-    return cur
 
 
 @dataclass(frozen=True)
@@ -356,23 +347,17 @@ def make_subspace(n: int, vectors: list) -> SubspaceBasis:
     return SubspaceBasis(n=n, vectors=tuple(out))
 
 
-def subspace_from_invariant_set(trunc: Truncation, states) -> SubspaceBasis:
-    """H_K = span{e_x : x in K} for an invariant K inside the window.
+def coordinate_subspace(trunc: Truncation, states) -> SubspaceBasis:
+    """H_K = span{e_x : x in K} for a set K of window states.
 
-    Invariance is required relative to the window: images and preimages
-    of members that stay in the window must stay in K.
+    ``is_reducing`` decides whether K is invariant relative to the
+    window: M_i e_x = e_{f(x)} when f(x) is in the window, and
+    M_i^T e_x = e_p for the in-window preimage p of x on branch i, so
+    H_K reduces exactly when those images and preimages of K stay in K.
     """
     k_set = set(states)
-    win = set(trunc.states)
-    if not k_set <= win:
+    if not k_set <= trunc.index.keys():
         raise InvalidSpec("K must lie inside the window")
-    for x in sorted(k_set, key=repr):
-        y = trunc.sys.apply(x)
-        if y in win and y not in k_set:
-            raise InvalidSpec(f"K is not forward invariant: f({x!r}) = {y!r}")
-        for p, _ in trunc.sys.preimages(x):
-            if p in win and p not in k_set:
-                raise InvalidSpec(f"K is not preimage closed: {p!r} -> {x!r}")
     return SubspaceBasis(
         n=trunc.n,
         vectors=tuple({trunc.index[x]: 1} for x in trunc.states if x in k_set),

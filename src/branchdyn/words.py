@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
 from .orbits import orbit_iterate
-from .systems import DynamicalSystem, IntWindow, _primitive_period, window_states
+from .systems import DynamicalSystem, IntWindow, SetWindow, _primitive_period, window_states
 
 Word = tuple
 
@@ -365,17 +365,17 @@ def check_uniqueness(
     """
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
-    if scan_bound < 1:
-        # a scan over no state would guard nothing yet still pass
-        raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
     if sys.is_finite:
-        scan_bound = None
+        scan_bound = None  # every state is walked, whatever the bound
     elif not sys.is_affine:
         raise NotAffineFamily("uniqueness check needs affine or finite-table systems")
+    elif scan_bound < 1:
+        # a scan over no state would guard nothing yet still pass
+        raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
     window = None if scan_bound is None else IntWindow(1, scan_bound)
     fixed = _fixed_words(sys, window_states(sys, window)[1], max_len)
     if scan_bound is None:
-        violations = [(w, tuple(sorted(ys, key=repr))) for w, ys in fixed.items() if len(ys) > 1]
+        violations = [(w, SetWindow(ys).materialize()) for w, ys in fixed.items() if len(ys) > 1]
     else:
         violations = []
         rows = _expanding_rows(sys)

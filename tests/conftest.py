@@ -227,7 +227,7 @@ def finite_uniqueness_oracle(sys, max_len):
             fixed = [x for x in states if words.replay_word(sys, x, word) == x]
             fixed_words += bool(fixed)
             if len(fixed) > 1:
-                violations.append((word, tuple(sorted(fixed, key=repr))))
+                violations.append((word, tuple(sorted(fixed))))
     return words.UniquenessReport(
         max_len=max_len,
         scan_bound=None,
@@ -349,6 +349,27 @@ def branch_matrix(trunc, i):
     for c, r in trunc.maps[i - 1].items():
         m[r][c] = Fraction(1)
     return m
+
+
+def invariance_violations(trunc, K):
+    """The window states outside K that a member of K reaches in one
+    step forward or back: K is invariant relative to the window exactly
+    when there is none."""
+    out = set()
+    for x in K:
+        y = trunc.sys.apply(x)
+        if y in trunc.index and y not in K:
+            out.add(y)
+        out |= {p for p, _ in trunc.sys.preimages(x) if p in trunc.index and p not in K}
+    return out
+
+
+def apply_word(trunc, word, vec):
+    """T_I vec with the first symbol of the word acting first."""
+    cur = dict(vec)
+    for i in words.check_word(word, trunc.k):
+        cur = operators.apply_branch(trunc, i, cur)
+    return cur
 
 
 def apply_word_adjoint(trunc, word, vec):

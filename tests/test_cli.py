@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from branchdyn import cli, operators, systems
+from branchdyn import battery, cli, operators, systems
 
 SWAP1 = json.dumps(
     {
@@ -233,6 +234,30 @@ def test_check_uniqueness_failure_is_exit_1(capsys):
     assert code == 1
     assert rep["passed"] is False and rep["scan_bound"] is None
     assert rep["violations"] == [{"word": [1, 1], "fixed_points": ["1", "2"]}]
+
+
+# 9 <-> 10, so the word (1, 1) fixes both
+SWAP_9_10 = json.dumps(
+    {"family": "table", "k": 1, "branch": {"9": 1, "10": 1}, "image": {"9": "10", "10": "9"}}
+)
+
+
+def test_check_uniqueness_lists_table_fixed_points_in_natural_order(capsys):
+    code, rep = run(capsys, "check", "uniqueness", "--system", SWAP_9_10, "--max-len", "2")
+    assert code == 1
+    assert rep["violations"] == [{"word": [1, 1], "fixed_points": ["9", "10"]}]
+
+
+def test_check_uniqueness_on_a_table_hashes_no_scan_bound(capsys):
+    # a table walks every state, so any bound is accepted, and reports
+    # that differ only in the ignored bound share config_hash
+    hashes = set()
+    for bound in ("0", "5", "6"):
+        code, rep = run(capsys, "check", "uniqueness", "--system", SWAP_9_10,
+                        "--max-len", "2", "--scan-bound", bound)
+        assert code == 1 and rep["scan_bound"] is None
+        hashes.add(rep["config_hash"])
+    assert len(hashes) == 1
 
 
 def test_check_uniqueness_scan_beyond_the_budget_is_exit_2(capsys, deadline):
@@ -698,30 +723,100 @@ def test_morphism_conjugate_relabel(capsys):
     assert code == 0 and rep["passed"]
 
 
+# the 2-cycle 1 <-> 2 on branches 1 and 2, and a copy of it that 4 -> 3
+# feeds from outside: including the first into the second misses 3 and 4
+SWAP2 = json.dumps(
+    {"family": "table", "k": 2, "branch": {"1": 1, "2": 2}, "image": {"1": "2", "2": "1"}}
+)
+SWAP2_FED = json.dumps(
+    {
+        "family": "table",
+        "k": 2,
+        "states": ["1", "2", "3", "4"],
+        "branch": {"1": 1, "2": 2, "3": 2, "4": 1},
+        "image": {"1": "2", "2": "1", "3": "2", "4": "3"},
+    }
+)
+INCLUDE_1_2 = '{"kind": "table", "map": {"1": "1", "2": "2"}}'
+
+
 def test_morphism_isometry_orbit_failure_is_exit_1(capsys):
-    small = json.dumps(
-        {
-            "family": "table",
-            "k": 2,
-            "states": ["1", "2"],
-            "branch": {"1": 1, "2": 2},
-            "image": {"1": "2", "2": "1"},
-        }
-    )
-    big = json.dumps(
-        {
-            "family": "table",
-            "k": 2,
-            "states": ["1", "2", "3", "4"],
-            "branch": {"1": 1, "2": 2, "3": 2, "4": 1},
-            "image": {"1": "2", "2": "1", "3": "2", "4": "3"},
-        }
-    )
-    code, _ = run(
-        capsys, "morphism", "isometry", "--source", small, "--target", big,
-        "--phi", '{"kind": "table", "map": {"1": "1", "2": "2"}}',
+    code, rep = run(
+        capsys, "morphism", "isometry", "--source", SWAP2, "--target", SWAP2_FED,
+        "--phi", INCLUDE_1_2,
     )
     assert code == 1
+    assert rep["passed"] is False and rep["orbit_condition"] == "failed"
+    assert rep["witness"] == {"x": 1, "unreached": [3, 4], "outside": []}
+    assert rep["per_branch_interior"] == [True, True]
+
+
+def test_operators_reduce_check_on_a_set_that_is_not_invariant(tmp_path, capsys):
+    # f(1) = 4 leaves K = {1, 2}; 4 is not interior to 1..4, so
+    # --interior-only forgives that edge and the one 4 -> 2
+    kfile = tmp_path / "k.json"
+    kfile.write_text('["1", "2"]')
+    argv = ["operators", "reduce-check", "--system", "collatz", "--window", "1..4",
+            "--set-file", str(kfile)]
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["passed"] is False and rep["dimension"] == 2
+    assert rep["witness"] == [1, "T", 0, 4]
+    code, rep = run(capsys, *argv, "--interior-only")
+    assert code == 0 and rep["passed"] and rep["interior_only"]
+
+
+# One accepted input per command whose report carries "passed", on which
+# it is false; "k12.json" stands for a set file holding ["1", "2"].
+FAILING = {
+    ("check", "uniqueness"): ["--system", SWAP1, "--max-len", "2"],
+    ("check", "separating"): ["--system", SWAP1, "--x", "1"],
+    ("check", "alphabeta"): [
+        "--system",
+        '{"family":"alphabeta","k":5,"alpha":["2","3","7","9"],"beta":["3","1","2","1"]}',
+        "--window", "1..20",
+    ],
+    ("tuc-scan",): ["--system", SWAP1],
+    ("operators", "reduce-check"): ["--system", "collatz", "--window", "1..4",
+                                    "--set-file", "k12.json"],
+    # 1 and 2 share their whole coding: the "never" route
+    ("operators", "pm-limit"): ["--system", SWAP1, "--x", "1", "--support", "1,2"],
+    ("morphism", "check"): ["--source", "collatz", "--target", "collatz",
+                            "--phi", '{"kind": "affine", "u": "1", "v": "1"}',
+                            "--window", "1..50"],
+    ("morphism", "iso"): ["--source", TABLE_1_5, "--target", TABLE_1_5,
+                          "--phi", '{"kind": "table", "map": {"1": "1"}}'],
+    # swapping 1 and 2 swaps the branches of SWAP2
+    ("morphism", "conjugate"): ["--source", SWAP2, "--target", SWAP2,
+                                "--phi", '{"kind": "table", "map": {"1": "2", "2": "1"}}'],
+    ("morphism", "isometry"): ["--source", SWAP2, "--target", SWAP2_FED, "--phi", INCLUDE_1_2],
+    ("verify-all",): [],  # with a planted fault
+}
+
+
+@pytest.mark.parametrize("path", sorted(FAILING), ids=" ".join)
+def test_failed_check_is_exit_1(tmp_path, capsys, monkeypatch, path):
+    (tmp_path / "k12.json").write_text('["1", "2"]')
+    if path == ("verify-all",):
+        planted = battery.CheckResult(3, "planted fault", False, "planted")
+        monkeypatch.setattr(battery, "ALL_CHECKS", [
+            (lambda: planted) if check is battery.check_3x_plus_d_fixed_points else check
+            for check in battery.ALL_CHECKS
+        ])
+    argv = [str(tmp_path / a) if a == "k12.json" else a for a in FAILING[path]]
+    code, rep = run(capsys, *path, *argv)
+    assert code == 1
+    assert rep["passed"] is False
+
+
+def test_every_passed_report_has_an_exit_1_case():
+    # a handler is named after its command path; any that writes
+    # "passed" needs an input above on which it is false
+    reporting = {
+        path for path, _ in _leaves()
+        if '"passed"' in inspect.getsource(getattr(cli, "cmd_" + "_".join(path).replace("-", "_")))
+    }
+    assert reporting == set(FAILING)
 
 
 @pytest.mark.parametrize(
@@ -821,9 +916,9 @@ def test_config_hash_covers_every_option(tmp_path, capsys):
     set_b.write_text('["3", "4", "5"]')
     cases = dict(HASH_CASES, **{"--set-file": (str(set_a), str(set_b))})
     for path, options in _leaves():
-        if path == ("verify-all",):
-            continue  # --preset has a single value
         names = [o for o in options if o not in ("--out", "--with-timing", "--format")]
+        if not names:
+            continue  # verify-all: no option enters the hash
         table = dict(cases, **HASH_OVERRIDES.get(path, {}))
         base = {o: table[o][0] for o in names}
         code, rep = run(capsys, *_hash_argv(path, base))
@@ -862,7 +957,7 @@ def test_timing_is_opt_in(capsys):
 
 def test_verify_all_battery(capsys):
     # the whole report, byte for byte, as an earlier release wrote it
-    code = cli.main(["verify-all", "--preset", "paper"])
+    code = cli.main(["verify-all"])
     out = capsys.readouterr().out
     assert out == (GOLDEN / "verify_all_paper.json").read_text()
     rep = json.loads(out)

@@ -10,7 +10,6 @@ from branchdyn import coding, linalg, morphisms, operators, orbits, systems
 from branchdyn.errors import (
     DomainMismatch,
     InvalidSpec,
-    OrbitConditionFailed,
     WindowMismatch,
 )
 from conftest import branch_matrix, closed_tables, iso_oracle, transpose, zeros
@@ -441,12 +440,17 @@ def test_transport_matches_dense_conjugation(table, data):
             back[c] in interior for cols in conjugated for c in cols))
         assert rep.witness == next(
             ((i, tb.states[cols[0]]) for i, cols in enumerate(conjugated, 1) if cols), None)
-    try:
-        rep = morphisms.induced_isometry(phi, ta, tb)
-    except OrbitConditionFailed:
+    rep = morphisms.induced_isometry(phi, ta, tb)
+    assert rep.per_branch_interior == tuple(not cols for cols in compressed)
+    if rep.orbit_condition == "failed":
         assert rule != perm  # a relabelling carries total orbits onto total orbits
+        assert not rep.passed and rep.witness["x"] in window
+        unreached, outside = rep.witness["unreached"], rep.witness["outside"]
+        assert unreached or outside
+        assert len(unreached) <= 4 and len(outside) <= 4
+        assert set(unreached) | set(outside) <= window_b
     else:
-        assert rep.per_branch_interior == tuple(not cols for cols in compressed)
+        assert rep.passed == all(rep.per_branch_interior)
         assert rep.witness == next(
             ((i, ta.states[cols[0]]) for i, cols in enumerate(compressed, 1) if cols), None)
 
@@ -485,8 +489,26 @@ def test_orbit_condition_failure_detected():
     assert morphisms.check_homomorphism(phi, None).passed
     ta = operators.build_truncation(small, None)
     tb = operators.build_truncation(big, None)
-    with pytest.raises(OrbitConditionFailed):
-        morphisms.induced_isometry(phi, ta, tb)
+    rep = morphisms.induced_isometry(phi, ta, tb)
+    assert not rep.passed
+    assert rep.orbit_condition == "failed"
+    assert rep.witness == {"x": 1, "unreached": (3, 4), "outside": ()}
+    # the compression identity is still checked, and holds on the interior
+    assert rep.per_branch_interior == (True, True)
+
+
+def test_orbit_condition_names_states_outside_the_target_orbit():
+    # phi is no homomorphism: it sends a 2-cycle onto two fixed points,
+    # so phi(Orb(1)) leaves Orb(phi(1)) and nothing is unreached
+    cycle2 = _table({1: 1, 2: 1}, {1: 2, 2: 1}, k=1)
+    fixed2 = _table({1: 1, 2: 1}, {1: 1, 2: 2}, k=1)
+    phi = morphisms.Morphism(cycle2, fixed2, morphisms.IdentityRule())
+    ta = operators.build_truncation(cycle2, None)
+    tb = operators.build_truncation(fixed2, None)
+    rep = morphisms.induced_isometry(phi, ta, tb)
+    assert not rep.passed and rep.orbit_condition == "failed"
+    assert rep.witness == {"x": 1, "unreached": (), "outside": (2,)}
+    assert rep.per_branch_interior == (False,)
 
 
 def test_identity_isometry_on_many_fixed_points(deadline):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from branchdyn import linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
+    apply_word,
     apply_word_adjoint,
     bisimilar_pairs,
     branch_matrix,
     closed_tables,
     entry_class_commutant,
     injective_table,
+    invariance_violations,
     mat_add,
     mat_scale,
     nullspace,
@@ -176,9 +178,9 @@ def test_custom_order_must_be_permutation(collatz):
 
 def test_word_op_on_cycle(collatz):
     t = operators.build_truncation(collatz, (1, 4))
-    assert operators.apply_word_op(t, (1, 2, 2), e(t, 1)) == e(t, 1)
-    assert operators.apply_word_op(t, (1, 2, 2), e(t, 3)) == {}
-    assert operators.apply_word_op(t, (1, 2, 2), {}) == {}
+    assert apply_word(t, (1, 2, 2), e(t, 1)) == e(t, 1)
+    assert apply_word(t, (1, 2, 2), e(t, 3)) == {}
+    assert apply_word(t, (1, 2, 2), {}) == {}
 
 
 def test_word_op_matches_dense_product(collatz):
@@ -188,7 +190,7 @@ def test_word_op_matches_dense_product(collatz):
     for i in word:
         dense = linalg.mat_mul(branch_matrix(t, i), dense)
     for x in t.states:
-        out = operators.apply_word_op(t, word, e(t, x))
+        out = apply_word(t, word, e(t, x))
         col = [row[t.index[x]] for row in dense]
         assert out == {c: v for c, v in enumerate(col) if v}
 
@@ -196,7 +198,7 @@ def test_word_op_matches_dense_product(collatz):
 def test_word_adjoint_is_transpose_route(collatz):
     t = operators.build_truncation(collatz, (1, 20))
     word = (1, 2, 2)
-    fwd = operators.apply_word_op(t, word, e(t, 1))
+    fwd = apply_word(t, word, e(t, 1))
     back = apply_word_adjoint(t, word, fwd)
     assert back == e(t, 1)
 
@@ -263,7 +265,7 @@ def test_projection_matches_operator_route(collatz):
     prefix = (1, 2, 2)
     p = operators.projection_P(t, prefix)
     for x in t.states:
-        v = operators.apply_word_op(t, prefix, e(t, x))
+        v = apply_word(t, prefix, e(t, x))
         w = apply_word_adjoint(t, prefix, v)
         assert w == p.apply(e(t, x))
 
@@ -351,28 +353,30 @@ def test_pm_cap_limited(collatz):
 
 def test_subspace_of_empty_set(collatz):
     t = operators.build_truncation(collatz, (1, 4))
-    basis = operators.subspace_from_invariant_set(t, ())
+    basis = operators.coordinate_subspace(t, ())
     assert basis.dimension == 0
 
 
 def test_subspace_of_full_window(swap2):
     t = operators.build_truncation(swap2, None)
-    basis = operators.subspace_from_invariant_set(t, (1, 2))
+    basis = operators.coordinate_subspace(t, (1, 2))
     assert basis.dimension == t.n
 
 
 def test_subspace_of_cycle(collatz):
     t = operators.build_truncation(collatz, (1, 4))
-    basis = operators.subspace_from_invariant_set(t, (1, 2, 4))
+    basis = operators.coordinate_subspace(t, (1, 2, 4))
     assert basis.dimension == 3
 
 
 def test_subspace_requires_invariance(collatz):
+    # H_K of a set that is not invariant is built, and is_reducing says no
     t = operators.build_truncation(collatz, (1, 4))
-    with pytest.raises(InvalidSpec):
-        operators.subspace_from_invariant_set(t, (1,))  # f(1) = 4 missing
-    with pytest.raises(InvalidSpec):
-        operators.subspace_from_invariant_set(t, (1, 5))  # 5 outside window
+    rep = operators.is_reducing(t, operators.coordinate_subspace(t, (1,)))
+    assert not rep.passed
+    assert rep.witness == (1, "T", 0, 4)  # f(1) = 4 missing
+    with pytest.raises(InvalidSpec, match="^K must lie inside the window$"):
+        operators.coordinate_subspace(t, (1, 5))  # 5 outside window
 
 
 def test_subspace_basis_refusals():
@@ -387,6 +391,35 @@ def test_subspace_basis_refusals():
     # sharing a coordinate is allowed when the pair is orthogonal
     basis = operators.SubspaceBasis(n=2, vectors=({0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}))
     assert basis.project({0: F(3)}) == {0: F(3)}
+
+
+def assert_reducing_iff_invariant(trunc, K):
+    """is_reducing on H_K decides K's invariance relative to the window;
+    with interior_only, a violation counts only at an interior state."""
+    basis = operators.coordinate_subspace(trunc, K)
+    bad = invariance_violations(trunc, K)
+    for interior_only, counted in ((False, bad), (True, bad & trunc.interior())):
+        rep = operators.is_reducing(trunc, basis, interior_only=interior_only)
+        assert rep.passed == (not counted), (sorted(K), interior_only)
+        assert rep.passed or rep.witness[3] in counted
+
+
+@pytest.mark.parametrize("family", [systems.collatz(), systems.QxPlusD(5, 1)],
+                         ids=["collatz", "5x+1"])
+def test_reducing_iff_invariant_on_every_subset_of_small_windows(family):
+    sys = systems.make_system(family)
+    for hi in range(1, 11):
+        t = operators.build_truncation(sys, (1, hi))
+        for mask in range(1, 2**hi):
+            assert_reducing_iff_invariant(t, {x for x in t.states if mask >> (x - 1) & 1})
+
+
+@given(closed_tables(max_states=8), st.data())
+def test_reducing_iff_invariant_on_table_windows(table, data):
+    branch, image, k = table
+    sys = _table(branch, image, k=k)
+    t = operators.build_truncation(sys, (1, data.draw(st.integers(1, len(branch)))))
+    assert_reducing_iff_invariant(t, data.draw(st.sets(st.sampled_from(t.states))))
 
 
 # -- reducing checks -------------------------------------------------------------
@@ -415,7 +448,7 @@ def test_swap_k2_admits_only_trivial(swap2):
 
 def test_interior_only_forgives_escape_edges(collatz):
     t = operators.build_truncation(collatz, (1, 4))
-    basis = operators.subspace_from_invariant_set(t, (1, 2, 4))
+    basis = operators.coordinate_subspace(t, (1, 2, 4))
     assert operators.is_reducing(t, basis, interior_only=True).passed
 
 
@@ -424,27 +457,28 @@ def test_reducing_check_on_a_large_invariant_set(collatz, deadline):
     deadline(5)
     t = operators.build_truncation(collatz, (1, 2000))
     closure = orbits.invariant_closure(collatz, [1], (1, 2000)).members
-    basis = operators.subspace_from_invariant_set(t, closure)
+    basis = operators.coordinate_subspace(t, closure)
     assert basis.dimension == len(closure)
     assert operators.is_reducing(t, basis).passed
 
 
 def test_invariant_sets_give_reducing_subspaces():
-    # every invariant set must give a reducing subspace; exhaustive on 5 states
+    # H_K reduces exactly when K is invariant; exhaustive on 5 states
     sys = two_plus_three()
     t = operators.build_truncation(sys, None)
     states = sys.states()
     n = len(states)
+    invariant_count = 0
     for mask in range(2**n):
         K = {states[j] for j in range(n) if mask >> j & 1}
-        if any(sys.apply(x) not in K for x in K):
-            continue
-        if any(p not in K for x in K for p, _ in sys.preimages(x)):
-            continue
-        basis = operators.subspace_from_invariant_set(t, K)
+        invariant = all(sys.apply(x) in K for x in K) and all(
+            p in K for x in K for p, _ in sys.preimages(x)
+        )
+        invariant_count += invariant
+        basis = operators.coordinate_subspace(t, K)
         assert_integral(t, basis)
-        if basis.dimension:
-            assert operators.is_reducing(t, basis).passed
+        assert operators.is_reducing(t, basis).passed == invariant, K
+    assert invariant_count == 4  # unions of the 2-cycle and the 3-cycle
 
 
 # -- commutant -------------------------------------------------------------------
@@ -520,7 +554,7 @@ def test_twin_cycles_commutant_is_nonabelian():
     assert operators.is_reducing(t, cross).passed
     # while the injection K -> H_K still lands in reducing subspaces
     for K in ((), (1, 2), (3, 4), (1, 2, 3, 4)):
-        basis = operators.subspace_from_invariant_set(t, K)
+        basis = operators.coordinate_subspace(t, K)
         if basis.dimension:
             assert operators.is_reducing(t, basis).passed
 
