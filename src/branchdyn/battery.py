@@ -58,6 +58,36 @@ def _collatz_cycles_20():
     return words.enumerate_cycles(_collatz(), 20)
 
 
+def _reach_one(bound: int) -> tuple:
+    """Walk every collatz start in 1..bound to 1, memoising stopping times.
+
+    Returns (worst stopping time, the first start that did not reach 1
+    within 10^4 steps or None); the worst time covers the starts before
+    that one.
+    """
+    step = _collatz()._step  # the loop starts from n >= 2, states by construction
+    known = [None] * (bound + 1)
+    known[1] = 0
+    worst = 0
+    for n in range(2, bound + 1):
+        if known[n] is not None:
+            continue
+        cur, steps = n, 0
+        path = []
+        while cur > bound or known[cur] is None:
+            path.append((cur, steps))
+            cur = step(cur)
+            steps += 1
+            if steps > 10**4:
+                return worst, n
+        total = steps + known[cur]
+        worst = max(worst, total)
+        for v, s in path:
+            if v <= bound:
+                known[v] = total - s
+    return worst, None
+
+
 def _random_table_system(rng: random.Random, max_states: int = 10):
     """A random total map on 2..max_states states with a random branch
     partition keeping every branch injective, or None if the greedy
@@ -109,21 +139,20 @@ def _basis_support(trunc, basis) -> frozenset:
 
 def check_collatz_cycle_census() -> CheckResult:
     """Word enumeration to length 20 against orbit iteration of every
-    start value up to 10^4: both must see exactly the 1-4-2 cycle."""
+    start value up to 10^4: both must see exactly the 1-4-2 cycle.  The
+    map is deterministic, so orbits that all reach 1 meet no cycle but
+    the one through 1."""
     failures = []
     rep = _collatz_cycles_20()
     found = {(r.cycle, r.word) for r in rep.cycles}
     if found != {((1, 4, 2), (1, 2, 2))}:
         failures.append(f"enumeration returned {sorted(found)}")
-    sys = _collatz()
-    oracle = set()
-    for rec in orbits.orbit_census(sys, range(1, 10**4 + 1), cap=10**4):
-        if not rec.entered_cycle:
-            failures.append(f"orbit of {rec.start} hit the cap")
-            break
-        oracle.add(rec.cycle)
-    if oracle != {(1, 4, 2)}:
-        failures.append(f"orbit oracle saw cycles {sorted(oracle)}")
+    _, stuck = _reach_one(10**4)
+    if stuck is not None:
+        failures.append(f"orbit of {stuck} did not reach 1 in 10^4 steps")
+    cycle = orbits.orbit_iterate(_collatz(), 1, cap=64).cycle
+    if cycle != (1, 4, 2):
+        failures.append(f"orbit oracle saw cycle {cycle}")
     return _result(
         1,
         "collatz cycle census to word length 20",
@@ -318,8 +347,8 @@ def check_prefix_projection_mechanics() -> CheckResult:
 
 def check_correspondence_bijection() -> CheckResult:
     """Invariant sets versus reducing subspaces on 50 random injective
-    codings, plus the 2-state swap where the correspondence must fail
-    to be onto."""
+    codings, where a forward orbit that is not invariant must not reduce,
+    plus the 2-state swap where the correspondence must fail to be onto."""
     rng = random.Random(0xBD09)
     failures = []
     made = 0
@@ -356,6 +385,15 @@ def check_correspondence_bijection() -> CheckResult:
         for b in crep.blocks:
             if b.dimension != len(_basis_support(trunc, b)):
                 failures.append(f"system {sys.spec}: block not a coordinate subspace")
+                break
+        # a forward orbit that some other state enters is closed under
+        # every M_i, so only the M_i^T half of is_reducing can reject it
+        forward = (frozenset(orbits.orbit_iterate(sys, x, cap=n).replay()) for x in trunc.states)
+        K = next((F for F in forward if F not in invariant), None)
+        if K is not None:
+            basis = operators.coordinate_subspace(trunc, K)
+            if operators.is_reducing(trunc, basis).passed:
+                failures.append(f"system {sys.spec}: H_K reducing for non-invariant K={sorted(K)}")
                 break
         # K maps to the span of the blocks it contains; inclusion both ways
         sample = sorted(invariant, key=lambda s: (len(s), sorted(s)))
@@ -605,32 +643,10 @@ def check_convergence_probe() -> CheckResult:
     """Every start value up to 10^5 reaches 1 within 10^4 steps, and the
     window [1, 1000] collapses to a single orbit class."""
     failures = []
-    sys = _collatz()
-    step = sys._step  # the loop starts from n >= 2, states by construction
-    bound = 10**5
-    known = [None] * (bound + 1)
-    known[1] = 0
-    worst = 0
-    for n in range(2, bound + 1):
-        if known[n] is not None:
-            continue
-        cur, steps = n, 0
-        path = []
-        while cur > bound or known[cur] is None:
-            path.append((cur, steps))
-            cur = step(cur)
-            steps += 1
-            if steps > 10**4:
-                failures.append(f"{n} did not reach 1 in 10^4 steps")
-                break
-        if failures:
-            break
-        total = steps + known[cur]
-        worst = max(worst, total)
-        for v, s in path:
-            if v <= bound:
-                known[v] = total - s
-    rep = orbits.minimality_probe(sys, (1, 1000))
+    worst, stuck = _reach_one(10**5)
+    if stuck is not None:
+        failures.append(f"{stuck} did not reach 1 in 10^4 steps")
+    rep = orbits.minimality_probe(_collatz(), (1, 1000))
     if rep.class_count != 1 or rep.unresolved:
         failures.append(
             f"minimality probe: {rep.class_count} classes, "

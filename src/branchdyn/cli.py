@@ -41,26 +41,6 @@ def _states(seq):
     return [_state(s) for s in seq]
 
 
-def _jsonable(v):
-    if isinstance(v, (bool, int)):
-        return v
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, systems.EventuallyPeriodic):
-        return _state(v)
-    if isinstance(v, dict):
-        items = sorted(v.items(), key=lambda kv: repr(kv[0]))
-        return {str(key): _jsonable(val) for key, val in items}
-    if isinstance(v, (list, tuple, set, frozenset)):
-        seq = sorted(v, key=repr) if isinstance(v, (set, frozenset)) else v
-        return [_jsonable(x) for x in seq]
-    if v is None:
-        return None
-    return str(v)
-
-
 def _canonical(data: dict) -> str:
     # lattice_size = 2**dimension can have more digits than Python converts
     # by default (4300 since 3.10.7); that limit guards parsing untrusted
@@ -100,7 +80,7 @@ def _params(args) -> dict:
 
 def _config_hash(command: str, params: dict) -> str:
     blob = json.dumps(
-        {"command": command, "params": _jsonable(params)}, sort_keys=True
+        {"command": command, "params": params}, sort_keys=True
     )
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -113,7 +93,7 @@ def _emit(args, body: dict) -> None:
         "command": command,
         "config_hash": _config_hash(command, _params(args)),
     }
-    report.update(_jsonable(body))
+    report.update(body)
     if args.with_timing:
         report["elapsed_seconds"] = f"{time.monotonic() - args._t0:.3f}"
     if getattr(args, "format", "json") == "csv":
@@ -358,7 +338,7 @@ def cmd_operators_reduce_check(args):
         "passed": rep.passed,
         "dimension": basis.dimension,
         "interior_only": rep.interior_only,
-        "witness": _jsonable(rep.witness),
+        "witness": [*rep.witness[:3], _state(rep.witness[3])] if rep.witness else None,
     }
 
 
@@ -425,13 +405,18 @@ def cmd_morphism_check(args):
 
 def cmd_morphism_iso(args):
     rep = morphisms.is_isomorphism(_morphism(args), args.window)
+    witness = rep.witness
+    if witness and isinstance(witness[0], tuple):  # the first (state, reason) violation
+        witness = [[_state(x), why] for x, why in witness]
+    elif witness:  # a collision (x, x', phi(x)) or up to three missed states
+        witness = _states(witness)
     return {
         "passed": rep.passed,
         "exact": rep.exact,
         "homomorphism": rep.homomorphism,
         "injective": rep.injective,
         "surjective": rep.surjective,
-        "witness": _jsonable(rep.witness),
+        "witness": witness,
     }
 
 
@@ -442,23 +427,33 @@ def _phi_and_truncations(args):
     return phi, ta, tb
 
 
+def _branch_witness(witness):
+    """A transport witness (branch, state), or None."""
+    return [witness[0], _state(witness[1])] if witness else None
+
+
 def cmd_morphism_conjugate(args):
     rep = morphisms.conjugate_unitary(*_phi_and_truncations(args))
     return {
         "passed": rep.passed,
         "per_branch": list(rep.per_branch),
         "interior_passed": rep.interior_passed,
-        "witness": _jsonable(rep.witness),
+        "witness": _branch_witness(rep.witness),
     }
 
 
 def cmd_morphism_isometry(args):
     rep = morphisms.induced_isometry(*_phi_and_truncations(args))
+    witness = rep.witness
+    if isinstance(witness, dict):  # the orbit condition failed at x
+        witness = {key: _state(v) if key == "x" else _states(v) for key, v in witness.items()}
+    else:
+        witness = _branch_witness(witness)
     return {
         "passed": rep.passed,
         "per_branch_interior": list(rep.per_branch_interior),
         "orbit_condition": rep.orbit_condition,
-        "witness": _jsonable(rep.witness),
+        "witness": witness,
     }
 
 

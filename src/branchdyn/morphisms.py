@@ -44,6 +44,7 @@ from .systems import (
     DynamicalSystem,
     SetWindow,
     SymbolicShift,
+    _state_order,
     as_window,
     make_system,
 )
@@ -261,7 +262,7 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
         missed = [y for y in phi.target.states() if y not in image]
         surjective = not missed
         if witness is None and missed:
-            witness = tuple(sorted(missed, key=repr))[:3]
+            witness = _state_order(missed)[:3]
     if violations and witness is None:
         witness = violations[:1]
     return IsoReport(
@@ -396,8 +397,8 @@ def induced_isometry(
             orbit_status = "window-limited"
         elif mapped != ob.members:
             orbit_status = "failed"
-            orbit_witness = {"x": x, "unreached": SetWindow(ob.members - mapped).materialize()[:4],
-                             "outside": SetWindow(mapped - ob.members).materialize()[:4]}
+            orbit_witness = {"x": x, "unreached": _state_order(ob.members - mapped)[:4],
+                             "outside": _state_order(mapped - ob.members)[:4]}
             break
     v = {trunc_a.index[x]: trunc_b.index[y] for x, y in table.items()}
     interior_a = {trunc_a.index[x] for x in trunc_a.interior()}

@@ -452,15 +452,20 @@ class IntWindow(Window):
         return f"{self.lo}..{self.hi}"
 
 
+def _state_order(states) -> tuple:
+    """The states in natural order, or by ``repr`` when they do not compare."""
+    try:
+        return tuple(sorted(states))
+    except TypeError:
+        return tuple(sorted(states, key=repr))
+
+
 class SetWindow(Window):
-    """An explicit finite state set, iterated in sorted order."""
+    """An explicit finite state set, iterated in ``_state_order``."""
 
     def __init__(self, states: Iterable):
         self._set = frozenset(states)
-        try:
-            self._order = tuple(sorted(self._set))
-        except TypeError:
-            self._order = tuple(sorted(self._set, key=repr))
+        self._order = _state_order(self._set)
 
     def contains(self, x) -> bool:
         return x in self._set

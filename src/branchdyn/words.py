@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
 from .orbits import orbit_iterate
-from .systems import DynamicalSystem, IntWindow, SetWindow, _primitive_period, window_states
+from .systems import DynamicalSystem, IntWindow, _primitive_period, _state_order, window_states
 
 Word = tuple
 
@@ -375,7 +375,7 @@ def check_uniqueness(
     window = None if scan_bound is None else IntWindow(1, scan_bound)
     fixed = _fixed_words(sys, window_states(sys, window)[1], max_len)
     if scan_bound is None:
-        violations = [(w, SetWindow(ys).materialize()) for w, ys in fixed.items() if len(ys) > 1]
+        violations = [(w, _state_order(ys)) for w, ys in fixed.items() if len(ys) > 1]
     else:
         violations = []
         rows = _expanding_rows(sys)

@@ -565,17 +565,35 @@ def test_format_is_only_a_cycles_option(capsys):
         assert capsys.readouterr().out == ""
 
 
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S)[1]
+    return [ln for ln in block.splitlines() if ln.startswith("branchdyn ")]
+
+
 def test_readme_cli_lines_parse():
     # every command in the README's CLI block must still parse, so a
     # removed flag cannot linger in the docs
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S)[1]
-    lines = [ln for ln in block.splitlines() if ln.startswith("branchdyn ")]
+    lines = _readme_cli_lines()
     assert lines
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
 
+
+def test_readme_cli_lines_run(capsys):
+    # every line that needs no outside file runs as printed and writes a
+    # report that parses; lines naming a .json file or holding ... need one
+    lines = [ln for ln in _readme_cli_lines() if ".json" not in ln and "..." not in ln]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        if "csv" in argv:
+            assert next(csv.reader(io.StringIO(out))) == ["word", "cycle", "length"]
+        else:
+            assert json.loads(out)["tool"] == "branchdyn", line
 
 
 def test_readme_library_block_runs():
@@ -747,7 +765,7 @@ def test_morphism_isometry_orbit_failure_is_exit_1(capsys):
     )
     assert code == 1
     assert rep["passed"] is False and rep["orbit_condition"] == "failed"
-    assert rep["witness"] == {"x": 1, "unreached": [3, 4], "outside": []}
+    assert rep["witness"] == {"x": "1", "unreached": ["3", "4"], "outside": []}
     assert rep["per_branch_interior"] == [True, True]
 
 
@@ -761,7 +779,7 @@ def test_operators_reduce_check_on_a_set_that_is_not_invariant(tmp_path, capsys)
     code, rep = run(capsys, *argv)
     assert code == 1
     assert rep["passed"] is False and rep["dimension"] == 2
-    assert rep["witness"] == [1, "T", 0, 4]
+    assert rep["witness"] == [1, "T", 0, "4"]
     code, rep = run(capsys, *argv, "--interior-only")
     assert code == 0 and rep["passed"] and rep["interior_only"]
 
@@ -793,6 +811,15 @@ FAILING = {
     ("verify-all",): [],  # with a planted fault
 }
 
+# the witness of each FAILING input that writes one: states as strings,
+# branch symbols, T/T* tags and basis indices as numbers
+WITNESSES = {
+    ("operators", "reduce-check"): [1, "T", 0, "4"],
+    ("morphism", "iso"): ["5"],
+    ("morphism", "conjugate"): [1, "1"],
+    ("morphism", "isometry"): {"outside": [], "unreached": ["3", "4"], "x": "1"},
+}
+
 
 @pytest.mark.parametrize("path", sorted(FAILING), ids=" ".join)
 def test_failed_check_is_exit_1(tmp_path, capsys, monkeypatch, path):
@@ -807,6 +834,8 @@ def test_failed_check_is_exit_1(tmp_path, capsys, monkeypatch, path):
     code, rep = run(capsys, *path, *argv)
     assert code == 1
     assert rep["passed"] is False
+    if path in WITNESSES:
+        assert rep["witness"] == WITNESSES[path]
 
 
 def test_every_passed_report_has_an_exit_1_case():

@@ -173,6 +173,14 @@ def test_partial_phi_fails_the_homomorphism_check(collatz):
     assert morphisms.is_isomorphism(leaving, (1, 5)).surjective is None  # not measured
 
 
+def test_missed_states_come_in_state_order():
+    # 2, 3, 4 are the least missed states; ordered by repr they would be 10, 11, 12
+    one = _table({1: 1}, {1: 1}, k=1)
+    cycle = _table(dict.fromkeys(range(1, 13), 1), {x: x % 12 + 1 for x in range(1, 13)}, k=1)
+    rep = morphisms.is_isomorphism(morphisms.Morphism(one, cycle, morphisms.TableRule({1: 1})))
+    assert rep.surjective is False and rep.witness == (2, 3, 4)
+
+
 def test_onto_map_with_an_image_outside_the_target():
     # every state of the 2-cycle is hit; 3 -> 99 fails the homomorphism check
     three = _table({1: 1, 2: 1, 3: 1}, {1: 2, 2: 3, 3: 1}, k=1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from branchdyn import linalg, operators, orbits, systems
+from branchdyn import battery, linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
     apply_word,
@@ -460,6 +460,18 @@ def test_reducing_check_on_a_large_invariant_set(collatz, deadline):
     basis = operators.coordinate_subspace(t, closure)
     assert basis.dimension == len(closure)
     assert operators.is_reducing(t, basis).passed
+
+
+def test_check_9_needs_the_adjoint_half_of_is_reducing(monkeypatch):
+    # without M_i^T, a forward orbit that another state enters passes as reducing
+    forward_only = operators.apply_branch
+    monkeypatch.setattr(
+        operators, "apply_branch",
+        lambda trunc, i, vec, adjoint=False: {} if adjoint else forward_only(trunc, i, vec),
+    )
+    result = battery.check_correspondence_bijection()
+    assert not result.passed
+    assert "H_K reducing for non-invariant K=" in result.detail
 
 
 def test_invariant_sets_give_reducing_subspaces():
