@@ -77,7 +77,6 @@ from .morphisms import (
     conjugate_unitary,
     identity,
     induced_isometry,
-    induced_symbolic,
     is_isomorphism,
 )
 

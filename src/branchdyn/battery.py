@@ -109,6 +109,14 @@ def _random_table_system(rng: random.Random, max_states: int = 10):
     return make_system(FiniteTable.make(branch, image, k=k))
 
 
+def _is_invariant(sys: DynamicalSystem, subset: frozenset) -> bool:
+    """subset is closed under the map and under preimages."""
+    states = sys.states()
+    return all(sys.apply(x) in subset for x in subset) and all(
+        x in subset for x in states if sys.apply(x) in subset
+    )
+
+
 def _invariant_subsets(sys: DynamicalSystem) -> set:
     """All invariant subsets of a finite system, by exhaustive scan.
 
@@ -116,14 +124,11 @@ def _invariant_subsets(sys: DynamicalSystem) -> set:
     closed under the map and under preimages.
     """
     states = list(sys.states())
-    out = set()
-    for mask in range(1 << len(states)):
-        subset = frozenset(s for b, s in enumerate(states) if mask >> b & 1)
-        forward = all(sys.apply(x) in subset for x in subset)
-        backward = all(x in subset for x in states if sys.apply(x) in subset)
-        if forward and backward:
-            out.add(subset)
-    return out
+    subsets = (
+        frozenset(s for b, s in enumerate(states) if mask >> b & 1)
+        for mask in range(1 << len(states))
+    )
+    return {subset for subset in subsets if _is_invariant(sys, subset)}
 
 
 def _basis_support(trunc, basis) -> frozenset:
@@ -229,32 +234,27 @@ def check_uniqueness_sweep() -> CheckResult:
 
 
 def check_aperiodic_cycle_words() -> CheckResult:
-    """Every cycle from the three censuses has an aperiodic minimal word
-    and an aperiodic parity tuple."""
+    """Every cycle from the three censuses, and the 3x+d cycles through
+    d, has an aperiodic branch word.  In a qx+d system x takes branch 1
+    exactly when it is odd, so a cycle's word is its parity vector
+    relabelled and the name's parity tuples are these words."""
     failures = []
-    batches = [(_collatz(), _collatz_cycles_20().cycles)]
+    batches = [(_collatz(), [r.cycle for r in _collatz_cycles_20().cycles])]
     five = make_system(QxPlusD(5, 1))
-    batches.append((five, words.enumerate_cycles(five, 12).cycles))
+    batches.append((five, [r.cycle for r in words.enumerate_cycles(five, 12).cycles]))
     for m in (2, 3, 4, 5):
         sys = make_system(QxPlusD(2**m - 1, 1))
-        batches.append((sys, words.enumerate_cycles(sys, m + 1).cycles))
+        batches.append((sys, [r.cycle for r in words.enumerate_cycles(sys, m + 1).cycles]))
     for d in (1, 3, 5, 7, 9):
         sys = make_system(QxPlusD(3, d))
-        rec = orbits.orbit_iterate(sys, d, cap=16)
-        batches.append(
-            (sys, [words.CycleRecord(word=None, cycle=rec.cycle)])
-        )
+        batches.append((sys, [orbits.orbit_iterate(sys, d, cap=16).cycle]))
     total = 0
     for sys, cycles in batches:
-        for r in cycles:
+        for cycle in cycles:
             total += 1
-            wrep = words.cycle_word_aperiodicity(sys, r.cycle)
+            wrep = words.cycle_word_aperiodicity(sys, cycle)
             if not wrep.passed:
-                failures.append(f"cycle {r.cycle}: word {wrep.word} periodic")
-            if r.word is not None and not words.is_aperiodic(r.word):
-                failures.append(f"word {r.word} periodic")
-            if not wrep.parity_aperiodic:
-                failures.append(f"cycle {r.cycle}: parity tuple periodic")
+                failures.append(f"cycle {cycle}: word {wrep.word} periodic")
     return _result(
         5,
         "aperiodic words and parity tuples on all census cycles",
@@ -303,9 +303,11 @@ def check_coding_injectivity() -> CheckResult:
 
 
 def check_prefix_projection_mechanics() -> CheckResult:
-    """Prefix projections on the [1, 10^4] collatz truncation: exact
-    idempotent self-adjoint diagonals matching the word-operator route,
-    and the e_1 + e_5 input stabilizes to e_1 at prefix length 4."""
+    """Prefix projections on the [1, 10^4] collatz truncation: the
+    support of each sampled P_I equals the coordinates that survive the
+    composed column maps of I, and the e_1 + e_5 input stabilizes to e_1
+    at prefix length 4.  P_I is a 0/1 diagonal by construction, so
+    idempotence and self-adjointness need no test."""
     rng = random.Random(0xBD08)
     sys = _collatz()
     trunc = operators.build_truncation(sys, (1, 10**4))
@@ -320,19 +322,8 @@ def check_prefix_projection_mechanics() -> CheckResult:
         for sym in prefix:
             step = trunc.maps[sym - 1]
             colmap = {c: step[r] for c, r in colmap.items() if r in step}
-        alive = set(colmap)
-        if alive != set(proj.coordinates):
+        if set(colmap) != proj.coordinates:
             failures.append(f"prefix {prefix}: projection support mismatch")
-            continue
-        probe = {
-            rng.randrange(trunc.n): Fraction(rng.randint(-3, 3)) for _ in range(8)
-        }
-        once = proj.apply(probe)
-        if proj.apply(once) != once:
-            failures.append(f"prefix {prefix}: not idempotent")
-        left = {c: v for c, v in probe.items() if c in proj.coordinates}
-        if left != once:
-            failures.append(f"prefix {prefix}: not self-adjoint diagonal")
     a = {trunc.index[1]: Fraction(1), trunc.index[5]: Fraction(1)}
     rep = operators.verify_pm_limit(trunc, a, 1, cap=64)
     if not rep.passed or rep.stabilization_index != 4:
@@ -457,12 +448,13 @@ def check_word_fixed_vectors() -> CheckResult:
 
 
 def check_morphism_suite() -> CheckResult:
-    """Category and functor laws, orbit image and pullback invariance,
-    and unitary conjugation of truncations."""
+    """Homomorphism and identity laws, the coding of x against the
+    coding of phi(x), orbit image and pullback invariance, and unitary
+    conjugation of truncations."""
     rng = random.Random(0xBD11)
     failures = []
 
-    # two isomorphic 5-state systems plus a quotient target
+    # two isomorphic 6-state systems plus a quotient target
     f_a = {1: 2, 2: 1, 3: 4, 4: 3, 5: 5, 6: 6}
     br_a = {1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 6: 1}
     sys_a = make_system(FiniteTable.make(br_a, f_a, k=2))
@@ -490,34 +482,13 @@ def check_morphism_suite() -> CheckResult:
     idb = morphisms.identity(sys_b)
     if morphisms.compose(idb, phi) != phi:
         failures.append("left identity law fails")
-    comp = morphisms.compose(tau, phi)
-    assoc_l = morphisms.compose(morphisms.compose(tau, phi), ida)
-    assoc_r = morphisms.compose(tau, morphisms.compose(phi, ida))
-    if assoc_l != assoc_r:
-        failures.append("associativity fails")
 
-    # functor laws on stored codings
-    f_id = morphisms.induced_symbolic(morphisms.identity(sys_a))
-    if f_id != morphisms.identity(f_id.source):
-        failures.append("induced map of the identity is not the identity")
-    lhs = morphisms.induced_symbolic(comp)
-    rhs = morphisms.compose(
-        morphisms.induced_symbolic(tau), morphisms.induced_symbolic(phi)
-    )
-    if lhs != rhs:
-        failures.append("induced maps do not compose")
+    # a morphism preserves branches and intertwines, so it keeps codings
     for x in sys_a.states():
         ca = coding.exact_coding(sys_a, x, cap=64)
         cb = coding.exact_coding(sys_b, phi(x), cap=64)
         if ca != cb:
             failures.append(f"coding not preserved at {x}")
-    col = _collatz()
-    for _ in range(100):
-        x = rng.randint(1, 10**6)
-        pa = coding.coding_prefix(col, x, 64)
-        pb = coding.coding_prefix(col, morphisms.identity(col)(x), 64)
-        if pa != pb:
-            failures.append(f"identity coding mismatch at {x}")
 
     # orbit image and pullback invariance
     for x in sys_a.states():
@@ -525,17 +496,14 @@ def check_morphism_suite() -> CheckResult:
         orb_q = orbits.orbit_iterate(sys_q, to_q[x], cap=100).replay()
         if {to_q[s] for s in orb_a} != set(orb_q):
             failures.append(f"orbit image mismatch at {x}")
-    chi = morphisms.compose(tau, phi)
+    comp = morphisms.compose(tau, phi)
     for L in _invariant_subsets(sys_q):
-        pre = frozenset(x for x in sys_a.states() if chi(x) in L)
-        forward = all(sys_a.apply(x) in pre for x in pre)
-        backward = all(
-            x in pre for x in sys_a.states() if sys_a.apply(x) in pre
-        )
-        if not (forward and backward):
+        pre = frozenset(x for x in sys_a.states() if comp(x) in L)
+        if not _is_invariant(sys_a, pre):
             failures.append(f"pullback of {sorted(L)} not invariant")
 
     # conjugation: relabeled collatz truncation, then random finite pairs
+    col = _collatz()
     ta = operators.build_truncation(col, (1, 1000))
     shuffled = list(range(1, 1001))
     rng.shuffle(shuffled)
@@ -571,7 +539,7 @@ def check_morphism_suite() -> CheckResult:
         11,
         "morphism laws and unitary conjugation of truncations",
         failures,
-        "category + functor laws, orbit/pullback transport, 21 conjugations",
+        "identity laws, coding/orbit/pullback transport, 21 conjugations",
     )
 
 
@@ -678,4 +646,14 @@ ALL_CHECKS = (
 
 
 def run_all() -> list:
-    return [check() for check in ALL_CHECKS]
+    """Every check's result, in order.  A check that raises is recorded
+    as failed under its position and function name, and the rest still
+    run; a BaseException that is no Exception propagates."""
+    results = []
+    for number, check in enumerate(ALL_CHECKS, 1):
+        try:
+            results.append(check())
+        except Exception as exc:
+            results.append(CheckResult(number, check.__name__, False,
+                                       f"raised {type(exc).__name__}: {exc}"))
+    return results

@@ -6,11 +6,8 @@ must use the same branch count k; a map between partitions of
 different sizes cannot preserve branch indices.
 
 Because a morphism preserves branches and intertwines, the coding of
-phi(x) *is* the coding of x; the induced map between symbolic models
-is the identity on sequences (an inclusion of coding images).  That
-makes the symbolic-model construction a functor in an executable
-sense: identities map to identities and composition is preserved
-literally.
+phi(x) *is* the coding of x; battery check 11 compares the two with
+``exact_coding``.
 
 Two transport results are verified at the truncation level:
 
@@ -40,14 +37,7 @@ from .errors import (
     WindowMismatch,
 )
 from .orbits import invariant_closure
-from .systems import (
-    DynamicalSystem,
-    SetWindow,
-    SymbolicShift,
-    _state_order,
-    as_window,
-    make_system,
-)
+from .systems import DynamicalSystem, SetWindow, _state_order, as_window
 from .operators import Truncation
 
 
@@ -272,24 +262,6 @@ def is_isomorphism(phi: Morphism, window=None) -> IsoReport:
         injective=injective,
         surjective=surjective,
         witness=witness,
-    )
-
-
-def symbolic_model(sys: DynamicalSystem) -> DynamicalSystem:
-    """The shift system the codings of ``sys`` live in."""
-    return make_system(SymbolicShift(sys.k))
-
-
-def induced_symbolic(phi: Morphism) -> Morphism:
-    """The map between symbolic models induced by phi.
-
-    Branch preservation plus intertwining forces coding(phi(x)) ==
-    coding(x), so the induced map is the identity on sequences.
-    """
-    return Morphism(
-        source=symbolic_model(phi.source),
-        target=symbolic_model(phi.target),
-        rule=IdentityRule(),
     )
 
 

@@ -431,8 +431,6 @@ class CycleWordReport:
     cycle: tuple
     word: Word
     aperiodic: bool
-    parity_tuple: tuple  # ((-1)**x per state) when k == 2, else ()
-    parity_aperiodic: bool
 
     @property
     def passed(self) -> bool:
@@ -456,15 +454,4 @@ def cycle_word_aperiodicity(sys: DynamicalSystem, cycle: Iterable) -> CycleWordR
         if sys.apply(s) != cycle[(j + 1) % len(cycle)]:
             raise NotACycle(f"f({s!r}) != {cycle[(j + 1) % len(cycle)]!r}")
     word = tuple(sys.branch_of(s) for s in cycle)
-    parity = ()
-    parity_ok = False
-    if sys.k == 2 and all(isinstance(s, int) for s in cycle):
-        parity = tuple((-1) ** s for s in cycle)
-        parity_ok = is_aperiodic(parity)
-    return CycleWordReport(
-        cycle=cycle,
-        word=word,
-        aperiodic=is_aperiodic(word),
-        parity_tuple=parity,
-        parity_aperiodic=parity_ok,
-    )
+    return CycleWordReport(cycle=cycle, word=word, aperiodic=is_aperiodic(word))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from branchdyn import battery, cli, operators, systems
+from branchdyn.errors import NotACycle
 
 SWAP1 = json.dumps(
     {
@@ -994,6 +995,29 @@ def test_verify_all_battery(capsys):
     assert rep["passed"] and rep["anomalies"] == []
     assert [c["number"] for c in rep["checks"]] == list(range(1, 14))
     assert all(c["passed"] for c in rep["checks"])
+
+
+def test_verify_all_reports_a_check_that_raises(capsys, monkeypatch):
+    # a raising check is a failed check: the others still run, and the
+    # full report comes out with exit 1
+    def check_3x_plus_d_fixed_points():
+        raise NotACycle("planted")
+
+    def check_coding_injectivity():
+        raise KeyError(7)
+
+    planted = {f.__name__: f for f in (check_3x_plus_d_fixed_points, check_coding_injectivity)}
+    monkeypatch.setattr(battery, "ALL_CHECKS", [
+        planted.get(check.__name__, check) for check in battery.ALL_CHECKS
+    ])
+    code, rep = run(capsys, "verify-all")
+    assert code == 1 and rep["passed"] is False
+    assert [c["number"] for c in rep["checks"]] == list(range(1, 14))
+    assert sum(c["passed"] for c in rep["checks"]) == 11
+    assert rep["checks"][2] == {"number": 3, "name": "check_3x_plus_d_fixed_points",
+                                "passed": False, "detail": "raised NotACycle: planted"}
+    assert rep["checks"][6]["detail"] == "raised KeyError: 7"
+    assert rep["anomalies"] == ["check_3x_plus_d_fixed_points", "check_coding_injectivity"]
 
 
 # -- fuzzing ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""System homomorphisms, the symbolic functor, operator conjugations."""
+"""System homomorphisms, codings under morphisms, operator conjugations."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchdyn import coding, linalg, morphisms, operators, orbits, systems
+from branchdyn import battery, coding, linalg, morphisms, operators, orbits, systems
 from branchdyn.errors import (
     DomainMismatch,
     InvalidSpec,
@@ -44,7 +44,7 @@ def test_identity_is_homomorphism(collatz):
 
 
 def test_coding_map_is_homomorphism(collatz):
-    shift = morphisms.symbolic_model(collatz)
+    shift = systems.make_system(systems.SymbolicShift(collatz.k))
     phi = morphisms.Morphism(collatz, shift, morphisms.CodingRule(cap=10**4))
     rep = morphisms.check_homomorphism(phi, (1, 50))
     assert rep.passed
@@ -280,7 +280,7 @@ def test_phi_evaluations_per_state(table, data):
 
 
 def test_swap_coding_map_is_not_injective(swap1):
-    shift = morphisms.symbolic_model(swap1)
+    shift = systems.make_system(systems.SymbolicShift(swap1.k))
     phi = morphisms.Morphism(swap1, shift, morphisms.CodingRule(cap=16))
     rep = morphisms.is_isomorphism(phi, (1, 2))
     assert not rep.passed
@@ -288,36 +288,30 @@ def test_swap_coding_map_is_not_injective(swap1):
     assert rep.witness is not None
 
 
-# -- the symbolic functor ----------------------------------------------------------------
-
-
-def test_functor_preserves_identity(collatz):
-    ihat = morphisms.induced_symbolic(morphisms.identity(collatz))
-    for x in (1, 7, 27):
-        seq = coding.exact_coding(collatz, x, 10**4)
-        assert ihat(seq) == seq
+# -- codings under morphisms ------------------------------------------------------------
 
 
 def test_functor_intertwines_codings():
+    # a morphism preserves branches and intertwines, so it keeps codings
     sys = two_plus_three()
     _, phi = relabeled_copy(sys, {1: 3, 2: 4, 3: 5, 4: 1, 5: 2})
-    phat = morphisms.induced_symbolic(phi)
     for x in sys.states():
-        lhs = phat(coding.exact_coding(sys, x, 64))
-        rhs = coding.exact_coding(phi.target, phi(x), 64)
-        assert lhs == rhs
+        assert coding.exact_coding(sys, x, 64) == coding.exact_coding(phi.target, phi(x), 64)
 
 
-def test_functor_respects_composition():
-    sys = two_plus_three()
-    t1, phi = relabeled_copy(sys, {1: 2, 2: 1, 3: 4, 4: 5, 5: 3})
-    _, psi = relabeled_copy(t1, {1: 5, 2: 4, 3: 3, 4: 2, 5: 1})
-    f_comp = morphisms.induced_symbolic(morphisms.compose(psi, phi))
-    f_phi = morphisms.induced_symbolic(phi)
-    f_psi = morphisms.induced_symbolic(psi)
-    for x in sys.states():
-        seq = coding.exact_coding(sys, x, 64)
-        assert f_comp(seq) == f_psi(f_phi(seq))
+def test_check_11_catches_a_wrong_conjugation_column(monkeypatch):
+    # a column reported on branch 1 although U M_1 U^T and N_1 agree there
+    true_columns = morphisms._mismatched_columns
+
+    def one_more(trunc_a, trunc_b, v):
+        out = true_columns(trunc_a, trunc_b, v)
+        out[0] = out[0] or [min(v)]
+        return out
+
+    monkeypatch.setattr(morphisms, "_mismatched_columns", one_more)
+    result = battery.check_morphism_suite()
+    assert not result.passed
+    assert result.detail.startswith("relabeled collatz conjugation: ")
 
 
 # -- the coding map under totally unique codings ------------------------------------
@@ -330,7 +324,8 @@ def test_coding_map_is_injective_exactly_under_tuc(table):
     branch, image, k = table
     sys = _table(branch, image, k=k)
     n = len(branch)
-    phi = morphisms.Morphism(sys, morphisms.symbolic_model(sys), morphisms.CodingRule(n + 1))
+    shift = systems.make_system(systems.SymbolicShift(sys.k))
+    phi = morphisms.Morphism(sys, shift, morphisms.CodingRule(n + 1))
     rep = morphisms.is_isomorphism(phi)
     assert rep.injective == coding.verify_tuc_window(sys, None, cap=n * n + 2).passed
     assert rep.homomorphism and rep.passed == rep.injective
@@ -341,7 +336,7 @@ def test_coding_map_is_injective_exactly_under_tuc(table):
 def test_coding_map_on_a_collatz_window(collatz):
     assert coding.verify_tuc_window(collatz, (1, 500), 1024).passed
     phi = morphisms.Morphism(
-        collatz, morphisms.symbolic_model(collatz), morphisms.CodingRule(1024))
+        collatz, systems.make_system(systems.SymbolicShift(collatz.k)), morphisms.CodingRule(1024))
     rep = morphisms.is_isomorphism(phi, (1, 500))
     assert rep.passed and rep.injective
     assert not rep.exact and rep.surjective is None  # window evidence only
@@ -349,7 +344,8 @@ def test_coding_map_on_a_collatz_window(collatz):
 
 def test_swap_coding_map_is_not_an_isomorphism(swap1):
     assert not coding.verify_tuc_window(swap1, None, cap=64).passed
-    phi = morphisms.Morphism(swap1, morphisms.symbolic_model(swap1), morphisms.CodingRule(64))
+    shift = systems.make_system(systems.SymbolicShift(swap1.k))
+    phi = morphisms.Morphism(swap1, shift, morphisms.CodingRule(64))
     rep = morphisms.is_isomorphism(phi)
     assert rep.homomorphism and not rep.injective and not rep.passed
     assert rep.witness[:2] == (1, 2)

@@ -474,6 +474,22 @@ def test_check_9_needs_the_adjoint_half_of_is_reducing(monkeypatch):
     assert "H_K reducing for non-invariant K=" in result.detail
 
 
+def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
+    # projection_P's support against check 8's own column-map composition
+    true_chase = operators._chase
+
+    def lossy(trunc, symbols):
+        out = true_chase(trunc, symbols)
+        if out:
+            del out[min(out)]
+        return out
+
+    monkeypatch.setattr(operators, "_chase", lossy)
+    result = battery.check_prefix_projection_mechanics()
+    assert not result.passed
+    assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))
+
+
 def test_invariant_sets_give_reducing_subspaces():
     # H_K reduces exactly when K is invariant; exhaustive on 5 states
     sys = two_plus_three()

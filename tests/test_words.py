@@ -532,6 +532,15 @@ def test_uniqueness_sweep_catches_one_wrong_fold(monkeypatch):
     assert result.detail == "q=3 d=1: word (1, 2, 2) fixes [1]"
 
 
+def test_aperiodic_word_check_catches_a_wrong_period(monkeypatch):
+    # check 5 reads each cycle's word through is_aperiodic alone; a period
+    # finder that calls every word a power of one symbol must fail it
+    monkeypatch.setattr(words, "_primitive_period", lambda seq: 1)
+    result = battery.check_aperiodic_cycle_words()
+    assert not result.passed
+    assert "cycle (1, 4, 2): word (1, 2, 2) periodic" in result.detail.split("; ")
+
+
 # -- unifix equivalence ---------------------------------------------------------------
 
 
@@ -565,14 +574,12 @@ def test_cycle_word_of_collatz_cycle(collatz):
     rep = words.cycle_word_aperiodicity(collatz, (1, 4, 2))
     assert rep.word == (1, 2, 2)
     assert rep.aperiodic
-    assert rep.parity_tuple == (-1, 1, 1)
-    assert rep.parity_aperiodic
 
 
 def test_cycle_word_of_5x1_cycle(five_x_one):
     rec = orbits.orbit_iterate(five_x_one, 13, cap=20)
     rep = words.cycle_word_aperiodicity(five_x_one, rec.cycle)
-    assert rep.aperiodic and rep.parity_aperiodic
+    assert rep.aperiodic
 
 
 def test_fixed_state_cycle():
