@@ -203,6 +203,9 @@ PERIOD3_30 = json.dumps(
          ["orbit", "--system", "qxd:5,1", "--x", "7", "--cap", "50"]),
         ("code_qxd5_1_x13_exact_tail.json",
          ["code", "--system", "qxd:5,1", "--x", "13", "--exact-tail"]),
+        # pinned before the escapes lost their frozenset copy
+        ("operators_build_collatz_w40.json",
+         ["operators", "build", "--system", "collatz", "--window", "1..40"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
