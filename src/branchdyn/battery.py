@@ -316,13 +316,13 @@ def check_prefix_projection_mechanics() -> CheckResult:
         x = rng.randint(1, 10**4)
         length = rng.randint(1, 10)
         prefix = coding.coding_prefix(sys, x, length)
-        proj = operators.projection_P(trunc, prefix)
+        support = operators.projection_P(trunc, prefix)
         # independent route: compose the sub-permutation column maps
         colmap = {c: c for c in range(trunc.n)}
         for sym in prefix:
             step = trunc.maps[sym - 1]
             colmap = {c: step[r] for c, r in colmap.items() if r in step}
-        if set(colmap) != proj.coordinates:
+        if set(colmap) != support:
             failures.append(f"prefix {prefix}: projection support mismatch")
     a = {trunc.index[1]: Fraction(1), trunc.index[5]: Fraction(1)}
     rep = operators.verify_pm_limit(trunc, a, 1, cap=64)

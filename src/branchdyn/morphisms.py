@@ -306,7 +306,7 @@ def conjugate_unitary(
     if set(image) != set(trunc_b.states):
         raise WindowMismatch("phi(window A) is not window B")
     u = {trunc_a.index[x]: trunc_b.index[y] for x, y in table.items()}
-    interior_a = {trunc_a.index[x] for x in trunc_a.interior()}
+    interior_a = trunc_a.interior()
     bad = _mismatched_columns(trunc_a, trunc_b, u)
     per_branch = [not cols for cols in bad]
     interior_ok = not any(c in interior_a for cols in bad for c in cols)
@@ -373,7 +373,7 @@ def induced_isometry(
                              "outside": _state_order(mapped - ob.members)[:4]}
             break
     v = {trunc_a.index[x]: trunc_b.index[y] for x, y in table.items()}
-    interior_a = {trunc_a.index[x] for x in trunc_a.interior()}
+    interior_a = trunc_a.interior()
     bad = [
         [c for c in cols if c in interior_a]
         for cols in _mismatched_columns(trunc_a, trunc_b, v)

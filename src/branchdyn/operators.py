@@ -2,16 +2,20 @@
 
 On the full state space each branch i induces a partial isometry T_i
 with T_i e_x = e_{f(x)} for x in X_i and T_i e_x = 0 otherwise.  A
-truncation restricts everything to a finite window W: the matrix M_i
-has a 1 in row f(x), column x for each x in X_i with both endpoints in
-W.  Per-branch injectivity makes every M_i a sub-permutation matrix
-(at most one 1 per row and per column), so M_i M_i^T M_i = M_i holds
-exactly and adjoints are plain transposes.
+truncation restricts everything to a finite window W and stores only
+what one pass over W reads off: the states, their coordinates, and per
+branch i the column map of M_i (a 1 in row f(x), column x for each x in
+X_i with both endpoints in W) and the escapes, the states of X_i whose
+image leaves W.  Per-branch injectivity makes every M_i a
+sub-permutation matrix, so M_i M_i^T M_i = M_i exactly, and M_i^T e_c
+= e_p for the branch-i preimage p of state c when p is in W: it is read
+off the system's preimage kernel, not stored.
 
-States of the window whose image under f leaves the window are
-"escapes": their columns are zero, and facts that would need those
-images (reducing-subspace checks near the boundary, conjugation
-identities) are only asserted on interior coordinates.
+Escapes have zero columns, and facts that would need their images
+(reducing-subspace checks near the boundary, conjugation identities)
+are only asserted on interior coordinates.  The projection P = T_I^*
+T_I of a coding prefix I is a 0/1 diagonal, and ``projection_P``
+returns the coordinates it keeps.
 
 Vectors are sparse dicts {coordinate: value}, the only vector format
 here.  Every basis built here holds int entries: a set K of window
@@ -52,8 +56,7 @@ class Truncation:
     states: tuple  # window states in index order
     index: dict  # state -> 0-based coordinate
     maps: tuple  # per branch: dict column index -> row index
-    inverse_maps: tuple  # per branch: dict row index -> column index
-    escapes: tuple  # per branch: frozenset of states mapped out of the window
+    escapes: tuple  # per branch: tuple of states mapped out of the window, in window order
 
     @property
     def n(self) -> int:
@@ -63,21 +66,12 @@ class Truncation:
     def k(self) -> int:
         return self.sys.k
 
-    @property
-    def escape_count(self) -> int:
-        return sum(len(e) for e in self.escapes)
-
     def interior(self) -> frozenset:
-        """States whose image and all preimages stay inside the window."""
-        out = []
-        win = set(self.states)
-        for x in self.states:
-            if self.sys.apply(x) not in win:
-                continue
-            if any(p not in win for p, _ in self.sys.preimages(x)):
-                continue
-            out.append(x)
-        return frozenset(out)
+        """Coordinates whose state's image and preimages all stay in the window."""
+        index, step, pre = self.index, self.sys._step, self.sys._preimages
+        return frozenset(
+            c for x, c in index.items() if step(x) in index and all(p in index for p, _ in pre(x))
+        )
 
 
 def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
@@ -102,19 +96,8 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
             esc[branch(x) - 1].append(x)
         else:
             maps[branch(x) - 1][c] = r
-    inverses = []
-    for i, fwd in enumerate(maps, start=1):
-        inv = {r: c for c, r in fwd.items()}
-        if len(inv) != len(fwd):
-            raise InvalidSpec(f"branch {i} is not injective on the window")
-        inverses.append(inv)
     return Truncation(
-        sys=sys,
-        states=states,
-        index=index,
-        maps=tuple(maps),
-        inverse_maps=tuple(inverses),
-        escapes=tuple(frozenset(e) for e in esc),
+        sys=sys, states=states, index=index, maps=tuple(maps), escapes=tuple(map(tuple, esc))
     )
 
 
@@ -138,39 +121,30 @@ def _chase(trunc: Truncation, symbols) -> dict:
 
 
 def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) -> dict:
-    table = trunc.inverse_maps[i - 1] if adjoint else trunc.maps[i - 1]
+    """M_i vec, or M_i^T vec with M_i^T e_c = e_p for the in-window
+    branch-i preimage p of state c."""
+    fwd, index, preimages = trunc.maps[i - 1], trunc.index, trunc.sys._preimages
     out: dict = {}
     for c, v in vec.items():
-        r = table.get(c)
+        if adjoint:
+            # a branch holds at most one preimage; a table state may be None
+            r = next((index.get(p) for p, b in preimages(trunc.states[c]) if b == i), None)
+        else:
+            r = fwd.get(c)
         if r is not None and v:
             out[r] = out.get(r, 0) + v
     return {r: v for r, v in out.items() if v}
 
 
-@dataclass(frozen=True)
-class DiagonalProjection:
-    """P = T_I^* T_I for a coding prefix I: diagonal, 0/1."""
-
-    n: int
-    prefix: tuple
-    coordinates: frozenset
-
-    def apply(self, vec: dict) -> dict:
-        return {c: v for c, v in vec.items() if c in self.coordinates}
-
-
-def projection_P(trunc: Truncation, prefix) -> DiagonalProjection:
-    """The range projection of the length-m coding cylinder.
+def projection_P(trunc: Truncation, prefix) -> frozenset:
+    """The support of P = T_I^* T_I for the length-m coding prefix I.
 
     A coordinate survives iff chasing its state through the prefix
     symbols keeps all intermediate images in the window; the adjoint
-    chase then walks the same path backwards, so P is the diagonal
-    indicator of the surviving start coordinates.
+    chase then walks the same path backwards, so P is the diagonal 0/1
+    indicator of the surviving start coordinates, returned as a set.
     """
-    symbols = check_word(prefix, trunc.k)
-    return DiagonalProjection(
-        n=trunc.n, prefix=symbols, coordinates=frozenset(_chase(trunc, symbols))
-    )
+    return frozenset(_chase(trunc, check_word(prefix, trunc.k)))
 
 
 @dataclass(frozen=True)
@@ -197,6 +171,11 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
     at the stabilization index (P_m then drops e_x), or the cap runs out
     before separation or a pair revisit.
     """
+    if cap < 1:
+        raise InvalidSpec(f"need cap >= 1, got {cap}")
+    for c in a:
+        if c not in range(trunc.n):
+            raise InvalidSpec(f"coordinate {c!r} outside 0..{trunc.n - 1}")
     if x not in trunc.index:
         raise InvalidSpec(f"{x!r} is not in the window")
     # x can equal a window state without being a state (True == 1); the
@@ -269,9 +248,9 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
             f"{x!r} leaves the window after {x_exit} steps, at the "
             f"stabilization index: e_{x!r} drops out of P_{worst} a there"
         )
-    prefix = tuple(symbols[:worst])
+    support = projection_P(trunc, tuple(symbols[:worst]))
     # a zero coefficient of a is no support: compare nonzero entries only
-    result = {c: v for c, v in projection_P(trunc, prefix).apply(a).items() if v}
+    result = {c: v for c, v in a.items() if v and c in support}
     return PmLimitReport(
         x=x,
         stabilization_index=worst,
@@ -385,7 +364,7 @@ def is_reducing(
     """
     if basis.n != trunc.n:
         raise InvalidSpec("basis dimension does not match the truncation")
-    allowed = {trunc.index[x] for x in trunc.interior()} if interior_only else range(trunc.n)
+    allowed = trunc.interior() if interior_only else range(trunc.n)
 
     for bi, v in enumerate(basis.vectors):
         for i in range(1, trunc.k + 1):
@@ -461,9 +440,10 @@ def commutant_projections(trunc: Truncation) -> CommutantReport:
     MAX_COMMUTANT_BASIS_ENTRIES entries, counted before any vector is
     built.  Blocks are ordered by (least coordinate, -rank, d).
     """
-    if trunc.escape_count:
+    escaping = sum(map(len, trunc.escapes))
+    if escaping:
         raise NotClosedSystem(
-            f"window has {trunc.escape_count} escaping states; "
+            f"window has {escaping} escaping states; "
             "the commutant needs a closed truncation"
         )
     covers = _covers(trunc)

@@ -445,9 +445,8 @@ def _entry_classes(trunc):
     def pos(r, c):
         return r * n + c
 
-    for b in range(trunc.k):
-        fwd = trunc.maps[b]
-        inv = trunc.inverse_maps[b]
+    for fwd in trunc.maps:
+        inv = {r: c for c, r in fwd.items()}
         for x in range(n):
             fx = fwd.get(x)
             ix = inv.get(x)
@@ -509,10 +508,11 @@ def bisimilar_pairs(trunc):
     preimage per label) until no class splits."""
     label = {c: b for b, fwd in enumerate(trunc.maps) for c in fwd}
     image = {c: r for fwd in trunc.maps for c, r in fwd.items()}
+    inverses = [{r: c for c, r in fwd.items()} for fwd in trunc.maps]
     cls = dict(label)
     while True:
         sig = {
-            c: (cls[c], cls[image[c]], tuple(cls.get(inv.get(c)) for inv in trunc.inverse_maps))
+            c: (cls[c], cls[image[c]], tuple(cls.get(inv.get(c)) for inv in inverses))
             for c in range(trunc.n)
         }
         ids = {s: i for i, s in enumerate(sorted(set(sig.values()), key=repr))}

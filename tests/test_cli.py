@@ -544,6 +544,12 @@ def test_negative_cap_is_exit_2(capsys):
          "--scan-bound", "-5"],
         ["check", "uniqueness", "--system", "collatz", "--max-len", "3",
          "--scan-bound", "0"],
+        # refused before any chase: these once reported an empty word and
+        # an unseparated pair
+        ["operators", "pm-limit", "--system", "collatz", "--window", "1..10",
+         "--support", "1", "--x", "1", "--cap", "-3"],
+        ["operators", "pm-limit", "--system", "collatz", "--window", "1..10",
+         "--support", "1,5", "--x", "1", "--cap", "-3"],
     ],
 )
 def test_negative_count_is_exit_2(capsys, argv):
@@ -551,7 +557,8 @@ def test_negative_count_is_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "Traceback" not in captured.err
+    # every argv ends with the refused count
+    assert re.fullmatch(rf"error: need \w+ >= [01], got {argv[-1]}\n", captured.err)
 
 
 def test_format_is_only_a_cycles_option(capsys):

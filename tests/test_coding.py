@@ -129,6 +129,21 @@ def test_tuc_window_without_a_pair_passes(collatz, window, cap):
     assert rep.max_prefix_length == 0 and rep.undistinguished == ()
 
 
+def test_check_7_catches_a_window_that_repeats_a_state(monkeypatch):
+    # a state listed twice shares its whole coding with itself, so the
+    # refinement can never separate the pair
+    true_states = coding.window_states
+
+    def repeated(sys, window):
+        win, states = true_states(sys, window)
+        return win, states + states[:1]
+
+    monkeypatch.setattr(coding, "window_states", repeated)
+    result = battery.check_coding_injectivity()
+    assert not result.passed
+    assert "3x+1: 1 groups undistinguished" in result.detail.split("; ")
+
+
 # -- section hypotheses -----------------------------------------------------------
 
 

@@ -419,7 +419,7 @@ def test_transport_matches_dense_conjugation(table, data):
     window_b = {rule[x] for x in window} | ({3 * x + 4 for x in window} if copy else set())
     ta = operators.build_truncation(sys, systems.SetWindow(window))
     tb = operators.build_truncation(target, systems.SetWindow(window_b))
-    interior = sorted(ta.index[x] for x in ta.interior())
+    interior = sorted(ta.interior())
     v = zeros(tb.n, ta.n)
     for x in window:
         v[tb.index[rule[x]]][ta.index[x]] = 1

@@ -78,17 +78,17 @@ def test_collatz_window_1_4(collatz):
     assert t.states == (1, 2, 3, 4)
     # branch 1: only 1 -> 4 stays inside; 3 -> 10 escapes
     assert t.maps[0] == {t.index[1]: t.index[4]}
-    assert t.escapes[0] == frozenset({3})
+    assert t.escapes[0] == (3,)
     # branch 2: 4 -> 2 and 2 -> 1
     assert t.maps[1] == {t.index[4]: t.index[2], t.index[2]: t.index[1]}
-    assert t.escapes[1] == frozenset()
+    assert t.escapes[1] == ()
 
 
 def test_swap_truncation(swap2):
     t = operators.build_truncation(swap2, None)
     assert t.maps[0] == {t.index[1]: t.index[2]}
     assert t.maps[1] == {t.index[2]: t.index[1]}
-    assert t.escape_count == 0
+    assert t.escapes == ((), ())
 
 
 def per_branch_truncation(sys, states):
@@ -105,7 +105,7 @@ def per_branch_truncation(sys, states):
                     pairs.append((index[x], index[y]))
                 else:
                     esc.append(x)
-        out.append((pairs, frozenset(esc)))
+        out.append((pairs, tuple(esc)))
     return out
 
 
@@ -119,7 +119,6 @@ def test_one_pass_truncation_matches_per_branch_build(collatz, alphabeta3, windo
             t = operators.build_truncation(sys, window, order=order)
             got = [(list(m.items()), e) for m, e in zip(t.maps, t.escapes)]
             assert got == per_branch_truncation(sys, t.states)
-            assert t.inverse_maps == tuple({r: c for c, r in m.items()} for m in t.maps)
 
 
 def test_truncation_state_budget(collatz, monkeypatch, deadline):
@@ -163,7 +162,41 @@ def test_row_column_sparsity(collatz):
 def test_interior_excludes_escape_neighbors(collatz):
     t = operators.build_truncation(collatz, (1, 4))
     # 3 escapes forward; 4 has preimage 8 outside; 1 and 2 are interior
-    assert t.interior() == frozenset({1, 2})
+    assert t.interior() == frozenset({t.index[1], t.index[2]})
+
+
+def route_truncations(collatz, alphabeta3):
+    """Two families on 1..60, a reversed order, a set window, and a table
+    whose one state is None: it has a preimage on branch 1 only."""
+    t = operators.build_truncation(collatz, (1, 60))
+    yield t
+    yield operators.build_truncation(alphabeta3, (1, 60))
+    yield operators.build_truncation(collatz, (1, 60), order=t.states[::-1])
+    yield operators.build_truncation(collatz, systems.SetWindow([2, 4, 8, 3, 10, 5, 16]))
+    yield operators.build_truncation(_table({None: 1}, {None: None}, k=2), None)
+
+
+def test_adjoint_is_the_transposed_column_map(collatz, alphabeta3):
+    # M_i^T e_c, read off the preimage kernel, against column c of M_i^T
+    for t in route_truncations(collatz, alphabeta3):
+        for i in range(1, t.k + 1):
+            mt = transpose(branch_matrix(t, i))
+            for c in range(t.n):
+                want = {r: 1 for r in range(t.n) if mt[r][c]}
+                assert operators.apply_branch(t, i, {c: 1}, adjoint=True) == want
+    t = operators.build_truncation(_table({None: 1}, {None: None}, k=2), None)
+    assert operators.apply_branch(t, 1, {0: 1}, adjoint=True) == {0: 1}
+    assert operators.apply_branch(t, 2, {0: 1}, adjoint=True) == {}
+
+
+def test_interior_matches_the_public_route(collatz, alphabeta3):
+    for t in route_truncations(collatz, alphabeta3):
+        sys = t.sys
+        assert t.interior() == {
+            t.index[x]
+            for x in t.states
+            if sys.apply(x) in t.index and all(p in t.index for p, _ in sys.preimages(x))
+        }
 
 
 def test_custom_order_must_be_permutation(collatz):
@@ -229,19 +262,18 @@ def projection_oracle(sys, trunc, prefix):
 def test_projection_support_on_window_50(collatz):
     t = operators.build_truncation(collatz, (1, 50))
     p3 = operators.projection_P(t, (1, 2, 2))
-    assert p3.coordinates == frozenset(projection_oracle(collatz, t, (1, 2, 2)))
-    assert {t.index[1], t.index[5]} <= p3.coordinates
+    assert p3 == frozenset(projection_oracle(collatz, t, (1, 2, 2)))
+    assert {t.index[1], t.index[5]} <= p3
 
     p4 = operators.projection_P(t, (1, 2, 2, 1))
-    assert p4.coordinates == frozenset(projection_oracle(collatz, t, (1, 2, 2, 1)))
-    assert t.index[1] in p4.coordinates
-    assert t.index[5] not in p4.coordinates  # 5 codes (1,2,2,2)
+    assert p4 == frozenset(projection_oracle(collatz, t, (1, 2, 2, 1)))
+    assert t.index[1] in p4
+    assert t.index[5] not in p4  # 5 codes (1,2,2,2)
 
 
 def test_projection_can_be_zero(collatz):
     t = operators.build_truncation(collatz, (1, 4))
-    p = operators.projection_P(t, (2, 2, 2, 2, 2, 2))
-    assert p.coordinates == frozenset()
+    assert operators.projection_P(t, (2, 2, 2, 2, 2, 2)) == frozenset()
 
 
 def test_projection_idempotent_self_adjoint(collatz):
@@ -255,7 +287,7 @@ def test_projection_idempotent_self_adjoint(collatz):
         m = linalg.mat_mul(transpose(mi), mi)
         assert linalg.mat_mul(m, m) == m
         assert transpose(m) == m
-        coords = operators.projection_P(t, prefix).coordinates
+        coords = operators.projection_P(t, prefix)
         assert m == [[int(r == c and c in coords) for c in range(t.n)] for r in range(t.n)]
 
 
@@ -263,11 +295,11 @@ def test_projection_matches_operator_route(collatz):
     # independent route: P = (T_I)^adj T_I applied columnwise
     t = operators.build_truncation(collatz, (1, 50))
     prefix = (1, 2, 2)
-    p = operators.projection_P(t, prefix)
+    support = operators.projection_P(t, prefix)
     for x in t.states:
         v = apply_word(t, prefix, e(t, x))
         w = apply_word_adjoint(t, prefix, v)
-        assert w == p.apply(e(t, x))
+        assert w == (e(t, x) if t.index[x] in support else {})
 
 
 # -- P_m limits -----------------------------------------------------------------
@@ -305,6 +337,14 @@ def test_pm_never_stabilizes_on_swap(swap1):
     assert not rep.passed
     assert rep.never == (2,)
     assert rep.stabilization_index is None
+
+
+def test_pm_limit_refuses_coordinates_outside_the_window(collatz):
+    # -1 once read as state 100, -100 as x itself, and 100 raised IndexError
+    t = operators.build_truncation(collatz, (1, 100))
+    for a, c in (({-1: F(1)}, -1), ({0: F(1), -100: F(1)}, -100), ({100: F(1)}, 100)):
+        with pytest.raises(InvalidSpec, match=f"^coordinate {c} outside 0..99$"):
+            operators.verify_pm_limit(t, a, 1)
 
 
 def test_pm_window_too_small(collatz):
@@ -398,7 +438,8 @@ def assert_reducing_iff_invariant(trunc, K):
     with interior_only, a violation counts only at an interior state."""
     basis = operators.coordinate_subspace(trunc, K)
     bad = invariance_violations(trunc, K)
-    for interior_only, counted in ((False, bad), (True, bad & trunc.interior())):
+    interior = {trunc.states[c] for c in trunc.interior()}
+    for interior_only, counted in ((False, bad), (True, bad & interior)):
         rep = operators.is_reducing(trunc, basis, interior_only=interior_only)
         assert rep.passed == (not counted), (sorted(K), interior_only)
         assert rep.passed or rep.witness[3] in counted
@@ -475,7 +516,9 @@ def test_check_9_needs_the_adjoint_half_of_is_reducing(monkeypatch):
 
 
 def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
-    # projection_P's support against check 8's own column-map composition
+    # projection_P's support against check 8's own column-map composition;
+    # check 10 reads the cycles of the same chase, and the lost coordinate
+    # breaks the cycle of e_1 under word 1 2 2
     true_chase = operators._chase
 
     def lossy(trunc, symbols):
@@ -488,6 +531,9 @@ def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
     result = battery.check_prefix_projection_mechanics()
     assert not result.passed
     assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))
+    result = battery.check_word_fixed_vectors()
+    assert not result.passed
+    assert result.detail.startswith("word 1 2 2: dimension 0,")
 
 
 def test_invariant_sets_give_reducing_subspaces():

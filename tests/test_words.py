@@ -541,6 +541,18 @@ def test_aperiodic_word_check_catches_a_wrong_period(monkeypatch):
     assert "cycle (1, 4, 2): word (1, 2, 2) periodic" in result.detail.split("; ")
 
 
+def test_cycle_checks_catch_a_replay_that_never_matches(monkeypatch):
+    # checks 2 and 3 validate every solved fixed point by replaying its
+    # word; a replay that never returns the start must fail both
+    monkeypatch.setattr(words, "replay_word", lambda sys, x, word: None)
+    result = battery.check_qx_plus_one_cycles()
+    assert not result.passed
+    assert "5x+1 cycles through []" in result.detail.split("; ")
+    result = battery.check_3x_plus_d_fixed_points()
+    assert not result.passed
+    assert "d=1: fixed point None" in result.detail.split("; ")
+
+
 # -- unifix equivalence ---------------------------------------------------------------
 
 
