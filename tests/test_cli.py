@@ -206,6 +206,27 @@ PERIOD3_30 = json.dumps(
         # pinned before the escapes lost their frozenset copy
         ("operators_build_collatz_w40.json",
          ["operators", "build", "--system", "collatz", "--window", "1..40"]),
+        # one cycle search per affine family: words_tried and pruned included
+        ("cycles_collatz_l12.json", ["cycles", "--system", "collatz", "--max-len", "12"]),
+        ("cycles_qxd5_1_l12.json", ["cycles", "--system", "qxd:5,1", "--max-len", "12"]),
+        ("cycles_alphabeta3_l11.json",
+         ["cycles", "--system", ALPHABETA3, "--max-len", "11"]),
+        ("total_orbit_collatz_x1_w40.json",
+         ["total-orbit", "--system", "collatz", "--x", "1", "--window", "1..40"]),
+        ("minimality_collatz_w40.json",
+         ["minimality", "--system", "collatz", "--window", "1..40"]),
+        ("check_separating_collatz_x1.json",
+         ["check", "separating", "--system", "collatz", "--x", "1"]),
+        ("check_alphabeta_alphabeta3_w30.json",
+         ["check", "alphabeta", "--system", ALPHABETA3, "--window", "1..30"]),
+        ("tuc_scan_collatz_w100_cap64.json",
+         ["tuc-scan", "--system", "collatz", "--window", "1..100", "--cap", "64"]),
+        ("morphism_check_collatz_identity_w30.json",
+         ["morphism", "check", "--source", "collatz", "--target", "collatz",
+          "--phi", '{"kind": "identity"}', "--window", "1..30"]),
+        ("morphism_conjugate_five_relabeled.json",
+         ["morphism", "conjugate", "--source", FIVE_STATE, "--target", FIVE_STATE_RELABELED,
+          "--phi", RELABEL_FIVE]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
