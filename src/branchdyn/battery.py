@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import coding, morphisms, operators, orbits, words
 from .errors import DepthExhausted
@@ -42,6 +41,11 @@ def _result(number: int, name: str, failures: list, detail: str) -> CheckResult:
     if failures:
         detail = "; ".join(str(f) for f in failures[:4])
     return CheckResult(number=number, name=name, passed=not failures, detail=detail)
+
+
+def _plain(items) -> str:
+    """Symbols or states as space-separated decimals, "none" for none."""
+    return " ".join(map(str, items)) or "none"
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,8 @@ def check_power_word_agreement() -> CheckResult:
         m = rng.randint(1, 5)
         rep = words.verify_unifix(sys, word, m)
         if not rep.passed:
-            failures.append(f"word {word} power {m}: {rep}")
+            fixes = ["none" if p is None else p for p in (rep.fixed_point_word, rep.fixed_point_power)]
+            failures.append(f"word {_plain(word)} power {m}: word fixes {fixes[0]}, power fixes {fixes[1]}")
     return _result(
         6,
         "fixed points of word powers match the base word",
@@ -435,7 +440,7 @@ def check_word_fixed_vectors() -> CheckResult:
     rep = operators.fixed_vectors_of_word(trunc, (1, 2, 2))
     support = _basis_support(trunc, rep.basis)
     if rep.dimension != 1 or support != {1}:
-        failures.append(f"word 1 2 2: dimension {rep.dimension}, support {support}")
+        failures.append(f"word 1 2 2: dimension {rep.dimension}, support {_plain(sorted(support))}")
     rep = operators.fixed_vectors_of_word(trunc, (1, 2))
     if rep.dimension != 0:
         failures.append(f"word 1 2: dimension {rep.dimension}")
@@ -589,12 +594,9 @@ def check_digit_towers() -> CheckResult:
         if sys.branch_of(x) == k:
             y = x + t * k ** (j + 1)
         else:
+            # y = x mod k, so y takes x's branch; _tower_rows above
+            # refused every system with some gcd(a_i, k) > 1
             y = x + t * k**j
-            if sys.branch_of(y) != sys.branch_of(x):
-                continue
-            a, _ = sys.branch_affine_int(sys.branch_of(x))
-            if gcd(a, k) != 1:
-                continue
         rep = coding.verify_recovery_lemma(sys, x, y, j)
         if not rep.passed:
             failures.append(f"k={k} x={x} y={y} j={j}: recovery failed")

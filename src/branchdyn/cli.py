@@ -136,7 +136,8 @@ def _parse_system(text: str):
 def _parse_window(text: str):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
-        raise ValueError(f"window must look like 1..100, got {text!r}")
+        # argparse prints an ArgumentTypeError's message, not a ValueError's
+        raise argparse.ArgumentTypeError(f"window must look like 1..100, got {text!r}")
     return (int(m[1]), int(m[2]))
 
 

@@ -163,8 +163,7 @@ class ResidueTower:
 
     The digits r_j = value mod k^j are derived, so they are compatible
     and in range by construction; only k >= 2, depth >= 1 and
-    0 <= value < k^depth are checked.  Towers given digit by digit go
-    through ``from_digits``, which checks each digit.
+    0 <= value < k^depth are checked.
     """
 
     k: int
@@ -178,24 +177,6 @@ class ResidueTower:
             raise InvalidSpec("need depth >= 1")
         if not 0 <= self.value < self.k**self.depth:
             raise InvalidSpec(f"value {self.value} outside [0, k^{self.depth})")
-
-    @classmethod
-    def from_digits(cls, k: int, digits) -> "ResidueTower":
-        """The tower with digits (r_1, ..., r_depth), each in [0, k^j)
-        and compatible with the next (r_j = r_{j+1} mod k^j)."""
-        if k < 2:
-            raise InvalidSpec("need k >= 2")
-        digits = tuple(digits)
-        if not digits:
-            raise InvalidSpec("need depth >= 1")
-        low, high = 1, k
-        for j, r in enumerate(digits, start=1):
-            if not 0 <= r < high:
-                raise InvalidSpec(f"digit r_{j} = {r} outside [0, k^{j})")
-            if j > 1 and r % low != digits[j - 2]:
-                raise InvalidSpec(f"digits r_{j - 1}, r_{j} are not compatible")
-            low, high = high, high * k
-        return cls(k, len(digits), digits[-1])
 
     @property
     def digits(self) -> tuple:
@@ -220,10 +201,6 @@ class ResidueTower:
             p //= k
         low.reverse()
         return tuple(low) + (value,) * (self.depth - n)
-
-    def residue(self) -> int:
-        """The branch residue r_1 (0 means the division branch)."""
-        return self.value % self.k
 
 
 def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:

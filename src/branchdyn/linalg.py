@@ -1,13 +1,13 @@
 """Dense exact linear algebra over the rationals.
 
-``dot`` and ``gram_schmidt_orthogonal`` serve ``make_subspace``'s dense
-input; ``identity``, ``mat_mul``, ``rref``, ``char_poly``,
-``poly_eval`` and ``rational_eigenvalues`` are also the kernels the
-benchmark probes and the tests' oracles build on.  The rest of
-``operators``, the commutant included, works on sparse vectors and
-builds no matrix.  Matrices are lists of rows of Fractions or ints; the
-products keep ints as ints.  Everything here is textbook elimination;
-no pivot-size cleverness is needed at the dimensions the oracles use.
+No command reaches this module: ``operators``, the commutant included,
+works on sparse vectors and builds no matrix.  What is left are the
+kernels the benchmark probes, ``rref``, ``char_poly`` and
+``rational_eigenvalues``, and the helpers they use, ``identity``,
+``mat_mul`` and ``poly_eval``; the tests' dense oracles build on them
+too.  Matrices are lists of rows of Fractions or ints; the products
+keep ints as ints.  Everything here is textbook elimination; no
+pivot-size cleverness is needed at the dimensions the oracles use.
 
 The spectral kernels work in integers.  ``char_poly`` clears
 denominators and runs Faddeev-LeVerrier on the integer matrix, where
@@ -22,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
@@ -127,25 +126,3 @@ def rational_eigenvalues(a: list) -> list:
         if const % d == 0:
             roots.update(r for r in (d, -d) if poly_eval(ints, r) == 0)
     return sorted(roots)
-
-
-def dot(u: list, v: list) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), F0)
-
-
-def gram_schmidt_orthogonal(vectors: list) -> list:
-    """Pairwise-orthogonal spanning set, rational entries, no normalizing.
-
-    Unit lengths would force square roots out of the rationals, so the
-    output is orthogonal only; callers track squared norms.
-    """
-    basis = []
-    for v in vectors:
-        w = list(map(Fraction, v))
-        for b in basis:
-            coeff = dot(w, b) / dot(b, b)
-            if coeff:
-                w = [wi - coeff * bi for wi, bi in zip(w, b)]
-        if any(w):
-            basis.append(w)
-    return basis

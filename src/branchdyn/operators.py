@@ -38,9 +38,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
-from . import linalg
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from .systems import DynamicalSystem, _primitive_period, window_states
 from .words import check_word
@@ -82,7 +81,8 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
     _, states = window_states(sys, window)
     if order is not None:
         order = tuple(order)
-        if len(order) != len(states) or set(order) != set(states):
+        # state by state too: True equals the state 1 in a set, yet is no state
+        if len(order) != len(states) or set(order) != set(states) or not all(map(sys.contains, order)):
             raise InvalidSpec("order must be a permutation of the window")
         states = order
     step, branch = sys._step, sys._branch
@@ -314,16 +314,6 @@ class SubspaceBasis:
 
     def contains(self, w: dict) -> bool:
         return self.project(w) == {c: x for c, x in w.items() if x}
-
-
-def make_subspace(n: int, vectors: list) -> SubspaceBasis:
-    """Orthogonalize dense vectors into sparse ones with coprime integer entries."""
-    out = []
-    for v in linalg.gram_schmidt_orthogonal(vectors):
-        den = lcm(*(x.denominator for x in v))
-        g = gcd(*(int(x * den) for x in v))
-        out.append({c: int(x * den) // g for c, x in enumerate(v) if x})
-    return SubspaceBasis(n=n, vectors=tuple(out))
 
 
 def coordinate_subspace(trunc: Truncation, states) -> SubspaceBasis:

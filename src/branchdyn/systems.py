@@ -120,20 +120,21 @@ class AlphaBeta:
 
 @dataclass(frozen=True)
 class FiniteTable:
-    states: tuple
-    branch: tuple  # sorted tuple of (state, branch index)
-    image: tuple  # sorted tuple of (state, image state)
+    states: tuple  # in _state_order
+    branch: tuple  # (state, branch index) in state order
+    image: tuple  # (state, image state) in state order
     k: int
 
     @staticmethod
     def make(branch: dict, image: dict, k: int | None = None) -> "FiniteTable":
-        states = tuple(sorted(branch))
+        """The table in ``_state_order``, so labels need not compare."""
+        states = _state_order(branch)
         if k is None:
             k = max(branch.values(), default=0)
         return FiniteTable(
             states=states,
-            branch=tuple(sorted(branch.items())),
-            image=tuple(sorted(image.items())),
+            branch=tuple((x, branch[x]) for x in states),
+            image=tuple((x, image[x]) for x in _state_order(image)),
             k=k,
         )
 

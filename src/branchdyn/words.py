@@ -84,9 +84,6 @@ class AffineMap:
     a: Fraction
     b: Fraction
 
-    def __call__(self, x):
-        return self.a * x + self.b
-
 
 def compose_affine(sys: DynamicalSystem, word: Iterable) -> AffineMap:
     """The affine map of f_I; first symbol innermost."""

@@ -7,6 +7,7 @@ library code under test (window scans, direct folds, graph walks).
 import signal
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import settings
@@ -150,20 +151,23 @@ def _fraction_solve(sys, word, a, b):
     return x if words.replay_word(sys, x, word) == x else None
 
 
-def fraction_compose(sys, word):
+def fraction_compose(sys, word, branches=None):
     """(a, b) of f_I, folding each symbol's exact ``branch_affine`` in
-    Fractions; independent of the library's integer fold."""
+    Fractions; independent of the library's integer fold.  ``branches``,
+    one (a_i, b_i) per symbol, replaces the system's own coefficients."""
+    if branches is None:
+        branches = [sys.branch_affine(i) for i in range(1, sys.k + 1)]
     a, b = Fraction(1), Fraction(0)
     for i in word:
-        ai, bi = sys.branch_affine(i)
+        ai, bi = branches[i - 1]
         a, b = ai * a, ai * b + bi
     return a, b
 
 
-def fraction_fixed_point(sys, word):
+def fraction_fixed_point(sys, word, branches=None):
     """The replayed positive-integer fixed point of f_I, or None, solved
     as b / (1 - a) over ``fraction_compose``."""
-    return _fraction_solve(sys, word, *fraction_compose(sys, word))
+    return _fraction_solve(sys, word, *fraction_compose(sys, word, branches))
 
 
 def all_words_cycles(sys, max_len):
@@ -186,11 +190,11 @@ def all_words_cycles(sys, max_len):
     return found
 
 
-def uniqueness_oracle(sys, max_len, scan_bound):
-    """The affine ``check_uniqueness`` report, folding every word from
-    scratch in ``itertools.product`` order, (length, word), and replaying
+def uniqueness_oracle(sys, max_len, scan_bound, branches=None):
+    """The affine ``check_uniqueness`` report, solving every word from
+    scratch in Fractions (``fraction_fixed_point``, with ``branches`` if
+    given) in ``itertools.product`` order, (length, word), and replaying
     it from every state of 1..scan_bound."""
-    rows = words._expanding_rows(sys)
     violations = []
     fixed_words = 0
     for m in range(1, max_len + 1):
@@ -200,7 +204,7 @@ def uniqueness_oracle(sys, max_len, scan_bound):
             }
             fixed_words += bool(scanned)
             try:
-                x = words._solve_fold(sys, word, *words._fold(sys.k, word, rows))
+                x = fraction_fixed_point(sys, word, branches)
             except IdentityComposition:
                 violations.append((word, ("identity",)))
                 continue
@@ -327,6 +331,39 @@ def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
 
 
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def gram_schmidt_orthogonal(vectors):
+    """Pairwise-orthogonal spanning set, rational entries, no normalizing.
+
+    Unit lengths would force square roots out of the rationals, so the
+    output is orthogonal only; callers track squared norms.
+    """
+    basis = []
+    for v in vectors:
+        w = list(map(Fraction, v))
+        for b in basis:
+            coeff = dot(w, b) / dot(b, b)
+            if coeff:
+                w = [wi - coeff * bi for wi, bi in zip(w, b)]
+        if any(w):
+            basis.append(w)
+    return basis
+
+
+def make_subspace(n, vectors):
+    """The ``SubspaceBasis`` of dense vectors: orthogonalized, then each
+    scaled to sparse coprime integer entries."""
+    out = []
+    for v in gram_schmidt_orthogonal(vectors):
+        den = lcm(*(x.denominator for x in v))
+        g = gcd(*(int(x * den) for x in v))
+        out.append({c: int(x * den) // g for c, x in enumerate(v) if x})
+    return operators.SubspaceBasis(n=n, vectors=tuple(out))
+
+
 def nullspace(a):
     """A basis of {v : a v = 0}, one vector per free column of ``linalg.rref``."""
     if not a:
@@ -418,10 +455,37 @@ def integer_eigenvalues(a):
     return roots
 
 
+class _Classes:
+    """Union by relabelling over the indices 0..size-1: each index carries
+    its class label, and a union moves every member of the smaller class
+    to the other's label.  Independent of the library's union-find."""
+
+    def __init__(self, size):
+        self.label = list(range(size))
+        self.members = {a: [a] for a in range(size)}
+
+    def find(self, a):
+        return self.label[a]
+
+    def union(self, a, b):
+        keep, drop = self.label[a], self.label[b]
+        if keep == drop:
+            return
+        if len(self.members[keep]) < len(self.members[drop]):
+            keep, drop = drop, keep
+        for x in self.members.pop(drop):
+            self.label[x] = keep
+            self.members[keep].append(x)
+
+    def groups(self):
+        """The classes as ascending index lists, ordered by least index."""
+        return sorted(sorted(m) for m in self.members.values())
+
+
 def total_orbit_components(trunc):
     """Total-orbit components of a truncation: sorted coordinate lists,
     by union-find over the branch edges."""
-    uf = orbits._UnionFind(trunc.n)
+    uf = _Classes(trunc.n)
     for fwd in trunc.maps:
         for c, r in fwd.items():
             uf.union(c, r)
@@ -440,7 +504,7 @@ def _entry_classes(trunc):
     """
     n = trunc.n
     zero = n * n
-    uf = orbits._UnionFind(zero + 1)
+    uf = _Classes(zero + 1)
 
     def pos(r, c):
         return r * n + c
@@ -556,7 +620,7 @@ def whole_space_commutant_blocks(trunc):
         blocks = new_blocks
     out = []
     for block in blocks:
-        basis = operators.make_subspace(n, block)
+        basis = make_subspace(n, block)
         out.append((basis, all(_acts_as_scalar(m, basis) for m in mats)))
     return True, out
 
@@ -580,7 +644,7 @@ def _whole_space_split(e, block, eigs):
         shifted = [[e[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
         for _ in range(n):
             h = linalg.mat_mul(shifted, h)
-    rem = linalg.gram_schmidt_orthogonal([mat_vec(h, v) for v in block])
+    rem = gram_schmidt_orthogonal([mat_vec(h, v) for v in block])
     if rem:
         pieces.append(rem)
     assert sum(len(p) for p in pieces) == len(block)
@@ -592,7 +656,7 @@ def _acts_as_scalar(m, basis):
     for sparse in basis.vectors:
         v = [sparse.get(c, Fraction(0)) for c in range(len(m))]
         w = mat_vec(m, v)
-        ratio = linalg.dot(w, v) / linalg.dot(v, v)
+        ratio = dot(w, v) / dot(v, v)
         if lam is None:
             lam = ratio
         if ratio != lam or any(wi != ratio * vi for wi, vi in zip(w, v)):

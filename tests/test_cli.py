@@ -597,6 +597,44 @@ def test_format_is_only_a_cycles_option(capsys):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tuc-scan", "--system", "collatz", "--window", "1-5"],
+        ["morphism", "conjugate", "--source", "collatz", "--target", "collatz",
+         "--phi", '{"kind": "identity"}', "--window", "1..5", "--target-window", "1-5"],
+    ],
+)
+def test_malformed_window_names_the_expected_form(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(": window must look like 1..100, got '1-5'\n")
+
+
+def test_pm_limit_support_outside_the_window_is_exit_2(capsys):
+    code = cli.main(["operators", "pm-limit", "--system", "collatz", "--window", "1..10",
+                     "--support", "1,50"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: support state 50 outside the window\n"
+
+
+def test_phi_from_a_file_path(tmp_path, capsys):
+    path = tmp_path / "phi.json"
+    path.write_text(RELABEL_FIVE)
+    argv = ["morphism", "conjugate", "--source", FIVE_STATE, "--target", FIVE_STATE_RELABELED]
+    code, from_file = run(capsys, *argv, "--phi", str(path))
+    assert code == 0
+    code, inline = run(capsys, *argv, "--phi", RELABEL_FIVE)
+    # the hash reads the path, not the file's content
+    assert from_file.pop("config_hash") != inline.pop("config_hash")
+    assert from_file == inline
+
+
 def _readme_cli_lines():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S)[1]

@@ -31,6 +31,11 @@ def test_coding_prefix_frozen(collatz, swap1):
     assert coding.coding_prefix(swap1, 2, 4) == (1, 1, 1, 1)
 
 
+def test_coding_prefix_refuses_a_negative_length(collatz):
+    with pytest.raises(InvalidSpec, match="^need length >= 0$"):
+        coding.coding_prefix(collatz, 5, -1)
+
+
 def test_coding_prefix_is_a_plain_tuple(collatz):
     assert type(coding.coding_prefix(collatz, 5, 3)) is tuple
     assert coding.coding_prefix(collatz, 5, 0) == ()
@@ -182,45 +187,7 @@ def test_tower_digits_frozen():
     assert coding.tower_from_state(1, 2, 4).digits == (1, 1, 1, 1)
 
 
-def test_tower_compatibility_enforced():
-    with pytest.raises(InvalidSpec):
-        coding.ResidueTower.from_digits(2, (1, 2))  # 2 mod 2 = 0 != 1
-    t = coding.ResidueTower.from_digits(2, (1, 3))
-    assert t.depth == 2 and t.residue() == 1
-
-
-@pytest.mark.parametrize(
-    "k, digits",
-    [
-        (2, (1, 2)),  # 2 mod 2 = 0, not r_1 = 1
-        (3, (1, 5)),  # 5 mod 3 = 2, not r_1 = 1
-        (3, (2, 5, 15)),  # 15 mod 9 = 6, not r_2 = 5
-        (5, (4, 9, 34, 34, 600)),  # 600 mod 625 fine, 600 mod 125 = 100
-    ],
-)
-def test_from_digits_rejects_incompatible_digits(k, digits):
-    with pytest.raises(InvalidSpec, match="not compatible"):
-        coding.ResidueTower.from_digits(k, digits)
-
-
-@pytest.mark.parametrize(
-    "k, digits",
-    [
-        (2, (2,)),  # r_1 < 2
-        (2, (1, 4)),  # r_2 < 4
-        (3, (-1,)),
-        (2, (1, 3, 8)),  # r_3 < 8
-    ],
-)
-def test_from_digits_rejects_out_of_range_digits(k, digits):
-    with pytest.raises(InvalidSpec, match="outside"):
-        coding.ResidueTower.from_digits(k, digits)
-
-
 def test_tower_shape_is_checked():
-    for k, digits in ((1, (0,)), (2, ())):
-        with pytest.raises(InvalidSpec):
-            coding.ResidueTower.from_digits(k, digits)
     for k, depth, value in ((1, 1, 0), (2, 0, 0), (2, 3, 8), (3, 2, -1)):
         with pytest.raises(InvalidSpec):
             coding.ResidueTower(k, depth, value)
@@ -236,7 +203,6 @@ def test_tower_shape_is_checked():
 def test_from_digits_round_trips(k, x, depth):
     t = coding.tower_from_state(x, k, depth)
     assert t.digits == state_digits(x, k, depth)
-    assert coding.ResidueTower.from_digits(k, t.digits) == t
     assert t.value == x % k**depth
 
 
@@ -495,6 +461,13 @@ def test_recovery_preconditions(collatz):
         coding.verify_recovery_lemma(collatz, 1, 2, j=2)  # pi_1 differs
     with pytest.raises(PreconditionUnmet):
         coding.verify_recovery_lemma(collatz, 1, 3, j=3)  # images differ mod 8
+
+
+def test_recovery_needs_an_affine_system_and_j_at_least_1(collatz, swap2):
+    with pytest.raises(NotAffineFamily):
+        coding.verify_recovery_lemma(swap2, 1, 2, j=1)
+    with pytest.raises(InvalidSpec, match="^need j >= 1$"):
+        coding.verify_recovery_lemma(collatz, 3, 11, j=0)
 
 
 def test_recovery_random_pairs(collatz):

@@ -1,8 +1,13 @@
 """Module layering: each module of the package imports only the package
 modules on its row of ``ALLOWED``, the table README's Layout prints.  The
-imports are read with ``ast``, so an import inside a function counts too."""
+imports are read with ``ast``, so an import inside a function counts too.
+The benchmark's traced run reads every module as an attribute of the
+package, so the package must load them all."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,11 +26,11 @@ ALLOWED = {
     "orbits": {"errors", "systems"},
     "words": {"errors", "systems", "orbits"},
     "coding": {"errors", "systems", "orbits"},
-    "operators": {"errors", "systems", "words", "linalg"},
+    "operators": {"errors", "systems", "words"},
     "morphisms": {"errors", "systems", "orbits", "coding", "operators"},
     "battery": _CORE,
     "cli": _CORE | {"battery", "__init__"},
-    "__init__": _CORE,
+    "__init__": _CORE | {"linalg"},
 }
 
 
@@ -73,3 +78,30 @@ def test_every_import_form_is_read(tmp_path):
         "    from branchdyn import words\n"
     )
     assert package_imports(src) == {"__init__", "battery", "coding", "orbits", "words"}
+
+
+# what the benchmark's traced worker imports, then reads as attributes
+TRACED_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import branchdyn.battery, branchdyn.cli
+import branchdyn as bd
+import trace_layers
+missing = [layer for layer in trace_layers.LAYERS if not hasattr(bd, layer)]
+assert not missing, f"branchdyn lacks {missing}"
+tracer = trace_layers.Tracer()
+tracer.install(bd)
+tracer.uninstall()
+"""
+
+
+def test_traced_run_finds_every_layer_as_a_package_attribute():
+    # a fresh interpreter: the suite itself imports modules (linalg among
+    # them) that the benchmark's worker never imports by name
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_IMPORTS, str(perfbench)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

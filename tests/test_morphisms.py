@@ -10,6 +10,7 @@ from branchdyn import battery, coding, linalg, morphisms, operators, orbits, sys
 from branchdyn.errors import (
     DomainMismatch,
     InvalidSpec,
+    OutOfDomain,
     WindowMismatch,
 )
 from conftest import branch_matrix, closed_tables, iso_oracle, transpose, zeros
@@ -100,6 +101,17 @@ def test_composition_is_associative():
     right = morphisms.compose(morphisms.compose(h, g), f)
     for x in sys.states():
         assert left(x) == right(x)
+
+
+def test_affine_morphisms_compose_through_a_composed_rule(collatz):
+    # an infinite source gets no table: the composite applies both rules
+    shift = morphisms.Morphism(collatz, collatz, morphisms.AffineRule(1, 2))
+    triple = morphisms.Morphism(collatz, collatz, morphisms.AffineRule(3, 0))
+    comp = morphisms.compose(triple, shift)
+    assert comp.rule == morphisms.ComposedRule(shift, triple)
+    assert [comp(x) for x in (1, 2, 7)] == [9, 12, 27]
+    ida = morphisms.Morphism(collatz, collatz, morphisms.AffineRule(1, 0))
+    assert morphisms.check_homomorphism(morphisms.compose(ida, ida), (1, 50)).passed
 
 
 def test_domain_mismatch_rejected(collatz, five_x_one):
@@ -472,6 +484,33 @@ def test_inclusion_of_invariant_component():
     rep = morphisms.induced_isometry(phi, ta, tb)
     assert rep.passed
     assert rep.orbit_condition == "exact"
+
+
+def test_isometry_refuses_phi_leaving_window_b():
+    small = _table({1: 1, 2: 2}, {1: 2, 2: 1}, k=2)
+    big = _table({1: 1, 2: 2, 3: 1, 4: 2}, {1: 2, 2: 1, 3: 4, 4: 3}, k=2)
+    phi = morphisms.Morphism(small, big, morphisms.TableRule({1: 3, 2: 4}))
+    ta = operators.build_truncation(small, None)
+    tb = operators.build_truncation(big, systems.SetWindow({1, 2, 3}))
+    with pytest.raises(WindowMismatch, match="^phi[(]2[)] = 4 is outside window B$"):
+        morphisms.induced_isometry(phi, ta, tb)
+
+
+@pytest.mark.parametrize(
+    "rule, fault, message",
+    [
+        # 1 has no image, and 2 and 3 share one: the missing image comes first
+        ({2: 1, 3: 1, 4: 4, 5: 5}, OutOfDomain, "^1 not in the morphism table$"),
+        ({1: 1, 2: 1, 3: 3, 4: 4}, WindowMismatch, "^phi identifies 1 and 2$"),
+    ],
+)
+def test_transport_raises_phi_first_fault(rule, fault, message):
+    sys = two_plus_three()
+    phi = morphisms.Morphism(sys, sys, morphisms.TableRule(rule))
+    t = operators.build_truncation(sys, None)
+    for transport in (morphisms.conjugate_unitary, morphisms.induced_isometry):
+        with pytest.raises(fault, match=message):
+            transport(phi, t, t)
 
 
 def test_isomorphism_reduces_to_unitary():

@@ -17,6 +17,7 @@ from conftest import (
     entry_class_commutant,
     injective_table,
     invariance_violations,
+    make_subspace,
     mat_add,
     mat_scale,
     nullspace,
@@ -200,8 +201,13 @@ def test_interior_matches_the_public_route(collatz, alphabeta3):
 
 
 def test_custom_order_must_be_permutation(collatz):
-    # the second order holds every state of the window, and one of them twice
-    for window, order in (((1, 4), (1, 2, 3)), ((1, 5), [1, 2, 3, 4, 5, 1])):
+    # the second order holds every state of the window, and one of them
+    # twice; the third equals the window as a set, but True is no state
+    for window, order in (
+        ((1, 4), (1, 2, 3)),
+        ((1, 5), [1, 2, 3, 4, 5, 1]),
+        ((1, 4), (True, 2, 3, 4)),
+    ):
         with pytest.raises(InvalidSpec, match="^order must be a permutation of the window$"):
             operators.build_truncation(collatz, window, order=order)
 
@@ -468,23 +474,30 @@ def test_reducing_iff_invariant_on_table_windows(table, data):
 
 def test_swap_symmetric_vector_reduces(swap1):
     t = operators.build_truncation(swap1, None)
-    basis = operators.make_subspace(2, [[F(1), F(1)]])
+    basis = make_subspace(2, [[F(1), F(1)]])
     assert operators.is_reducing(t, basis).passed
 
 
 def test_swap_antisymmetric_vector_reduces(swap1):
     t = operators.build_truncation(swap1, None)
-    basis = operators.make_subspace(2, [[F(1), F(-1)]])
+    basis = make_subspace(2, [[F(1), F(-1)]])
     assert operators.is_reducing(t, basis).passed
 
 
 def test_swap_k2_admits_only_trivial(swap2):
     t = operators.build_truncation(swap2, None)
     for vec in ([F(1), F(1)], [F(1), F(-1)], [F(1), F(0)]):
-        basis = operators.make_subspace(2, [vec])
+        basis = make_subspace(2, [vec])
         rep = operators.is_reducing(t, basis)
         assert not rep.passed
         assert rep.witness is not None
+
+
+def test_is_reducing_refuses_a_basis_of_another_dimension(collatz):
+    t = operators.build_truncation(collatz, (1, 4))
+    basis = operators.SubspaceBasis(n=3, vectors=({0: 1},))
+    with pytest.raises(InvalidSpec, match="^basis dimension does not match the truncation$"):
+        operators.is_reducing(t, basis)
 
 
 def test_interior_only_forgives_escape_edges(collatz):
@@ -533,7 +546,7 @@ def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
     assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))
     result = battery.check_word_fixed_vectors()
     assert not result.passed
-    assert result.detail.startswith("word 1 2 2: dimension 0,")
+    assert result.detail == "word 1 2 2: dimension 0, support none"
 
 
 def test_invariant_sets_give_reducing_subspaces():
@@ -618,7 +631,7 @@ def test_twin_cycles_commutant_is_nonabelian():
     assert rep.blocks == () and rep.block_field == ()
     assert dense_commutant_dimension(t) == 4
     # beyond the 4 invariant sets: a cross-diagonal subspace also reduces
-    cross = operators.make_subspace(
+    cross = make_subspace(
         4,
         [
             [F(1), F(0), F(1), F(0)],
@@ -893,7 +906,7 @@ def test_fixed_vectors_match_the_nullspace_oracle(sys, data):
     word = data.draw(st.lists(st.integers(1, t.k), min_size=1, max_size=4))
     rep = operators.fixed_vectors_of_word(t, word)
     dense = nullspace_fixed_vectors(t, word)
-    expected = operators.make_subspace(t.n, dense).vectors if dense else ()
+    expected = make_subspace(t.n, dense).vectors if dense else ()
     assert rep.basis.vectors == expected
     assert_integral(t, rep.basis)
     assert rep.dimension == len(dense)

@@ -200,6 +200,15 @@ def test_closure_refuses_a_seed_outside_the_window(collatz, swap1):
             orbits.invariant_closure(sys, [1, seed], window)
 
 
+def test_closure_budget_exhaustion_is_not_exact():
+    # one expansion reaches 2 from 1 but never expands it
+    rep = orbits.invariant_closure(two_cycles(), [1], (1, 4), node_budget=1)
+    assert rep.members == frozenset({1, 2})
+    assert rep.frontier == frozenset()
+    assert rep.exhausted
+    assert not rep.exact
+
+
 def test_collatz_closure_from_3(collatz):
     rep = orbits.invariant_closure(collatz, [3], window=(1, 30))
     for x in (3, 10, 5, 16, 8, 4, 2, 1, 6, 12, 24, 20):

@@ -24,6 +24,8 @@ def test_collatz_is_3x_plus_1():
 def test_mersenne_family():
     assert systems.mersenne(3) == systems.QxPlusD(7, 1)
     assert systems.mersenne(5) == systems.QxPlusD(31, 1)
+    with pytest.raises(InvalidSpec, match="^need m >= 2$"):
+        systems.mersenne(1)
 
 
 @pytest.mark.parametrize(
@@ -78,6 +80,45 @@ def test_table_requires_total_injective_branches():
 def test_table_k1_is_allowed(swap1):
     assert swap1.k == 1
     assert swap1.states() == (1, 2)
+
+
+def test_table_k0_is_refused():
+    with pytest.raises(InvalidSpec, match="^need k >= 1$"):
+        systems.make_system(systems.FiniteTable.make({1: 1}, {1: 1}, k=0))
+
+
+def test_table_of_integers_lists_its_pairs_in_sorted_order():
+    # numeric order, not the repr order "10" < "2" < "9"
+    branch, image = {10: 1, 9: 2, 2: 1}, {10: 9, 9: 2, 2: 10}
+    table = systems.FiniteTable.make(branch, image)
+    assert table.states == (2, 9, 10)
+    assert table.branch == tuple(sorted(branch.items()))
+    assert table.image == tuple(sorted(image.items()))
+
+
+def test_table_labels_need_not_compare():
+    # 1, "a" and None do not compare with each other: the table lists
+    # them as SetWindow does, by repr, and every scan runs on it
+    assert systems.FiniteTable.make({1: 1, "a": 1}, {1: "a", "a": 1}, k=1).states == ("a", 1)
+    table = systems.FiniteTable.make({1: 1, "a": 2, None: 1}, {1: "a", "a": None, None: 1}, k=2)
+    assert table.states == ("a", 1, None)
+    assert table.image == (("a", None), (1, "a"), (None, 1))
+    sys = systems.make_system(table)
+    trunc = operators.build_truncation(sys, None)
+    assert trunc.states == ("a", 1, None)
+    assert operators.commutant_projections(trunc).lattice_size == 2
+    assert coding.verify_tuc_window(sys, None).passed
+    assert orbits.minimality_probe(sys, None).classes == (("a", 1, None),)
+    assert words.check_uniqueness(sys, 4).passed
+    assert morphisms.is_isomorphism(morphisms.identity(sys)).passed
+
+
+@pytest.mark.parametrize("spec", ["collatz", None, (3, 1)], ids=repr)
+def test_unknown_family_is_refused(spec):
+    with pytest.raises(InvalidSpec, match="^unknown family: "):
+        systems.make_system(spec)
+    with pytest.raises(InvalidSpec, match="^unknown family: "):
+        systems.spec_to_json(spec)
 
 
 def test_shift_system_requires_positive_k():
@@ -204,6 +245,12 @@ def test_as_window_refuses_anything_but_a_window_none_or_an_int_pair(collatz, wi
         systems.as_window(collatz, window)
 
 
+def test_set_window_orders_labels_that_do_not_compare():
+    win = systems.SetWindow({None, 1, "a"})
+    assert win.materialize() == ("a", 1, None)  # by repr
+    assert win.describe() == "set of 3 states"
+
+
 def test_window_size_beyond_sys_maxsize():
     win = systems.IntWindow(1, 10**20)
     assert win.size() == 10**20
@@ -239,6 +286,11 @@ def test_primitive_period_matches_the_brute_force_oracle(pre, per):
     assert x.prefix(n) == (pre + per * n)[:n]
     assert brute_primitive_period(x.per) == len(x.per)
     assert not x.pre or x.pre[-1] != x.per[-1]
+
+
+def test_eventually_periodic_needs_a_period():
+    with pytest.raises(InvalidSpec, match="^period part must be nonempty$"):
+        systems.EventuallyPeriodic.make((1, 2), ())
 
 
 def test_eventually_periodic_shift_and_prefix():
@@ -309,11 +361,27 @@ def test_qxd_agrees_with_its_alphabeta_form(q, d):
     }
 
 
+def test_branch_affine_int_refuses_tables_and_bad_indices(collatz, swap2):
+    with pytest.raises(NotAffineFamily):
+        swap2.branch_affine_int(1)
+    for i in (0, 3):
+        with pytest.raises(InvalidSpec, match=f"^branch index {i} outside 1..2$"):
+            collatz.branch_affine_int(i)
+
+
+def test_spec_json_reads_the_collatz_family():
+    assert systems.spec_from_json({"family": "collatz"}) == systems.collatz()
+
+
 def test_spec_json_rejects_garbage():
     with pytest.raises(InvalidSpec):
         systems.spec_from_json({"family": "nonsense"})
     with pytest.raises(InvalidSpec):
         systems.spec_from_json({"q": "3"})
+    declared = {"family": "table", "k": 1, "states": ["1", "3"],
+                "branch": {"1": 1, "2": 1}, "image": {"1": "2", "2": "1"}}
+    with pytest.raises(InvalidSpec, match="^declared states do not match the branch table$"):
+        systems.spec_from_json(declared)
 
 
 # -- step kernels --------------------------------------------------------------

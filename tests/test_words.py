@@ -442,6 +442,11 @@ def test_uniqueness_fails_on_swap(swap1):
     assert rep.scan_bound is None
 
 
+def test_uniqueness_needs_an_affine_or_finite_system():
+    with pytest.raises(NotAffineFamily):
+        words.check_uniqueness(sys_of(systems.SymbolicShift(2)), 3)
+
+
 def test_uniqueness_with_scan_guard(collatz):
     # algebra and brute replay agree on a small window
     assert words.check_uniqueness(collatz, max_len=6, scan_bound=200).passed
@@ -499,7 +504,7 @@ def test_uniqueness_scan_flags_a_wrong_fold(collatz, monkeypatch):
     monkeypatch.setattr(words, "_expanding_rows", lambda sys: [(5, 1)])
     rep = words.check_uniqueness(collatz, max_len=3, scan_bound=4)
     assert rep.violations == (((1, 2, 2), (1,)), ((2, 1, 2), (2,)), ((2, 2, 1), (4,)))
-    assert rep == uniqueness_oracle(collatz, 3, 4)
+    assert rep == uniqueness_oracle(collatz, 3, 4, branches=[(F(5), F(1)), (F(1, 2), F(0))])
 
 
 def test_uniqueness_reports_an_identity_fold(collatz, monkeypatch):
@@ -508,7 +513,7 @@ def test_uniqueness_reports_an_identity_fold(collatz, monkeypatch):
     monkeypatch.setattr(words, "_expanding_rows", lambda sys: [(4, 0)])
     rep = words.check_uniqueness(collatz, max_len=3, scan_bound=4)
     assert rep.violations == tuple((w, ("identity",)) for w in ((1, 2, 2), (2, 1, 2), (2, 2, 1)))
-    assert rep == uniqueness_oracle(collatz, 3, 4)
+    assert rep == uniqueness_oracle(collatz, 3, 4, branches=[(F(4), F(0)), (F(1, 2), F(0))])
 
 
 def test_uniqueness_scan_shares_the_window_budget(collatz, monkeypatch):
@@ -579,6 +584,25 @@ def test_unifix_accepts_proper_powers(five_x_one):
     assert words.verify_unifix(five_x_one, (2, 2), 2).passed
 
 
+def test_unifix_refuses_power_zero(collatz):
+    with pytest.raises(InvalidSpec, match="need m >= 1"):
+        words.verify_unifix(collatz, (1, 2, 2), 0)
+
+
+def test_power_word_check_catches_a_solver_that_gives_up(monkeypatch):
+    # check 6 solves a word and its power apart; a solver that finds
+    # nothing past length 6 loses the power's fixed point
+    true_solve = words.fixed_point_of_word
+    monkeypatch.setattr(
+        words,
+        "fixed_point_of_word",
+        lambda sys, word: None if len(tuple(word)) > 6 else true_solve(sys, word),
+    )
+    result = battery.check_power_word_agreement()
+    assert not result.passed
+    assert result.detail.split("; ")[0] == "word 2 2 1 power 5: word fixes 4, power fixes none"
+
+
 # -- cycle word extraction ---------------------------------------------------------------
 
 
@@ -607,3 +631,5 @@ def test_not_a_cycle_is_rejected(collatz):
         words.cycle_word_aperiodicity(collatz, (1, 4))
     with pytest.raises(NotACycle):
         words.cycle_word_aperiodicity(collatz, ())
+    with pytest.raises(NotACycle, match="^repeated state in cycle$"):
+        words.cycle_word_aperiodicity(collatz, (1, 4, 2, 1))
