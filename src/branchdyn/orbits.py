@@ -29,13 +29,22 @@ def canonical_cycle(cycle) -> tuple:
 class OrbitRecord:
     """The walk x, f(x), f(f(x)), ... of ``orbit_iterate``, without its states.
 
-    The trajectory is replayed on demand from ``start`` with the same
-    step kernel the walk used, so a census of many orbits holds no
-    states beyond each record's cycle.  It has ``entry_index +
-    len(cycle)`` states when the orbit entered a cycle (the first repeat
-    ends it) and ``cap + 1`` otherwise.  ``entry_index`` counts the steps
-    from ``start`` to the first state of the cycle, f^entry_index(start),
-    which is that state's index in the trajectory.
+    The trajectory is replayed on demand from ``start`` one step at a
+    time, so a census of many orbits holds no states beyond each
+    record's cycle.  It has ``entry_index + len(cycle)`` states when the
+    orbit entered a cycle (the first repeat ends it) and ``cap + 1``
+    otherwise.  ``entry_index`` counts the steps from ``start`` to the
+    first state of the cycle, f^entry_index(start), which is that
+    state's index in the trajectory.
+
+    The walk finds it without single steps.  It meets its cycle as a
+    landing y met again at index m by a leap of s steps; y was first met
+    at i = m - P, P the period, at the end of a run of divisions that
+    began at index r (r = i when the run is empty).  The leap began on
+    the cycle, so the cycle's s - 1 states before y are division states,
+    and entry_index = max(i - (s - 1), r).  The orbit entered its cycle
+    iff entry_index + P <= cap, since a walk of single steps meets its
+    first repeat at step entry_index + P.
     """
 
     start: object
@@ -61,31 +70,49 @@ class OrbitRecord:
 
 
 def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
-    """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps."""
+    """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps.
+
+    The walk goes by ``sys._leap``, one run of divisions at a time, and
+    holds only the start and the landings, the states its leaps end on.
+    Every state off the division branch after the start is a landing,
+    and every cycle holds one, since divisions decrease.
+    """
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     sys._require(x)
-    step = sys._step
-    seen = {x: 0}  # state -> index in the trajectory
-    cur = x
-    for n in range(1, cap + 1):
-        cur = step(cur)
+    leap = sys._leap
+    # the start and each landing -> the index where the run of divisions
+    # ending at it began; the first run begins at the start if it divides
+    seen = {x: 0}
+    begin = 0 if sys.is_affine and x % sys.k == 0 else 1
+    cur, n = x, 0
+    while n < cap:
+        cur, s = leap(cur)
+        n += s
         if cur in seen:
-            i = seen[cur]
+            first_run = seen[cur]
             seen.clear()  # the walk around the cycle needs none of it
+            step = sys._step
             cycle = [cur]
-            for _ in range(n - i - 1):
-                cur = step(cur)
-                cycle.append(cur)
+            y = step(cur)
+            while y != cur:
+                cycle.append(y)
+                y = step(y)
+            period = len(cycle)
+            # the leap began on the cycle (see OrbitRecord)
+            entry = max(n - period - (s - 1), first_run)
+            if entry + period > cap:
+                break
             return OrbitRecord(
                 start=x,
                 entered_cycle=True,
                 cycle=canonical_cycle(cycle),
-                entry_index=i,
+                entry_index=entry,
                 cap=cap,
                 system=sys,
             )
-        seen[cur] = n
+        seen[cur] = begin
+        begin = n + 1
     return OrbitRecord(
         start=x, entered_cycle=False, cycle=(), entry_index=-1, cap=cap, system=sys
     )

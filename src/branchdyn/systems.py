@@ -160,7 +160,12 @@ def mersenne(m: int) -> QxPlusD:
 
 
 def _affine_kernels(k: int, rows: tuple) -> tuple:
-    """Trusted step, branch and preimage functions of an affine table."""
+    """Trusted step, branch, preimage and leap functions of an affine table.
+
+    The leap takes x to (y, s) with y = f^s(x), s >= 1: the affine row if
+    x is off the division branch, then the whole run of divisions, so y
+    is the first state off the division branch.
+    """
     if k == 2:
         ((q, d),) = rows
 
@@ -169,6 +174,14 @@ def _affine_kernels(k: int, rows: tuple) -> tuple:
 
         def branch(x):
             return 2 - (x & 1)
+
+        def leap(x):
+            if x & 1:
+                x = q * x + d  # even, since q and d are odd
+                v = (x & -x).bit_length() - 1
+                return x >> v, v + 1
+            v = (x & -x).bit_length() - 1
+            return x >> v, v
 
     else:
         by_residue = (None,) + rows
@@ -183,6 +196,19 @@ def _affine_kernels(k: int, rows: tuple) -> tuple:
         def branch(x):
             return x % k or k
 
+        def leap(x):
+            s = 0
+            r = x % k
+            if r:
+                a, b = by_residue[r]
+                x = a * x + b
+                s = 1
+            y, r = divmod(x, k)
+            while r == 0:
+                x, s = y, s + 1
+                y, r = divmod(x, k)
+            return x, s
+
     def preimages(x):
         out = [(k * x, k)]
         i = 0  # a counter, not enumerate(): this loop is a hot kernel
@@ -194,21 +220,26 @@ def _affine_kernels(k: int, rows: tuple) -> tuple:
                     out.append((y, i))
         return out
 
-    return step, branch, preimages
+    return step, branch, preimages, leap
 
 
 class DynamicalSystem:
     """A validated system: branch lookup, forward map, exact preimages.
 
     ``__init__`` reads the family of the spec once: its branch checks the
-    spec and binds private ``_step``, ``_branch`` and ``_preimages``
-    kernels specialised to the family (for k = 2, ``q*x + d if x & 1
-    else x >> 1``).  An affine system holds one integer branch table,
-    ``_affine[r - 1] = (a_r, b_r)`` for the residues 0 < r < k, and
-    residue 0 divides by k; ``QxPlusD(q, d)`` is the k = 2 table ((q,
-    d),).  A finite table holds its state set.  A system holding neither
-    is a shift.  The public methods ``apply``, ``branch_of`` and
-    ``preimages`` validate every argument and then call the kernels.
+    spec and binds private ``_step``, ``_branch``, ``_preimages`` and
+    ``_leap`` kernels specialised to the family (for k = 2, ``q*x + d if
+    x & 1 else x >> 1``).  ``_leap(x)`` is (f^s(x), s) with s >= 1: on
+    an affine system one affine step, if x is off the division branch,
+    and then the whole run of divisions, so f^s(x) is off the division
+    branch; on a table or a shift it is one step.  An affine system
+    holds one integer branch table, ``_affine[r - 1] = (a_r, b_r)`` for
+    the residues 0 < r < k, and residue 0 divides by k; ``QxPlusD(q,
+    d)`` is the k = 2 table ((q, d),).  A finite table holds the type of
+    each of its labels, and ``contains`` requires it, so 1.0 or True is
+    no stand-in for the label 1.  A system holding neither is a shift.
+    The public methods ``apply``, ``branch_of`` and ``preimages``
+    validate every argument and then call the kernels.
     The kernels validate nothing: they trust states the system produced,
     which are states by construction, since positive integers map to
     positive integers and a table's image is total (``__init__`` checks
@@ -223,7 +254,7 @@ class DynamicalSystem:
     def __init__(self, spec):
         self.spec = spec
         self._affine = None
-        self._state_set = None
+        self._label_type = None
         self.gcd_failures = ()
         if isinstance(spec, QxPlusD):
             q, d = spec.q, spec.d
@@ -247,18 +278,19 @@ class DynamicalSystem:
             self.k = spec.k
             branch = dict(spec.branch)
             image = dict(spec.image)
-            self._state_set = frozenset(spec.states)
+            self._label_type = {x: type(x) for x in spec.states}
             if not spec.states:
                 raise InvalidSpec("state set must be nonempty")
             if spec.k < 1:
                 raise InvalidSpec("need k >= 1")
-            if set(branch) != self._state_set or set(image) != self._state_set:
+            labels = self._label_type.keys()
+            if branch.keys() != labels or image.keys() != labels:
                 raise InvalidSpec("branch and image must be total on the states")
             for x, i in branch.items():
                 if not 1 <= i <= spec.k:
                     raise InvalidSpec(f"branch index {i} of {x!r} outside 1..{spec.k}")
             for x, y in image.items():
-                if y not in self._state_set:
+                if not self.contains(y):
                     raise InvalidSpec(f"image {y!r} of {x!r} escapes the state set")
             clashes = _collisions(spec.states, branch.__getitem__, image.__getitem__)
             for i, x, y, fx in clashes:
@@ -272,7 +304,9 @@ class DynamicalSystem:
             def preimages(x):
                 return list(preimage_lists.get(x, ()))
 
-            kernels = image.__getitem__, branch.__getitem__, preimages
+            # no division branch: a leap is one step
+            kernels = (image.__getitem__, branch.__getitem__, preimages,
+                       lambda x: (image[x], 1))
         elif isinstance(spec, SymbolicShift):
             self.k = k = spec.k
             if k < 1:
@@ -281,10 +315,11 @@ class DynamicalSystem:
             def preimages(x):
                 return [(x.prepend(i), i) for i in range(1, k + 1)]
 
-            kernels = EventuallyPeriodic.shift, EventuallyPeriodic.head, preimages
+            kernels = (EventuallyPeriodic.shift, EventuallyPeriodic.head, preimages,
+                       lambda x: (x.shift(), 1))
         else:
             raise InvalidSpec(f"unknown family: {spec!r}")
-        self._step, self._branch, self._preimages = kernels
+        self._step, self._branch, self._preimages, self._leap = kernels
 
     def _set_affine(self, k: int, rows: tuple) -> None:
         self.k, self._affine = k, rows
@@ -307,8 +342,10 @@ class DynamicalSystem:
     def contains(self, x: State) -> bool:
         if self._affine is not None:
             return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-        if self._state_set is not None:
-            return x in self._state_set
+        if self._label_type is not None:
+            # a table state is its stored label: 1 == True == 1.0 as dict
+            # keys, yet only one of them is the label
+            return self._label_type.get(x) is type(x)
         return isinstance(x, EventuallyPeriodic) and all(
             1 <= s <= self.k for s in x.pre + x.per
         )
@@ -319,7 +356,7 @@ class DynamicalSystem:
 
     def states(self) -> tuple:
         """The full state set; finite tables only."""
-        if self._state_set is None:
+        if self._label_type is None:
             raise OutOfDomain("state set is infinite; pass an explicit window")
         return self.spec.states
 
@@ -350,7 +387,7 @@ class DynamicalSystem:
 
     @property
     def is_finite(self) -> bool:
-        return self._state_set is not None
+        return self._label_type is not None
 
     def _affine_branch(self, i: int) -> tuple | None:
         """Row i of the branch table, or None for the division branch k."""

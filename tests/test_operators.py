@@ -212,6 +212,12 @@ def test_custom_order_must_be_permutation(collatz):
             operators.build_truncation(collatz, window, order=order)
 
 
+def test_table_order_refuses_a_stand_in_label(swap1):
+    # True equals the label 1 as a set member, but it is no state
+    with pytest.raises(InvalidSpec, match="^order must be a permutation of the window$"):
+        operators.build_truncation(swap1, None, order=(True, 2))
+
+
 # -- word operators -----------------------------------------------------------
 
 

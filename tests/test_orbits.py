@@ -4,10 +4,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from branchdyn import battery, orbits, systems
-from branchdyn.errors import InvalidSpec
+from branchdyn.errors import InvalidSpec, OutOfDomain
 
 from conftest import closed_tables, orbit_oracle
 
@@ -86,13 +86,14 @@ def assert_matches_oracle(sys, x, cap):
 
 
 def check_caps(sys, x, cap):
-    """The drawn cap, cap 0, and the caps either side of the first repeat:
-    mu + lam, where the walk sees it, and mu + lam - 1."""
+    """The drawn cap, cap 0, and every cap within 4 of the first repeat at
+    mu + lam, where a walk of single steps sees it: a leap over a run of
+    divisions can pass mu + lam by up to the length of the run."""
     caps = {0, cap}
     full = orbit_oracle(sys, x, 1000)
     if full["entered_cycle"]:
         mu_lam = full["entry_index"] + len(full["cycle"])
-        caps |= {mu_lam - 1, mu_lam}
+        caps |= set(range(max(mu_lam - 4, 0), mu_lam + 5))
     for c in sorted(caps):
         assert_matches_oracle(sys, x, c)
 
@@ -100,7 +101,9 @@ def check_caps(sys, x, cap):
 AFFINE = {
     "collatz": systems.make_system(systems.collatz()),
     "qxd:5,1": systems.make_system(systems.QxPlusD(5, 1)),
+    "qxd:7,3": systems.make_system(systems.QxPlusD(7, 3)),
     "alphabeta3": systems.make_system(systems.AlphaBeta(3, (2, 4), (1, 5))),
+    "alphabeta5": systems.make_system(systems.AlphaBeta(5, (2, 3, 7, 9), (3, 1, 2, 1))),
 }
 
 
@@ -109,6 +112,15 @@ AFFINE = {
     st.integers(min_value=1, max_value=10**4),
     st.integers(min_value=0, max_value=300),
 )
+# starts on the division branch and on their cycle: the cycle is entered
+# at 0, inside the first run of divisions
+@example("collatz", 4, 300)
+@example("qxd:7,3", 24, 300)
+@example("alphabeta5", 5, 300)
+# affine starts off their cycle whose image is a division state on it:
+# the cycle is entered at 1, inside the first run
+@example("qxd:5,1", 5, 300)
+@example("alphabeta3", 16, 300)
 def test_orbit_matches_eager_oracle_on_affine_systems(name, x, cap):
     check_caps(AFFINE[name], x, cap)
 
@@ -144,6 +156,27 @@ def test_records_hold_no_states(five_x_one):
         tracemalloc.stop()
     assert sum(not r.entered_cycle for r in recs) == 5
     assert retained < 5 * 10**5
+
+
+def test_walk_holds_only_landings(five_x_one):
+    # the divergent orbit of 7 to cap 2*10^4 meets 2*10^4 states of up to
+    # ~2000 bits; a walk holding all of them peaks near 4.5 MB, one
+    # holding only the states where division runs end near 1.6 MB
+    tracemalloc.start()
+    try:
+        rec = orbits.orbit_iterate(five_x_one, 7, cap=2 * 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rec.entered_cycle
+    assert peak < 2.5 * 10**6
+
+
+def test_table_walk_refuses_a_stand_in_start(swap1):
+    # True and 1.0 equal the label 1 as dict keys, but neither is a state
+    for bad in (True, 1.0):
+        with pytest.raises(OutOfDomain, match=f"^{bad!r} is not a state of this system$"):
+            orbits.orbit_iterate(swap1, bad, cap=4)
 
 
 # -- the battery's stopping-time walk (checks 1 and 13) -------------------------

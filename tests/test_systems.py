@@ -68,11 +68,10 @@ def test_table_requires_total_injective_branches():
         systems.make_system(
             systems.FiniteTable.make({1: 2, 2: 1}, {1: 2, 2: 1}, k=1)
         )
-    # image leaves the state set
-    with pytest.raises(InvalidSpec):
-        systems.make_system(
-            systems.FiniteTable.make({1: 1, 2: 1}, {1: 2, 2: 3}, k=1)
-        )
+    # image leaves the state set, or stands in for a label it equals
+    for image in ({1: 2, 2: 3}, {1: 2, 2: True}):
+        with pytest.raises(InvalidSpec, match="^image .* escapes the state set$"):
+            systems.make_system(systems.FiniteTable.make({1: 1, 2: 1}, image, k=1))
     with pytest.raises(InvalidSpec):
         systems.make_system(systems.FiniteTable.make({}, {}))
 
@@ -164,6 +163,14 @@ def test_table_lookup(swap2):
     assert swap2.branch_of(1) == 1
     assert swap2.branch_of(2) == 2
     assert not swap2.contains(3)
+
+
+def test_table_refuses_stand_ins_for_a_label(swap1):
+    # True and 1.0 equal the label 1 as dict keys, but neither is a state
+    for bad in (True, 1.0):
+        assert not swap1.contains(bad)
+        with pytest.raises(OutOfDomain, match=f"^{bad!r} is not a state of this system$"):
+            swap1.apply(bad)
 
 
 def test_large_values_stay_exact(collatz):
@@ -409,6 +416,19 @@ def assert_kernels_agree(sys, x):
     assert sys._step(x) == sys.apply(x)
     assert sys._branch(x) == sys.branch_of(x)
     assert sys._preimages(x) == sys.preimages(x)
+    # _leap(x) = (f^s(x), s): on an affine system it skips only division
+    # states and lands off the division branch; elsewhere s = 1
+    y, s = sys._leap(x)
+    walk = [x]
+    for _ in range(s):
+        walk.append(sys.apply(walk[-1]))
+    assert walk[-1] == y
+    if sys.is_affine:
+        assert s >= 1
+        assert all(sys.branch_of(z) == sys.k for z in walk[1:-1])
+        assert sys.branch_of(y) != sys.k
+    else:
+        assert s == 1
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
