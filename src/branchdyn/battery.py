@@ -124,8 +124,9 @@ def _is_invariant(sys: DynamicalSystem, subset: frozenset) -> bool:
 def _invariant_subsets(sys: DynamicalSystem) -> set:
     """All invariant subsets of a finite system, by exhaustive scan.
 
-    Independent of the union-find route: a subset qualifies iff it is
-    closed under the map and under preimages.
+    Independent of the component walk of the minimality probe and the
+    commutant: a subset qualifies iff it is closed under the map and
+    under preimages.
     """
     states = list(sys.states())
     subsets = (
@@ -241,7 +242,9 @@ def check_aperiodic_cycle_words() -> CheckResult:
     """Every cycle from the three censuses, and the 3x+d cycles through
     d, has an aperiodic branch word.  In a qx+d system x takes branch 1
     exactly when it is odd, so a cycle's word is its parity vector
-    relabelled and the name's parity tuples are these words."""
+    relabelled and the name's parity tuples are these words.  They are
+    aperiodic because qx+d codings are injective (TUC); see
+    ``cycle_word_aperiodicity`` for a table where that fails."""
     failures = []
     batches = [(_collatz(), [r.cycle for r in _collatz_cycles_20().cycles])]
     five = make_system(QxPlusD(5, 1))

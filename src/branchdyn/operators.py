@@ -41,7 +41,7 @@ from itertools import product
 from math import gcd
 
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
-from .systems import DynamicalSystem, _primitive_period, window_states
+from .systems import DynamicalSystem, _components, _primitive_period, window_states
 from .words import check_word
 
 # the most entries commutant_projections builds for its block bases,
@@ -174,7 +174,8 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
     if cap < 1:
         raise InvalidSpec(f"need cap >= 1, got {cap}")
     for c in a:
-        if c not in range(trunc.n):
+        # a coordinate is an int, not a value equal to one (True, 1.0)
+        if type(c) is not int or c not in range(trunc.n):
             raise InvalidSpec(f"coordinate {c!r} outside 0..{trunc.n - 1}")
     if x not in trunc.index:
         raise InvalidSpec(f"{x!r} is not in the window")
@@ -285,7 +286,7 @@ class SubspaceBasis:
             if not any(v.values()):
                 raise InvalidSpec("zero vector in basis")
             for c in v:
-                if c not in range(self.n):
+                if type(c) is not int or c not in range(self.n):
                     raise InvalidSpec(f"coordinate {c!r} outside 0..{self.n - 1}")
                 by_coord.setdefault(c, []).append(j)
         object.__setattr__(self, "_by_coord", by_coord)
@@ -436,7 +437,7 @@ def commutant_projections(trunc: Truncation) -> CommutantReport:
             f"window has {escaping} escaping states; "
             "the commutant needs a closed truncation"
         )
-    covers = _covers(trunc)
+    covers = _covers(trunc.maps, trunc.n)
     over: dict = {}
     for cov in covers:
         over.setdefault(cov.key, []).append(cov)
@@ -479,8 +480,9 @@ def commutant_projections(trunc: Truncation) -> CommutantReport:
     )
 
 
-def _covers(trunc: Truncation) -> list:
-    """The covering data of each total-orbit component, in linear time.
+def _covers(maps: tuple, n: int) -> list:
+    """The covering data of each total-orbit component of the closed map
+    given by the per-branch column maps on 0..n-1, in linear time.
 
     Two states are bisimilar when they have the same label, bisimilar
     images and, label by label, bisimilar preimages or none.  A tree
@@ -493,31 +495,20 @@ def _covers(trunc: Truncation) -> list:
     the types and the key is their least rotation; one intern table
     serves all components, so equal keys mean the same Q.
 
-    Components are found in one walk: from each coordinate that no
-    earlier component has placed, forward to the cycle, then backward
-    over preimages through the whole component.  That coordinate is the
-    least of its component, so the covers come in order of least
-    coordinate.
+    Each component's cycle comes from ``systems._components``, and a
+    walk backward over preimages from the cycle places the whole
+    component; the covers come in order of least coordinate.
     """
     label, image = {}, {}
     pre: dict = {}  # state -> [(label, preimage)], one per label that has one
-    for b, fwd in enumerate(trunc.maps):
+    for b, fwd in enumerate(maps):
         for c, r in fwd.items():
             label[c], image[c] = b, r
             pre.setdefault(r, []).append((b, c))
     intern: dict = {}
     paths: dict = {}
     covers = []
-    placed: set = set()
-    for head in range(trunc.n):
-        if head in placed:
-            continue
-        seen: dict = {}
-        c = head
-        while c not in seen:
-            seen[c] = len(seen)
-            c = image[c]
-        cycle = list(seen)[seen[c]:]
+    for _, cycle in _components(n, image):
         place = {x: (j, -1) for j, x in enumerate(cycle)}
         order = list(cycle)
         for y in order:  # the list grows as it is read: breadth first over preimages
@@ -537,7 +528,6 @@ def _covers(trunc: Truncation) -> list:
         start = _least_rotation(types[:period])
         key = tuple(types[start:period] + types[:start])
         covers.append(_Cover(place, period, len(cycle) // period, key, cycle[start]))
-        placed.update(place)
     return covers
 
 
@@ -657,21 +647,18 @@ def fixed_vectors_of_word(trunc: Truncation, word) -> FixedVectorsReport:
 
     M_I is the matrix of the partial injection c -> chase(c), so a fixed
     vector vanishes on the injection's chains and is constant on each of
-    its cycles: the cycle indicators form an orthogonal basis.  They are
-    listed by largest coordinate, the free column elimination of
-    M_I - Id would give each cycle.
+    its cycles (``systems._components``): the cycle indicators form an
+    orthogonal basis.  They are listed by largest coordinate, the free
+    column elimination of M_I - Id would give each cycle.
     """
     word = check_word(word, trunc.k)
     image = _chase(trunc, word)
-    cycles, seen = [], set()
-    for c in image:
-        path, cur = [], c
-        while cur in image and cur not in seen:
-            seen.add(cur)
-            path.append(cur)
-            cur = image[cur]
-        if path and cur == c:
-            cycles.append(sorted(path))
+    # the cycles lie in the chase's domain, often far smaller than the
+    # window: walk it alone, relabelled 0..len - 1
+    cols = list(image)
+    at = {c: j for j, c in enumerate(cols)}
+    comps = _components(len(cols), {at[c]: at[r] for c, r in image.items() if r in at})
+    cycles = [sorted(cols[j] for j in cyc) for _, cyc in comps if cyc]
     cycles.sort(key=max)
     basis = SubspaceBasis(n=trunc.n, vectors=tuple(dict.fromkeys(c, 1) for c in cycles))
     return FixedVectorsReport(word=word, basis=basis, dimension=basis.dimension)

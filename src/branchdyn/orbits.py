@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from collections import deque
 
 from .errors import InvalidSpec
-from .systems import DynamicalSystem, as_window, window_states
+from .systems import DynamicalSystem, _components, as_window, window_states
 
 
 def canonical_cycle(cycle) -> tuple:
@@ -181,32 +181,6 @@ def total_orbit(sys, x, window, node_budget: int = 10**6) -> TotalOrbitApprox:
     return invariant_closure(sys, [x], window, node_budget)
 
 
-class _UnionFind:
-    """Union-find over the indices 0..size-1, with path compression."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(b)] = self.find(a)
-
-    def groups(self) -> list:
-        """The classes as ascending index lists, ordered by least index."""
-        out: dict = {}
-        for a in range(len(self.parent)):
-            out.setdefault(self.find(a), []).append(a)
-        return list(out.values())
-
-
 @dataclass(frozen=True)
 class MinimalityReport:
     window: str
@@ -222,11 +196,13 @@ class MinimalityReport:
 def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     """Partition a window into classes of the relation x ~ f(x).
 
-    Each window state is merged with the first point where its forward
+    Each window state is mapped to the first point where its forward
     orbit re-enters the window, chasing out-of-window excursions for at
-    most ``budget`` steps.  Within one class no proper nonempty subset
-    is closed under f and preimages relative to the window, so the
-    classes are the window's candidates for minimal invariant pieces.
+    most ``budget`` steps; the classes are the components of that map
+    (``systems._components``), in window order.  Within one class no
+    proper nonempty subset is closed under f and preimages relative to
+    the window, so the classes are the window's candidates for minimal
+    invariant pieces.
     Out-of-window excursions longer than the budget leave their start
     state unresolved (its class may spuriously split).
     """
@@ -235,7 +211,7 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     win, order = window_states(sys, window)
     step = sys._step
     pos = {x: j for j, x in enumerate(order)}
-    uf = _UnionFind(len(order))
+    reentry = {}  # window position -> where its orbit re-enters the window
     unresolved = []
     for j, x in enumerate(order):
         cur = step(x)
@@ -248,8 +224,8 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
             cur = step(cur)
             steps += 1
         if cur is not None:
-            uf.union(j, pos[cur])
-    classes = tuple(tuple(order[j] for j in g) for g in uf.groups())
+            reentry[j] = pos[cur]
+    classes = tuple(tuple(order[j] for j in m) for m, _ in _components(len(order), reentry))
     return MinimalityReport(
         window=win.describe(),
         classes=classes,

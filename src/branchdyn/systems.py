@@ -53,6 +53,38 @@ def _primitive_period(seq) -> int:
     return p if len(seq) % p == 0 else len(seq)
 
 
+def _components(n: int, succ: dict) -> list:
+    """The components of a partial map on 0..n-1 as (members, cycle)
+    pairs; ``succ`` omits the unmapped coordinates.
+
+    A walk runs forward from each coordinate in turn until it joins a
+    labelled component, or makes a new one by ending at an unmapped
+    coordinate (cycle ``()``) or at its first repeat, where the cycle
+    starts.  Every walk in a component ends at its cycle or unmapped
+    member, so only the first, from its least member, makes it:
+    components come in that order, members ascending.
+    """
+    label = [-1] * n
+    cycles = []
+    for head in range(n):
+        path: dict = {}  # this walk's coordinates -> their position on it
+        c = head
+        while c is not None and label[c] < 0 and c not in path:
+            path[c] = len(path)
+            c = succ.get(c)
+        if c is None or c in path:
+            comp = len(cycles)
+            cycles.append(() if c is None else tuple(path)[path[c]:])
+        else:
+            comp = label[c]
+        for x in path:
+            label[x] = comp
+    members = [[] for _ in cycles]
+    for c in range(n):
+        members[label[c]].append(c)
+    return list(zip(map(tuple, members), cycles))
+
+
 @dataclass(frozen=True, order=True)
 class EventuallyPeriodic:
     """An eventually periodic sequence s(0), s(1), ... stored exactly.

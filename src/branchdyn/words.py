@@ -435,12 +435,13 @@ class CycleWordReport:
 
 
 def cycle_word_aperiodicity(sys: DynamicalSystem, cycle: Iterable) -> CycleWordReport:
-    """The branch word of a genuine cycle is never a proper power.
+    """The branch word of a cycle, and whether it is no proper power.
 
-    Two distinct states of one cycle cannot share the full branch word
-    (per-branch injectivity makes the return map determined by it), so
-    a periodic word would collapse the cycle.  Raises NotACycle unless
-    the input really is one orbit cycle with distinct states.
+    A word u^m, m > 1, gives the cycle states x and f^|u|(x) one coding,
+    so it is aperiodic when distinct states have distinct codings (TUC),
+    as in every qx+d system; the one-branch swap table 1 -> 2 -> 1 has
+    the word (1, 1).  Raises NotACycle unless the input really is one
+    orbit cycle with distinct states.
     """
     cycle = tuple(cycle)
     if not cycle:

@@ -458,7 +458,8 @@ def integer_eigenvalues(a):
 class _Classes:
     """Union by relabelling over the indices 0..size-1: each index carries
     its class label, and a union moves every member of the smaller class
-    to the other's label.  Independent of the library's union-find."""
+    to the other's label.  Independent of the library's component walk,
+    ``systems._components``."""
 
     def __init__(self, size):
         self.label = list(range(size))

@@ -359,6 +359,14 @@ def test_pm_limit_refuses_coordinates_outside_the_window(collatz):
             operators.verify_pm_limit(t, a, 1)
 
 
+def test_pm_limit_refuses_stand_ins_for_a_coordinate():
+    # 1.0 once raised TypeError on indexing, and True passed as coordinate 1
+    t = operators.build_truncation(systems.make_system(systems.collatz()), (1, 10))
+    for a, c in (({1.0: 1}, 1.0), ({True: 1, 0: 1}, True)):
+        with pytest.raises(InvalidSpec, match=f"^coordinate {c} outside 0..9$"):
+            operators.verify_pm_limit(t, a, 1)
+
+
 def test_pm_window_too_small(collatz):
     t = operators.build_truncation(collatz, (1, 8))
     a = {t.index[7]: F(1), t.index[1]: F(1)}
@@ -432,7 +440,9 @@ def test_subspace_requires_invariance(collatz):
 
 
 def test_subspace_basis_refusals():
-    for coordinate in (2, -1):
+    # True and 1.0 equal the coordinate 1, yet a basis holding 1.0 once
+    # built and then raised TypeError in is_reducing
+    for coordinate in (2, -1, True, 1.0):
         with pytest.raises(InvalidSpec, match=f"coordinate {coordinate} outside 0..1"):
             operators.SubspaceBasis(n=2, vectors=({coordinate: F(1)},))
     for zero in ({}, {0: F(0)}):
@@ -788,7 +798,7 @@ def assert_commutant_matches_oracles(t, dense_max_states):
         assert same == [d <= 2]
     # the budget's closed-form count is the number of entries built
     built = sum(len(v) for b in rep.blocks for v in b.vectors)
-    assert built == sum(operators._basis_entries(cov) for cov in operators._covers(t))
+    assert built == sum(operators._basis_entries(cov) for cov in operators._covers(t.maps, t.n))
     heads = [(min(c for v in b.vectors for c in v), -b.dimension, d)
              for b, d in zip(rep.blocks, rep.block_field)]
     assert heads == sorted(heads)

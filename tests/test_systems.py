@@ -1,9 +1,9 @@
 """System construction, validation, branch structure, preimages, JSON."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from branchdyn import coding, morphisms, operators, orbits, systems, words
+from branchdyn import battery, coding, morphisms, operators, orbits, systems, words
 from branchdyn.errors import (
     InvalidSpec,
     NonInjectiveBranch,
@@ -11,7 +11,7 @@ from branchdyn.errors import (
     OutOfDomain,
 )
 
-from conftest import brute_preimages, brute_primitive_period, preimage_scan_bound
+from conftest import _Classes, brute_preimages, brute_primitive_period, preimage_scan_bound
 
 
 # -- construction and validation -------------------------------------------
@@ -293,6 +293,97 @@ def test_primitive_period_matches_the_brute_force_oracle(pre, per):
     assert x.prefix(n) == (pre + per * n)[:n]
     assert brute_primitive_period(x.per) == len(x.per)
     assert not x.pre or x.pre[-1] != x.per[-1]
+
+
+@st.composite
+def partial_maps(draw):
+    """(n, succ): a map on 0..n-1, n <= 12, undefined on some coordinates."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    images = draw(st.lists(st.none() | st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    return n, {c: r for c, r in enumerate(images) if r is not None}
+
+
+@given(partial_maps())
+@example((12, {0: 2, 1: 2, 2: 1, 3: 3, 4: 3, 5: 6, 7: 8, 8: 7, 9: 7, 10: 9, 11: 4}))
+def test_components_match_the_relabelling_oracle(case):
+    # the example has a sink (6), a self-loop (3) and a cycle (2, 1) that the
+    # walk from 0 enters at 2, not at its least member
+    n, succ = case
+    comps = systems._components(n, succ)
+    classes = _Classes(n)
+    for c, r in succ.items():
+        classes.union(c, r)
+    assert [list(members) for members, _ in comps] == classes.groups()
+    heads = [members[0] for members, _ in comps]
+    assert heads == sorted(heads)
+    for members, cycle in comps:
+        walk = [members[0]]
+        for _ in range(n):
+            if walk[-1] not in succ:
+                break
+            walk.append(succ[walk[-1]])
+        if walk[-1] not in succ:
+            assert cycle == ()
+            continue
+        # n steps of a walk on n coordinates end on its cycle
+        on_cycle = [walk[-1]]
+        while succ[on_cycle[-1]] != walk[-1]:
+            on_cycle.append(succ[on_cycle[-1]])
+        first = next(x for x in walk if x in on_cycle)
+        j = on_cycle.index(first)
+        assert cycle == tuple(on_cycle[j:] + on_cycle[:j])
+
+
+@pytest.fixture
+def plant_components(monkeypatch):
+    """Replace the component walk at its import sites, both by default."""
+    def plant(fault, modules=(orbits, operators)):
+        for module in modules:
+            monkeypatch.setattr(module, "_components", fault)
+    return plant
+
+
+def _verdict(check):
+    """A check's (passed, detail), with a raise counted as verify-all counts it."""
+    try:
+        result = check()
+    except Exception as exc:
+        return False, f"raised {type(exc).__name__}: {exc}"
+    return result.passed, result.detail
+
+
+def test_checks_9_and_10_catch_a_component_walk_without_cycles(plant_components):
+    true_components = systems._components
+    plant_components(lambda n, succ: [(m, ()) for m, _ in true_components(n, succ)])
+    # the covering commutant has no cycle to start from, and word 1 2 2 fixes nothing
+    assert _verdict(battery.check_correspondence_bijection) == (
+        False, "raised IndexError: list index out of range"
+    )
+    assert _verdict(battery.check_word_fixed_vectors) == (False, "word 1 2 2: dimension 0, support none")
+
+
+def test_checks_9_and_13_catch_a_component_walk_that_splits_at_the_cycle(plant_components):
+    true_components = systems._components
+
+    def split(n, succ):
+        out = []
+        for members, cycle in true_components(n, succ):
+            trees = tuple(c for c in members if c not in cycle)
+            out += [(tuple(sorted(cycle)), cycle), (trees, ())] if cycle and trees else [(members, cycle)]
+        return sorted(out)
+
+    plant_components(split)
+    # a tree split off its cycle leaves the covering commutant nowhere to start
+    assert _verdict(battery.check_correspondence_bijection) == (
+        False, "raised IndexError: list index out of range"
+    )
+    assert _verdict(battery.check_convergence_probe) == (
+        False, "minimality probe: 2 classes, 0 unresolved"
+    )
+    # split in the minimality probe alone, the classes miss the commutant's blocks
+    plant_components(true_components, modules=(operators,))
+    passed, detail = _verdict(battery.check_correspondence_bijection)
+    assert not passed and detail.endswith(": blocks do not match orbit classes")
 
 
 def test_eventually_periodic_needs_a_period():

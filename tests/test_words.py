@@ -624,6 +624,12 @@ def test_fixed_state_cycle():
     assert rep.word == (1,) and rep.aperiodic
 
 
+def test_cycle_word_of_a_swap_is_a_proper_power(swap1):
+    # 1 and 2 share the coding 1 1 1 ..., so their cycle's word is periodic
+    rep = words.cycle_word_aperiodicity(swap1, (1, 2))
+    assert (rep.word, rep.aperiodic, rep.passed) == ((1, 1), False, False)
+
+
 def test_not_a_cycle_is_rejected(collatz):
     with pytest.raises(NotACycle):
         words.cycle_word_aperiodicity(collatz, (1, 5))
