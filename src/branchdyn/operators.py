@@ -112,9 +112,17 @@ def _dot(u: dict, v: dict):
 
 
 def _chase(trunc: Truncation, symbols) -> dict:
-    """c -> T_I e_c's coordinate, for every c the word keeps in the window."""
-    out = {c: c for c in range(trunc.n)}
-    for i in symbols:
+    """c -> T_I e_c's coordinate, for every c the word keeps in the window.
+
+    The chase starts at the first symbol's column map, whose keys are
+    the columns that survive one symbol, in ascending order as
+    ``build_truncation`` stores them, and returns a fresh dict: a caller
+    may change it without touching ``trunc.maps``.  ``symbols`` is a
+    nonempty word, as ``check_word`` returns it.
+    """
+    first, *rest = symbols
+    out = dict(trunc.maps[first - 1])
+    for i in rest:
         fwd = trunc.maps[i - 1]
         out = {c: fwd[r] for c, r in out.items() if r in fwd}
     return out

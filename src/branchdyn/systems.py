@@ -276,7 +276,8 @@ class DynamicalSystem:
     which are states by construction, since positive integers map to
     positive integers and a table's image is total (``__init__`` checks
     it).  Window scans on the kernels validate their states once, with
-    ``window_states``.
+    ``window_states``; an ``IntWindow`` on an affine system is validated
+    by its bounds, since its ints lo..hi >= 1 are all states.
 
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
@@ -505,8 +506,10 @@ class IntWindow(Window):
     """The integer interval lo..hi inclusive."""
 
     def __init__(self, lo: int, hi: int):
-        if lo < 1 or hi < lo:
-            raise InvalidSpec(f"bad window {lo}..{hi}")
+        # window_states trusts the bounds: every int lo..hi is a state of
+        # an affine system only if lo is an int >= 1 (True is no state)
+        if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
+            raise InvalidSpec(f"bad window {lo!r}..{hi!r}")
         self.lo, self.hi = lo, hi
 
     def contains(self, x) -> bool:
@@ -572,11 +575,21 @@ def as_window(sys: DynamicalSystem, window) -> Window:
 
 def window_states(sys: DynamicalSystem, window) -> tuple:
     """(Window, its states): ``as_window``, then ``materialize``, then a
-    domain check of every state, so a scan can run on the kernels."""
+    domain check, so a scan can run on the kernels.
+
+    An ``IntWindow`` on an affine system is checked once, by its bounds:
+    ``IntWindow`` refuses a bound that is no int or is below 1, and every
+    int >= 1 is a state of a qx+d or α–β system, so ``sys._require(lo)``
+    vouches for lo..hi.  Finite tables, shifts and every ``SetWindow``
+    check state by state.
+    """
     win = as_window(sys, window)
     states = win.materialize()
-    for x in states:
-        sys._require(x)
+    if sys.is_affine and isinstance(win, IntWindow):
+        sys._require(win.lo)
+    else:
+        for x in states:
+            sys._require(x)
     return win, states
 
 

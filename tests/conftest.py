@@ -68,6 +68,14 @@ def alphabeta3():
     return systems.make_system(systems.AlphaBeta(3, (2, 4), (1, 5)))
 
 
+# one affine system of each shape: collatz, another qx+d, and α–β with k = 3
+AFFINE_SPECS = {
+    "collatz": systems.collatz(),
+    "qxd:5,1": systems.QxPlusD(5, 1),
+    "alphabeta3": systems.AlphaBeta(3, (2, 4), (1, 5)),
+}
+
+
 def injective_table(draw, n, k):
     """branch and image dicts of a closed table on 1..n whose every branch
     is injective."""
@@ -386,6 +394,17 @@ def branch_matrix(trunc, i):
     for c, r in trunc.maps[i - 1].items():
         m[r][c] = Fraction(1)
     return m
+
+
+def chase_oracle(trunc, word):
+    """c -> T_I e_c's coordinate for every coordinate c the word keeps in
+    the window: the identity on all n columns, filtered through each
+    symbol's column map in turn."""
+    out = {c: c for c in range(trunc.n)}
+    for i in word:
+        fwd = trunc.maps[i - 1]
+        out = {c: fwd[r] for c, r in out.items() if r in fwd}
+    return out
 
 
 def invariance_violations(trunc, K):

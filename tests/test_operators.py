@@ -1,5 +1,6 @@
 """Truncated partial isometries, projections, reducing subspaces, commutant."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from branchdyn import battery, linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
+    AFFINE_SPECS,
     apply_word,
     apply_word_adjoint,
     bisimilar_pairs,
     branch_matrix,
+    chase_oracle,
     closed_tables,
     entry_class_commutant,
     injective_table,
@@ -312,6 +315,47 @@ def test_projection_matches_operator_route(collatz):
         v = apply_word(t, prefix, e(t, x))
         w = apply_word_adjoint(t, prefix, v)
         assert w == (e(t, x) if t.index[x] in support else {})
+
+
+@functools.cache
+def affine_truncation(name, hi):
+    return operators.build_truncation(systems.make_system(AFFINE_SPECS[name]), (1, hi))
+
+
+@st.composite
+def chase_cases(draw):
+    """(truncation, word): an affine system on 1..hi, where hi = 1 or 2
+    leaves the first column maps empty, or a random closed table, whose
+    unused branches have empty column maps."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(AFFINE_SPECS)))
+        t = affine_truncation(name, draw(st.sampled_from((1, 2, 5, 30, 2000))))
+    else:
+        branch, image, k = draw(closed_tables())
+        t = operators.build_truncation(_table(branch, image, k=k), None)
+    word = draw(st.lists(st.integers(min_value=1, max_value=t.k), min_size=1, max_size=12))
+    return t, tuple(word)
+
+
+@given(chase_cases())
+@example((affine_truncation("collatz", 1), (1, 2)))  # the map of branch 1 is empty
+@example((affine_truncation("collatz", 2000), (1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2)))
+def test_chase_matches_the_identity_start_oracle(case):
+    t, word = case
+    got = operators._chase(t, word)
+    assert list(got.items()) == list(chase_oracle(t, word).items())
+    assert all(got is not m for m in t.maps)
+
+
+def test_chase_result_can_change_without_touching_the_truncation(collatz):
+    t = operators.build_truncation(collatz, (1, 50))
+    maps = [list(m.items()) for m in t.maps]
+    support = operators.projection_P(t, (1,))
+    out = operators._chase(t, (1,))
+    del out[min(out)]
+    out[0] = 0
+    assert [list(m.items()) for m in t.maps] == maps
+    assert operators.projection_P(t, (1,)) == support
 
 
 # -- P_m limits -----------------------------------------------------------------

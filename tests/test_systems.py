@@ -1,5 +1,7 @@
 """System construction, validation, branch structure, preimages, JSON."""
 
+import re
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -11,7 +13,13 @@ from branchdyn.errors import (
     OutOfDomain,
 )
 
-from conftest import _Classes, brute_preimages, brute_primitive_period, preimage_scan_bound
+from conftest import (
+    AFFINE_SPECS,
+    _Classes,
+    brute_preimages,
+    brute_primitive_period,
+    preimage_scan_bound,
+)
 
 
 # -- construction and validation -------------------------------------------
@@ -250,6 +258,45 @@ def test_window_scans_share_the_state_budget(collatz, monkeypatch, scan):
 def test_as_window_refuses_anything_but_a_window_none_or_an_int_pair(collatz, window):
     with pytest.raises(InvalidSpec, match="wrap a set of states in SetWindow$"):
         systems.as_window(collatz, window)
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(1.5, 3), (1, 3.0), (True, 3), (1, True), ("1", "3"), (None, 3)], ids=repr
+)
+def test_int_window_refuses_bounds_that_are_not_ints(lo, hi):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(f'bad window {lo!r}..{hi!r}')}$"):
+        systems.IntWindow(lo, hi)
+
+
+def test_as_window_builds_an_int_window_of_int_bounds_only(collatz):
+    assert systems.as_window(collatz, (2, 3)).describe() == "2..3"
+    # an int pair to as_window, yet True is no bound
+    with pytest.raises(InvalidSpec, match=r"^bad window True\.\.3$"):
+        systems.as_window(collatz, (True, 3))
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_SPECS))
+def test_window_states_checks_an_affine_int_window_by_its_bounds(name, monkeypatch):
+    sys = systems.make_system(AFFINE_SPECS[name])
+    checked = []
+    monkeypatch.setattr(sys, "_require", checked.append)
+    for lo, hi in ((1, 1), (1, 300), (7, 19)):
+        win, states = systems.window_states(sys, (lo, hi))
+        assert (win.lo, win.hi) == (lo, hi)
+        assert states == tuple(range(lo, hi + 1))
+    assert checked == [1, 1, 7]
+
+
+def test_window_states_checks_other_windows_state_by_state(collatz):
+    gap = systems.make_system(systems.FiniteTable.make({1: 1, 3: 1}, {1: 3, 3: 1}))
+    with pytest.raises(OutOfDomain, match="^2 is not a state of this system$"):
+        systems.window_states(gap, systems.IntWindow(1, 3))
+    shift = systems.make_system(systems.SymbolicShift(2))
+    with pytest.raises(OutOfDomain, match="^1 is not a state of this system$"):
+        systems.window_states(shift, systems.IntWindow(1, 3))
+    for states, bad in (([0, 1, 2], 0), ([True, 2], True)):
+        with pytest.raises(OutOfDomain, match=f"^{bad!r} is not a state of this system$"):
+            systems.window_states(collatz, systems.SetWindow(states))
 
 
 def test_set_window_orders_labels_that_do_not_compare():
