@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from collections import deque
 
 from .errors import InvalidSpec
-from .systems import DynamicalSystem, _components, as_window, window_states
+from .systems import (
+    _JUMP_TABLE_SIZE,
+    DynamicalSystem,
+    _components,
+    as_window,
+    window_states,
+)
 
 
 def canonical_cycle(cycle) -> tuple:
@@ -37,14 +43,14 @@ class OrbitRecord:
     first state of the cycle, f^entry_index(start), which is that
     state's index in the trajectory.
 
-    The walk finds it without single steps.  It meets its cycle as a
-    landing y met again at index m by a leap of s steps; y was first met
-    at i = m - P, P the period, at the end of a run of divisions that
-    began at index r (r = i when the run is empty).  The leap began on
-    the cycle, so the cycle's s - 1 states before y are division states,
-    and entry_index = max(i - (s - 1), r).  The orbit entered its cycle
-    iff entry_index + P <= cap, since a walk of single steps meets its
-    first repeat at step entry_index + P.
+    The walk finds it with few single steps.  It holds the start and its
+    landings, each at its index, and ends at a landing met again, which
+    lies on the cycle C; single steps from it give C.  The first held
+    state on C is at or after the entry, and the held state before it,
+    at index i, is before the entry, so entry_index is i plus the single
+    steps from that state onto C (0 if the start is on C).  The orbit
+    entered its cycle iff entry_index + len(C) <= cap, since a walk of
+    single steps meets its first repeat at step entry_index + len(C).
     """
 
     start: object
@@ -72,37 +78,49 @@ class OrbitRecord:
 def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps.
 
-    The walk goes by ``sys._leap``, one run of divisions at a time, and
-    holds only the start and the landings, the states its leaps end on.
-    Every state off the division branch after the start is a landing,
-    and every cycle holds one, since divisions decrease.
+    The walk goes from landing to landing and holds only the start and
+    its landings, each at its index.  With a cap below
+    ``_JUMP_TABLE_SIZE``, and on a table, a shift or an affine system
+    with k > 16, a landing is where a ``sys._leap`` ends: every state off the division branch
+    after the start is one, and every cycle holds one, since divisions
+    decrease.  Otherwise the walk jumps by the system's jump table (see
+    ``systems._jump_entry``), a residue block of about a dozen steps at
+    a time, and its landings are fewer.  A landing met again ends either
+    walk (see ``OrbitRecord``).
+
+    A jump walk that meets no repeat by cap may have jumped over one,
+    since its landings are sparse, so it hands over to a leap walk.  A
+    peak, the state just after a jump's last affine step, is a certified
+    record when it exceeds every earlier peak and the bounds of this and
+    every earlier jump: no earlier state equals it, so the first repeat
+    comes after it.  The leap walk starts at the last such record p (the
+    start if there is none), holding the landings before p, and runs to
+    cap plus the longest jump.  It meets every state off the division
+    branch from p on, so a first repeat within cap shows there as a
+    landing met again, and no repeat means none within cap.
     """
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     sys._require(x)
-    leap = sys._leap
-    # the start and each landing -> the index where the run of divisions
-    # ending at it began; the first run begins at the start if it divides
-    seen = {x: 0}
-    begin = 0 if sys.is_affine and x % sys.k == 0 else 1
-    cur, n = x, 0
-    while n < cap:
-        cur, s = leap(cur)
-        n += s
-        if cur in seen:
-            first_run = seen[cur]
-            seen.clear()  # the walk around the cycle needs none of it
-            step = sys._step
-            cycle = [cur]
-            y = step(cur)
-            while y != cur:
-                cycle.append(y)
-                y = step(y)
-            period = len(cycle)
-            # the leap began on the cycle (see OrbitRecord)
-            entry = max(n - period - (s - 1), first_run)
-            if entry + period > cap:
-                break
+    seen = {x: 0}  # the start and each landing -> its index
+    jumps = sys._jumps() if cap >= _JUMP_TABLE_SIZE else None
+    if jumps is None:
+        y = _walk(sys._leap, seen, x, 0, cap)
+    else:
+        jump, rise = jumps
+        y = _walk(jump, seen, x, 0, cap)
+        if y is None:
+            p, at, longest = _last_record(seen, x, rise)
+            while seen:  # the landings from p on are met again by the leaps
+                z, i = seen.popitem()
+                if i < at:
+                    seen[z] = i
+                    break
+            seen[p] = at
+            y = _walk(sys._leap, seen, p, at, cap + longest)
+    if y is not None:
+        cycle, entry = _cycle_and_entry(sys._step, seen, y)
+        if entry + len(cycle) <= cap:
             return OrbitRecord(
                 start=x,
                 entered_cycle=True,
@@ -111,11 +129,62 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
                 cap=cap,
                 system=sys,
             )
-        seen[cur] = begin
-        begin = n + 1
     return OrbitRecord(
         start=x, entered_cycle=False, cycle=(), entry_index=-1, cap=cap, system=sys
     )
+
+
+def _walk(advance, seen: dict, cur, n: int, limit: int):
+    """Advance from cur, the state at index n, until a landing repeats or
+    n >= limit, holding each new landing in ``seen`` at its index; the
+    repeated landing, or None."""
+    while n < limit:
+        cur, s = advance(cur)
+        n += s
+        if cur in seen:
+            return cur
+        seen[cur] = n
+    return None
+
+
+def _last_record(seen: dict, x, rise) -> tuple:
+    """(p, its index, the longest jump) over the jumps from the states in
+    ``seen``: p is the last certified record (see ``orbit_iterate``), or
+    x at 0 if there is none."""
+    p, at = x, 0
+    top = longest = last = 0  # top: the largest bound or peak so far
+    for z, i in seen.items():
+        if i - last > longest:
+            longest = i - last
+        last = i
+        t, peak, bound = rise(z)
+        if bound > top:
+            top = bound
+        if peak > top:
+            top, p, at = peak, peak, i + t
+    return p, at, longest
+
+
+def _cycle_and_entry(step, seen: dict, y) -> tuple:
+    """(the cycle through y, the index where the orbit in ``seen`` meets it)."""
+    cycle = [y]
+    z = step(y)
+    while z != y:
+        cycle.append(z)
+        z = step(z)
+    on = set(cycle)
+    before = None
+    for z, i in seen.items():
+        if z in on:
+            break
+        before = z, i
+    if before is None:
+        return cycle, 0
+    z, entry = before
+    while z not in on:
+        z = step(z)
+        entry += 1
+    return cycle, entry
 
 
 @dataclass(frozen=True)

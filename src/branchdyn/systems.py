@@ -255,6 +255,91 @@ def _affine_kernels(k: int, rows: tuple) -> tuple:
     return step, branch, preimages, leap
 
 
+# the most residues a jump table covers: an affine system with k <= 16
+# jumps over the residues b < k**j for the largest k**j within this
+_JUMP_TABLE_SIZE = 256
+# the most steps one jump makes: a residue cycle that avoids 0, or a slope
+# that keeps its factor k, fixes every later branch
+_JUMP_STEPS = 64
+
+
+def _jump_entry(k: int, rows: tuple, size: int, b: int) -> tuple:
+    """(t, A, B, UA, UB): for every state x = size*a + b, f^t(x) = A*a + B
+    is the state just after the last affine step (within _JUMP_STEPS)
+    that b fixes, or after t divisions if b fixes none, and each state
+    before it is <= UA*a + UB.
+
+    The state A*a + B has branch B mod k for every a while k divides A;
+    a division divides both A and B by k.
+    """
+    A, B, UA, UB = size, b, 0, 0
+    t, entry = 0, None
+    while t < _JUMP_STEPS and A % k == 0:
+        UA, UB = max(UA, A), max(UB, B)
+        r = B % k
+        t += 1
+        if r:
+            a, c = rows[r - 1]
+            A, B = a * A, a * B + c
+            entry = (t, A, B, UA, UB)
+        else:
+            A, B = A // k, B // k
+    return entry or (t, A, B, UA, UB)
+
+
+def _jump_table(k: int, rows: tuple) -> tuple:
+    """(size, table): ``table[b]`` is ``_jump_entry`` of each residue
+    b < size, for the largest size = k**j <= _JUMP_TABLE_SIZE."""
+    size = k
+    while size * k <= _JUMP_TABLE_SIZE:
+        size *= k
+    return size, tuple(_jump_entry(k, rows, size, b) for b in range(size))
+
+
+def _jump_kernels(k: int, rows: tuple) -> tuple:
+    """(jump, rise) over ``_jump_table``, for k * k <= _JUMP_TABLE_SIZE.
+
+    ``jump(x)`` is (f^s(x), s): the table's t steps from x, then the
+    whole run of divisions, so f^s(x) is off the division branch, as
+    after a ``_leap``.  ``rise(x)`` is (t, A*a + B, UA*a + UB) for
+    x = size*a + b: the peak of the jump and a bound on the states
+    before it.
+    """
+    size, table = _jump_table(k, rows)
+    if k == 2:
+        mask, shift = size - 1, size.bit_length() - 1
+
+        def jump(x):
+            t, A, B, _, _ = table[x & mask]
+            y = A * (x >> shift) + B
+            v = (y & -y).bit_length() - 1
+            return y >> v, t + v
+
+        def rise(x):
+            t, A, B, UA, UB = table[x & mask]
+            a = x >> shift
+            return t, A * a + B, UA * a + UB
+
+    else:
+
+        def jump(x):
+            a, b = divmod(x, size)
+            t, A, B, _, _ = table[b]
+            x = A * a + B
+            y, r = divmod(x, k)
+            while r == 0:
+                x, t = y, t + 1
+                y, r = divmod(x, k)
+            return x, t
+
+        def rise(x):
+            a, b = divmod(x, size)
+            t, A, B, UA, UB = table[b]
+            return t, A * a + B, UA * a + UB
+
+    return jump, rise
+
+
 class DynamicalSystem:
     """A validated system: branch lookup, forward map, exact preimages.
 
@@ -279,6 +364,11 @@ class DynamicalSystem:
     ``window_states``; an ``IntWindow`` on an affine system is validated
     by its bounds, since its ints lo..hi >= 1 are all states.
 
+    An affine system with k <= 16 also has a jump table over the
+    residues mod k**j <= 256 (``_jumps``), built on the first orbit walk
+    that asks for it, never by ``__init__``: cycle search and check 4
+    build dozens of systems that never walk that far.
+
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
     families.
@@ -287,6 +377,7 @@ class DynamicalSystem:
     def __init__(self, spec):
         self.spec = spec
         self._affine = None
+        self._jump_cache = None
         self._label_type = None
         self.gcd_failures = ()
         if isinstance(spec, QxPlusD):
@@ -353,6 +444,18 @@ class DynamicalSystem:
         else:
             raise InvalidSpec(f"unknown family: {spec!r}")
         self._step, self._branch, self._preimages, self._leap = kernels
+
+    def _jumps(self):
+        """``_jump_kernels`` of the affine table, built once; None on a
+        table, a shift, or an affine system with k > 16, where j = 1 and
+        a jump would be a leap."""
+        if (
+            self._jump_cache is None
+            and self._affine is not None
+            and self.k**2 <= _JUMP_TABLE_SIZE
+        ):
+            self._jump_cache = _jump_kernels(self.k, self._affine)
+        return self._jump_cache
 
     def _set_affine(self, k: int, rows: tuple) -> None:
         self.k, self._affine = k, rows

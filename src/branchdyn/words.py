@@ -37,7 +37,14 @@ from typing import Iterable, Iterator
 
 from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
 from .orbits import orbit_iterate
-from .systems import DynamicalSystem, IntWindow, _primitive_period, _state_order, window_states
+from .systems import (
+    DynamicalSystem,
+    IntWindow,
+    _is_int,
+    _primitive_period,
+    _state_order,
+    window_states,
+)
 
 Word = tuple
 
@@ -366,6 +373,9 @@ def check_uniqueness(
         scan_bound = None  # every state is walked, whatever the bound
     elif not sys.is_affine:
         raise NotAffineFamily("uniqueness check needs affine or finite-table systems")
+    elif not _is_int(scan_bound):
+        # True or 2.5 would otherwise be refused as a window never passed
+        raise InvalidSpec(f"need an int scan_bound, got {scan_bound!r}")
     elif scan_bound < 1:
         # a scan over no state would guard nothing yet still pass
         raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")

@@ -227,12 +227,30 @@ PERIOD3_30 = json.dumps(
         ("morphism_conjugate_five_relabeled.json",
          ["morphism", "conjugate", "--source", FIVE_STATE, "--target", FIVE_STATE_RELABELED,
           "--phi", RELABEL_FIVE]),
+        # caps above the jump table size, pinned before orbit walks jumped
+        ("orbit_collatz_x27_cap1000.json",
+         ["orbit", "--system", "collatz", "--x", "27", "--cap", "1000"]),
+        ("orbit_qxd5_1_x7_cap400.json",
+         ["orbit", "--system", "qxd:5,1", "--x", "7", "--cap", "400"]),
+        ("code_qxd5_1_x7_exact_tail_cap5000.json",
+         ["code", "--system", "qxd:5,1", "--x", "7", "--exact-tail", "--cap", "5000"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
     # whole reports, config_hash included, as an earlier release wrote them
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_exact_tail_of_a_divergent_orbit_within_its_budget(capsys, deadline):
+    # the walk to cap 10^5 holds only its landings, a residue block apart
+    deadline(5)
+    code, rep = run(
+        capsys, "code", "--system", "qxd:5,1", "--x", "7", "--exact-tail",
+        "--cap", "100000",
+    )
+    assert code == 0
+    assert rep["coding"] is None
 
 
 @pytest.mark.parametrize("system", ["shift:3", FIVE_STATE])

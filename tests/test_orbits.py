@@ -85,12 +85,13 @@ def assert_matches_oracle(sys, x, cap):
     assert rec.system == sys
 
 
-def check_caps(sys, x, cap):
+def check_caps(sys, x, cap, reach=1000):
     """The drawn cap, cap 0, and every cap within 4 of the first repeat at
-    mu + lam, where a walk of single steps sees it: a leap over a run of
-    divisions can pass mu + lam by up to the length of the run."""
+    mu + lam (if it is within ``reach``), where a walk of single steps
+    sees it: a leap over a run of divisions, or a jump over a residue
+    block, can pass mu + lam."""
     caps = {0, cap}
-    full = orbit_oracle(sys, x, 1000)
+    full = orbit_oracle(sys, x, reach)
     if full["entered_cycle"]:
         mu_lam = full["entry_index"] + len(full["cycle"])
         caps |= set(range(max(mu_lam - 4, 0), mu_lam + 5))
@@ -141,6 +142,48 @@ def test_orbit_matches_eager_oracle_on_tables(table, data):
 def test_orbit_matches_eager_oracle_on_shift(pre, per, cap):
     sys = systems.make_system(systems.SymbolicShift(2))
     check_caps(sys, systems.EventuallyPeriodic.make(pre, per), cap)
+
+
+JUMP_AFFINE = {
+    **AFFINE,
+    "qxd:1,1": systems.make_system(systems.QxPlusD(1, 1)),
+    "alphabeta4_slope1": systems.make_system(systems.AlphaBeta(4, (1, 3, 1), (3, 2, 1))),
+    # gcd(3, k) = 3: the residues 1 and 2 never divide, so a table entry
+    # ends only at its step bound
+    "alphabeta3_gcd": systems.make_system(systems.AlphaBeta(3, (3, 3), (1, 1))),
+}
+
+
+@given(
+    st.sampled_from(sorted(JUMP_AFFINE)),
+    st.integers(min_value=1, max_value=2**64),
+    st.integers(min_value=systems._JUMP_TABLE_SIZE, max_value=3000),
+)
+# collatz enters its cycle at 109 + 3; 5x+1 from 7 is capped
+@example("collatz", 27, 1000)
+@example("qxd:5,1", 7, 3000)
+# a start divisible by the table size: its entry makes divisions only
+@example("collatz", 256 * 27, 500)
+@example("alphabeta3_gcd", 243 * 5, 1000)
+def test_jump_walk_matches_eager_oracle(name, x, cap):
+    check_caps(JUMP_AFFINE[name], x, cap, reach=3000)
+
+
+def test_long_walks_jump(five_x_one):
+    # the divergent orbit of 7 to cap 10^4 makes about 3,300 leaps; the
+    # jump walk leaps only from its last certified record
+    sys = systems.make_system(systems.QxPlusD(5, 1))
+    leap, leaps = sys._leap, []
+    sys._leap = lambda x: leaps.append(x) or leap(x)
+    rec = orbits.orbit_iterate(sys, 7, 10**4)
+    assert rec == orbits.orbit_iterate(five_x_one, 7, 10**4)
+    assert not rec.entered_cycle
+    assert 0 < len(leaps) < 100
+
+
+def test_a_walk_of_10_to_the_5_steps_is_quick(five_x_one, deadline):
+    deadline(5)
+    assert not orbits.orbit_iterate(five_x_one, 7, 10**5).entered_cycle
 
 
 def test_records_hold_no_states(five_x_one):

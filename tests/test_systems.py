@@ -578,6 +578,74 @@ def test_affine_kernels_agree_with_public_methods(name, x):
     assert (sys._branch(x), sys._step(x)) == spec_step(spec, x)
 
 
+# -- jump tables ---------------------------------------------------------------
+
+JUMP_SPECS = {
+    **KERNEL_SPECS,
+    "qxd1_1": systems.QxPlusD(1, 1),
+    "alphabeta4_slope1": systems.AlphaBeta(4, (1, 3, 1), (3, 2, 1)),
+    # the slope 3 keeps its factor k: no residue ever loses its branch,
+    # so only the step bound ends an entry
+    "alphabeta3_gcd": systems.AlphaBeta(3, (3, 3), (1, 1)),
+    "alphabeta7": systems.AlphaBeta(7, (1, 2, 3, 1, 5, 1), (6, 5, 4, 3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
+def test_jump_table_entries_follow_single_steps(name):
+    # entry b: t single steps from size*a + b end at A*a + B, pass no
+    # state above UA*a + UB, and take the same branches for every a; the
+    # last of them is affine unless all are divisions
+    sys = systems.make_system(JUMP_SPECS[name])
+    size, table = systems._jump_table(sys.k, sys._affine)
+    assert size <= systems._JUMP_TABLE_SIZE < size * sys.k
+    assert len(table) == size
+    for b, (t, A, B, UA, UB) in enumerate(table):
+        assert 1 <= t <= systems._JUMP_STEPS
+        paths = set()
+        for a in (0, 1, 2, 5, 2**70 + 3) if b else (1, 2, 5, 2**70 + 3):
+            walk = [size * a + b]
+            for _ in range(t):
+                walk.append(sys.apply(walk[-1]))
+            assert walk[-1] == A * a + B
+            assert max(walk[:-1]) <= UA * a + UB
+            paths.add(tuple(map(sys.branch_of, walk[:-1])))
+        (path,) = paths
+        assert path[-1] != sys.k or set(path) == {sys.k}
+    if name == "alphabeta3_gcd":
+        assert table[1][0] == systems._JUMP_STEPS
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
+@given(x=st.integers(min_value=1, max_value=2**70))
+def test_jump_and_rise_follow_single_steps(name, x):
+    # jump(x) = (f^s(x), s) lands off the division branch; rise(x) is the
+    # peak at step t <= s and a bound on the states before it
+    sys = systems.make_system(JUMP_SPECS[name])
+    jump, rise = sys._jumps()
+    y, s = jump(x)
+    t, peak, bound = rise(x)
+    walk = [x]
+    for _ in range(s):
+        walk.append(sys.apply(walk[-1]))
+    assert walk[-1] == y
+    assert sys.branch_of(y) != sys.k
+    assert walk[t] == peak
+    assert max(walk[:t]) <= bound
+
+
+def test_jump_tables_are_built_by_the_first_long_walk():
+    sys = systems.make_system(systems.collatz())
+    assert sys._jump_cache is None
+    orbits.orbit_iterate(sys, 27, systems._JUMP_TABLE_SIZE - 1)
+    assert sys._jump_cache is None
+    orbits.orbit_iterate(sys, 27, systems._JUMP_TABLE_SIZE)
+    assert sys._jump_cache is not None
+    # j = 1 above k = 16, where a jump would be a leap
+    assert systems.make_system(systems.AlphaBeta(17, (1,) * 16, (1,) * 16))._jumps() is None
+    assert systems.make_system(systems.SymbolicShift(2))._jumps() is None
+
+
 @st.composite
 def random_tables(draw):
     """A FiniteTable on 1..8 labels of one kind (integers, strings or

@@ -447,6 +447,13 @@ def test_uniqueness_needs_an_affine_or_finite_system():
         words.check_uniqueness(sys_of(systems.SymbolicShift(2)), 3)
 
 
+@pytest.mark.parametrize("bound", [True, 2.5, "3"])
+def test_uniqueness_refuses_a_scan_bound_that_is_no_int(collatz, bound):
+    # refused by check_uniqueness itself, not as a window 1..bound
+    with pytest.raises(InvalidSpec, match=f"^need an int scan_bound, got {bound!r}$"):
+        words.check_uniqueness(collatz, 3, scan_bound=bound)
+
+
 def test_uniqueness_with_scan_guard(collatz):
     # algebra and brute replay agree on a small window
     assert words.check_uniqueness(collatz, max_len=6, scan_bound=200).passed
