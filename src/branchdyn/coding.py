@@ -4,9 +4,25 @@ The coding of a state x is the sequence of branches its orbit visits:
 x-hat = (branch(x), branch(f(x)), branch(f^2(x)), ...).  The coding
 intertwines f with the left shift.  When the coding map is injective
 (every pair of distinct states disagrees at some position) the system
-embeds into the shift on k symbols; injectivity over a finite window is
-decided here by partition refinement, which distinguishes all pairs in
-one pass per symbol instead of walking each pair separately.
+embeds into the shift on k symbols.  Injectivity over a finite window
+is decided by one of two routes that give the same report:
+
+* Partition refinement, on every window of every system: split the
+  window's states into blocks by their current symbol, advance each
+  block of two or more states one step, repeat.  It distinguishes all
+  pairs in one pass per symbol instead of walking each pair separately.
+* The cylinder tree, on an ``IntWindow`` of an affine system whose
+  slopes are all coprime to k (no ``gcd_failures``).  There the
+  refinement's blocks are cylinders cut to the window, and a cylinder is
+  a residue class x = r mod M (Terras): the states A*t + B of a class
+  share their symbol while k | A (``systems._class_step``), and once
+  k does not divide A the k classes t = s mod k take k distinct symbols,
+  since gcd(A, k) = 1.  That is the recovery lemma read both ways:
+  states whose codings agree so far agree mod M, and states that agree
+  mod M agree so far.  So the walk splits classes instead of stepping
+  states, and counts a class's window states by arithmetic.  A class of
+  two or more states alive at the cap hands the whole window to the
+  refinement, which lists the undistinguished groups in its order.
 
 Residue towers capture what the coding sees of an integer state x:
 the digits r_j = x mod k^j for j = 1..depth.  The top digit fixes the
@@ -33,11 +49,27 @@ from .errors import (
     PreconditionUnmet,
 )
 from .orbits import orbit_iterate
-from .systems import DynamicalSystem, EventuallyPeriodic, window_states
+from .systems import (
+    DynamicalSystem,
+    EventuallyPeriodic,
+    IntWindow,
+    _class_step,
+    _is_int,
+    window_states,
+)
+
+
+def _need_int(name: str, v) -> None:
+    """Refuse a count that is no int: True would pass as 1, and 2.0
+    would pass the range checks and then leak a TypeError or float
+    arithmetic."""
+    if not _is_int(v):
+        raise InvalidSpec(f"need an int {name}, got {v!r}")
 
 
 def coding_prefix(sys: DynamicalSystem, x, length: int) -> tuple:
     """The first ``length`` coding symbols of x."""
+    _need_int("length", length)
     if length < 0:
         raise InvalidSpec("need length >= 0")
     sys._require(x)
@@ -69,10 +101,39 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     A pair of states is distinguished at the first round their blocks
     separate, so the number of rounds run when all blocks are singletons
     equals the worst-case distinguishing prefix length over the window.
+
+    On an ``IntWindow`` of an affine system with no ``gcd_failures`` the
+    blocks are residue classes, so ``_class_rounds`` walks the classes
+    and never steps a state (see the module docstring); when a class of
+    two or more states survives cap rounds, the refinement runs instead
+    and lists the groups.  Tables, shifts, ``SetWindow`` and systems with
+    a slope sharing a factor with k always take the refinement.
     """
+    _need_int("cap", cap)
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     win, states = window_states(sys, window)
+    n = len(states)
+    rounds, blocks = None, []
+    if sys.is_affine and not sys.gcd_failures and isinstance(win, IntWindow):
+        rounds = _class_rounds(sys.k, sys._affine, win, cap)
+    if rounds is None:
+        rounds, blocks = _refine(sys, states, cap)
+    return TucReport(
+        window=win.describe(),
+        cap=cap,
+        states=n,
+        pairs=n * (n - 1) // 2,
+        passed=not blocks,
+        max_prefix_length=rounds if not blocks else cap,
+        undistinguished=tuple(tuple(states[j] for j in b) for b in blocks),
+    )
+
+
+def _refine(sys: DynamicalSystem, states: tuple, cap: int) -> tuple:
+    """(rounds, blocks): the partition refinement of ``verify_tuc_window``
+    over cap rounds; blocks of indices into states, empty when every
+    pair split."""
     step, branch = sys._step, sys._branch
     n = len(states)
     cursor = list(states)  # cursor[j] = f^rounds(states[j]) while j is unsplit
@@ -93,15 +154,46 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
                         cursor[j] = step(cursor[j])
                     next_blocks.append(sub)
         blocks = next_blocks
-    return TucReport(
-        window=win.describe(),
-        cap=cap,
-        states=n,
-        pairs=n * (n - 1) // 2,
-        passed=not blocks,
-        max_prefix_length=rounds if not blocks else cap,
-        undistinguished=tuple(tuple(states[j] for j in b) for b in blocks),
-    )
+    return rounds, blocks
+
+
+def _class_rounds(k: int, rows: tuple, win: IntWindow, cap: int) -> int | None:
+    """The refinement's round count on the window, from its residue
+    classes; None when a class of two or more states survives cap rounds.
+
+    A node is a class x = M*t + r whose states are A*t + B after
+    ``depth`` rounds, with k not dividing A.  Its k sub-classes
+    t = k*t' + s take k distinct symbols, and each one of two or more
+    window states is kept: its forced steps run while k divides its A,
+    one round each.  Every pair has split once the deepest node kept,
+    the root at depth 0 included, has split.  Trusts rows of an affine
+    table with every slope coprime to k.
+    """
+    if win.size() < 2:
+        return 0
+    if cap == 0:
+        return None
+    step, size = _class_step, win._class_size
+    deepest = 0
+    todo = [(0, 1, 0, 1, 0)]  # (depth, M, r, A, B)
+    while todo:
+        depth, M, r, A, B = todo.pop()
+        kM, kA = k * M, k * A
+        for s in range(k):
+            c = r + M * s
+            if size(kM, c) < 2:
+                continue
+            d = depth + 1
+            _, a, b = step(k, rows, kA, A * s + B)
+            while d < cap and a % k == 0:
+                _, a, b = step(k, rows, a, b)
+                d += 1
+            if d == cap:
+                return None
+            if d > deepest:
+                deepest = d
+            todo.append((d, kM, c, a, b))
+    return deepest + 1
 
 
 @dataclass(frozen=True)
@@ -127,6 +219,7 @@ def check_alphabeta_hypotheses(
     if not sys.is_affine:
         raise NotAffineFamily("hypotheses concern the affine families")
     horizon = sys.k if horizon is None else horizon
+    _need_int("horizon", horizon)
     if horizon < 1:
         raise InvalidSpec(f"need horizon >= 1, got {horizon}")
     win, states = window_states(sys, window)
@@ -171,6 +264,8 @@ class ResidueTower:
     value: int
 
     def __post_init__(self):
+        for name in ("k", "depth", "value"):
+            _need_int(name, getattr(self, name))
         if self.k < 2:
             raise InvalidSpec("need k >= 2")
         if self.depth < 1:
@@ -204,6 +299,9 @@ class ResidueTower:
 
 
 def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
+    _need_int("x", x)
+    _need_int("k", k)
+    _need_int("depth", depth)
     if x < 1:
         raise InvalidSpec("states are positive integers")
     if depth < 1:
@@ -284,6 +382,7 @@ def verify_recovery_lemma(sys: DynamicalSystem, x: int, y: int, j: int) -> Recov
     """
     if not sys.is_affine:
         raise NotAffineFamily("towers live over the affine families")
+    _need_int("j", j)
     if j < 1:
         raise InvalidSpec("need j >= 1")
     k = sys.k

@@ -263,27 +263,37 @@ _JUMP_TABLE_SIZE = 256
 _JUMP_STEPS = 64
 
 
+def _class_step(k: int, rows: tuple, A: int, B: int) -> tuple:
+    """One step of a residue class: (symbol, A', B') for k | A.
+
+    Every state A*t + B with k | A takes the branch B mod k (k for
+    residue 0), whatever t is, and its image is A'*t + B': (a*A, a*B + b)
+    on an affine row, (A/k, B/k) on the division branch.  Trusts rows of
+    an affine table and k | A.
+    """
+    r = B % k
+    if r:
+        a, b = rows[r - 1]
+        return r, a * A, a * B + b
+    return k, A // k, B // k
+
+
 def _jump_entry(k: int, rows: tuple, size: int, b: int) -> tuple:
     """(t, A, B, UA, UB): for every state x = size*a + b, f^t(x) = A*a + B
     is the state just after the last affine step (within _JUMP_STEPS)
     that b fixes, or after t divisions if b fixes none, and each state
     before it is <= UA*a + UB.
 
-    The state A*a + B has branch B mod k for every a while k divides A;
-    a division divides both A and B by k.
+    b fixes the branch of each ``_class_step`` while k divides A.
     """
     A, B, UA, UB = size, b, 0, 0
     t, entry = 0, None
     while t < _JUMP_STEPS and A % k == 0:
         UA, UB = max(UA, A), max(UB, B)
-        r = B % k
+        symbol, A, B = _class_step(k, rows, A, B)
         t += 1
-        if r:
-            a, c = rows[r - 1]
-            A, B = a * A, a * B + c
+        if symbol != k:
             entry = (t, A, B, UA, UB)
-        else:
-            A, B = A // k, B // k
     return entry or (t, A, B, UA, UB)
 
 
@@ -623,6 +633,10 @@ class IntWindow(Window):
 
     def size(self):
         return self.hi - self.lo + 1
+
+    def _class_size(self, M: int, r: int) -> int:
+        """The number of states x = r mod M in lo..hi, for M >= 1."""
+        return (self.hi - r) // M - (self.lo - 1 - r) // M
 
     def describe(self):
         return f"{self.lo}..{self.hi}"

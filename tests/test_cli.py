@@ -143,6 +143,7 @@ def test_tower_steps(capsys):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ALPHABETA3 = '{"family":"alphabeta","k":3,"alpha":["4","4"],"beta":["2","1"]}'
+STUCK5 = '{"family":"alphabeta","k":5,"alpha":["2","3","7","9"],"beta":["3","1","2","1"]}'
 # the 30-state cycle x -> x mod 30 + 1 on branch x mod 3 + 1
 PERIOD3_30 = json.dumps(
     {
@@ -234,6 +235,14 @@ PERIOD3_30 = json.dumps(
          ["orbit", "--system", "qxd:5,1", "--x", "7", "--cap", "400"]),
         ("code_qxd5_1_x7_exact_tail_cap5000.json",
          ["code", "--system", "qxd:5,1", "--x", "7", "--exact-tail", "--cap", "5000"]),
+        # the tuc-scan reports below were pinned before the scan walked
+        # residue classes on an affine window
+        ("tuc_scan_collatz_w2000_cap1024.json",
+         ["tuc-scan", "--system", "collatz", "--window", "1..2000", "--cap", "1024"]),
+        ("tuc_scan_qxd5_3_w2000.json",
+         ["tuc-scan", "--system", "qxd:5,3", "--window", "1..2000"]),
+        ("tuc_scan_alphabeta3_w2000.json",
+         ["tuc-scan", "--system", ALPHABETA3, "--window", "1..2000"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -346,6 +355,23 @@ def test_tuc_scan_failure_is_exit_1(capsys):
     code, rep = run(capsys, "tuc-scan", "--system", SWAP1)
     assert code == 1
     assert rep["undistinguished"] == [["1", "2"]]
+
+
+def test_tuc_scan_golden_of_a_window_merged_at_the_cap(capsys):
+    # 14 residue classes of the k = 5 system are alive at cap 64: the scan
+    # lists them as groups, in the refinement's order
+    argv = ["tuc-scan", "--system", STUCK5, "--window", "1..200", "--cap", "64"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == (GOLDEN / "tuc_scan_alphabeta5_w200_cap64.json").read_text()
+
+
+def test_tuc_scan_of_200000_states_within_its_deadline(capsys, deadline):
+    # stepping every state once per round, the command took 4.3 s on a
+    # 2-core VM with Python 3.11; the class walk takes 0.5 s
+    deadline(2)
+    code, rep = run(capsys, "tuc-scan", "--system", "collatz", "--window", "1..200000")
+    assert code == 0 and rep["passed"]
+    assert rep["states"] == 200000 and rep["max_prefix_length"] == 34
 
 
 @pytest.mark.parametrize("cap", ["0", "1", "64"])

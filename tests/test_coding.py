@@ -1,6 +1,7 @@
 """Symbolic codings, distinguishing prefixes, residue towers."""
 
 import dataclasses
+from math import gcd
 import random
 
 import pytest
@@ -134,19 +135,96 @@ def test_tuc_window_without_a_pair_passes(collatz, window, cap):
     assert rep.max_prefix_length == 0 and rep.undistinguished == ()
 
 
+class _RepeatsLo(systems.IntWindow):
+    """lo..hi with lo listed twice, in its states and in its class sizes."""
+
+    def _states(self):
+        return (self.lo, *super()._states())
+
+    def size(self):
+        return super().size() + 1
+
+    def _class_size(self, M, r):
+        return super()._class_size(M, r) + ((self.lo - r) % M == 0)
+
+
 def test_check_7_catches_a_window_that_repeats_a_state(monkeypatch):
-    # a state listed twice shares its whole coding with itself, so the
-    # refinement can never separate the pair
-    true_states = coding.window_states
-
-    def repeated(sys, window):
-        win, states = true_states(sys, window)
-        return win, states + states[:1]
-
-    monkeypatch.setattr(coding, "window_states", repeated)
+    # a state listed twice shares its whole coding with itself: the class
+    # walk keeps lo's class alive to the cap, and the refinement it hands
+    # the window to can never separate the pair
+    monkeypatch.setattr(systems, "IntWindow", _RepeatsLo)
     result = battery.check_coding_injectivity()
     assert not result.passed
     assert "3x+1: 1 groups undistinguished" in result.detail.split("; ")
+
+
+# -- the class walk against the refinement ----------------------------------------
+
+
+@st.composite
+def coprime_affine_specs(draw):
+    """qx+d, or α–β with k in 2..5, every slope coprime to k."""
+    if draw(st.booleans()):
+        odd = st.integers(min_value=0, max_value=9).map(lambda v: 2 * v + 1)
+        return systems.QxPlusD(draw(odd), draw(odd))
+    k = draw(st.integers(min_value=2, max_value=5))
+    slope = st.integers(min_value=1, max_value=30).filter(lambda a: gcd(a, k) == 1)
+    alpha = draw(st.lists(slope, min_size=k - 1, max_size=k - 1))
+    beta = draw(st.lists(st.integers(min_value=1, max_value=30), min_size=k - 1,
+                         max_size=k - 1))
+    return systems.AlphaBeta(k, tuple(alpha), tuple(beta))
+
+
+# the k = 5 system whose window 1..200 stays merged at cap 64
+STUCK5 = systems.AlphaBeta(5, (2, 3, 7, 9), (3, 1, 2, 1))
+
+
+@given(
+    spec=coprime_affine_specs(),
+    lo=st.integers(min_value=1, max_value=400),
+    size=st.integers(min_value=1, max_value=300),
+    cap=st.integers(min_value=0, max_value=120),
+)
+@example(spec=systems.collatz(), lo=5, size=1, cap=64)
+@example(spec=systems.collatz(), lo=5, size=2, cap=64)
+@example(spec=systems.collatz(), lo=1, size=100, cap=0)
+@example(spec=systems.collatz(), lo=1, size=100, cap=1)
+@example(spec=STUCK5, lo=1, size=200, cap=64)
+# caps one round short of the deepest split (16 and 9 rounds), and at it
+@example(spec=systems.collatz(), lo=1, size=300, cap=15)
+@example(spec=systems.collatz(), lo=1, size=300, cap=16)
+@example(spec=systems.AlphaBeta(3, (4, 4), (2, 1)), lo=1, size=100, cap=8)
+@example(spec=systems.AlphaBeta(3, (4, 4), (2, 1)), lo=1, size=100, cap=9)
+def test_class_walk_matches_the_refinement(spec, lo, size, cap):
+    # a SetWindow of the same states takes the refinement
+    sys = systems.make_system(spec)
+    rep = coding.verify_tuc_window(sys, (lo, lo + size - 1), cap)
+    oracle = coding.verify_tuc_window(sys, systems.SetWindow(range(lo, lo + size)), cap)
+    assert dataclasses.replace(rep, window="") == dataclasses.replace(oracle, window="")
+    # and the walk itself certifies every passing report
+    rounds = coding._class_rounds(sys.k, sys._affine, systems.IntWindow(lo, lo + size - 1), cap)
+    assert rounds == (rep.max_prefix_length if rep.passed else None)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: coding.verify_tuc_window(c, (1, 10), True),
+        lambda c: coding.verify_tuc_window(c, (1, 10), 2.0),
+        lambda c: coding.coding_prefix(c, 5, 2.0),
+        lambda c: coding.check_alphabeta_hypotheses(c, (1, 10), horizon=2.0),
+        lambda c: coding.tower_from_state(2.5, 2, 3),
+        lambda c: coding.tower_from_state(5, 2, 3.0),
+        lambda c: coding.ResidueTower(2, 3, 1.5),
+        lambda c: coding.ResidueTower(2, True, 1),
+        lambda c: coding.verify_recovery_lemma(c, 1, 9, 2.0),
+    ],
+    ids=["tuc-cap-bool", "tuc-cap-float", "prefix-length", "horizon", "tower-x",
+         "tower-depth", "tower-value", "tower-depth-bool", "recovery-j"],
+)
+def test_counts_that_are_no_ints_are_refused(collatz, call):
+    with pytest.raises(InvalidSpec, match="^need an int "):
+        call(collatz)
 
 
 # -- section hypotheses -----------------------------------------------------------

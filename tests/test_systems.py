@@ -1,5 +1,6 @@
 """System construction, validation, branch structure, preimages, JSON."""
 
+import hashlib
 import re
 
 import pytest
@@ -644,6 +645,44 @@ def test_jump_tables_are_built_by_the_first_long_walk():
     # j = 1 above k = 16, where a jump would be a leap
     assert systems.make_system(systems.AlphaBeta(17, (1,) * 16, (1,) * 16))._jumps() is None
     assert systems.make_system(systems.SymbolicShift(2))._jumps() is None
+
+
+# sha256 of repr(_jump_table(k, rows)), pinned before _jump_entry read
+# its steps off _class_step
+JUMP_TABLE_DIGESTS = {
+    "alphabeta3": "eb0949230c3c45aa997dd1a4cc29839180e7444fd07e601b19c6ac44794567fb",
+    "alphabeta3_gcd": "d16caf715bc61b4d65525d4fa191abc5c35d35bccbaac1016ff636e4f791babd",
+    "alphabeta4_slope1": "1d485d50e886849b4eadf320abc6017f3efb5f4e1ffd54fc52543ad1559bfab4",
+    "alphabeta5": "ccf67b82f9b9306043af00720d451d2782febeee737392520c9c1859ab70c764",
+    "alphabeta7": "87f4e2638cf790080a585f664823cc5a5c76aa6f102a32b472e838a635aff185",
+    "collatz": "db599e93917fd57b93f2f1d0fdbb0a78d0d0322ac875227460a8c38f73a09a95",
+    "mersenne3": "4ffc158c946122eca521c3919c68f4d718adac16cc78a7cc972b6627bba26661",
+    "qxd1_1": "869138c609ed084d31af851ea01e09a195ddaf8755345404abd238149115067a",
+    "qxd5_1": "6099065cc54cdf9e62e068d44bfcc338207045f7cce16a99995dcfc768198829",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
+def test_jump_table_entries_are_unchanged(name):
+    sys = systems.make_system(JUMP_SPECS[name])
+    table = systems._jump_table(sys.k, sys._affine)[1]
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == JUMP_TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
+@given(
+    j=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=50),
+    B=st.integers(min_value=1, max_value=10**6),
+)
+def test_class_step_is_one_step_of_every_state_of_the_class(name, j, m, B):
+    # with k | A, every state A*t + B takes the symbol and lands on A'*t + B'
+    sys = systems.make_system(JUMP_SPECS[name])
+    A = sys.k**j * m
+    symbol, A2, B2 = systems._class_step(sys.k, sys._affine, A, B)
+    for t in (0, 1, 2, 7, 2**70 + 3):
+        x = A * t + B
+        assert (sys.branch_of(x), sys.apply(x)) == (symbol, A2 * t + B2)
 
 
 @st.composite
