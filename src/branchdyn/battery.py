@@ -312,25 +312,25 @@ def check_coding_injectivity() -> CheckResult:
 
 def check_prefix_projection_mechanics() -> CheckResult:
     """Prefix projections on the [1, 10^4] collatz truncation: the
-    support of each sampled P_I equals the coordinates that survive the
-    composed column maps of I, and the e_1 + e_5 input stabilizes to e_1
-    at prefix length 4.  P_I is a 0/1 diagonal by construction, so
-    idempotence and self-adjointness need no test."""
+    support of each sampled P_I equals the coordinates of I's cylinder,
+    a residue class cut to the window, and the e_1 + e_5 input
+    stabilizes to e_1 at prefix length 4.  P_I is a 0/1 diagonal by
+    construction, so idempotence and self-adjointness need no test."""
     rng = random.Random(0xBD08)
     sys = _collatz()
-    trunc = operators.build_truncation(sys, (1, 10**4))
+    win = IntWindow(1, 10**4)
+    trunc = operators.build_truncation(sys, win)
     failures = []
     for _ in range(50):
         x = rng.randint(1, 10**4)
         length = rng.randint(1, 10)
         prefix = coding.coding_prefix(sys, x, length)
         support = operators.projection_P(trunc, prefix)
-        # independent route: compose the sub-permutation column maps
-        colmap = {c: c for c in range(trunc.n)}
-        for sym in prefix:
-            step = trunc.maps[sym - 1]
-            colmap = {c: step[r] for c, r in colmap.items() if r in step}
-        if set(colmap) != support:
+        # independent route: the cylinder of the prefix, the states
+        # M*t + r for t0 <= t <= t1, by arithmetic on the residue class;
+        # it holds x, so it is never None
+        M, r, t0, t1 = coding._progression(sys.k, sys._affine, win, prefix)
+        if {trunc.index.get(r + M * t) for t in range(t0, t1 + 1)} != support:
             failures.append(f"prefix {prefix}: projection support mismatch")
     a = {trunc.index[1]: Fraction(1), trunc.index[5]: Fraction(1)}
     rep = operators.verify_pm_limit(trunc, a, 1, cap=64)

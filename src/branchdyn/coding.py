@@ -23,6 +23,9 @@ is decided by one of two routes that give the same report:
   states, and counts a class's window states by arithmetic.  A class of
   two or more states alive at the cap hands the whole window to the
   refinement, which lists the undistinguished groups in its order.
+  The same walk, down the one branch a word picks, gives the word's
+  cylinder cut to the window (``_progression``): the battery's check 8
+  reads it against the support of the prefix projection P_I.
 
 Residue towers capture what the coding sees of an integer state x:
 the digits r_j = x mod k^j for j = 1..depth.  The top digit fixes the
@@ -55,6 +58,7 @@ from .systems import (
     IntWindow,
     _class_step,
     _is_int,
+    as_window,
     window_states,
 )
 
@@ -107,18 +111,24 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     and never steps a state (see the module docstring); when a class of
     two or more states survives cap rounds, the refinement runs instead
     and lists the groups.  Tables, shifts, ``SetWindow`` and systems with
-    a slope sharing a factor with k always take the refinement.
+    a slope sharing a factor with k always take the refinement.  The
+    class walk lists no state: it checks the budget and the bounds as
+    ``window_states`` does, and the states are listed only for the
+    refinement.
     """
     _need_int("cap", cap)
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
-    win, states = window_states(sys, window)
-    n = len(states)
-    rounds, blocks = None, []
+    win = as_window(sys, window)
+    rounds, blocks, states = None, [], ()
     if sys.is_affine and not sys.gcd_failures and isinstance(win, IntWindow):
+        win._check_budget()
+        sys._require(win.lo)
         rounds = _class_rounds(sys.k, sys._affine, win, cap)
     if rounds is None:
+        win, states = window_states(sys, win)
         rounds, blocks = _refine(sys, states, cap)
+    n = win.size()
     return TucReport(
         window=win.describe(),
         cap=cap,
@@ -194,6 +204,34 @@ def _class_rounds(k: int, rows: tuple, win: IntWindow, cap: int) -> int | None:
                 deepest = d
             todo.append((d, kM, c, a, b))
     return deepest + 1
+
+
+def _progression(k: int, rows: tuple, win: IntWindow, word) -> tuple | None:
+    """(M, r, t0, t1): the window states whose coding begins with word
+    and whose first len(word) images stay in the window are the
+    x = M*t + r with t0 <= t <= t1, none when t0 > t1; None when a
+    forced symbol disagrees with the word.
+
+    The word's cylinder is one residue class (Terras), walked as in
+    ``_class_rounds``: the states A*t + B of the class take a forced
+    symbol while k divides A, and when it does not, the one t mod k that
+    gives the word's symbol is pinned, t = k*t' + s.  Every image must
+    lie in lo..hi, which bounds t.  Trusts rows of an affine table with
+    every slope coprime to k.
+    """
+    lo, hi = win.lo, win.hi
+    M, r, A, B = 1, 0, 1, 0
+    t0, t1 = lo, hi
+    for symbol in word:
+        if A % k:
+            s = (symbol - B) * pow(A, -1, k) % k
+            M, r, A, B = k * M, r + M * s, k * A, A * s + B
+            t0, t1 = -((s - t0) // k), (t1 - s) // k
+        forced, A, B = _class_step(k, rows, A, B)
+        if forced != symbol:
+            return None
+        t0, t1 = max(t0, -((B - lo) // A)), min(t1, (hi - B) // A)
+    return M, r, t0, t1
 
 
 @dataclass(frozen=True)

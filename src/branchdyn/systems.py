@@ -602,13 +602,17 @@ class Window:
         """The number of states; unlike len(), not capped at sys.maxsize."""
         raise NotImplementedError
 
-    def materialize(self) -> tuple:
-        """The states in window order, at most MAX_WINDOW_STATES of them."""
+    def _check_budget(self) -> None:
+        """Refuse a window of more than MAX_WINDOW_STATES states."""
         if self.size() > MAX_WINDOW_STATES:
             raise InvalidSpec(
                 f"window holds {self.size()} states; at most "
                 f"MAX_WINDOW_STATES = {MAX_WINDOW_STATES} are materialised"
             )
+
+    def materialize(self) -> tuple:
+        """The states in window order, at most MAX_WINDOW_STATES of them."""
+        self._check_budget()
         return tuple(self._states())
 
     def describe(self) -> str:

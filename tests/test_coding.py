@@ -3,11 +3,12 @@
 import dataclasses
 from math import gcd
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from branchdyn import battery, coding, systems
+from branchdyn import battery, coding, operators, systems
 from branchdyn.errors import (
     DepthExhausted,
     InvalidSpec,
@@ -15,6 +16,7 @@ from branchdyn.errors import (
     PreconditionUnmet,
 )
 from conftest import (
+    chase_oracle,
     closed_tables,
     digit_tower_apply,
     distinguishing_prefix_length,
@@ -225,6 +227,118 @@ def test_class_walk_matches_the_refinement(spec, lo, size, cap):
 def test_counts_that_are_no_ints_are_refused(collatz, call):
     with pytest.raises(InvalidSpec, match="^need an int "):
         call(collatz)
+
+
+def test_class_walk_lists_no_window_state(collatz, monkeypatch):
+    # listing 1..10^6 for the walk peaked at 40 MB; the walk reads the
+    # bounds only.  It runs untraced: tracemalloc slows it tenfold, and
+    # its stack holds no state of the window
+    walk, peaks = coding._class_rounds, []
+
+    def untraced(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        try:
+            return walk(*args)
+        finally:
+            tracemalloc.start()
+
+    monkeypatch.setattr(coding, "_class_rounds", untraced)
+    tracemalloc.start()
+    try:
+        rep = coding.verify_tuc_window(collatz, (1, 10**6))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.states == 10**6 and rep.max_prefix_length == 38
+    assert len(peaks) == 2 and max(peaks) < 10**6
+
+
+# -- cylinders: a word's residue class cut to a window -----------------------------
+
+PROGRESSION_SPECS = {
+    "collatz": systems.collatz(),
+    "5x+3": systems.QxPlusD(5, 3),
+    "alphabeta3": systems.AlphaBeta(3, (4, 4), (2, 1)),
+    "alphabeta5": systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
+}
+
+
+def _members(cut) -> set:
+    """The states M*t + r, t0 <= t <= t1, of a progression; none for None."""
+    if cut is None:
+        return set()
+    M, r, t0, t1 = cut
+    return {r + M * t for t in range(t0, t1 + 1)}
+
+
+@pytest.mark.parametrize(
+    "window", [(1, 10**4), (37, 5000), (500, 777)], ids=lambda w: f"{w[0]}..{w[1]}"
+)
+@pytest.mark.parametrize("name", PROGRESSION_SPECS)
+def test_progression_is_the_chase(name, window):
+    # random words, most of them empty for k = 5, and the prefixes of
+    # window states, never empty as a cylinder
+    sys = systems.make_system(PROGRESSION_SPECS[name])
+    win = systems.IntWindow(*window)
+    trunc = operators.build_truncation(sys, win)
+    rng = random.Random(f"{name} {window}")
+    words = [tuple(rng.randint(1, sys.k) for _ in range(rng.randint(1, 12))) for _ in range(40)]
+    words += [coding.coding_prefix(sys, rng.randint(*window), rng.randint(1, 12)) for _ in range(40)]
+    for word in words:
+        cut = coding._progression(sys.k, sys._affine, win, word)
+        chase = {trunc.states[c] for c in chase_oracle(trunc, word)}
+        assert _members(cut) == chase, word
+        assert (cut is None or cut[2] > cut[3]) == (not chase), word
+
+
+def test_progression_drops_a_first_image_outside_the_window(collatz):
+    # on 500..777 every odd state's image 3x+1 exceeds 777: the class of
+    # the word 1 holds 139 window states, and none survives the cut
+    win = systems.IntWindow(500, 777)
+    M, r, t0, t1 = coding._progression(2, collatz._affine, win, (1,))
+    assert (M, r) == (2, 1) and t0 > t1
+    assert _members(coding._progression(2, collatz._affine, systems.IntWindow(1, 10**4), (1,))) == set(
+        range(1, 3334, 2)
+    )
+
+
+@pytest.mark.parametrize("name", PROGRESSION_SPECS)
+def test_progression_on_one_state_windows(name):
+    sys = systems.make_system(PROGRESSION_SPECS[name])
+    rng = random.Random(name)
+    for x in (1, 2, 7, 9, 10**4):
+        win = systems.IntWindow(x, x)
+        trunc = operators.build_truncation(sys, win)
+        words = [coding.coding_prefix(sys, x, m) for m in range(1, 4)]
+        words += [tuple(rng.randint(1, sys.k) for _ in range(rng.randint(1, 12))) for _ in range(20)]
+        for word in words:
+            chase = {trunc.states[c] for c in chase_oracle(trunc, word)}
+            assert _members(coding._progression(sys.k, sys._affine, win, word)) == chase, (x, word)
+
+
+@pytest.mark.parametrize("name", PROGRESSION_SPECS)
+def test_progression_on_a_window_no_truncation_reaches(name, deadline):
+    # 1..10^18 has no truncation; a progression's sampled members must
+    # carry the word, and a state whose images stay low lies in its own
+    deadline(1)
+    sys = systems.make_system(PROGRESSION_SPECS[name])
+    win = systems.IntWindow(1, 10**18)
+    rng = random.Random(name)
+    for _ in range(100):
+        x = rng.randint(1, 10**6)
+        word = coding.coding_prefix(sys, x, rng.randint(1, 12))
+        M, r, t0, t1 = coding._progression(sys.k, sys._affine, win, word)
+        assert (x - r) % M == 0 and t0 <= (x - r) // M <= t1
+        for t in {t0, t1, rng.randint(t0, t1)}:
+            assert 1 <= r + M * t <= 10**18
+            assert coding.coding_prefix(sys, r + M * t, len(word)) == word
+        word = tuple(rng.randint(1, sys.k) for _ in range(rng.randint(1, 12)))
+        cut = coding._progression(sys.k, sys._affine, win, word)
+        if cut is not None and cut[2] <= cut[3]:
+            M, r, t0, t1 = cut
+            for t in {t0, t1, rng.randint(t0, t1)}:
+                assert coding.coding_prefix(sys, r + M * t, len(word)) == word
 
 
 # -- section hypotheses -----------------------------------------------------------

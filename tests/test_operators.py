@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from branchdyn import battery, linalg, operators, orbits, systems
+from branchdyn import battery, coding, linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
     AFFINE_SPECS,
@@ -589,9 +589,10 @@ def test_check_9_needs_the_adjoint_half_of_is_reducing(monkeypatch):
 
 
 def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
-    # projection_P's support against check 8's own column-map composition;
-    # check 10 reads the cycles of the same chase, and the lost coordinate
-    # breaks the cycle of e_1 under word 1 2 2
+    # projection_P's support against the prefix's cylinder, which check 8
+    # cuts to the window by arithmetic; check 10 reads the cycles of the
+    # same chase, and the lost coordinate breaks the cycle of e_1 under
+    # word 1 2 2
     true_chase = operators._chase
 
     def lossy(trunc, symbols):
@@ -607,6 +608,23 @@ def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
     result = battery.check_word_fixed_vectors()
     assert not result.passed
     assert result.detail == "word 1 2 2: dimension 0, support none"
+
+
+def test_check_8_catches_a_cylinder_one_step_too_long(monkeypatch):
+    # the state one step of M past the cylinder's last one fails the word
+    # or leaves the window, so it lies outside the support of P_I
+    true_progression = coding._progression
+
+    def too_long(k, rows, win, word):
+        M, r, t0, t1 = true_progression(k, rows, win, word)
+        return M, r, t0, t1 + 1
+
+    monkeypatch.setattr(coding, "_progression", too_long)
+    result = battery.check_prefix_projection_mechanics()
+    assert not result.passed
+    failures = result.detail.split("; ")
+    assert len(failures) == 4
+    assert all(f.startswith("prefix ") and f.endswith(": projection support mismatch") for f in failures)
 
 
 def test_invariant_sets_give_reducing_subspaces():
