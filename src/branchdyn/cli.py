@@ -327,7 +327,7 @@ def cmd_operators_build(args):
         "n": trunc.n,
         "k": trunc.k,
         "entries": [len(m) for m in trunc.maps],
-        "escapes": [_states(sorted(e)) for e in trunc.escapes],
+        "escapes": [_states(e) for e in trunc.escapes],
     }
 
 

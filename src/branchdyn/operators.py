@@ -3,13 +3,17 @@
 On the full state space each branch i induces a partial isometry T_i
 with T_i e_x = e_{f(x)} for x in X_i and T_i e_x = 0 otherwise.  A
 truncation restricts everything to a finite window W and stores only
-what one pass over W reads off: the states, their coordinates, and per
-branch i the column map of M_i (a 1 in row f(x), column x for each x in
-X_i with both endpoints in W) and the escapes, the states of X_i whose
-image leaves W.  Per-branch injectivity makes every M_i a
-sub-permutation matrix, so M_i M_i^T M_i = M_i exactly, and M_i^T e_c
-= e_p for the branch-i preimage p of state c when p is in W: it is read
-off the system's preimage kernel, not stored.
+the states, their coordinates, and per branch i the column map of M_i
+(a 1 in row f(x), column x for each x in X_i with both endpoints in W)
+and the escapes, the states of X_i whose image leaves W.  On an integer
+window lo..hi of an affine system X_i is one residue class mod k and f
+is affine on it, so the column map and the escapes are arithmetic
+slices of W; finite tables, shifts, explicit state sets and a given
+order take one pass over W, a kernel call per state.  Per-branch
+injectivity makes every M_i a sub-permutation matrix, so M_i M_i^T M_i
+= M_i exactly, and M_i^T e_c = e_p for the branch-i preimage p of state
+c when p is in W: it is read off the system's preimage kernel, not
+stored.
 
 Escapes have zero columns, and facts that would need their images
 (reducing-subspace checks near the boundary, conjugation identities)
@@ -37,11 +41,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
-from .systems import DynamicalSystem, _components, _primitive_period, window_states
+from .systems import (
+    DynamicalSystem,
+    IntWindow,
+    _class_step,
+    _components,
+    _primitive_period,
+    window_states,
+)
 from .words import check_word
 
 # the most entries commutant_projections builds for its block bases,
@@ -76,17 +87,26 @@ class Truncation:
 def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
     """The truncation to a window of at most MAX_WINDOW_STATES states.
 
-    One pass over the states reads each state's branch and image once.
+    An ``IntWindow`` of an affine system in its own order is read off
+    its residue classes by ``_class_columns``, with no kernel call per
+    state.  Every other truncation (a finite table, a shift, a
+    ``SetWindow``, or a given ``order``) takes one pass over the states,
+    which reads each state's branch and image once.  Both routes store
+    each column map in ascending column order and each branch's escapes
+    in window order.
     """
-    _, states = window_states(sys, window)
+    win, states = window_states(sys, window)
     if order is not None:
         order = tuple(order)
         # state by state too: True equals the state 1 in a set, yet is no state
         if len(order) != len(states) or set(order) != set(states) or not all(map(sys.contains, order)):
             raise InvalidSpec("order must be a permutation of the window")
         states = order
-    step, branch = sys._step, sys._branch
     index = {x: n for n, x in enumerate(states)}
+    if order is None and sys.is_affine and isinstance(win, IntWindow):
+        maps, escapes = _class_columns(sys.k, sys._affine, win, states, index)
+        return Truncation(sys=sys, states=states, index=index, maps=maps, escapes=escapes)
+    step, branch = sys._step, sys._branch
     maps = [{} for _ in range(sys.k)]
     esc = [[] for _ in range(sys.k)]
     # index.items() runs in state order; its coordinates are shared int objects
@@ -99,6 +119,37 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
     return Truncation(
         sys=sys, states=states, index=index, maps=tuple(maps), escapes=tuple(map(tuple, esc))
     )
+
+
+def _class_columns(k: int, rows: tuple, win: IntWindow, states: tuple, index: dict) -> tuple:
+    """(maps, escapes) of the truncation to lo..hi, one residue class per
+    branch.
+
+    The states x = k*t + r of the class r take one branch i and map to
+    A*t + B, for (i, A, B) = ``_class_step(k, rows, k, r)`` (Terras), and
+    A > 0.  So the t whose state and image both lie in lo..hi form one
+    run t0 <= t < u: the column map pairs two arithmetic slices of the
+    coordinates, steps k and A, and the class's escapes are its states
+    before t0 and from u on.  Trusts states = lo..hi, index over them in
+    that order, and rows of an affine table.
+    """
+    lo, hi = win.lo, win.hi
+    coords = index.values()  # 0..n-1, the index's own int objects
+    maps, escapes = [None] * k, [None] * k
+    for r in range(k):
+        i, A, B = _class_step(k, rows, k, r)
+        first = (r - lo) % k  # the position of the class's least state
+        t0 = max((lo + first - r) // k, -((B - lo) // A))
+        u = max(t0, min((hi - r) // k, (hi - B) // A) + 1)
+        c0, cu = k * t0 + r - lo, k * u + r - lo
+        # an empty run may lie past the window, where islice refuses to go
+        maps[i - 1] = (
+            dict(zip(islice(coords, c0, cu, k), islice(coords, A * t0 + B - lo, A * u + B - lo, A)))
+            if t0 < u
+            else {}
+        )
+        escapes[i - 1] = states[first:c0:k] + states[cu::k]
+    return tuple(maps), tuple(escapes)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,7 @@ def test_tower_steps(capsys):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ALPHABETA3 = '{"family":"alphabeta","k":3,"alpha":["4","4"],"beta":["2","1"]}'
+ALPHABETA3_GCD = '{"family":"alphabeta","k":3,"alpha":["3","3"],"beta":["1","1"]}'
 STUCK5 = '{"family":"alphabeta","k":5,"alpha":["2","3","7","9"],"beta":["3","1","2","1"]}'
 # the 30-state cycle x -> x mod 30 + 1 on branch x mod 3 + 1
 PERIOD3_30 = json.dumps(
@@ -243,6 +244,16 @@ PERIOD3_30 = json.dumps(
          ["tuc-scan", "--system", "qxd:5,3", "--window", "1..2000"]),
         ("tuc_scan_alphabeta3_w2000.json",
          ["tuc-scan", "--system", ALPHABETA3, "--window", "1..2000"]),
+        # the truncations below were pinned while every state was stepped
+        # by the kernel; on 37..500 division images fall below lo, so the
+        # escapes of one branch lie at the low end of the window and the
+        # others' at its high end; alpha 3, 3 fails gcd(a_i, k) = 1
+        ("operators_build_qxd5_3_w100_2000.json",
+         ["operators", "build", "--system", "qxd:5,3", "--window", "100..2000"]),
+        ("operators_build_alphabeta3_w37_500.json",
+         ["operators", "build", "--system", ALPHABETA3, "--window", "37..500"]),
+        ("operators_build_alphabeta3_gcd_w300.json",
+         ["operators", "build", "--system", ALPHABETA3_GCD, "--window", "1..300"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
