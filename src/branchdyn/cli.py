@@ -7,6 +7,18 @@ branch symbols as plain numbers, no timestamps or timing unless
 explicitly requested.  Identical invocations therefore produce byte
 identical files, which makes reports diffable artifacts.
 
+Reports are written by ``_canonical``, a small recursive writer whose
+output equals ``json.dumps(report, sort_keys=True, indent=2)`` byte for
+byte on str-keyed JSON values.  The indenting ``json.dumps`` runs the
+pure-Python encoder one element at a time; the writer instead joins a
+list of strings in one call over the C function
+``json.encoder.encode_basestring_ascii``, and an all-int list of states
+is rendered by ``map(str, ...)``.  Python's limit on int-to-string
+digits (4300 by default) guards parsing untrusted text: it still holds
+while options and input files are read, and is lifted only while states
+are rendered and the report is written.  ``main`` builds its parser
+once per process, on its first call.
+
 Exit codes: 0 success, 1 only for a report whose "passed" is false, 2
 for usage or input errors (every raised error).
 """
@@ -14,6 +26,7 @@ for usage or input errors (every raised error).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -22,6 +35,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, battery, coding, morphisms, operators, orbits, systems, words
 from .errors import BranchDynError, InvalidSpec, NotAffineFamily
@@ -30,29 +44,70 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _state(s):
-    """States go to decimal strings; shift states to a {pre, per} pair."""
-    if isinstance(s, systems.EventuallyPeriodic):
-        return {"pre": [int(t) for t in s.pre], "per": [int(t) for t in s.per]}
-    return str(s)
-
-
-def _states(seq):
-    return [_state(s) for s in seq]
-
-
-def _canonical(data: dict) -> str:
-    # lattice_size = 2**dimension can have more digits than Python converts
-    # by default (4300 since 3.10.7); that limit guards parsing untrusted
-    # text, not writing computed results
+@contextlib.contextmanager
+def _digits_unlimited():
+    """Lift Python's int-to-string digit limit (4300 since 3.10.7) for
+    the block: it guards parsing untrusted text, not writing computed
+    results, and a state or lattice_size can exceed it."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        yield
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _state(s):
+    """A state as a decimal string; a shift state as a {pre, per} pair."""
+    return _states((s,))[0]
+
+
+def _states(seq):
+    """States as ``_state`` renders them; exact ints (no bools) in one pass."""
+    seq = tuple(seq)
+    with _digits_unlimited():
+        if set(map(type, seq)) <= {int}:
+            return list(map(str, seq))
+        return [
+            {"pre": [int(t) for t in s.pre], "per": [int(t) for t in s.per]}
+            if isinstance(s, systems.EventuallyPeriodic) else str(s)
+            for s in seq
+        ]
+
+
+def _tagged(pairs):
+    """(state, tag) pairs as [state, tag] lists."""
+    return [[x, tag] for x, (_, tag) in zip(_states(x for x, _ in pairs), pairs)]
+
+
+def _write(v, indent: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it at
+    ``indent``; dict keys must be str."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, v)) == {str}:
+            items = map(encode_basestring_ascii, v)
+        else:
+            items = [_write(x, inner) for x in v]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(key) + ": " + _write(v[key], inner) for key in sorted(v)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(v)
+
+
+def _canonical(data: dict) -> str:
+    with _digits_unlimited():
+        return _write(data, "") + "\n"
 
 
 # options that shape how a report is written, not what it says, and the
@@ -254,7 +309,7 @@ def cmd_check_uniqueness(args):
         "fixed_words": rep.fixed_words,
         "scan_bound": rep.scan_bound,
         "violations": [
-            {"word": list(w), "fixed_points": [str(p) for p in pts]}
+            {"word": list(w), "fixed_points": _states(pts)}
             for w, pts in rep.violations
         ],
     }
@@ -315,7 +370,7 @@ def cmd_tower(args):
         steps.append(coding.tower_apply(sys_, steps[-1]))
     return {
         "towers": [
-            {"depth": t.depth, "digits": [str(d) for d in t.digits]}
+            {"depth": t.depth, "digits": _states(t.digits)}
             for t in steps
         ]
     }
@@ -383,8 +438,8 @@ def cmd_operators_pm_limit(args):
         "passed": rep.passed,
         "stabilization_index": rep.stabilization_index,
         "eliminated": [
-            {"state": _state(s), "step": m, "cause": c}
-            for s, m, c in rep.eliminated
+            {"state": x, "step": m, "cause": c}
+            for x, (_, m, c) in zip(_states(e[0] for e in rep.eliminated), rep.eliminated)
         ],
         "never_eliminated": _states(rep.never),
         "window_horizon": rep.window_horizon,
@@ -400,7 +455,7 @@ def cmd_morphism_check(args):
     return {
         "passed": rep.passed,
         "checked": rep.checked,
-        "violations": [[_state(x), why] for x, why in rep.violations],
+        "violations": _tagged(rep.violations),
     }
 
 
@@ -408,7 +463,7 @@ def cmd_morphism_iso(args):
     rep = morphisms.is_isomorphism(_morphism(args), args.window)
     witness = rep.witness
     if witness and isinstance(witness[0], tuple):  # the first (state, reason) violation
-        witness = [[_state(x), why] for x, why in witness]
+        witness = _tagged(witness)
     elif witness:  # a collision (x, x', phi(x)) or up to three missed states
         witness = _states(witness)
     return {
@@ -574,9 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     args._t0 = time.monotonic()
     try:
         for dest, read in _RESOLVE:

@@ -8,6 +8,7 @@ import io
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,13 @@ PERIOD3_30 = json.dumps(
          ["operators", "build", "--system", ALPHABETA3, "--window", "37..500"]),
         ("operators_build_alphabeta3_gcd_w300.json",
          ["operators", "build", "--system", ALPHABETA3_GCD, "--window", "1..300"]),
+        # the two reports below were pinned while every state was written
+        # by json.dumps's indenting encoder; minimality's classes nest
+        # lists and its unresolved states are not empty
+        ("total_orbit_collatz_x1_w2000.json",
+         ["total-orbit", "--system", "collatz", "--x", "1", "--window", "1..2000"]),
+        ("minimality_qxd5_1_w200.json",
+         ["minimality", "--system", "qxd:5,1", "--window", "1..200"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -1142,6 +1150,91 @@ def test_verify_all_reports_a_check_that_raises(capsys, monkeypatch):
                                 "passed": False, "detail": "raised NotACycle: planted"}
     assert rep["checks"][6]["detail"] == "raised KeyError: 7"
     assert rep["anomalies"] == ["check_3x_plus_d_fixed_points", "check_coding_injectivity"]
+
+
+# -- the report writer and the parser -------------------------------------------------
+
+JSON_TEXT = st.text(max_size=6) | st.text(
+    st.characters(codec=None, min_codepoint=0xD800, max_codepoint=0xDFFF), max_size=2)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | JSON_TEXT
+    # ints past Python's 4300-digit conversion limit
+    | st.builds(lambda d, sign: sign * (7 * 10**d + 3), st.integers(4300, 4400),
+                st.sampled_from((1, -1)))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.lists(JSON_TEXT) | st.dictionaries(JSON_TEXT, children),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(data=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4))
+@example(data={})
+@example(data={"a": [], "b": {}, "c": (), "d": [[], {}, [[]]]})
+@example(data={"flags": [True, False, None, 1, "1"], "n": -0, "t": (1, "x")})
+@example(data={'q"\\': ['"', "\\", "\x00\x1f\x7f", "é \U0001F600", "\ud800"]})
+@example(data={"big": [10**4301, -(10**5000)], "states": ["9" * 4400]})
+def test_report_writer_equals_indented_json_dumps(data):
+    with cli._digits_unlimited():
+        expected = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert cli._canonical(data) == expected
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["orbit", "--system", "collatz", "--x", "7"],
+                 ["cycles", "--system", "collatz", "--max-len", "5"],
+                 ["orbit", "--system", "collatz", "--x", "0"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert calls == [1]
+
+
+def test_options_do_not_leak_between_calls(capsys):
+    cycles = ["cycles", "--system", "collatz", "--max-len", "5"]
+    assert cli.main([*cycles, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("word,cycle,length")
+    code, rep = run(capsys, *cycles)
+    assert code == 0 and rep["cycle_count"] == 1
+    code_x5 = ["code", "--system", "collatz", "--x", "5"]
+    code, rep = run(capsys, *code_x5, "--exact-tail")
+    assert code == 0 and "coding" in rep
+    code, rep = run(capsys, *code_x5)
+    assert code == 0 and "coding" not in rep
+
+
+def test_states_beyond_the_int_digit_limit_are_written(capsys):
+    # the limit guards parsing: a 4299-digit start is read, and the orbit's
+    # states grow past 4300 digits; only rendering and writing lift it
+    limit = sys.get_int_max_str_digits()
+    x = 7 * 10**4298 + 1
+    code = cli.main(["orbit", "--system", "mersenne:5", "--x", str(x), "--cap", "300"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["start"] == str(x)
+    assert max(map(len, rep["trajectory"])) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_an_x_beyond_the_int_digit_limit_is_exit_2(capsys):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["orbit", "--system", "mersenne:5", "--x", "7" * 4302])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == limit
 
 
 # -- fuzzing ---------------------------------------------------------------------------
