@@ -30,15 +30,15 @@ is decided by one of two routes that give the same report:
 Residue towers capture what the coding sees of an integer state x:
 the digits r_j = x mod k^j for j = 1..depth.  The top digit fixes the
 rest (r_j = r_depth mod k^j), so a tower is stored as the one residue
-x mod k^depth, its k-adic truncation, and the digits are derived from
-it.  An affine branch maps that residue r to (a r + b) mod k^depth at
-the same depth; the division branch maps it to r / k and consumes one
-level (r'_j = r_{j+1} / k), so depth-1 towers cannot be divided further.
-
-That step is one integer kernel, ``_tower_step``, on (depth, residue);
-``_tower_rows`` runs the system checks it trusts.  ``tower_apply`` is the
-checks, the step and a tower; the battery's tower check (check 12) runs
-the checks once per system and sweeps plain residues through the kernel.
+v = x mod k^depth, its k-adic truncation, and the digits are derived
+from it.  A tower is the residue class x = k^depth*t + v, so its step is
+the class step ``systems._class_step``: an affine branch maps it to
+a*k^depth*t + (a v + b), the tower (a v + b) mod k^depth at the same
+depth; the division branch maps it to k^(depth-1)*t + v / k and consumes
+one level, so depth-1 towers cannot be divided further.  ``tower_apply``
+is ``_tower_rows``' system checks, that class step and a tower; the
+battery's tower check (check 12) runs the checks once per system and
+tests the class step on states against the system's own step.
 """
 
 from __future__ import annotations
@@ -57,18 +57,10 @@ from .systems import (
     EventuallyPeriodic,
     IntWindow,
     _class_step,
-    _is_int,
+    _need_int,
     as_window,
     window_states,
 )
-
-
-def _need_int(name: str, v) -> None:
-    """Refuse a count that is no int: True would pass as 1, and 2.0
-    would pass the range checks and then leak a TypeError or float
-    arithmetic."""
-    if not _is_int(v):
-        raise InvalidSpec(f"need an int {name}, got {v!r}")
 
 
 def coding_prefix(sys: DynamicalSystem, x, length: int) -> tuple:
@@ -355,7 +347,7 @@ def _tower_rows(sys: DynamicalSystem, k: int) -> tuple:
     Raises NotAffineFamily off the affine families, InvalidSpec when the
     system's k differs, and PreconditionUnmet when some gcd(a_i, k) > 1.
     A loop over many towers of one system runs these checks once and
-    then calls ``_tower_step`` on the rows.
+    then calls ``_class_step`` on the rows.
     """
     if not sys.is_affine:
         raise NotAffineFamily("towers live over the affine families")
@@ -370,33 +362,22 @@ def _tower_rows(sys: DynamicalSystem, k: int) -> tuple:
     return sys._affine
 
 
-def _tower_step(rows: tuple, k: int, depth: int, value: int) -> tuple:
-    """One tower step on the residue value = x mod k^depth: (depth', value').
-
-    Trusts rows from ``_tower_rows`` and 0 <= value < k^depth.
-    """
-    i = value % k
-    if i != 0:
-        a, b = rows[i - 1]
-        return depth, (a * value + b) % k**depth
-    if depth == 1:
-        raise DepthExhausted("division branch on a depth-1 tower")
-    return depth - 1, value // k
-
-
 def tower_apply(sys: DynamicalSystem, tower: ResidueTower) -> ResidueTower:
     """Push a residue tower through one step of the system.
 
-    The branch is read off the residue r mod k.  An affine branch maps r
-    to (a_i r + b_i) mod k^depth at full depth; the division branch maps
-    it to r / k (exact, since k | r), losing one level.  Dividing a
-    depth-1 tower raises DepthExhausted: no digit of the successor is
-    determined.
+    The tower is the class x = k^depth*t + value, and ``_class_step``
+    reads its branch off value mod k.  An affine branch keeps the depth;
+    the division branch loses one level.  Dividing a depth-1 tower
+    raises DepthExhausted: no digit of the successor is determined.
     """
-    k = tower.k
-    rows = _tower_rows(sys, k)
-    depth, value = _tower_step(rows, k, tower.depth, tower.value)
-    return ResidueTower(k, depth, value)
+    k, depth = tower.k, tower.depth
+    M = k**depth
+    symbol, _, B = _class_step(k, _tower_rows(sys, k), M, tower.value)
+    if symbol == k:
+        if depth == 1:
+            raise DepthExhausted("division branch on a depth-1 tower")
+        depth, M = depth - 1, M // k
+    return ResidueTower(k, depth, B % M)
 
 
 @dataclass(frozen=True)

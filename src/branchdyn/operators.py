@@ -50,6 +50,7 @@ from .systems import (
     IntWindow,
     _class_step,
     _components,
+    _need_int,
     _primitive_period,
     window_states,
 )
@@ -230,6 +231,7 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
     at the stabilization index (P_m then drops e_x), or the cap runs out
     before separation or a pair revisit.
     """
+    _need_int("cap", cap)
     if cap < 1:
         raise InvalidSpec(f"need cap >= 1, got {cap}")
     for c in a:

@@ -19,6 +19,7 @@ from .systems import (
     _JUMP_TABLE_SIZE,
     DynamicalSystem,
     _components,
+    _need_int,
     as_window,
     window_states,
 )
@@ -99,6 +100,7 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     branch from p on, so a first repeat within cap shows there as a
     landing met again, and no repeat means none within cap.
     """
+    _need_int("cap", cap)
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     sys._require(x)
@@ -202,6 +204,7 @@ class TotalOrbitApprox:
 
 def invariant_closure(sys, seeds, window, node_budget: int = 10**6) -> TotalOrbitApprox:
     """Close ``seeds`` under f and preimages inside ``window`` by BFS."""
+    _need_int("node_budget", node_budget)
     if node_budget < 0:
         raise InvalidSpec(f"need node_budget >= 0, got {node_budget}")
     win = as_window(sys, window)

@@ -180,6 +180,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _need_int(name: str, v) -> None:
+    """Refuse a count that is no int: True would pass as 1, and 2.0
+    would pass the range checks and then leak a TypeError or float
+    arithmetic."""
+    if not _is_int(v):
+        raise InvalidSpec(f"need an int {name}, got {v!r}")
+
+
 def collatz() -> QxPlusD:
     return QxPlusD(3, 1)
 
@@ -397,6 +405,7 @@ class DynamicalSystem:
             self._set_affine(2, ((q, d),))
             kernels = _affine_kernels(2, self._affine)
         elif isinstance(spec, AlphaBeta):
+            _need_int("k", spec.k)
             if spec.k < 2:
                 raise InvalidSpec("need k >= 2")
             if len(spec.alpha) != spec.k - 1 or len(spec.beta) != spec.k - 1:
@@ -415,6 +424,7 @@ class DynamicalSystem:
             self._label_type = {x: type(x) for x in spec.states}
             if not spec.states:
                 raise InvalidSpec("state set must be nonempty")
+            _need_int("k", spec.k)
             if spec.k < 1:
                 raise InvalidSpec("need k >= 1")
             labels = self._label_type.keys()
@@ -443,6 +453,7 @@ class DynamicalSystem:
                        lambda x: (image[x], 1))
         elif isinstance(spec, SymbolicShift):
             self.k = k = spec.k
+            _need_int("k", k)
             if k < 1:
                 raise InvalidSpec("need k >= 1")
 

@@ -40,7 +40,7 @@ from .orbits import orbit_iterate
 from .systems import (
     DynamicalSystem,
     IntWindow,
-    _is_int,
+    _need_int,
     _primitive_period,
     _state_order,
     window_states,
@@ -133,14 +133,14 @@ class CycleRecord:
         return len(self.cycle)
 
 
-def _expanding_rows(sys: DynamicalSystem) -> list:
-    """The integer (a_i, b_i) of branches 1..k-1, read once per solve or
-    search; a system whose branches are not affine has none."""
+def _expanding_rows(sys: DynamicalSystem) -> tuple:
+    """The integer (a_i, b_i) of branches 1..k-1, the system's own table;
+    a system whose branches are not affine has none."""
     if not sys.is_affine:
         raise NotAffineFamily(
             f"{type(sys.spec).__name__} branches are not affine maps"
         )
-    return [sys.branch_affine_int(i) for i in range(1, sys.k)]
+    return sys._affine
 
 
 def _fold(k, word, rows):
@@ -242,6 +242,7 @@ def enumerate_cycles(sys: DynamicalSystem, max_len: int) -> CycleSearchReport:
     """
     if not sys.is_affine:
         raise NotAffineFamily("cycle search solves affine fixed-point equations")
+    _need_int("max_len", max_len)
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
     rows = _expanding_rows(sys)
@@ -296,6 +297,7 @@ def check_separating(sys: DynamicalSystem, x, cap: int) -> SeparatingReport:
     again: the orbit ran into a cycle without x.  A non-return is
     reported, not an error.
     """
+    _need_int("cap", cap)
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
     sys._require(x)
@@ -367,18 +369,19 @@ def check_uniqueness(
     there are not its solved point is a violation, listed with both.  A
     solved point within the bound replays, so no unlisted word can be one.
     """
+    _need_int("max_len", max_len)
     if max_len < 1:
         raise InvalidSpec("need max_len >= 1")
     if sys.is_finite:
         scan_bound = None  # every state is walked, whatever the bound
     elif not sys.is_affine:
         raise NotAffineFamily("uniqueness check needs affine or finite-table systems")
-    elif not _is_int(scan_bound):
+    else:
         # True or 2.5 would otherwise be refused as a window never passed
-        raise InvalidSpec(f"need an int scan_bound, got {scan_bound!r}")
-    elif scan_bound < 1:
-        # a scan over no state would guard nothing yet still pass
-        raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
+        _need_int("scan_bound", scan_bound)
+        if scan_bound < 1:
+            # a scan over no state would guard nothing yet still pass
+            raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
     window = None if scan_bound is None else IntWindow(1, scan_bound)
     fixed = _fixed_words(sys, window_states(sys, window)[1], max_len)
     if scan_bound is None:
@@ -420,6 +423,7 @@ def verify_unifix(sys: DynamicalSystem, word: Iterable, m: int) -> UniFixReport:
     is equality of the two solver results.
     """
     word = check_word(word, sys.k)
+    _need_int("m", m)
     if m < 1:
         raise InvalidSpec("need m >= 1")
     x1 = fixed_point_of_word(sys, word)

@@ -132,7 +132,7 @@ def test_code_exact_tail(capsys):
     assert rep["coding"] == {"pre": [1, 2, 2], "per": [2, 2, 1]}
 
 
-def test_tower_steps(capsys):
+def test_tower_report_lists_each_step(capsys):
     code, rep = run(
         capsys, "tower", "--system", "collatz", "--x", "13", "--depth", "4",
         "--steps", "1",
@@ -288,6 +288,20 @@ def test_tower_needs_an_affine_system(capsys, system):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "system, x",
+    [("collatz", "6"), (STUCK5, "10")],
+    ids=["collatz", "alphabeta5"],
+)
+def test_tower_division_at_depth_one_is_exit_2(capsys, system, x):
+    # x is a multiple of k: its depth-1 tower has no successor
+    code = cli.main(["tower", "--system", system, "--x", x, "--depth", "1", "--steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: division branch on a depth-1 tower\n"
 
 
 # -- checks and exit codes ------------------------------------------------------

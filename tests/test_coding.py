@@ -569,10 +569,11 @@ def test_trusted_towers_equal_validated_ones(spec, x, depth):
                 setattr(tower, field, 1)
 
 
-# Check 12 sweeps residues through coding._tower_step; a transport that is
-# wrong at one (x, depth) alone, or that forgets the depth-1 division,
-# must still fail it.  Below k^depth the residue of x is x itself, and no
-# smaller state shares it, so the planted fault first shows at x.
+# Check 12 tests coding._class_step, the kernel towers read, on the class
+# (k^depth, x mod k^depth) of each state x against the system's own step
+# and branch; a kernel that is wrong on one class alone must still fail
+# it.  Below k^depth the residue of x is x itself, and no smaller state
+# shares it, so the planted fault first shows at x.
 
 
 @pytest.mark.parametrize(
@@ -581,32 +582,33 @@ def test_trusted_towers_equal_validated_ones(spec, x, depth):
     ids=["collatz-odd", "collatz-division", "alphabeta3", "alphabeta5"],
 )
 def test_check_digit_towers_catches_one_wrong_step(monkeypatch, k, x, depth):
-    true_step = coding._tower_step
+    true_step = coding._class_step
 
-    def off_by_one(rows, k_, depth_, value):
-        d, v = true_step(rows, k_, depth_, value)
-        if (k_, depth_, value) == (k, depth, x):
-            v = (v + 1) % k_**d
-        return d, v
+    def off_by_one(k_, rows, A, B):
+        symbol, A2, B2 = true_step(k_, rows, A, B)
+        if (k_, A, B) == (k, k**depth, x):
+            B2 += 1
+        return symbol, A2, B2
 
-    monkeypatch.setattr(coding, "_tower_step", off_by_one)
+    monkeypatch.setattr(coding, "_class_step", off_by_one)
     result = battery.check_digit_towers()
     assert not result.passed
     assert result.detail == f"k={k} x={x} depth={depth}: tower mismatch"
 
 
-def test_check_digit_towers_catches_an_unflagged_division(monkeypatch):
-    true_step = coding._tower_step
+def test_check_digit_towers_catches_a_wrong_symbol(monkeypatch):
+    true_step = coding._class_step
 
-    def lenient(rows, k, depth, value):
-        if depth == 1 and value % k == 0:
-            return 1, 0
-        return true_step(rows, k, depth, value)
+    def relabelled(k, rows, A, B):
+        symbol, A2, B2 = true_step(k, rows, A, B)
+        if (k, A, B) == (3, 27, 7):
+            symbol = symbol % k + 1
+        return symbol, A2, B2
 
-    monkeypatch.setattr(coding, "_tower_step", lenient)
+    monkeypatch.setattr(coding, "_class_step", relabelled)
     result = battery.check_digit_towers()
     assert not result.passed
-    assert result.detail == "k=2 x=2: depth-1 division not flagged"
+    assert result.detail == "k=3 x=7 depth=3: symbol mismatch"
 
 
 def test_deep_tower_is_not_quadratic(collatz, deadline):

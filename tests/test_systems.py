@@ -134,6 +134,34 @@ def test_shift_system_requires_positive_k():
         systems.make_system(systems.SymbolicShift(0))
 
 
+# a count of True once ran as 1, a float ran as given or leaked a TypeError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: orbits.orbit_iterate(c, 27, 300.0),
+        lambda c: orbits.invariant_closure(c, [1], (1, 20), 2.5),
+        lambda c: words.enumerate_cycles(c, True),
+        lambda c: words.enumerate_cycles(c, 2.5),
+        lambda c: words.check_separating(c, 1, 2.5),
+        lambda c: words.check_uniqueness(c, 2.5),
+        lambda c: words.check_uniqueness(c, 3, True),
+        lambda c: words.verify_unifix(c, (1, 2), 2.5),
+        lambda c: _pm_limit(c, 1, cap=True),
+        lambda c: _pm_limit(c, 1, cap=2.5),
+        lambda c: systems.make_system(systems.SymbolicShift(2.5)),
+        lambda c: systems.make_system(systems.FiniteTable.make({1: 1}, {1: 1}, k=2.5)),
+        lambda c: systems.make_system(systems.AlphaBeta(3.0, (4, 4), (2, 1))),
+    ],
+    ids=["orbit-cap", "closure-budget", "cycles-max-len-bool", "cycles-max-len",
+         "separating-cap", "uniqueness-max-len", "uniqueness-scan-bound-bool",
+         "unifix-m", "pm-limit-cap-bool", "pm-limit-cap", "shift-k", "table-k",
+         "alphabeta-k"],
+)
+def test_counts_that_are_no_ints_are_refused(collatz, call):
+    with pytest.raises(InvalidSpec, match="^need an int "):
+        call(collatz)
+
+
 def test_system_equality_is_spec_based(collatz):
     again = systems.make_system(systems.collatz())
     assert again == collatz
@@ -779,10 +807,10 @@ def test_loops_reject_a_bad_entry_state(loop, case):
     assert str(exc.value) == f"{bad!r} is not a state of this system"
 
 
-def _pm_limit(sys, x):
+def _pm_limit(sys, x, cap=64):
     window = systems.SetWindow([1, 2, 3] if sys.is_affine else sys.states())
     trunc = operators.build_truncation(sys, window)
-    return operators.verify_pm_limit(trunc, {0: 1}, x)
+    return operators.verify_pm_limit(trunc, {0: 1}, x, cap)
 
 
 def test_pm_limit_rejects_a_bad_target_state():

@@ -166,10 +166,7 @@ def test_identity_composition_is_flagged():
     class Stub:
         k = 2
         is_affine = True
-
-        @staticmethod
-        def branch_affine_int(i):
-            return (2, 0)  # branch 1 doubles; branch 2 halves
+        _affine = ((2, 0),)  # branch 1 doubles; branch 2 halves
 
     with pytest.raises(IdentityComposition):
         words.fixed_point_of_word(Stub(), (1, 2))
