@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from itertools import islice
+from operator import sub
 
 from .errors import InvalidSpec
 from .systems import (
@@ -23,6 +25,10 @@ from .systems import (
     as_window,
     window_states,
 )
+
+# the held landings at the end of a capped jump walk whose jumps are
+# scanned first for its last certified record
+_TAIL = 64
 
 
 def canonical_cycle(cycle) -> tuple:
@@ -47,8 +53,9 @@ class OrbitRecord:
     The walk finds it with few single steps.  It holds the start and its
     landings, each at its index, and ends at a landing met again, which
     lies on the cycle C; single steps from it give C.  The first held
-    state on C is at or after the entry, and the held state before it,
-    at index i, is before the entry, so entry_index is i plus the single
+    state on C is at or after the entry, and every held state after it
+    is on C too, so the last held state off C, at index i, is the one
+    before it and is before the entry: entry_index is i plus the single
     steps from that state onto C (0 if the start is on C).  The orbit
     entered its cycle iff entry_index + len(C) <= cap, since a walk of
     single steps meets its first repeat at step entry_index + len(C).
@@ -94,11 +101,17 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     peak, the state just after a jump's last affine step, is a certified
     record when it exceeds every earlier peak and the bounds of this and
     every earlier jump: no earlier state equals it, so the first repeat
-    comes after it.  The leap walk starts at the last such record p (the
-    start if there is none), holding the landings before p, and runs to
-    cap plus the longest jump.  It meets every state off the division
-    branch from p on, so a first repeat within cap shows there as a
-    landing met again, and no repeat means none within cap.
+    comes after it.  ``_last_record`` finds the last such record p from
+    the tail of the walk: ``cover`` of the largest landing before the
+    last ``_TAIL`` bounds every state of the jumps from them, so a peak
+    above it and above the tail's earlier peaks and bounds is a record.
+    Only if the tail holds none is the whole walk scanned.  The leap
+    walk starts at p (the start if there is no record), holding the
+    landings before p, and runs to cap plus the longest jump.  It meets
+    every state off the division branch from p on, so a first repeat
+    within cap shows there as a landing met again, and no repeat means
+    none within cap.  Either walk finds the cycle's entry from the end
+    of its landings (see ``OrbitRecord``).
     """
     _need_int("cap", cap)
     if cap < 0:
@@ -109,10 +122,10 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     if jumps is None:
         y = _walk(sys._leap, seen, x, 0, cap)
     else:
-        jump, rise = jumps
+        jump, rise, cover = jumps
         y = _walk(jump, seen, x, 0, cap)
         if y is None:
-            p, at, longest = _last_record(seen, x, rise)
+            p, at, longest = _last_record(seen, x, rise, cover)
             while seen:  # the landings from p on are met again by the leaps
                 z, i = seen.popitem()
                 if i < at:
@@ -149,22 +162,41 @@ def _walk(advance, seen: dict, cur, n: int, limit: int):
     return None
 
 
-def _last_record(seen: dict, x, rise) -> tuple:
+def _last_record(seen: dict, x, rise, cover) -> tuple:
     """(p, its index, the longest jump) over the jumps from the states in
     ``seen``: p is the last certified record (see ``orbit_iterate``), or
-    x at 0 if there is none."""
-    p, at = x, 0
-    top = longest = last = 0  # top: the largest bound or peak so far
-    for z, i in seen.items():
-        if i - last > longest:
-            longest = i - last
-        last = i
+    x at 0 if there is none.
+
+    The scan reads the jumps from the last ``_TAIL`` landings first, with
+    its top starting at cover(z) for the largest earlier landing z, which
+    bounds every state of every earlier jump.  That top is at least the
+    one a scan of the whole walk holds there, so a record it finds is
+    one, and once it finds one both tops are that record, so the last
+    record it finds is the last.  If it finds none, the whole walk is
+    scanned from a top of 0.
+    """
+    held = seen.values()
+    longest = max(map(sub, islice(held, 1, None), held), default=0)
+    n = len(seen) - _TAIL
+    found = None
+    if n > 0:
+        found = _record(islice(seen.items(), n, None), rise, cover(max(islice(seen, n))))
+    if found is None:
+        found = _record(seen.items(), rise, 0) or (x, 0)
+    return found + (longest,)
+
+
+def _record(landings, rise, top) -> tuple | None:
+    """(p, its index) for the last peak, over the jumps from ``landings``,
+    above every earlier peak and bound and ``top``; None if there is none."""
+    found = None
+    for z, i in landings:
         t, peak, bound = rise(z)
         if bound > top:
             top = bound
         if peak > top:
-            top, p, at = peak, peak, i + t
-    return p, at, longest
+            top, found = peak, (peak, i + t)
+    return found
 
 
 def _cycle_and_entry(step, seen: dict, y) -> tuple:
@@ -175,14 +207,11 @@ def _cycle_and_entry(step, seen: dict, y) -> tuple:
         cycle.append(z)
         z = step(z)
     on = set(cycle)
-    before = None
-    for z, i in seen.items():
-        if z in on:
+    for z, entry in reversed(seen.items()):  # the last held state off C
+        if z not in on:
             break
-        before = z, i
-    if before is None:
+    else:
         return cycle, 0
-    z, entry = before
     while z not in on:
         z = step(z)
         entry += 1
@@ -278,6 +307,7 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     Out-of-window excursions longer than the budget leave their start
     state unresolved (its class may spuriously split).
     """
+    _need_int("budget", budget)
     if budget < 0:
         raise InvalidSpec(f"need budget >= 0, got {budget}")
     win, order = window_states(sys, window)

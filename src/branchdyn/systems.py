@@ -315,15 +315,20 @@ def _jump_table(k: int, rows: tuple) -> tuple:
 
 
 def _jump_kernels(k: int, rows: tuple) -> tuple:
-    """(jump, rise) over ``_jump_table``, for k * k <= _JUMP_TABLE_SIZE.
+    """(jump, rise, cover) over ``_jump_table``, for k * k <= _JUMP_TABLE_SIZE.
 
     ``jump(x)`` is (f^s(x), s): the table's t steps from x, then the
     whole run of divisions, so f^s(x) is off the division branch, as
     after a ``_leap``.  ``rise(x)`` is (t, A*a + B, UA*a + UB) for
     x = size*a + b: the peak of the jump and a bound on the states
-    before it.
+    before it.  ``cover(x)`` is C*a + E, with C the largest UA or A and
+    E the largest UB or B of the table: every state of the jump from x,
+    its run of divisions included, is at most cover(x), and cover does
+    not decrease with x.
     """
     size, table = _jump_table(k, rows)
+    C = max(max(UA, A) for _, A, _, UA, _ in table)
+    E = max(max(UB, B) for _, _, B, _, UB in table)
     if k == 2:
         mask, shift = size - 1, size.bit_length() - 1
 
@@ -337,6 +342,9 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
             t, A, B, UA, UB = table[x & mask]
             a = x >> shift
             return t, A * a + B, UA * a + UB
+
+        def cover(x):
+            return C * (x >> shift) + E
 
     else:
 
@@ -355,7 +363,10 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
             t, A, B, UA, UB = table[b]
             return t, A * a + B, UA * a + UB
 
-    return jump, rise
+        def cover(x):
+            return C * (x // size) + E
+
+    return jump, rise, cover
 
 
 class DynamicalSystem:

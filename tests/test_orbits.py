@@ -165,8 +165,35 @@ JUMP_AFFINE = {
 # a start divisible by the table size: its entry makes divisions only
 @example("collatz", 256 * 27, 500)
 @example("alphabeta3_gcd", 243 * 5, 1000)
+# capped walks whose last _TAIL landings jump to no certified record, so
+# the record scan reads the whole walk
+@example("collatz", 2**75 - 1, 1000)
+@example("alphabeta3", 15921918775679954892, 773)
 def test_jump_walk_matches_eager_oracle(name, x, cap):
     check_caps(JUMP_AFFINE[name], x, cap, reach=3000)
+
+
+@pytest.mark.parametrize("name, x, cap, whole", [
+    ("collatz", 2**75 - 1, 1000, True),
+    ("alphabeta3", 15921918775679954892, 773, True),
+    ("qxd:5,1", 7, 10**4, False),
+])
+def test_record_scan_reads_the_tail_first(name, x, cap, whole):
+    # rise runs on the jumps from the last _TAIL landings, and only when
+    # they hold no certified record on the jumps from every landing
+    sys = systems.make_system(JUMP_AFFINE[name].spec)
+    jump, rise, cover = sys._jumps()
+    risen = []
+    sys._jump_cache = jump, lambda z: risen.append(z) or rise(z), cover
+    assert not orbits.orbit_iterate(sys, x, cap).entered_cycle
+    assert x not in risen[:orbits._TAIL]
+    if whole:
+        # from the start through the tail again
+        assert risen[orbits._TAIL] == x
+        assert risen[-orbits._TAIL:] == risen[:orbits._TAIL]
+    else:
+        assert len(risen) == orbits._TAIL
+    assert_matches_oracle(sys, x, cap)
 
 
 def test_long_walks_jump(five_x_one):

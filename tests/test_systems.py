@@ -140,6 +140,8 @@ def test_shift_system_requires_positive_k():
     [
         lambda c: orbits.orbit_iterate(c, 27, 300.0),
         lambda c: orbits.invariant_closure(c, [1], (1, 20), 2.5),
+        lambda c: orbits.minimality_probe(c, (1, 20), 2.5),
+        lambda c: orbits.minimality_probe(c, (1, 20), True),
         lambda c: words.enumerate_cycles(c, True),
         lambda c: words.enumerate_cycles(c, 2.5),
         lambda c: words.check_separating(c, 1, 2.5),
@@ -152,10 +154,10 @@ def test_shift_system_requires_positive_k():
         lambda c: systems.make_system(systems.FiniteTable.make({1: 1}, {1: 1}, k=2.5)),
         lambda c: systems.make_system(systems.AlphaBeta(3.0, (4, 4), (2, 1))),
     ],
-    ids=["orbit-cap", "closure-budget", "cycles-max-len-bool", "cycles-max-len",
-         "separating-cap", "uniqueness-max-len", "uniqueness-scan-bound-bool",
-         "unifix-m", "pm-limit-cap-bool", "pm-limit-cap", "shift-k", "table-k",
-         "alphabeta-k"],
+    ids=["orbit-cap", "closure-budget", "minimality-budget", "minimality-budget-bool",
+         "cycles-max-len-bool", "cycles-max-len", "separating-cap", "uniqueness-max-len",
+         "uniqueness-scan-bound-bool", "unifix-m", "pm-limit-cap-bool", "pm-limit-cap",
+         "shift-k", "table-k", "alphabeta-k"],
 )
 def test_counts_that_are_no_ints_are_refused(collatz, call):
     with pytest.raises(InvalidSpec, match="^need an int "):
@@ -651,7 +653,7 @@ def test_jump_and_rise_follow_single_steps(name, x):
     # jump(x) = (f^s(x), s) lands off the division branch; rise(x) is the
     # peak at step t <= s and a bound on the states before it
     sys = systems.make_system(JUMP_SPECS[name])
-    jump, rise = sys._jumps()
+    jump, rise, cover = sys._jumps()
     y, s = jump(x)
     t, peak, bound = rise(x)
     walk = [x]
@@ -661,6 +663,8 @@ def test_jump_and_rise_follow_single_steps(name, x):
     assert sys.branch_of(y) != sys.k
     assert walk[t] == peak
     assert max(walk[:t]) <= bound
+    # cover(x) bounds every state from x to y, the run of divisions too
+    assert max(walk) <= cover(x)
 
 
 def test_jump_tables_are_built_by_the_first_long_walk():
