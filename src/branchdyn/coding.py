@@ -58,7 +58,6 @@ from .systems import (
     IntWindow,
     _class_step,
     _need_int,
-    as_window,
     window_states,
 )
 
@@ -104,21 +103,17 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     two or more states survives cap rounds, the refinement runs instead
     and lists the groups.  Tables, shifts, ``SetWindow`` and systems with
     a slope sharing a factor with k always take the refinement.  The
-    class walk lists no state: it checks the budget and the bounds as
-    ``window_states`` does, and the states are listed only for the
-    refinement.
+    states from ``window_states`` are an ``IntWindow``'s own range, so
+    the class walk lists none of them.
     """
     _need_int("cap", cap)
     if cap < 0:
         raise InvalidSpec(f"need cap >= 0, got {cap}")
-    win = as_window(sys, window)
-    rounds, blocks, states = None, [], ()
+    win, states = window_states(sys, window)
+    rounds, blocks = None, []
     if sys.is_affine and not sys.gcd_failures and isinstance(win, IntWindow):
-        win._check_budget()
-        sys._require(win.lo)
         rounds = _class_rounds(sys.k, sys._affine, win, cap)
     if rounds is None:
-        win, states = window_states(sys, win)
         rounds, blocks = _refine(sys, states, cap)
     n = win.size()
     return TucReport(
@@ -132,7 +127,7 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     )
 
 
-def _refine(sys: DynamicalSystem, states: tuple, cap: int) -> tuple:
+def _refine(sys: DynamicalSystem, states, cap: int) -> tuple:
     """(rounds, blocks): the partition refinement of ``verify_tuc_window``
     over cap rounds; blocks of indices into states, empty when every
     pair split."""

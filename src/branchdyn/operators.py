@@ -3,13 +3,15 @@
 On the full state space each branch i induces a partial isometry T_i
 with T_i e_x = e_{f(x)} for x in X_i and T_i e_x = 0 otherwise.  A
 truncation restricts everything to a finite window W and stores only
-the states, their coordinates, and per branch i the column map of M_i
-(a 1 in row f(x), column x for each x in X_i with both endpoints in W)
-and the escapes, the states of X_i whose image leaves W.  On an integer
-window lo..hi of an affine system X_i is one residue class mod k and f
-is affine on it, so the column map and the escapes are arithmetic
-slices of W; finite tables, shifts, explicit state sets and a given
-order take one pass over W, a kernel call per state.  Per-branch
+the states in coordinate order (the dict of their coordinates is
+derived on first read) and per branch i the column map of M_i (a 1 in
+row f(x), column x for each x in X_i with both endpoints in W) and the
+escapes, the states of X_i whose image leaves W.  On an integer window
+lo..hi of an affine system the states are the window's range, x sits at
+x - lo, X_i is one residue class mod k and f is affine on it, so the
+column map pairs two ranges and the escapes are slices of W; finite
+tables, shifts, explicit state sets and a given order take one pass
+over W, a kernel call per state.  Per-branch
 injectivity makes every M_i a sub-permutation matrix, so M_i M_i^T M_i
 = M_i exactly, and M_i^T e_c = e_p for the branch-i preimage p of state
 c when p is in W: it is read off the system's preimage kernel, not
@@ -41,7 +43,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from functools import cached_property
+from itertools import product
 from math import gcd
 
 from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
@@ -63,11 +66,18 @@ MAX_COMMUTANT_BASIS_ENTRIES = 10**5
 
 @dataclass(frozen=True)
 class Truncation:
+    """M_i's column maps and escapes on a window; ``states`` is the
+    window's own sequence (an ``IntWindow``'s range) or the given order."""
+
     sys: DynamicalSystem
-    states: tuple  # window states in index order
-    index: dict  # state -> 0-based coordinate
+    states: tuple | range  # window states in coordinate order
     maps: tuple  # per branch: dict column index -> row index
     escapes: tuple  # per branch: tuple of states mapped out of the window, in window order
+
+    @cached_property
+    def index(self) -> dict:
+        """state -> 0-based coordinate, built on first read, not by the class route."""
+        return {x: c for c, x in enumerate(self.states)}
 
     @property
     def n(self) -> int:
@@ -103,10 +113,10 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
         if len(order) != len(states) or set(order) != set(states) or not all(map(sys.contains, order)):
             raise InvalidSpec("order must be a permutation of the window")
         states = order
+    elif sys.is_affine and isinstance(win, IntWindow):
+        maps, escapes = _class_columns(sys.k, sys._affine, win, states)
+        return Truncation(sys=sys, states=states, maps=maps, escapes=escapes)
     index = {x: n for n, x in enumerate(states)}
-    if order is None and sys.is_affine and isinstance(win, IntWindow):
-        maps, escapes = _class_columns(sys.k, sys._affine, win, states, index)
-        return Truncation(sys=sys, states=states, index=index, maps=maps, escapes=escapes)
     step, branch = sys._step, sys._branch
     maps = [{} for _ in range(sys.k)]
     esc = [[] for _ in range(sys.k)]
@@ -117,25 +127,25 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
             esc[branch(x) - 1].append(x)
         else:
             maps[branch(x) - 1][c] = r
-    return Truncation(
-        sys=sys, states=states, index=index, maps=tuple(maps), escapes=tuple(map(tuple, esc))
-    )
+    trunc = Truncation(sys=sys, states=states, maps=tuple(maps), escapes=tuple(map(tuple, esc)))
+    # the pass's dict is the one Truncation.index would derive: keep it
+    object.__setattr__(trunc, "index", index)
+    return trunc
 
 
-def _class_columns(k: int, rows: tuple, win: IntWindow, states: tuple, index: dict) -> tuple:
+def _class_columns(k: int, rows: tuple, win: IntWindow, states: range) -> tuple:
     """(maps, escapes) of the truncation to lo..hi, one residue class per
     branch.
 
     The states x = k*t + r of the class r take one branch i and map to
     A*t + B, for (i, A, B) = ``_class_step(k, rows, k, r)`` (Terras), and
     A > 0.  So the t whose state and image both lie in lo..hi form one
-    run t0 <= t < u: the column map pairs two arithmetic slices of the
-    coordinates, steps k and A, and the class's escapes are its states
-    before t0 and from u on.  Trusts states = lo..hi, index over them in
-    that order, and rows of an affine table.
+    run t0 <= t < u: the column map pairs two ranges of coordinates x - lo,
+    steps k and A, and the class's escapes are its states before t0 and
+    from u on.  Trusts states = range(lo, hi + 1) and rows of an affine
+    table.
     """
     lo, hi = win.lo, win.hi
-    coords = index.values()  # 0..n-1, the index's own int objects
     maps, escapes = [None] * k, [None] * k
     for r in range(k):
         i, A, B = _class_step(k, rows, k, r)
@@ -143,13 +153,8 @@ def _class_columns(k: int, rows: tuple, win: IntWindow, states: tuple, index: di
         t0 = max((lo + first - r) // k, -((B - lo) // A))
         u = max(t0, min((hi - r) // k, (hi - B) // A) + 1)
         c0, cu = k * t0 + r - lo, k * u + r - lo
-        # an empty run may lie past the window, where islice refuses to go
-        maps[i - 1] = (
-            dict(zip(islice(coords, c0, cu, k), islice(coords, A * t0 + B - lo, A * u + B - lo, A)))
-            if t0 < u
-            else {}
-        )
-        escapes[i - 1] = states[first:c0:k] + states[cu::k]
+        maps[i - 1] = dict(zip(range(c0, cu, k), range(A * t0 + B - lo, A * u + B - lo, A)))
+        escapes[i - 1] = (*states[first:c0:k], *states[cu::k])
     return tuple(maps), tuple(escapes)
 
 
@@ -183,6 +188,9 @@ def _chase(trunc: Truncation, symbols) -> dict:
 def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) -> dict:
     """M_i vec, or M_i^T vec with M_i^T e_c = e_p for the in-window
     branch-i preimage p of state c."""
+    _need_int("branch index", i)
+    if not 1 <= i <= trunc.k:
+        raise InvalidSpec(f"branch index {i} outside 1..{trunc.k}")
     fwd, index, preimages = trunc.maps[i - 1], trunc.index, trunc.sys._preimages
     out: dict = {}
     for c, v in vec.items():
@@ -386,13 +394,13 @@ def coordinate_subspace(trunc: Truncation, states) -> SubspaceBasis:
     M_i^T e_x = e_p for the in-window preimage p of x on branch i, so
     H_K reduces exactly when those images and preimages of K stay in K.
     """
+    states = tuple(states)
     k_set = set(states)
-    if not k_set <= trunc.index.keys():
+    # every member is a state (True == 1 in a set, yet is no state) of the window
+    vectors = tuple({c: 1} for c, x in enumerate(trunc.states) if x in k_set)
+    if len(vectors) != len(k_set) or not all(map(trunc.sys.contains, states)):
         raise InvalidSpec("K must lie inside the window")
-    return SubspaceBasis(
-        n=trunc.n,
-        vectors=tuple({trunc.index[x]: 1} for x in trunc.states if x in k_set),
-    )
+    return SubspaceBasis(n=trunc.n, vectors=vectors)
 
 
 @dataclass(frozen=True)

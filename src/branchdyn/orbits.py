@@ -310,9 +310,10 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     _need_int("budget", budget)
     if budget < 0:
         raise InvalidSpec(f"need budget >= 0, got {budget}")
-    win, order = window_states(sys, window)
+    win, states = window_states(sys, window)
     step = sys._step
-    pos = {x: j for j, x in enumerate(order)}
+    pos = {x: j for j, x in enumerate(states)}
+    order = tuple(pos)  # pos's own ints: a range would make each class member anew
     reentry = {}  # window position -> where its orbit re-enters the window
     unresolved = []
     for j, x in enumerate(order):

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import InvalidSpec, NonInjectiveBranch, NotAffineFamily, OutOfDomain
 
@@ -609,33 +609,29 @@ MAX_WINDOW_STATES = 10**6
 class Window:
     """A finite set of states used to truncate an infinite computation.
 
-    ``materialize`` is the one way to list the states, so every scan
+    ``materialize`` is the one way to reach the states, so every scan
     shares its MAX_WINDOW_STATES budget.
     """
 
-    def contains(self, x) -> bool:
-        raise NotImplementedError
+    _states: Sequence  # the states in window order, unbudgeted
 
-    def _states(self) -> Iterable:
-        """The states in window order, unbudgeted."""
+    def contains(self, x) -> bool:
         raise NotImplementedError
 
     def size(self) -> int:
         """The number of states; unlike len(), not capped at sys.maxsize."""
         raise NotImplementedError
 
-    def _check_budget(self) -> None:
-        """Refuse a window of more than MAX_WINDOW_STATES states."""
+    def materialize(self) -> Sequence:
+        """The window's own sequence of states, not a copy, at most
+        MAX_WINDOW_STATES of them: an ``IntWindow`` is ``range(lo, hi +
+        1)``, which lists no state until a scan walks it."""
         if self.size() > MAX_WINDOW_STATES:
             raise InvalidSpec(
                 f"window holds {self.size()} states; at most "
                 f"MAX_WINDOW_STATES = {MAX_WINDOW_STATES} are materialised"
             )
-
-    def materialize(self) -> tuple:
-        """The states in window order, at most MAX_WINDOW_STATES of them."""
-        self._check_budget()
-        return tuple(self._states())
+        return self._states
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -650,12 +646,10 @@ class IntWindow(Window):
         if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
             raise InvalidSpec(f"bad window {lo!r}..{hi!r}")
         self.lo, self.hi = lo, hi
+        self._states = range(lo, hi + 1)
 
     def contains(self, x) -> bool:
         return isinstance(x, int) and self.lo <= x <= self.hi
-
-    def _states(self):
-        return range(self.lo, self.hi + 1)
 
     def size(self):
         return self.hi - self.lo + 1
@@ -681,13 +675,10 @@ class SetWindow(Window):
 
     def __init__(self, states: Iterable):
         self._set = frozenset(states)
-        self._order = _state_order(self._set)
+        self._states = _state_order(self._set)
 
     def contains(self, x) -> bool:
         return x in self._set
-
-    def _states(self):
-        return self._order
 
     def size(self):
         return len(self._set)
@@ -723,8 +714,9 @@ def window_states(sys: DynamicalSystem, window) -> tuple:
     An ``IntWindow`` on an affine system is checked once, by its bounds:
     ``IntWindow`` refuses a bound that is no int or is below 1, and every
     int >= 1 is a state of a qx+d or α–β system, so ``sys._require(lo)``
-    vouches for lo..hi.  Finite tables, shifts and every ``SetWindow``
-    check state by state.
+    vouches for lo..hi, and a scan that walks classes lists no state of
+    its ``range``.  Finite tables, shifts and every ``SetWindow`` check
+    state by state.
     """
     win = as_window(sys, window)
     states = win.materialize()

@@ -140,8 +140,9 @@ def test_tuc_window_without_a_pair_passes(collatz, window, cap):
 class _RepeatsLo(systems.IntWindow):
     """lo..hi with lo listed twice, in its states and in its class sizes."""
 
-    def _states(self):
-        return (self.lo, *super()._states())
+    def __init__(self, lo, hi):
+        super().__init__(lo, hi)
+        self._states = (lo, *self._states)
 
     def size(self):
         return super().size() + 1

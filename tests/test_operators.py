@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -81,7 +82,7 @@ def e(trunc, x, coeff=F(1)):
 
 def test_collatz_window_1_4(collatz):
     t = operators.build_truncation(collatz, (1, 4))
-    assert t.states == (1, 2, 3, 4)
+    assert tuple(t.states) == (1, 2, 3, 4)
     # branch 1: only 1 -> 4 stays inside; 3 -> 10 escapes
     assert t.maps[0] == {t.index[1]: t.index[4]}
     assert t.escapes[0] == (3,)
@@ -150,7 +151,7 @@ CLASS_ROUTE_WINDOWS = [
 
 
 def truncation_parts(t):
-    return t.states, list(t.index.items()), [list(m.items()) for m in t.maps], t.escapes
+    return tuple(t.states), list(t.index.items()), [list(m.items()) for m in t.maps], t.escapes
 
 
 @pytest.mark.parametrize("window", CLASS_ROUTE_WINDOWS, ids=str)
@@ -179,14 +180,33 @@ def test_class_route_calls_no_kernel():
 
 def test_class_route_peak_memory(collatz):
     # the state loop peaked at 16.8 MB on 1..10^5 under Python 3.11, index
-    # and maps included
+    # and maps included, and the class route at 15.2 MB while it still
+    # listed the window in a tuple and an index dict; with neither it
+    # peaks at 9.1 MB
     tracemalloc.start()
     try:
         t = operators.build_truncation(collatz, (1, 10**5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert t.n == 10**5 and peak < 17 * 10**6
+    assert t.n == 10**5 and peak < 10 * 10**6
+
+
+@pytest.mark.parametrize("window", [(1, 10), (3, 8), (7, 7)], ids=str)
+def test_affine_int_window_truncation_keeps_its_range(window):
+    # x + 1 on odd x, x / 2 on even x: closed on 1..2m, so the commutant runs
+    sys = systems.make_system(systems.QxPlusD(1, 1))
+    lo, hi = window
+    t = operators.build_truncation(sys, window)
+    assert t.states == range(lo, hi + 1)
+    assert "index" not in vars(t)
+    operators.fixed_vectors_of_word(t, (1, 2))
+    if lo == 1:
+        operators.commutant_projections(t)
+    assert "index" not in vars(t)
+    # the index is derived on first read, and kept
+    assert t.index == {x: x - lo for x in range(lo, hi + 1)}
+    assert vars(t)["index"] is t.index
 
 
 def test_truncation_state_budget(collatz, monkeypatch, deadline):
@@ -255,6 +275,17 @@ def test_adjoint_is_the_transposed_column_map(collatz, alphabeta3):
     t = operators.build_truncation(_table({None: 1}, {None: None}, k=2), None)
     assert operators.apply_branch(t, 1, {0: 1}, adjoint=True) == {0: 1}
     assert operators.apply_branch(t, 2, {0: 1}, adjoint=True) == {}
+
+
+@pytest.mark.parametrize("i", [0, -1, True, 3, 1.0], ids=repr)
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_apply_branch_refuses_a_branch_index_outside_1_to_k(collatz, i, adjoint):
+    # 0 and -1 read maps[-1] and maps[-2], True ran as branch 1, 3 leaked
+    # IndexError and 1.0 TypeError
+    t = operators.build_truncation(collatz, (1, 8))
+    want = f"branch index {i} outside 1..2" if type(i) is int else f"need an int branch index, got {i!r}"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(want)}$"):
+        operators.apply_branch(t, i, {0: 1}, adjoint=adjoint)
 
 
 def test_interior_matches_the_public_route(collatz, alphabeta3):
@@ -545,6 +576,20 @@ def test_subspace_requires_invariance(collatz):
     assert rep.witness == (1, "T", 0, 4)  # f(1) = 4 missing
     with pytest.raises(InvalidSpec, match="^K must lie inside the window$"):
         operators.coordinate_subspace(t, (1, 5))  # 5 outside window
+
+
+def test_subspace_members_must_be_states(collatz, swap1):
+    # True and 2.0 equal the window states 1 and 2 as dict keys, yet are
+    # no states: H_{1,2} was built from [True, 2.0]
+    t = operators.build_truncation(collatz, (1, 4))
+    u = operators.build_truncation(swap1, None)
+    for trunc, members in (
+        (t, [True, 2.0]), (t, [True]), (t, [1, 2.0]), (t, [1, True]),
+        (u, [True]), (u, [2.0]), (u, [1, 3]), (u, ["1"]),
+    ):
+        with pytest.raises(InvalidSpec, match="^K must lie inside the window$"):
+            operators.coordinate_subspace(trunc, members)
+    assert operators.coordinate_subspace(u, [2, 1]).vectors == ({0: 1}, {1: 1})
 
 
 def test_subspace_basis_refusals():

@@ -314,7 +314,7 @@ def test_window_states_checks_an_affine_int_window_by_its_bounds(name, monkeypat
     for lo, hi in ((1, 1), (1, 300), (7, 19)):
         win, states = systems.window_states(sys, (lo, hi))
         assert (win.lo, win.hi) == (lo, hi)
-        assert states == tuple(range(lo, hi + 1))
+        assert tuple(states) == tuple(range(lo, hi + 1))
     assert checked == [1, 1, 7]
 
 
