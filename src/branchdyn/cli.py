@@ -381,7 +381,7 @@ def cmd_operators_build(args):
     return {
         "n": trunc.n,
         "k": trunc.k,
-        "entries": [len(m) for m in trunc.maps],
+        "entries": trunc._entries(),
         "escapes": [_states(e) for e in trunc.escapes],
     }
 

@@ -9,9 +9,10 @@ row f(x), column x for each x in X_i with both endpoints in W) and the
 escapes, the states of X_i whose image leaves W.  On an integer window
 lo..hi of an affine system the states are the window's range, x sits at
 x - lo, X_i is one residue class mod k and f is affine on it, so the
-column map pairs two ranges and the escapes are slices of W; finite
-tables, shifts, explicit state sets and a given order take one pass
-over W, a kernel call per state.  Per-branch
+column map pairs two ranges, kept as such until a reader asks for the
+map as a dict, and the escapes are slices of W; finite tables, shifts,
+explicit state sets and a given order take one pass over W, a kernel
+call per state, which builds the dicts at once.  Per-branch
 injectivity makes every M_i a sub-permutation matrix, so M_i M_i^T M_i
 = M_i exactly, and M_i^T e_c = e_p for the branch-i preimage p of state
 c when p is in W: it is read off the system's preimage kernel, not
@@ -67,17 +68,35 @@ MAX_COMMUTANT_BASIS_ENTRIES = 10**5
 @dataclass(frozen=True)
 class Truncation:
     """M_i's column maps and escapes on a window; ``states`` is the
-    window's own sequence (an ``IntWindow``'s range) or the given order."""
+    window's own sequence (an ``IntWindow``'s range) or the given order.
+
+    The class route keeps each column map as the two ranges it pairs,
+    columns and rows, and ``maps`` builds the dicts on first read; the
+    state pass hands its dicts (and its index) to the truncation.
+    """
 
     sys: DynamicalSystem
     states: tuple | range  # window states in coordinate order
-    maps: tuple  # per branch: dict column index -> row index
     escapes: tuple  # per branch: tuple of states mapped out of the window, in window order
+    # per branch on the class route: (columns, rows), two ranges paired in order
+    _spans: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def index(self) -> dict:
         """state -> 0-based coordinate, built on first read, not by the class route."""
         return {x: c for c, x in enumerate(self.states)}
+
+    @cached_property
+    def maps(self) -> tuple:
+        """Per branch: dict column index -> row index, in ascending column
+        order; the class route's are built from its ranges on first read."""
+        return tuple(dict(zip(cols, rows)) for cols, rows in self._spans)
+
+    def _entries(self) -> list:
+        """len(maps[i]) per branch; the class route's come from its ranges."""
+        if self._spans is None:
+            return list(map(len, self.maps))
+        return [len(cols) for cols, _ in self._spans]
 
     @property
     def n(self) -> int:
@@ -102,9 +121,11 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
     its residue classes by ``_class_columns``, with no kernel call per
     state.  Every other truncation (a finite table, a shift, a
     ``SetWindow``, or a given ``order``) takes one pass over the states,
-    which reads each state's branch and image once.  Both routes store
-    each column map in ascending column order and each branch's escapes
-    in window order.
+    which reads each state's branch and image once.  The class route
+    keeps each column map as its pair of ranges, and ``Truncation.maps``
+    builds the dicts on first read; the state pass builds them at once.
+    Both give each column map in ascending column order and each
+    branch's escapes in window order.
     """
     win, states = window_states(sys, window)
     if order is not None:
@@ -114,8 +135,8 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
             raise InvalidSpec("order must be a permutation of the window")
         states = order
     elif sys.is_affine and isinstance(win, IntWindow):
-        maps, escapes = _class_columns(sys.k, sys._affine, win, states)
-        return Truncation(sys=sys, states=states, maps=maps, escapes=escapes)
+        spans, escapes = _class_columns(sys.k, sys._affine, win, states)
+        return Truncation(sys=sys, states=states, escapes=escapes, _spans=spans)
     index = {x: n for n, x in enumerate(states)}
     step, branch = sys._step, sys._branch
     maps = [{} for _ in range(sys.k)]
@@ -127,39 +148,49 @@ def build_truncation(sys: DynamicalSystem, window, order=None) -> Truncation:
             esc[branch(x) - 1].append(x)
         else:
             maps[branch(x) - 1][c] = r
-    trunc = Truncation(sys=sys, states=states, maps=tuple(maps), escapes=tuple(map(tuple, esc)))
-    # the pass's dict is the one Truncation.index would derive: keep it
+    trunc = Truncation(sys=sys, states=states, escapes=tuple(map(tuple, esc)))
+    # keep the pass's dicts: the index Truncation.index would derive, and the maps
     object.__setattr__(trunc, "index", index)
+    object.__setattr__(trunc, "maps", tuple(maps))
     return trunc
 
 
 def _class_columns(k: int, rows: tuple, win: IntWindow, states: range) -> tuple:
-    """(maps, escapes) of the truncation to lo..hi, one residue class per
-    branch.
+    """(spans, escapes) of the truncation to lo..hi, one residue class
+    per branch.
 
     The states x = k*t + r of the class r take one branch i and map to
     A*t + B, for (i, A, B) = ``_class_step(k, rows, k, r)`` (Terras), and
     A > 0.  So the t whose state and image both lie in lo..hi form one
     run t0 <= t < u: the column map pairs two ranges of coordinates x - lo,
-    steps k and A, and the class's escapes are its states before t0 and
-    from u on.  Trusts states = range(lo, hi + 1) and rows of an affine
-    table.
+    steps k and A, returned as the branch's (columns, rows) span and
+    turned into a dict only when ``Truncation.maps`` is first read, and
+    the class's escapes are its states before t0 and from u on.  Trusts
+    states = range(lo, hi + 1) and rows of an affine table.
     """
     lo, hi = win.lo, win.hi
-    maps, escapes = [None] * k, [None] * k
+    spans, escapes = [None] * k, [None] * k
     for r in range(k):
         i, A, B = _class_step(k, rows, k, r)
         first = (r - lo) % k  # the position of the class's least state
         t0 = max((lo + first - r) // k, -((B - lo) // A))
         u = max(t0, min((hi - r) // k, (hi - B) // A) + 1)
         c0, cu = k * t0 + r - lo, k * u + r - lo
-        maps[i - 1] = dict(zip(range(c0, cu, k), range(A * t0 + B - lo, A * u + B - lo, A)))
+        spans[i - 1] = (range(c0, cu, k), range(A * t0 + B - lo, A * u + B - lo, A))
         escapes[i - 1] = (*states[first:c0:k], *states[cu::k])
-    return tuple(maps), tuple(escapes)
+    return tuple(spans), tuple(escapes)
 
 
 # ---------------------------------------------------------------------------
 # vectors: sparse dicts {coordinate: value}, the only format
+
+
+def _need_coordinates(keys, n: int) -> None:
+    """Refuse a key that is not a coordinate 0..n-1: an int, not a value
+    equal to one (True, 1.0), and never counted from the end."""
+    for c in keys:
+        if type(c) is not int or c not in range(n):
+            raise InvalidSpec(f"coordinate {c!r} outside 0..{n - 1}")
 
 
 def _dot(u: dict, v: dict):
@@ -187,10 +218,16 @@ def _chase(trunc: Truncation, symbols) -> dict:
 
 def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) -> dict:
     """M_i vec, or M_i^T vec with M_i^T e_c = e_p for the in-window
-    branch-i preimage p of state c."""
+    branch-i preimage p of state c; every key of vec is a coordinate."""
     _need_int("branch index", i)
     if not 1 <= i <= trunc.k:
         raise InvalidSpec(f"branch index {i} outside 1..{trunc.k}")
+    _need_coordinates(vec, trunc.n)
+    return _apply_branch(trunc, i, vec, adjoint)
+
+
+def _apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool) -> dict:
+    """``apply_branch`` on a branch index and vector it trusts."""
     fwd, index, preimages = trunc.maps[i - 1], trunc.index, trunc.sys._preimages
     out: dict = {}
     for c, v in vec.items():
@@ -242,10 +279,7 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
     _need_int("cap", cap)
     if cap < 1:
         raise InvalidSpec(f"need cap >= 1, got {cap}")
-    for c in a:
-        # a coordinate is an int, not a value equal to one (True, 1.0)
-        if type(c) is not int or c not in range(trunc.n):
-            raise InvalidSpec(f"coordinate {c!r} outside 0..{trunc.n - 1}")
+    _need_coordinates(a, trunc.n)
     if x not in trunc.index:
         raise InvalidSpec(f"{x!r} is not in the window")
     # x can equal a window state without being a state (True == 1); the
@@ -354,9 +388,8 @@ class SubspaceBasis:
         for j, v in enumerate(self.vectors):
             if not any(v.values()):
                 raise InvalidSpec("zero vector in basis")
+            _need_coordinates(v, self.n)
             for c in v:
-                if type(c) is not int or c not in range(self.n):
-                    raise InvalidSpec(f"coordinate {c!r} outside 0..{self.n - 1}")
                 by_coord.setdefault(c, []).append(j)
         object.__setattr__(self, "_by_coord", by_coord)
         for j, u in enumerate(self.vectors):
@@ -429,8 +462,9 @@ def is_reducing(
     for bi, v in enumerate(basis.vectors):
         for i in range(1, trunc.k + 1):
             for adjoint, tag in ((False, "T"), (True, "T*")):
+                # the basis checked its coordinates against n = trunc.n;
                 # both are sparse without zero entries: compare them key by key
-                w = apply_branch(trunc, i, v, adjoint=adjoint)
+                w = _apply_branch(trunc, i, v, adjoint)
                 p = basis.project(w)
                 bad = [c for c in w.keys() | p.keys() if c in allowed and w.get(c) != p.get(c)]
                 if bad:

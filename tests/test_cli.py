@@ -262,6 +262,10 @@ PERIOD3_30 = json.dumps(
          ["total-orbit", "--system", "collatz", "--x", "1", "--window", "1..2000"]),
         ("minimality_qxd5_1_w200.json",
          ["minimality", "--system", "qxd:5,1", "--window", "1..200"]),
+        # lo > 1: the orbits of 40, 48 and 64 fall below lo into 1 -> 4 -> 2
+        # and never return, so they stay unresolved
+        ("minimality_collatz_w37_300.json",
+         ["minimality", "--system", "collatz", "--window", "37..300"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):

@@ -1,6 +1,7 @@
 """Truncated partial isometries, projections, reducing subspaces, commutant."""
 
 import functools
+import json
 import random
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from branchdyn import battery, coding, linalg, operators, orbits, systems
+from branchdyn import battery, cli, coding, linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
     AFFINE_SPECS,
@@ -182,31 +183,67 @@ def test_class_route_peak_memory(collatz):
     # the state loop peaked at 16.8 MB on 1..10^5 under Python 3.11, index
     # and maps included, and the class route at 15.2 MB while it still
     # listed the window in a tuple and an index dict; with neither it
-    # peaks at 9.1 MB
+    # peaked at 9.1 MB, and keeping the column maps as ranges, 1.6 MB
     tracemalloc.start()
     try:
         t = operators.build_truncation(collatz, (1, 10**5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert t.n == 10**5 and peak < 10 * 10**6
+    assert t.n == 10**5 and peak < 3 * 10**6
+
+
+def built_truncations(monkeypatch) -> list:
+    """The truncations that operators.build_truncation returns from now on."""
+    built, build = [], operators.build_truncation
+
+    def record(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(operators, "build_truncation", record)
+    return built
 
 
 @pytest.mark.parametrize("window", [(1, 10), (3, 8), (7, 7)], ids=str)
-def test_affine_int_window_truncation_keeps_its_range(window):
+def test_affine_int_window_truncation_keeps_its_range(window, monkeypatch, capsys):
     # x + 1 on odd x, x / 2 on even x: closed on 1..2m, so the commutant runs
     sys = systems.make_system(systems.QxPlusD(1, 1))
     lo, hi = window
+    want = operators.build_truncation(sys, systems.SetWindow(range(lo, hi + 1)))
+    built = built_truncations(monkeypatch)
+    # the build report counts its entries off the class route's ranges
+    assert cli.main(["operators", "build", "--system", "qxd:1,1", "--window", f"{lo}..{hi}"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == list(map(len, want.maps))
+    assert "maps" not in vars(built[0])
     t = operators.build_truncation(sys, window)
     assert t.states == range(lo, hi + 1)
-    assert "index" not in vars(t)
+    assert "index" not in vars(t) and "maps" not in vars(t)
+    # the maps are built on first read as the state pass builds them, in
+    # ascending column order, and kept
+    maps = t.maps
+    assert [list(m.items()) for m in maps] == [list(m.items()) for m in want.maps]
+    assert vars(t)["maps"] is maps
     operators.fixed_vectors_of_word(t, (1, 2))
     if lo == 1:
         operators.commutant_projections(t)
-    assert "index" not in vars(t)
+    assert "index" not in vars(t) and t.maps is maps
     # the index is derived on first read, and kept
     assert t.index == {x: x - lo for x in range(lo, hi + 1)}
     assert vars(t)["index"] is t.index
+
+
+def test_operators_build_on_a_million_states_builds_no_map(monkeypatch, capsys, deadline):
+    # the report reads the maps' lengths off the class route's ranges
+    built = built_truncations(monkeypatch)
+    deadline(5)
+    assert cli.main(["operators", "build", "--system", "collatz", "--window", "1..1000000"]) == 0
+    deadline(0)
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["n"] == 10**6 and rep["entries"] == [166667, 500000]
+    # the odd states above 333,333 leave the window, no even state does
+    assert len(rep["escapes"][0]) == 333333 and rep["escapes"][1] == []
+    assert "maps" not in vars(built[0])
 
 
 def test_truncation_state_budget(collatz, monkeypatch, deadline):
@@ -286,6 +323,31 @@ def test_apply_branch_refuses_a_branch_index_outside_1_to_k(collatz, i, adjoint)
     want = f"branch index {i} outside 1..2" if type(i) is int else f"need an int branch index, got {i!r}"
     with pytest.raises(InvalidSpec, match=f"^{re.escape(want)}$"):
         operators.apply_branch(t, i, {0: 1}, adjoint=adjoint)
+
+
+@pytest.mark.parametrize(
+    "i, key, adjoint",
+    [
+        (1, -1, True),  # states[-1] read state 10: {2: 1}
+        (2, True, False),  # ran as coordinate 1: {0: 5}
+        (2, 1.0, False),
+        (2, 2.0, True),  # leaked TypeError
+        (1, 10, True),  # leaked IndexError
+        (1, "a", True),  # leaked TypeError
+        (1, "a", False),  # dropped in silence, as the two below
+        (2, 10, False),
+        (2, -1, False),
+    ],
+    ids=repr,
+)
+def test_apply_branch_refuses_a_key_that_is_no_coordinate(collatz, i, key, adjoint):
+    t = operators.build_truncation(collatz, (1, 10))
+    want = f"coordinate {key!r} outside 0..9"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(want)}$"):
+        operators.apply_branch(t, i, {0: 1, key: 5}, adjoint=adjoint)
+    # a vector of coordinates still maps: 1 -> 4 on branch 1, 4 <- 8 on branch 2
+    assert operators.apply_branch(t, 1, {0: 5}) == {3: 5}
+    assert operators.apply_branch(t, 2, {3: 5}, adjoint=True) == {7: 5}
 
 
 def test_interior_matches_the_public_route(collatz, alphabeta3):
@@ -686,11 +748,12 @@ def test_reducing_check_on_a_large_invariant_set(collatz, deadline):
 
 
 def test_check_9_needs_the_adjoint_half_of_is_reducing(monkeypatch):
-    # without M_i^T, a forward orbit that another state enters passes as reducing
-    forward_only = operators.apply_branch
+    # without M_i^T, a forward orbit that another state enters passes as
+    # reducing; is_reducing calls the kernel behind apply_branch
+    forward_only = operators._apply_branch
     monkeypatch.setattr(
-        operators, "apply_branch",
-        lambda trunc, i, vec, adjoint=False: {} if adjoint else forward_only(trunc, i, vec),
+        operators, "_apply_branch",
+        lambda trunc, i, vec, adjoint: {} if adjoint else forward_only(trunc, i, vec, False),
     )
     result = battery.check_correspondence_bijection()
     assert not result.passed
