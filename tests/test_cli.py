@@ -663,6 +663,54 @@ def test_negative_count_is_exit_2(capsys, argv):
     assert re.fullmatch(rf"error: need \w+ >= [01], got {argv[-1]}\n", captured.err)
 
 
+# each count option, and each integer the system names carry, one below its least
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["orbit", "--system", "collatz", "--x", "7", "--cap", "-1"],
+         "need cap >= 0, got -1"),
+        (["code", "--system", "collatz", "--x", "7", "--exact-tail", "--cap", "-1"],
+         "need cap >= 0, got -1"),
+        (["operators", "pm-limit", "--system", "collatz", "--window", "1..10",
+          "--support", "1", "--cap", "0"],
+         "need cap >= 1, got 0"),
+        (["total-orbit", "--system", "collatz", "--window", "1..10", "--x", "1",
+          "--budget", "-1"],
+         "need node_budget >= 0, got -1"),
+        (["minimality", "--system", "collatz", "--window", "1..10", "--budget", "-1"],
+         "need budget >= 0, got -1"),
+        (["cycles", "--system", "collatz", "--max-len", "0"],
+         "need max_len >= 1"),
+        (["check", "uniqueness", "--system", "collatz", "--max-len", "0"],
+         "need max_len >= 1"),
+        (["check", "uniqueness", "--system", "collatz", "--max-len", "3",
+          "--scan-bound", "0"],
+         "need scan_bound >= 1, got 0"),
+        (["code", "--system", "collatz", "--x", "7", "--length", "-1"],
+         "need length >= 0"),
+        (["check", "alphabeta", "--system", "collatz", "--window", "1..6",
+          "--horizon", "0"],
+         "need horizon >= 1, got 0"),
+        (["tower", "--system", "collatz", "--x", "7", "--depth", "0"],
+         "need depth >= 1"),
+        (["tower", "--system", "collatz", "--x", "7", "--steps", "-1"],
+         "need steps >= 0, got -1"),
+        (["tower", "--system", "collatz", "--x", "0"],
+         "states are positive integers"),
+        (["orbit", "--system", "mersenne:1", "--x", "1"],
+         "need m >= 2"),
+        (["orbit", "--system", "shift:0", "--x", "1"],
+         "need k >= 1"),
+    ],
+)
+def test_count_below_its_least_is_exit_2(capsys, argv, err):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_format_is_only_a_cycles_option(capsys):
     # and, like it, every option is accepted only by the commands that read it
     for argv in (
