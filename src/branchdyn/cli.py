@@ -363,8 +363,7 @@ def cmd_tower(args):
     if not sys_.is_affine:
         raise NotAffineFamily("towers live over the affine families")
     tower = coding.tower_from_state(args.x, sys_.k, args.depth)
-    if args.steps < 0:
-        raise InvalidSpec(f"need steps >= 0, got {args.steps}")
+    systems._need_int("steps", args.steps, 0)
     steps = [tower]
     for _ in range(args.steps):
         steps.append(coding.tower_apply(sys_, steps[-1]))
@@ -645,10 +644,7 @@ def main(argv=None) -> int:
         body = args.func(args)
         _emit(args, body)
         return 0 if body.get("passed", True) else CHECK_FAILED
-    except BranchDynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (BranchDynError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -64,9 +64,7 @@ from .systems import (
 
 def coding_prefix(sys: DynamicalSystem, x, length: int) -> tuple:
     """The first ``length`` coding symbols of x."""
-    _need_int("length", length)
-    if length < 0:
-        raise InvalidSpec("need length >= 0")
+    _need_int("length", length, 0)
     sys._require(x)
     step, branch = sys._step, sys._branch
     out = []
@@ -106,9 +104,7 @@ def verify_tuc_window(sys: DynamicalSystem, window, cap: int = 2**10) -> TucRepo
     states from ``window_states`` are an ``IntWindow``'s own range, so
     the class walk lists none of them.
     """
-    _need_int("cap", cap)
-    if cap < 0:
-        raise InvalidSpec(f"need cap >= 0, got {cap}")
+    _need_int("cap", cap, 0)
     win, states = window_states(sys, window)
     rounds, blocks = None, []
     if sys.is_affine and not sys.gcd_failures and isinstance(win, IntWindow):
@@ -244,9 +240,7 @@ def check_alphabeta_hypotheses(
     if not sys.is_affine:
         raise NotAffineFamily("hypotheses concern the affine families")
     horizon = sys.k if horizon is None else horizon
-    _need_int("horizon", horizon)
-    if horizon < 1:
-        raise InvalidSpec(f"need horizon >= 1, got {horizon}")
+    _need_int("horizon", horizon, 1)
     win, states = window_states(sys, window)
     step, k = sys._step, sys.k
     gcd_failures = sys.gcd_failures
@@ -280,8 +274,7 @@ class ResidueTower:
     """The tower of x mod k^j, j = 1..depth, stored as value = x mod k^depth.
 
     The digits r_j = value mod k^j are derived, so they are compatible
-    and in range by construction; only k >= 2, depth >= 1 and
-    0 <= value < k^depth are checked.
+    and in range by construction and need no check of their own.
     """
 
     k: int
@@ -289,12 +282,9 @@ class ResidueTower:
     value: int
 
     def __post_init__(self):
-        for name in ("k", "depth", "value"):
-            _need_int(name, getattr(self, name))
-        if self.k < 2:
-            raise InvalidSpec("need k >= 2")
-        if self.depth < 1:
-            raise InvalidSpec("need depth >= 1")
+        _need_int("k", self.k, 2)
+        _need_int("depth", self.depth, 1)
+        _need_int("value", self.value)
         if not 0 <= self.value < self.k**self.depth:
             raise InvalidSpec(f"value {self.value} outside [0, k^{self.depth})")
 
@@ -324,15 +314,9 @@ class ResidueTower:
 
 
 def tower_from_state(x: int, k: int, depth: int) -> ResidueTower:
-    _need_int("x", x)
-    _need_int("k", k)
-    _need_int("depth", depth)
-    if x < 1:
-        raise InvalidSpec("states are positive integers")
-    if depth < 1:
-        raise InvalidSpec("need depth >= 1")
-    if k < 2:
-        raise InvalidSpec("need k >= 2")
+    _need_int("x", x, 1)
+    _need_int("k", k, 2)
+    _need_int("depth", depth, 1)
     return ResidueTower(k, depth, x % k**depth)
 
 
@@ -396,9 +380,7 @@ def verify_recovery_lemma(sys: DynamicalSystem, x: int, y: int, j: int) -> Recov
     """
     if not sys.is_affine:
         raise NotAffineFamily("towers live over the affine families")
-    _need_int("j", j)
-    if j < 1:
-        raise InvalidSpec("need j >= 1")
+    _need_int("j", j, 1)
     k = sys.k
     if x % k != y % k:
         raise PreconditionUnmet(f"{x} and {y} take different branches")

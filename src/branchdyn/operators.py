@@ -219,9 +219,7 @@ def _chase(trunc: Truncation, symbols) -> dict:
 def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) -> dict:
     """M_i vec, or M_i^T vec with M_i^T e_c = e_p for the in-window
     branch-i preimage p of state c; every key of vec is a coordinate."""
-    _need_int("branch index", i)
-    if not 1 <= i <= trunc.k:
-        raise InvalidSpec(f"branch index {i} outside 1..{trunc.k}")
+    _need_int("branch index", i, 1, trunc.k)
     _need_coordinates(vec, trunc.n)
     return _apply_branch(trunc, i, vec, adjoint)
 
@@ -276,9 +274,7 @@ def verify_pm_limit(trunc: Truncation, a: dict, x, cap: int = 64) -> PmLimitRepo
     at the stabilization index (P_m then drops e_x), or the cap runs out
     before separation or a pair revisit.
     """
-    _need_int("cap", cap)
-    if cap < 1:
-        raise InvalidSpec(f"need cap >= 1, got {cap}")
+    _need_int("cap", cap, 1)
     _need_coordinates(a, trunc.n)
     if x not in trunc.index:
         raise InvalidSpec(f"{x!r} is not in the window")

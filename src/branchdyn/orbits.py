@@ -113,9 +113,7 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     none within cap.  Either walk finds the cycle's entry from the end
     of its landings (see ``OrbitRecord``).
     """
-    _need_int("cap", cap)
-    if cap < 0:
-        raise InvalidSpec(f"need cap >= 0, got {cap}")
+    _need_int("cap", cap, 0)
     sys._require(x)
     seen = {x: 0}  # the start and each landing -> its index
     jumps = sys._jumps() if cap >= _JUMP_TABLE_SIZE else None
@@ -233,9 +231,7 @@ class TotalOrbitApprox:
 
 def invariant_closure(sys, seeds, window, node_budget: int = 10**6) -> TotalOrbitApprox:
     """Close ``seeds`` under f and preimages inside ``window`` by BFS."""
-    _need_int("node_budget", node_budget)
-    if node_budget < 0:
-        raise InvalidSpec(f"need node_budget >= 0, got {node_budget}")
+    _need_int("node_budget", node_budget, 0)
     win = as_window(sys, window)
     seeds = tuple(s for s in seeds)
     for s in seeds:
@@ -307,9 +303,7 @@ def minimality_probe(sys, window, budget: int = 10**4) -> MinimalityReport:
     Out-of-window excursions longer than the budget leave their start
     state unresolved (its class may spuriously split).
     """
-    _need_int("budget", budget)
-    if budget < 0:
-        raise InvalidSpec(f"need budget >= 0, got {budget}")
+    _need_int("budget", budget, 0)
     win, states = window_states(sys, window)
     step = sys._step
     pos = {x: j for j, x in enumerate(states)}

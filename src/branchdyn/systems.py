@@ -180,12 +180,20 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _need_int(name: str, v) -> None:
-    """Refuse a count that is no int: True would pass as 1, and 2.0
+def _need_int(name: str, v, least: int | None = None, most: int | None = None) -> None:
+    """The one rule for an integer argument (a count, a bound, a branch
+    index): an int that is not a bool, at least ``least`` and, when
+    ``most`` is given, at most ``most``.  True would pass as 1, and 2.0
     would pass the range checks and then leak a TypeError or float
-    arithmetic."""
+    arithmetic.  InvalidSpec names the argument: "need an int {name},
+    got {v!r}", "need {name} >= {least}, got {v}", or "{name} {v}
+    outside {least}..{most}"."""
     if not _is_int(v):
         raise InvalidSpec(f"need an int {name}, got {v!r}")
+    if most is not None and not least <= v <= most:
+        raise InvalidSpec(f"{name} {v} outside {least}..{most}")
+    if least is not None and v < least:
+        raise InvalidSpec(f"need {name} >= {least}, got {v}")
 
 
 def collatz() -> QxPlusD:
@@ -194,8 +202,7 @@ def collatz() -> QxPlusD:
 
 def mersenne(m: int) -> QxPlusD:
     """The qn + 1 system with q = 2**m - 1."""
-    if m < 2:
-        raise InvalidSpec("need m >= 2")
+    _need_int("m", m, 2)
     return QxPlusD(2**m - 1, 1)
 
 
@@ -416,9 +423,7 @@ class DynamicalSystem:
             self._set_affine(2, ((q, d),))
             kernels = _affine_kernels(2, self._affine)
         elif isinstance(spec, AlphaBeta):
-            _need_int("k", spec.k)
-            if spec.k < 2:
-                raise InvalidSpec("need k >= 2")
+            _need_int("k", spec.k, 2)
             if len(spec.alpha) != spec.k - 1 or len(spec.beta) != spec.k - 1:
                 raise InvalidSpec("need k - 1 coefficients a_i and b_i")
             for a, b in zip(spec.alpha, spec.beta):
@@ -435,15 +440,12 @@ class DynamicalSystem:
             self._label_type = {x: type(x) for x in spec.states}
             if not spec.states:
                 raise InvalidSpec("state set must be nonempty")
-            _need_int("k", spec.k)
-            if spec.k < 1:
-                raise InvalidSpec("need k >= 1")
+            _need_int("k", spec.k, 1)
             labels = self._label_type.keys()
             if branch.keys() != labels or image.keys() != labels:
                 raise InvalidSpec("branch and image must be total on the states")
-            for x, i in branch.items():
-                if not 1 <= i <= spec.k:
-                    raise InvalidSpec(f"branch index {i} of {x!r} outside 1..{spec.k}")
+            for i in branch.values():
+                _need_int("branch index", i, 1, spec.k)
             for x, y in image.items():
                 if not self.contains(y):
                     raise InvalidSpec(f"image {y!r} of {x!r} escapes the state set")
@@ -464,9 +466,7 @@ class DynamicalSystem:
                        lambda x: (image[x], 1))
         elif isinstance(spec, SymbolicShift):
             self.k = k = spec.k
-            _need_int("k", k)
-            if k < 1:
-                raise InvalidSpec("need k >= 1")
+            _need_int("k", k, 1)
 
             def preimages(x):
                 return [(x.prepend(i), i) for i in range(1, k + 1)]
@@ -563,8 +563,7 @@ class DynamicalSystem:
             raise NotAffineFamily(
                 f"{type(self.spec).__name__} branches are not affine maps"
             )
-        if not 1 <= i <= self.k:
-            raise InvalidSpec(f"branch index {i} outside 1..{self.k}")
+        _need_int("branch index", i, 1, self.k)
         return None if i == self.k else self._affine[i - 1]
 
     def branch_affine(self, i: int) -> tuple:

@@ -70,6 +70,8 @@ def lyndon_words(k: int, max_len: int) -> Iterator[Word]:
     Duval's generation: extend the current word periodically to the
     maximal length, trim trailing maximal symbols, increment.
     """
+    _need_int("k", k)  # k = 2.5 never meets its maximal symbol: no end
+    _need_int("max_len", max_len)
     if k < 1 or max_len < 1:
         return
     w = [0]
@@ -242,9 +244,7 @@ def enumerate_cycles(sys: DynamicalSystem, max_len: int) -> CycleSearchReport:
     """
     if not sys.is_affine:
         raise NotAffineFamily("cycle search solves affine fixed-point equations")
-    _need_int("max_len", max_len)
-    if max_len < 1:
-        raise InvalidSpec("need max_len >= 1")
+    _need_int("max_len", max_len, 1)
     rows = _expanding_rows(sys)
     pruned = dict.fromkeys(("forced_successor", "wraparound", "denominator"), 0)
     folds = _admissible_necklaces(sys, max_len, rows, pruned)
@@ -297,9 +297,7 @@ def check_separating(sys: DynamicalSystem, x, cap: int) -> SeparatingReport:
     again: the orbit ran into a cycle without x.  A non-return is
     reported, not an error.
     """
-    _need_int("cap", cap)
-    if cap < 0:
-        raise InvalidSpec(f"need cap >= 0, got {cap}")
+    _need_int("cap", cap, 0)
     sys._require(x)
     step, branch = sys._step, sys._branch
     word = []
@@ -369,19 +367,15 @@ def check_uniqueness(
     there are not its solved point is a violation, listed with both.  A
     solved point within the bound replays, so no unlisted word can be one.
     """
-    _need_int("max_len", max_len)
-    if max_len < 1:
-        raise InvalidSpec("need max_len >= 1")
+    _need_int("max_len", max_len, 1)
     if sys.is_finite:
         scan_bound = None  # every state is walked, whatever the bound
     elif not sys.is_affine:
         raise NotAffineFamily("uniqueness check needs affine or finite-table systems")
     else:
-        # True or 2.5 would otherwise be refused as a window never passed
-        _need_int("scan_bound", scan_bound)
-        if scan_bound < 1:
-            # a scan over no state would guard nothing yet still pass
-            raise InvalidSpec(f"need scan_bound >= 1, got {scan_bound}")
+        # True or 2.5 would otherwise be refused as a window never
+        # passed, and a scan over no state would guard nothing yet pass
+        _need_int("scan_bound", scan_bound, 1)
     window = None if scan_bound is None else IntWindow(1, scan_bound)
     fixed = _fixed_words(sys, window_states(sys, window)[1], max_len)
     if scan_bound is None:
@@ -417,15 +411,13 @@ class UniFixReport:
 
 
 def verify_unifix(sys: DynamicalSystem, word: Iterable, m: int) -> UniFixReport:
-    """f_I and f_{I^m} have the same fixed-point set (m >= 1).
+    """f_I and f_{I^m} have the same fixed-point set.
 
     For affine families both sets have at most one element, so the check
     is equality of the two solver results.
     """
     word = check_word(word, sys.k)
-    _need_int("m", m)
-    if m < 1:
-        raise InvalidSpec("need m >= 1")
+    _need_int("m", m, 1)
     x1 = fixed_point_of_word(sys, word)
     xm = fixed_point_of_word(sys, word * m)
     return UniFixReport(

@@ -680,27 +680,27 @@ def test_negative_count_is_exit_2(capsys, argv):
         (["minimality", "--system", "collatz", "--window", "1..10", "--budget", "-1"],
          "need budget >= 0, got -1"),
         (["cycles", "--system", "collatz", "--max-len", "0"],
-         "need max_len >= 1"),
+         "need max_len >= 1, got 0"),
         (["check", "uniqueness", "--system", "collatz", "--max-len", "0"],
-         "need max_len >= 1"),
+         "need max_len >= 1, got 0"),
         (["check", "uniqueness", "--system", "collatz", "--max-len", "3",
           "--scan-bound", "0"],
          "need scan_bound >= 1, got 0"),
         (["code", "--system", "collatz", "--x", "7", "--length", "-1"],
-         "need length >= 0"),
+         "need length >= 0, got -1"),
         (["check", "alphabeta", "--system", "collatz", "--window", "1..6",
           "--horizon", "0"],
          "need horizon >= 1, got 0"),
         (["tower", "--system", "collatz", "--x", "7", "--depth", "0"],
-         "need depth >= 1"),
+         "need depth >= 1, got 0"),
         (["tower", "--system", "collatz", "--x", "7", "--steps", "-1"],
          "need steps >= 0, got -1"),
         (["tower", "--system", "collatz", "--x", "0"],
-         "states are positive integers"),
+         "need x >= 1, got 0"),
         (["orbit", "--system", "mersenne:1", "--x", "1"],
-         "need m >= 2"),
+         "need m >= 2, got 1"),
         (["orbit", "--system", "shift:0", "--x", "1"],
-         "need k >= 1"),
+         "need k >= 1, got 0"),
     ],
 )
 def test_count_below_its_least_is_exit_2(capsys, argv, err):

@@ -35,7 +35,7 @@ def test_coding_prefix_frozen(collatz, swap1):
 
 
 def test_coding_prefix_refuses_a_negative_length(collatz):
-    with pytest.raises(InvalidSpec, match="^need length >= 0$"):
+    with pytest.raises(InvalidSpec, match="^need length >= 0, got -1$"):
         coding.coding_prefix(collatz, 5, -1)
 
 
@@ -661,7 +661,7 @@ def test_recovery_preconditions(collatz):
 def test_recovery_needs_an_affine_system_and_j_at_least_1(collatz, swap2):
     with pytest.raises(NotAffineFamily):
         coding.verify_recovery_lemma(swap2, 1, 2, j=1)
-    with pytest.raises(InvalidSpec, match="^need j >= 1$"):
+    with pytest.raises(InvalidSpec, match="^need j >= 1, got 0$"):
         coding.verify_recovery_lemma(collatz, 3, 11, j=0)
 
 

@@ -33,7 +33,7 @@ def test_collatz_is_3x_plus_1():
 def test_mersenne_family():
     assert systems.mersenne(3) == systems.QxPlusD(7, 1)
     assert systems.mersenne(5) == systems.QxPlusD(31, 1)
-    with pytest.raises(InvalidSpec, match="^need m >= 2$"):
+    with pytest.raises(InvalidSpec, match="^need m >= 2, got 1$"):
         systems.mersenne(1)
 
 
@@ -73,7 +73,7 @@ def test_table_requires_total_injective_branches():
             systems.FiniteTable.make({1: 1, 2: 1, 3: 1}, {1: 3, 2: 3, 3: 1})
         )
     # branch index out of range
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="^branch index 2 outside 1..1$"):
         systems.make_system(
             systems.FiniteTable.make({1: 2, 2: 1}, {1: 2, 2: 1}, k=1)
         )
@@ -91,7 +91,7 @@ def test_table_k1_is_allowed(swap1):
 
 
 def test_table_k0_is_refused():
-    with pytest.raises(InvalidSpec, match="^need k >= 1$"):
+    with pytest.raises(InvalidSpec, match="^need k >= 1, got 0$"):
         systems.make_system(systems.FiniteTable.make({1: 1}, {1: 1}, k=0))
 
 
@@ -134,7 +134,8 @@ def test_shift_system_requires_positive_k():
         systems.make_system(systems.SymbolicShift(0))
 
 
-# a count of True once ran as 1, a float ran as given or leaked a TypeError
+# a count or branch index of True once ran as 1, a float ran as given or
+# leaked a TypeError
 @pytest.mark.parametrize(
     "call",
     [
@@ -153,11 +154,20 @@ def test_shift_system_requires_positive_k():
         lambda c: systems.make_system(systems.SymbolicShift(2.5)),
         lambda c: systems.make_system(systems.FiniteTable.make({1: 1}, {1: 1}, k=2.5)),
         lambda c: systems.make_system(systems.AlphaBeta(3.0, (4, 4), (2, 1))),
+        lambda c: systems.mersenne(3.0),
+        lambda c: next(words.lyndon_words(2.5, 2)),
+        lambda c: next(words.lyndon_words(2, 2.0)),
+        lambda c: c.branch_affine(1.0),
+        lambda c: c.branch_affine_int(True),
+        lambda c: systems.make_system(systems.FiniteTable.make({1: 1.0, 2: 2}, {1: 2, 2: 1}, k=2)),
+        lambda c: systems.make_system(systems.FiniteTable.make({1: True, 2: 2}, {1: 2, 2: 1}, k=2)),
     ],
     ids=["orbit-cap", "closure-budget", "minimality-budget", "minimality-budget-bool",
          "cycles-max-len-bool", "cycles-max-len", "separating-cap", "uniqueness-max-len",
          "uniqueness-scan-bound-bool", "unifix-m", "pm-limit-cap-bool", "pm-limit-cap",
-         "shift-k", "table-k", "alphabeta-k"],
+         "shift-k", "table-k", "alphabeta-k", "mersenne-m", "lyndon-k", "lyndon-max-len",
+         "branch-affine-index", "branch-affine-int-index-bool", "table-branch-index",
+         "table-branch-index-bool"],
 )
 def test_counts_that_are_no_ints_are_refused(collatz, call):
     with pytest.raises(InvalidSpec, match="^need an int "):

@@ -589,7 +589,7 @@ def test_unifix_accepts_proper_powers(five_x_one):
 
 
 def test_unifix_refuses_power_zero(collatz):
-    with pytest.raises(InvalidSpec, match="need m >= 1"):
+    with pytest.raises(InvalidSpec, match="^need m >= 1, got 0$"):
         words.verify_unifix(collatz, (1, 2, 2), 0)
 
 
