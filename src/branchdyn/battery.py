@@ -326,10 +326,11 @@ def check_prefix_projection_mechanics() -> CheckResult:
         prefix = coding.coding_prefix(sys, x, length)
         support = operators.projection_P(trunc, prefix)
         # independent route: the cylinder of the prefix, the states
-        # M*t + r for t0 <= t <= t1, by arithmetic on the residue class;
-        # it holds x, so it is never None
+        # M*t + r for t0 <= t <= t1, found by pinning one residue per
+        # symbol, against the support that composes the branches' column
+        # ranges; it holds x, so it is never None, and state s sits at s - lo
         M, r, t0, t1 = coding._progression(sys.k, sys._affine, win, prefix)
-        if {trunc.index.get(r + M * t) for t in range(t0, t1 + 1)} != support:
+        if frozenset(range(r + M * t0 - win.lo, r + M * t1 + 1 - win.lo, M)) != support:
             failures.append(f"prefix {prefix}: projection support mismatch")
     a = {trunc.index[1]: Fraction(1), trunc.index[5]: Fraction(1)}
     rep = operators.verify_pm_limit(trunc, a, 1, cap=64)

@@ -201,7 +201,7 @@ def _parse_word(text: str):
 
 
 def _parse_support(text: str):
-    return tuple(int(t) for t in text.split(","))
+    return tuple(map(systems.json_int, text.split(",")))
 
 
 def _read_states(path: str):

@@ -22,7 +22,10 @@ Escapes have zero columns, and facts that would need their images
 (reducing-subspace checks near the boundary, conjugation identities)
 are only asserted on interior coordinates.  The projection P = T_I^*
 T_I of a coding prefix I is a 0/1 diagonal, and ``projection_P``
-returns the coordinates it keeps.
+returns the coordinates it keeps.  The chase of a word I composes the
+column maps of its symbols; on the class route it composes their pairs
+of ranges, each step one congruence, so P_I's support is one range and
+neither the P_m limit nor a word's fixed vectors builds a column map.
 
 Vectors are sparse dicts {coordinate: value}, the only vector format
 here.  Every basis built here holds int entries: a set K of window
@@ -71,8 +74,10 @@ class Truncation:
     window's own sequence (an ``IntWindow``'s range) or the given order.
 
     The class route keeps each column map as the two ranges it pairs,
-    columns and rows, and ``maps`` builds the dicts on first read; the
-    state pass hands its dicts (and its index) to the truncation.
+    columns and rows, and ``maps`` builds the dicts on first read; word
+    chases, prefix projections and the P_m limit compose the ranges
+    and never read it.  The state pass hands its dicts (and its index)
+    to the truncation.
     """
 
     sys: DynamicalSystem
@@ -200,20 +205,58 @@ def _dot(u: dict, v: dict):
 
 
 def _chase(trunc: Truncation, symbols) -> dict:
-    """c -> T_I e_c's coordinate, for every c the word keeps in the window.
+    """c -> T_I e_c's coordinate, for every c the word keeps in the window,
+    in ascending order of c.
 
-    The chase starts at the first symbol's column map, whose keys are
-    the columns that survive one symbol, in ascending order as
-    ``build_truncation`` stores them, and returns a fresh dict: a caller
-    may change it without touching ``trunc.maps``.  ``symbols`` is a
-    nonempty word, as ``check_word`` returns it.
+    The class route pairs the ranges ``_span_chase`` composes and reads
+    no column map.  The state pass starts at the first symbol's column
+    map, whose keys are the columns that survive one symbol, in
+    ascending order as ``build_truncation`` stores them.  Either way the
+    dict is fresh: a caller may change it without touching
+    ``trunc.maps``.  ``symbols`` is a nonempty word, as ``check_word``
+    returns it.
     """
+    if trunc._spans is not None:
+        return dict(zip(*_span_chase(trunc._spans, symbols)))
     first, *rest = symbols
     out = dict(trunc.maps[first - 1])
     for i in rest:
         fwd = trunc.maps[i - 1]
         out = {c: fwd[r] for c, r in out.items() if r in fwd}
     return out
+
+
+def _span_chase(spans: tuple, symbols) -> tuple:
+    """(columns, rows): the chase of a nonempty word on the class route,
+    two ranges paired in order, folded in O(|w|) integer steps.
+
+    The pair so far maps column C[j] to row R[j] = R0 + j*dR.  The next
+    branch's columns C' step by k, so C[j] survives iff R0 + j*dR is
+    congruent to C'[0] mod k and lies in C'[0]..C'[-1].  For g = gcd(dR,
+    k) the congruence has no solution unless g divides C'[0] - R0, and
+    otherwise holds for j in one class mod k/g: the survivors are one
+    slice of C, and their rows one slice of R' of step dR/g.
+    """
+    first, *rest = symbols
+    cols, rows = spans[first - 1]
+    for i in rest:
+        nxt, img = spans[i - 1]
+        if not cols or not nxt:
+            return range(0), range(0)
+        k, dR = nxt.step, rows.step
+        g, gap = gcd(dR, k), nxt.start - rows.start
+        if gap % g:
+            return range(0), range(0)
+        p = k // g
+        j = gap // g * pow(dR // g, -1, p) % p
+        # the least j >= 0 whose row reaches C'[0], the greatest whose row stays in C'
+        least, most = max(0, -(-gap // dR)), min(len(cols) - 1, (nxt[-1] - rows.start) // dR)
+        j0, j1 = least + (j - least) % p, most - (most - j) % p
+        if j0 > j1:
+            return range(0), range(0)
+        at, step = (rows[j0] - nxt.start) // k, dR // g
+        cols, rows = cols[j0 : j1 + 1 : p], img[at : at + (j1 - j0) // p * step + 1 : step]
+    return cols, rows
 
 
 def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) -> dict:
@@ -246,8 +289,13 @@ def projection_P(trunc: Truncation, prefix) -> frozenset:
     symbols keeps all intermediate images in the window; the adjoint
     chase then walks the same path backwards, so P is the diagonal 0/1
     indicator of the surviving start coordinates, returned as a set.
+    On the class route they are the columns ``_span_chase`` composes,
+    one range, and no column map is read.
     """
-    return frozenset(_chase(trunc, check_word(prefix, trunc.k)))
+    symbols = check_word(prefix, trunc.k)
+    if trunc._spans is None:
+        return frozenset(_chase(trunc, symbols))
+    return frozenset(_span_chase(trunc._spans, symbols)[0])
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,19 @@ PERIOD3_30 = json.dumps(
         # and never return, so they stay unresolved
         ("minimality_collatz_w37_300.json",
          ["minimality", "--system", "collatz", "--window", "37..300"]),
+        # the three reports below were pinned while the word chase composed
+        # the column maps as dicts; 201, 209 and 227 part from 200's coding
+        # at steps 1, 4 and 6, and the gcd-failing word keeps states but
+        # closes no cycle
+        ("pm_limit_alphabeta3_w37_20000_x200.json",
+         ["operators", "pm-limit", "--system", ALPHABETA3, "--window", "37..20000",
+          "--x", "200", "--support", "200,201,227,209"]),
+        ("fixed_vectors_alphabeta3_w500_13233.json",
+         ["operators", "fixed-vectors", "--system", ALPHABETA3, "--window", "1..500",
+          "--word", "1,3,2,3,3"]),
+        ("fixed_vectors_alphabeta3_gcd_w300_331.json",
+         ["operators", "fixed-vectors", "--system", ALPHABETA3_GCD, "--window", "1..300",
+          "--word", "3,3,1"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -750,6 +763,29 @@ def test_pm_limit_support_outside_the_window_is_exit_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: support state 50 outside the window\n"
+
+
+# each item is read as a JSON integer is: int() read the empty item as a
+# ValueError's text, and an underscore or a non-ASCII digit as a state
+@pytest.mark.parametrize(
+    "support, err",
+    [
+        (",1", "malformed integer ''"),
+        ("1,", "malformed integer ''"),
+        ("1,,5", "malformed integer ''"),
+        ("1_0", "malformed integer '1_0'"),
+        ("\u0665", "malformed integer '\u0665'"),
+        (" 1", "malformed integer ' 1'"),
+        ("1.5", "malformed integer '1.5'"),
+    ],
+)
+def test_pm_limit_support_item_not_an_integer_is_exit_2(capsys, support, err):
+    code = cli.main(["operators", "pm-limit", "--system", "collatz", "--window", "1..10",
+                     "--support", support])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_phi_from_a_file_path(tmp_path, capsys):

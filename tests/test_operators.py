@@ -166,6 +166,29 @@ def test_class_route_matches_the_state_loop(name, window):
     assert truncation_parts(got) == truncation_parts(want)
 
 
+@pytest.mark.parametrize("window", CLASS_ROUTE_WINDOWS, ids=str)
+@pytest.mark.parametrize("name", sorted(CLASS_ROUTE_SPECS))
+def test_class_route_chase_matches_the_identity_start_oracle(name, window):
+    # seeded words of length 1..12, a window state's coding and a random
+    # word of each length; the chase composes the branches' column ranges
+    # and builds no column map
+    sys = systems.make_system(CLASS_ROUTE_SPECS[name])
+    t = operators.build_truncation(sys, window)
+    rng = random.Random(f"{name} {window}")
+    words = []
+    for length in range(1, 13):
+        words.append(coding.coding_prefix(sys, rng.randint(*window), length))
+        words.append(tuple(rng.randint(1, sys.k) for _ in range(length)))
+    chases = [operators._chase(t, w) for w in words]
+    supports = [operators.projection_P(t, w) for w in words]
+    assert "maps" not in vars(t)
+    for word, got, support in zip(words, chases, supports):
+        want = chase_oracle(t, word)
+        assert list(got.items()) == list(want.items()), word
+        assert support == frozenset(want), word
+    assert not all(chases)  # some word empties the map
+
+
 def test_class_route_calls_no_kernel():
     sys = systems.make_system(systems.collatz())
 
@@ -243,6 +266,39 @@ def test_operators_build_on_a_million_states_builds_no_map(monkeypatch, capsys, 
     assert rep["n"] == 10**6 and rep["entries"] == [166667, 500000]
     # the odd states above 333,333 leave the window, no even state does
     assert len(rep["escapes"][0]) == 333333 and rep["escapes"][1] == []
+    assert "maps" not in vars(built[0])
+
+
+def test_prefix_projections_build_no_map(collatz, monkeypatch, capsys):
+    # P_I, the word chase and the P_m limit compose the class route's
+    # ranges, and so do checks 8 and 10 and the two commands on them
+    t = operators.build_truncation(collatz, (1, 10**4))
+    # x = 4t + 1 with 3x + 1 <= 10^4, at coordinate x - 1
+    assert operators.projection_P(t, (1, 2, 2)) == frozenset(range(0, 3333, 4))
+    assert operators.fixed_vectors_of_word(t, (1, 2, 2)).dimension == 1
+    assert operators.verify_pm_limit(t, {t.index[1]: F(1), t.index[5]: F(1)}, 1).passed
+    assert "maps" not in vars(t)
+    built = built_truncations(monkeypatch)
+    assert battery.check_prefix_projection_mechanics().passed
+    assert battery.check_word_fixed_vectors().passed
+    for argv in (
+        ["pm-limit", "--window", "1..10000", "--support", "1,5"],
+        ["fixed-vectors", "--window", "1..200", "--word", "1,2,2"],
+    ):
+        assert cli.main(["operators", *argv, "--system", "collatz"]) == 0
+    capsys.readouterr()
+    assert len(built) == 4 and not any("maps" in vars(b) for b in built)
+
+
+def test_pm_limit_on_a_million_states_builds_no_map(monkeypatch, capsys, deadline):
+    built = built_truncations(monkeypatch)
+    deadline(5)
+    argv = ["operators", "pm-limit", "--system", "collatz", "--window", "1..1000000", "--support", "1,5"]
+    assert cli.main(argv) == 0
+    deadline(0)
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["passed"] and rep["stabilization_index"] == 4
+    assert rep["eliminated"] == [{"cause": "coding", "state": "5", "step": 4}]
     assert "maps" not in vars(built[0])
 
 
@@ -764,22 +820,39 @@ def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
     # projection_P's support against the prefix's cylinder, which check 8
     # cuts to the window by arithmetic; check 10 reads the cycles of the
     # same chase, and the lost coordinate breaks the cycle of e_1 under
-    # word 1 2 2
-    true_chase = operators._chase
+    # word 1 2 2; both truncations take the class route, whose chase
+    # composes column ranges
+    true_chase = operators._span_chase
 
-    def lossy(trunc, symbols):
-        out = true_chase(trunc, symbols)
-        if out:
-            del out[min(out)]
-        return out
+    def lossy(spans, symbols):
+        cols, rows = true_chase(spans, symbols)
+        return cols[1:], rows[1:]
 
-    monkeypatch.setattr(operators, "_chase", lossy)
+    monkeypatch.setattr(operators, "_span_chase", lossy)
     result = battery.check_prefix_projection_mechanics()
     assert not result.passed
     assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))
     result = battery.check_word_fixed_vectors()
     assert not result.passed
     assert result.detail == "word 1 2 2: dimension 0, support none"
+
+
+def test_check_8_catches_a_chase_that_drops_the_residue_condition(monkeypatch):
+    # a row between the next branch's least and greatest columns passes
+    # as one of its columns, wherever it lies mod k
+    def no_residue(spans, symbols):
+        cols, rows = spans[symbols[0] - 1]
+        for i in symbols[1:]:
+            nxt, img = spans[i - 1]
+            kept = [(c, img[(r - nxt.start) // nxt.step]) for c, r in zip(cols, rows)
+                    if nxt and nxt.start <= r <= nxt[-1]]
+            cols, rows = [c for c, _ in kept], [r for _, r in kept]
+        return cols, rows
+
+    monkeypatch.setattr(operators, "_span_chase", no_residue)
+    result = battery.check_prefix_projection_mechanics()
+    assert not result.passed
+    assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))
 
 
 def test_check_8_catches_a_cylinder_one_step_too_long(monkeypatch):
