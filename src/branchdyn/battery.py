@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from . import coding, morphisms, operators, orbits, words
 from .systems import (
@@ -125,14 +126,30 @@ def _invariant_subsets(sys: DynamicalSystem) -> set:
 
     Independent of the component walk of the minimality probe and the
     commutant: a subset qualifies iff it is closed under the map and
-    under preimages.
+    under preimages.  Subsets are bitmasks over the states in order, and
+    near[b] is the mask of state b's image and preimages; the masks are
+    swept in ascending order, each one's reach built from the mask
+    without its lowest bit, so the set holds its members in the order of
+    a scan of every subset.  An image outside the states takes bit n,
+    which no subset holds.
     """
     states = list(sys.states())
-    subsets = (
-        frozenset(s for b, s in enumerate(states) if mask >> b & 1)
-        for mask in range(1 << len(states))
-    )
-    return {subset for subset in subsets if _is_invariant(sys, subset)}
+    n = len(states)
+    index = {x: b for b, x in enumerate(states)}
+    near = [0] * n
+    for b, x in enumerate(states):
+        c = index.get(sys.apply(x), n)
+        near[b] |= 1 << c
+        if c < n:
+            near[c] |= 1 << b
+    reach = [0] * (1 << n)
+    invariant = {frozenset()}
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | near[low.bit_length() - 1]
+        if not reach[mask] & ~mask:
+            invariant.add(frozenset(x for b, x in enumerate(states) if mask >> b & 1))
+    return invariant
 
 
 def _basis_support(trunc, basis) -> frozenset:
@@ -347,7 +364,14 @@ def check_prefix_projection_mechanics() -> CheckResult:
 def check_correspondence_bijection() -> CheckResult:
     """Invariant sets versus reducing subspaces on 50 random injective
     codings, where a forward orbit that is not invariant must not reduce,
-    plus the 2-state swap where the correspondence must fail to be onto."""
+    plus the 2-state swap where the correspondence must fail to be onto.
+
+    The invariant sets are every subset of the states, swept as bitmasks
+    in ascending order: a mask's image-and-preimage reach is its lowest
+    bit's plus that of the mask without it, and the mask qualifies when
+    the reach stays inside it (``_invariant_subsets``).  Each H_K is a
+    span of unit vectors, so ``is_reducing`` projects with int
+    coefficients."""
     rng = random.Random(0xBD09)
     failures = []
     made = 0
@@ -551,36 +575,70 @@ def check_morphism_suite() -> CheckResult:
     )
 
 
+def _first_tower_fault(k: int, rows: tuple, states: range, fxs: list, bxs: list, M: int):
+    """(x, "symbol" or "tower") for the least state x whose tower of
+    modulus M disagrees with its branch bxs or, failing that, its image
+    fxs; None if there is none.
+
+    One class step per residue v mod M: the class's states
+    lo <= M*t + v <= hi sit M apart in ``states``, so the images its
+    step predicts are one range A*t + B and its branches one symbol, each
+    written into this depth's lists by one slice assignment.  Where M
+    exceeds hi every class holds at most one state, with t = 0, and the
+    steps are taken in one pass over the states instead.
+    """
+    class_step = coding._class_step
+    lo, hi = states.start, states[-1]
+    if hi < M:
+        steps = map(class_step, repeat(k), repeat(rows), repeat(M), states)
+        symbols, _, images = map(list, zip(*steps))
+    else:
+        symbols, images = [0] * len(states), [0] * len(states)
+        for v in range(M):
+            x0 = lo + (v - lo) % M
+            if x0 > hi:
+                continue
+            t0, t1 = x0 // M, (hi - v) // M
+            symbol, A, B = class_step(k, rows, M, v)
+            symbols[x0 - lo::M] = [symbol] * (t1 - t0 + 1)
+            images[x0 - lo::M] = range(A * t0 + B, A * t1 + B + 1, A)
+    if symbols != bxs or images != fxs:
+        for x, s, b, y, f in zip(states, symbols, bxs, images, fxs):
+            if s != b:
+                return x, "symbol"
+            if y != f:
+                return x, "tower"
+    return None
+
+
 def check_digit_towers() -> CheckResult:
     """The class step that carries towers agrees with the map on every
-    state, and residue recovery holds on constructed pairs."""
+    state, and residue recovery holds on constructed pairs.
+
+    The sweep takes one class step per depth and residue class, not one
+    per state and depth: the class's slices of f(x) and of the branch
+    over 1..10^4 must be an arithmetic range and one symbol.  Where k^depth
+    exceeds 10^4 every class holds one state, and those depths compare
+    state by state in one pass.  A mismatch is named as a scan of every
+    state would name it: its least state, with each failing depth there."""
     failures = []
     towers = [
         (_collatz(), 2),
         (make_system(AlphaBeta(3, (4, 4), (2, 1))), 3),
         (make_system(AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1))), 5),
     ]
-    class_step = coding._class_step  # the kernel tower_apply reads
     for sys, k in towers:
-        # the system checks of tower_apply, once per system.  The tower of
-        # depth d at x is the class k^d*t + v with x = k^d*t + v, so its
-        # step must give x's branch and, at this t, f(x) itself
+        # the system checks of tower_apply, once per system
         rows = coding._tower_rows(sys, k)
         _, states = window_states(sys, IntWindow(1, 10**4))
-        step, branch = sys._step, sys._branch
-        powers = [k**depth for depth in range(1, 9)]
-        for x in states:
-            fx, bx = step(x), branch(x)
-            for depth, M in enumerate(powers, 1):
-                t, v = divmod(x, M)
-                symbol, A, B = class_step(k, rows, M, v)
-                if symbol != bx:
-                    failures.append(f"k={k} x={x} depth={depth}: symbol mismatch")
-                elif A * t + B != fx:
-                    failures.append(f"k={k} x={x} depth={depth}: tower mismatch")
-            if failures:
-                break
-        if failures:
+        fxs, bxs = list(map(sys._step, states)), list(map(sys._branch, states))
+        faults = [(depth, _first_tower_fault(k, rows, states, fxs, bxs, k**depth))
+                  for depth in range(1, 9)]
+        faults = [(depth, *fault) for depth, fault in faults if fault]
+        if faults:
+            x = min(y for _, y, _ in faults)
+            failures = [f"k={k} x={x} depth={depth}: {kind} mismatch"
+                        for depth, y, kind in faults if y == x]
             break
     rng = random.Random(0xBD12)
     done = 0

@@ -188,6 +188,20 @@ def _parse_system(text: str):
         return systems.make_system(systems.spec_from_json(json.load(fh)))
 
 
+def _parse_int(text: str) -> int:
+    """An integer option, read as every integer of a JSON input is
+    (``systems.json_int``): ASCII digits with an optional sign, so an
+    underscore or a non-ASCII digit is refused where ``int()`` read it.
+    A count's least is the library's ``_need_int`` bound.  A numeral past
+    Python's int-to-string digit limit keeps argparse's own text."""
+    try:
+        return systems.json_int(text)
+    except InvalidSpec as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_window(text: str):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
@@ -556,47 +570,47 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = leaf(sub, "orbit", cmd_orbit, "iterate one state to its cycle")
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=10**4)
+    sp.add_argument("--x", type=_parse_int, required=True)
+    sp.add_argument("--cap", type=_parse_int, default=10**4)
 
     sp = leaf(sub, "total-orbit", cmd_total_orbit,
               "closure under f and preimages in a window", window=True)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=10**6)
+    sp.add_argument("--x", type=_parse_int, required=True)
+    sp.add_argument("--budget", type=_parse_int, default=10**6)
 
     sp = leaf(sub, "minimality", cmd_minimality,
               "orbit-equivalence classes of a window", window=True)
-    sp.add_argument("--budget", type=int, default=10**4)
+    sp.add_argument("--budget", type=_parse_int, default=10**4)
 
     sp = leaf(sub, "cycles", cmd_cycles, "all cycles with period up to --max-len")
-    sp.add_argument("--max-len", type=int, default=24)
+    sp.add_argument("--max-len", type=_parse_int, default=24)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     check = group("check", "uniqueness / separating / alphabeta")
     sp = leaf(check, "uniqueness", cmd_check_uniqueness)
-    sp.add_argument("--max-len", type=int, default=12)
-    sp.add_argument("--scan-bound", type=int, default=words.UNIQUENESS_SCAN_BOUND)
+    sp.add_argument("--max-len", type=_parse_int, default=12)
+    sp.add_argument("--scan-bound", type=_parse_int, default=words.UNIQUENESS_SCAN_BOUND)
     sp = leaf(check, "separating", cmd_check_separating)
-    sp.add_argument("--x", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=2**10)
+    sp.add_argument("--x", type=_parse_int, default=1)
+    sp.add_argument("--cap", type=_parse_int, default=2**10)
     sp = leaf(check, "alphabeta", cmd_check_alphabeta, window=True)
-    sp.add_argument("--horizon", type=int, default=None)
+    sp.add_argument("--horizon", type=_parse_int, default=None)
 
     sp = leaf(sub, "code", cmd_code, "coding prefix of a state")
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--length", type=int, default=16)
-    sp.add_argument("--cap", type=int, default=2**10)
+    sp.add_argument("--x", type=_parse_int, required=True)
+    sp.add_argument("--length", type=_parse_int, default=16)
+    sp.add_argument("--cap", type=_parse_int, default=2**10)
     sp.add_argument("--exact-tail", action="store_true",
                     help="also report the full eventually periodic coding")
 
     sp = leaf(sub, "tuc-scan", cmd_tuc_scan, "coding injectivity over a window",
               window=True)
-    sp.add_argument("--cap", type=int, default=2**10)
+    sp.add_argument("--cap", type=_parse_int, default=2**10)
 
     sp = leaf(sub, "tower", cmd_tower, "k-adic digit towers along the orbit")
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--steps", type=int, default=1)
+    sp.add_argument("--x", type=_parse_int, required=True)
+    sp.add_argument("--depth", type=_parse_int, default=4)
+    sp.add_argument("--steps", type=_parse_int, default=1)
 
     ops = group("operators", "truncated operator computations")
     leaf(ops, "build", cmd_operators_build, window=True)
@@ -607,9 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = leaf(ops, "fixed-vectors", cmd_operators_fixed_vectors, window=True)
     sp.add_argument("--word", type=_parse_word, default=(1,))
     sp = leaf(ops, "pm-limit", cmd_operators_pm_limit, window=True)
-    sp.add_argument("--x", type=int, default=1)
+    sp.add_argument("--x", type=_parse_int, default=1)
     sp.add_argument("--support", default="1", help="comma separated states")
-    sp.add_argument("--cap", type=int, default=64)
+    sp.add_argument("--cap", type=_parse_int, default=64)
 
     morph = group("morphism", "morphism verification and transport")
     for name, func in (("check", cmd_morphism_check), ("iso", cmd_morphism_iso),

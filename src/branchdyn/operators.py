@@ -31,8 +31,8 @@ Vectors are sparse dicts {coordinate: value}, the only vector format
 here.  Every basis built here holds int entries: a set K of window
 states becomes span{e_x : x in K} as one unit dict per member, and the
 fixed vectors of a word operator are read off the cycles of the word's
-index map.  Fractions appear only as projection coefficients and in vectors
-that callers pass in.
+index map.  Fractions appear only where a projection coefficient is not
+an integer and in vectors that callers pass in.
 
 The commutant is read off the bisimulation quotient of a closed
 truncation.  Each total-orbit component is one cycle with in-trees and
@@ -450,11 +450,19 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def project(self, w: dict) -> dict:
-        """Orthogonal projection of w onto the subspace."""
+        """Orthogonal projection of w onto the subspace.
+
+        A coefficient is the exact int quotient when both dot products
+        are ints and the divisor divides; otherwise it is a Fraction,
+        which refuses float entries."""
         out: dict = {}
         for j in self._sharing(w):
             b = self.vectors[j]
-            coeff = Fraction(_dot(b, w), _dot(b, b))
+            num, den = _dot(b, w), _dot(b, b)
+            if type(num) is int and type(den) is int and not num % den:
+                coeff = num // den
+            else:
+                coeff = Fraction(num, den)
             for c, x in b.items():
                 out[c] = out.get(c, 0) + coeff * x
         return {c: x for c, x in out.items() if x}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from branchdyn import linalg, operators, orbits, systems, words
+from branchdyn import battery, linalg, operators, orbits, systems, words
 from branchdyn.errors import DepthExhausted, IdentityComposition, InvalidSpec
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -418,6 +418,19 @@ def invariance_violations(trunc, K):
             out.add(y)
         out |= {p for p, _ in trunc.sys.preimages(x) if p in trunc.index and p not in K}
     return out
+
+
+def invariant_subsets_oracle(sys):
+    """Every invariant subset of a finite system, one ``battery._is_invariant``
+    call per subset: the subsets of its states in ascending order of their
+    bitmask over ``sys.states()``, so a set built from it holds its members
+    in that insertion order."""
+    states = list(sys.states())
+    subsets = (
+        frozenset(s for b, s in enumerate(states) if mask >> b & 1)
+        for mask in range(1 << len(states))
+    )
+    return {subset for subset in subsets if battery._is_invariant(sys, subset)}
 
 
 def apply_word(trunc, word, vec):

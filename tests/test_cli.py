@@ -279,12 +279,19 @@ PERIOD3_30 = json.dumps(
         ("fixed_vectors_alphabeta3_gcd_w300_331.json",
          ["operators", "fixed-vectors", "--system", ALPHABETA3_GCD, "--window", "1..300",
           "--word", "3,3,1"]),
+        # a failing reduce-check, exit 1, pinned while every projection
+        # coefficient was a Fraction: T_2* e_8 = e_16, outside K = {1, 2, 4, 8}
+        ("reduce_check_collatz_w20_k1248.json",
+         ["operators", "reduce-check", "--system", "collatz", "--window", "1..20",
+          "--set-file", str(GOLDEN / "set_1_2_4_8.json")]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
-    # whole reports, config_hash included, as an earlier release wrote them
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    # whole reports, config_hash included, as an earlier release wrote them;
+    # a report whose "passed" is false exits 1
+    golden = (GOLDEN / name).read_text()
+    assert cli.main(argv) == (0 if json.loads(golden).get("passed", True) else 1)
+    assert capsys.readouterr().out == golden
 
 
 def test_exact_tail_of_a_divergent_orbit_within_its_budget(capsys, deadline):
@@ -722,6 +729,69 @@ def test_count_below_its_least_is_exit_2(capsys, argv, err):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+# each integer option, once, read as JSON reads an integer, with json_int's
+# text: int() read an underscore, a non-ASCII digit or a space as a number,
+# and the command ran; the other texts int() refused as "invalid int value"
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["orbit", "--system", "collatz", "--x", "\u0667", "--cap", "3"],
+         "argument --x: malformed integer '\u0667'"),
+        (["orbit", "--system", "collatz", "--x", "7", "--cap", "1_0"],
+         "argument --cap: malformed integer '1_0'"),
+        (["total-orbit", "--system", "collatz", "--window", "1..10", "--x", " 1"],
+         "argument --x: malformed integer ' 1'"),
+        (["total-orbit", "--system", "collatz", "--window", "1..10", "--x", "1",
+          "--budget", "1e3"],
+         "argument --budget: malformed integer '1e3'"),
+        (["minimality", "--system", "collatz", "--window", "1..10", "--budget", "1_000"],
+         "argument --budget: malformed integer '1_000'"),
+        (["cycles", "--system", "collatz", "--max-len", "\uff11\uff12"],
+         "argument --max-len: malformed integer '\uff11\uff12'"),
+        (["check", "uniqueness", "--system", "collatz", "--max-len", "3.0"],
+         "argument --max-len: malformed integer '3.0'"),
+        (["check", "uniqueness", "--system", "collatz", "--max-len", "3",
+          "--scan-bound", "0x10"],
+         "argument --scan-bound: malformed integer '0x10'"),
+        (["check", "separating", "--system", "collatz", "--x", "1 "],
+         "argument --x: malformed integer '1 '"),
+        (["check", "separating", "--system", "collatz", "--cap", "2_0"],
+         "argument --cap: malformed integer '2_0'"),
+        (["check", "alphabeta", "--system", "collatz", "--window", "1..6",
+          "--horizon", "\u0663"],
+         "argument --horizon: malformed integer '\u0663'"),
+        (["code", "--system", "collatz", "--x", "+-7"],
+         "argument --x: malformed integer '+-7'"),
+        (["code", "--system", "collatz", "--x", "7", "--length", "\u09ea"],
+         "argument --length: malformed integer '\u09ea'"),
+        (["code", "--system", "collatz", "--x", "7", "--exact-tail", "--cap", ""],
+         "argument --cap: malformed integer ''"),
+        (["tuc-scan", "--system", "collatz", "--window", "1..20", "--cap", "6_4"],
+         "argument --cap: malformed integer '6_4'"),
+        (["tower", "--system", "collatz", "--x", "2_7"],
+         "argument --x: malformed integer '2_7'"),
+        (["tower", "--system", "collatz", "--x", "27", "--depth", "\u0664"],
+         "argument --depth: malformed integer '\u0664'"),
+        (["tower", "--system", "collatz", "--x", "27", "--steps", "true"],
+         "argument --steps: malformed integer 'true'"),
+        (["operators", "pm-limit", "--system", "collatz", "--window", "1..100",
+          "--x", "1_0", "--support", "10,11"],
+         "argument --x: malformed integer '1_0'"),
+        (["operators", "pm-limit", "--system", "collatz", "--window", "1..10",
+          "--support", "1", "--cap", "\u0666\u0664"],
+         "argument --cap: malformed integer '\u0666\u0664'"),
+    ],
+)
+def test_integer_option_not_a_json_integer_is_exit_2(capsys, argv, err):
+    command = " ".join(a for a in argv[:2] if not a.startswith("--"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"branchdyn {command}: error: {err}"
 
 
 def test_format_is_only_a_cycles_option(capsys):

@@ -612,6 +612,23 @@ def test_check_digit_towers_catches_a_wrong_symbol(monkeypatch):
     assert result.detail == "k=3 x=7 depth=3: symbol mismatch"
 
 
+def test_check_digit_towers_reads_the_slope_of_a_class(monkeypatch):
+    # a wrong A' leaves the class's state at t = 0 (x = 5) right, so the
+    # class (8, 5) first fails at its next state, 13
+    true_step = coding._class_step
+
+    def steeper(k, rows, A, B):
+        symbol, A2, B2 = true_step(k, rows, A, B)
+        if (k, A, B) == (2, 8, 5):
+            A2 += 1
+        return symbol, A2, B2
+
+    monkeypatch.setattr(coding, "_class_step", steeper)
+    result = battery.check_digit_towers()
+    assert not result.passed
+    assert result.detail == "k=2 x=13 depth=3: tower mismatch"
+
+
 def test_deep_tower_is_not_quadratic(collatz, deadline):
     deadline(5)
     x = 3**12000 + 8  # odd, about 19,000 bits, below 2^20000

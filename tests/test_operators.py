@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -24,6 +25,7 @@ from conftest import (
     entry_class_commutant,
     injective_table,
     invariance_violations,
+    invariant_subsets_oracle,
     make_subspace,
     mat_add,
     mat_scale,
@@ -814,6 +816,59 @@ def test_check_9_needs_the_adjoint_half_of_is_reducing(monkeypatch):
     result = battery.check_correspondence_bijection()
     assert not result.passed
     assert "H_K reducing for non-invariant K=" in result.detail
+
+
+def _labelled_tables(max_states, max_k):
+    """Every table on 1..n, n <= max_states, with k <= max_k branches,
+    each branch injective: every image map and every branch labelling."""
+    for n, k in product(range(1, max_states + 1), range(1, max_k + 1)):
+        for images in product(range(1, n + 1), repeat=n):
+            for labels in product(range(1, k + 1), repeat=n):
+                if len(set(zip(labels, images))) == n:
+                    yield _table(dict(enumerate(labels, 1)), dict(enumerate(images, 1)), k=k)
+
+
+def test_invariant_subsets_match_the_per_subset_scan():
+    # check 9 draws from list(invariant), so the order of the set counts too
+    rng = random.Random(41)
+    random_tables = []
+    while len(random_tables) < 300:
+        sys = battery._random_table_system(rng)
+        if sys is not None:
+            random_tables.append(sys)
+    for sys in (*_labelled_tables(4, 3), *random_tables):
+        got, want = battery._invariant_subsets(sys), invariant_subsets_oracle(sys)
+        assert got == want and list(got) == list(want), sys.spec
+
+
+def test_project_is_exact_with_int_coefficients_where_they_divide():
+    rng = random.Random(0xBD41)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        basis = make_subspace(n, [[rng.randint(-2, 2) for _ in range(n)]
+                                  for _ in range(rng.randint(1, n))])
+        if not basis.vectors:
+            continue
+        w = {c: rng.randint(-6, 6) for c in range(n) if rng.random() < 0.7}
+        want, integral = {}, {}
+        for b in basis.vectors:
+            if not any(c in w for c in b):
+                continue
+            coeff = Fraction(sum(x * w.get(c, 0) for c, x in b.items()),
+                             sum(x * x for x in b.values()))
+            for c, x in b.items():
+                want[c] = want.get(c, Fraction(0)) + coeff * x
+                integral[c] = integral.get(c, True) and coeff.denominator == 1
+        got = basis.project(w)
+        assert got == {c: x for c, x in want.items() if x}
+        assert all((type(x) is int) == integral[c] for c, x in got.items())
+    # floats are refused by Fraction, integral quotient or not
+    basis = operators.SubspaceBasis(n=2, vectors=({0: 1, 1: 1},))
+    for w in ({0: 2.0, 1: 2}, {0: 1.5, 1: 0.5}):
+        with pytest.raises(TypeError, match="^both arguments should be Rational instances$"):
+            basis.project(w)
+    with pytest.raises(TypeError, match="^both arguments should be Rational instances$"):
+        operators.SubspaceBasis(n=1, vectors=({0: 1.0},)).project({0: 2})
 
 
 def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
