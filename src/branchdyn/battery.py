@@ -77,18 +77,20 @@ def _reach_one(bound: int) -> tuple:
         if known[n] is not None:
             continue
         cur, steps = n, 0
-        path = []
+        path = []  # the states from n, path[s] = f^s(n)
         while cur > bound or known[cur] is None:
-            path.append((cur, steps))
+            path.append(cur)
             cur = step(cur)
             steps += 1
             if steps > 10**4:
                 return worst, n
         total = steps + known[cur]
-        worst = max(worst, total)
-        for v, s in path:
+        if total > worst:
+            worst = total
+        for v in path:  # f^s(n) is total - s steps from 1
             if v <= bound:
-                known[v] = total - s
+                known[v] = total
+            total -= 1
     return worst, None
 
 

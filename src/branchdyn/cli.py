@@ -170,18 +170,28 @@ def _emit(args, body: dict) -> None:
         sys.stdout.write(text)
 
 
+# the named families: name -> (the form the name takes, the spec built from its integers)
+_NAMED_SYSTEMS = {
+    "qxd": ("qxd:Q,D", systems.QxPlusD),
+    "mersenne": ("mersenne:M", systems.mersenne),
+    "shift": ("shift:K", systems.SymbolicShift),
+}
+
+
 def _parse_system(text: str):
+    """A system named as the ``--system`` help lists it.  The integers of
+    a named family are read as every integer of a JSON input is
+    (``systems.json_int``), so ``qxd:5,1`` written in Arabic-Indic digits
+    is refused, not read as 5x+1."""
     if text == "collatz":
         return systems.make_system(systems.collatz())
-    m = re.fullmatch(r"qxd:(\d+),(\d+)", text)
-    if m:
-        return systems.make_system(systems.QxPlusD(int(m[1]), int(m[2])))
-    m = re.fullmatch(r"mersenne:(\d+)", text)
-    if m:
-        return systems.make_system(systems.mersenne(int(m[1])))
-    m = re.fullmatch(r"shift:(\d+)", text)
-    if m:
-        return systems.make_system(systems.SymbolicShift(int(m[1])))
+    name, colon, numbers = text.partition(":")
+    if colon and name in _NAMED_SYSTEMS:
+        form, spec = _NAMED_SYSTEMS[name]
+        items = numbers.split(",")
+        if len(items) != form.count(",") + 1:
+            raise InvalidSpec(f"system {text!r} must look like {form}")
+        return systems.make_system(spec(*map(systems.json_int, items)))
     if text.lstrip().startswith("{"):
         return systems.make_system(systems.spec_from_json(json.loads(text)))
     with open(text) as fh:
@@ -203,7 +213,8 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_window(text: str):
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    # ASCII digits, as systems.json_int reads them: \d matches any Unicode digit
+    m = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
     if not m:
         # argparse prints an ArgumentTypeError's message, not a ValueError's
         raise argparse.ArgumentTypeError(f"window must look like 1..100, got {text!r}")
@@ -211,7 +222,11 @@ def _parse_window(text: str):
 
 
 def _parse_word(text: str):
-    return tuple(int(t) for t in re.split(r"[,.\s]+", text.strip()) if t)
+    """Symbols split at commas, dots or spaces, each read by ``systems.json_int``."""
+    try:
+        return tuple(systems.json_int(t) for t in re.split(r"[,.\s]+", text.strip()) if t)
+    except InvalidSpec as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_support(text: str):
@@ -354,6 +369,8 @@ def cmd_check_alphabeta(args):
 
 def cmd_code(args):
     symbols = coding.coding_prefix(args.system, args.x, args.length)
+    # the cap is refused with or without --exact-tail, after the length
+    systems._need_int("cap", args.cap, 0)
     body = {"x": str(args.x), "symbols": list(symbols)}
     if args.exact_tail:
         seq = coding.exact_coding(args.system, args.x, args.cap)

@@ -22,6 +22,7 @@ from .systems import (
     DynamicalSystem,
     _components,
     _need_int,
+    _walk,
     as_window,
     window_states,
 )
@@ -29,6 +30,10 @@ from .systems import (
 # the held landings at the end of a capped jump walk whose jumps are
 # scanned first for its last certified record
 _TAIL = 64
+# the most states a system's cycle table holds: a cycle that would take
+# it past this is stepped on every walk that ends on it, as on a shift
+# whose walks meet many cycles
+_CYCLE_STATES = 4096
 
 
 def canonical_cycle(cycle) -> tuple:
@@ -59,6 +64,11 @@ class OrbitRecord:
     steps from that state onto C (0 if the start is on C).  The orbit
     entered its cycle iff entry_index + len(C) <= cap, since a walk of
     single steps meets its first repeat at step entry_index + len(C).
+
+    C comes from the system's cycle table when the landing met again is
+    in it (see ``_cycle_and_entry``), so the records of a census on one
+    system share one ``cycle`` tuple per cycle.  ``orbit_iterate`` builds
+    each record with ``_new_record``, which sets the slots directly.
     """
 
     start: object
@@ -83,6 +93,30 @@ class OrbitRecord:
         return tuple(self.replay())
 
 
+(_SET_START, _SET_ENTERED, _SET_CYCLE, _SET_ENTRY, _SET_CAP, _SET_SYSTEM) = (
+    getattr(OrbitRecord, name).__set__
+    for name in ("start", "entered_cycle", "cycle", "entry_index", "cap", "system")
+)
+
+
+def _new_record(start, entered_cycle, cycle, entry_index, cap, system) -> OrbitRecord:
+    """``OrbitRecord(...)`` of fields that ``orbit_iterate`` has checked.
+
+    Sets the slots through their descriptors, skipping the frozen
+    ``__init__``'s six ``object.__setattr__`` calls; the result is equal,
+    with equal hash and repr, to the dataclass constructor's, and refuses
+    assignment as it does.
+    """
+    rec = object.__new__(OrbitRecord)
+    _SET_START(rec, start)
+    _SET_ENTERED(rec, entered_cycle)
+    _SET_CYCLE(rec, cycle)
+    _SET_ENTRY(rec, entry_index)
+    _SET_CAP(rec, cap)
+    _SET_SYSTEM(rec, system)
+    return rec
+
+
 def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps.
 
@@ -93,8 +127,9 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     after the start is one, and every cycle holds one, since divisions
     decrease.  Otherwise the walk jumps by the system's jump table (see
     ``systems._jump_entry``), a residue block of about a dozen steps at
-    a time, and its landings are fewer.  A landing met again ends either
-    walk (see ``OrbitRecord``).
+    a time, and its landings are fewer; ``sys._jump_walk`` makes these
+    jumps in one loop (see ``systems._jump_kernels``).  A landing met
+    again ends either walk (see ``OrbitRecord``).
 
     A jump walk that meets no repeat by cap may have jumped over one,
     since its landings are sparse, so it hands over to a leap walk.  A
@@ -112,6 +147,13 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     within cap shows there as a landing met again, and no repeat means
     none within cap.  Either walk finds the cycle's entry from the end
     of its landings (see ``OrbitRecord``).
+
+    The cycle itself is stepped once per system: the first walk that
+    ends on it enters each of its states in the system's cycle table,
+    while the table holds at most ``_CYCLE_STATES`` states, and a later
+    walk whose landing met again is in the table reads the cycle there.
+    That is exact, since a map has one cycle through each state.  So a
+    census on one system steps each of its cycles once.
     """
     _need_int("cap", cap, 0)
     sys._require(x)
@@ -120,8 +162,8 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     if jumps is None:
         y = _walk(sys._leap, seen, x, 0, cap)
     else:
-        jump, rise, cover = jumps
-        y = _walk(jump, seen, x, 0, cap)
+        _, rise, cover = jumps
+        y = sys._jump_walk(seen, x, 0, cap)
         if y is None:
             p, at, longest = _last_record(seen, x, rise, cover)
             while seen:  # the landings from p on are met again by the leaps
@@ -132,32 +174,10 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
             seen[p] = at
             y = _walk(sys._leap, seen, p, at, cap + longest)
     if y is not None:
-        cycle, entry = _cycle_and_entry(sys._step, seen, y)
+        cycle, entry = _cycle_and_entry(sys, seen, y)
         if entry + len(cycle) <= cap:
-            return OrbitRecord(
-                start=x,
-                entered_cycle=True,
-                cycle=canonical_cycle(cycle),
-                entry_index=entry,
-                cap=cap,
-                system=sys,
-            )
-    return OrbitRecord(
-        start=x, entered_cycle=False, cycle=(), entry_index=-1, cap=cap, system=sys
-    )
-
-
-def _walk(advance, seen: dict, cur, n: int, limit: int):
-    """Advance from cur, the state at index n, until a landing repeats or
-    n >= limit, holding each new landing in ``seen`` at its index; the
-    repeated landing, or None."""
-    while n < limit:
-        cur, s = advance(cur)
-        n += s
-        if cur in seen:
-            return cur
-        seen[cur] = n
-    return None
+            return _new_record(x, True, cycle, entry, cap, sys)
+    return _new_record(x, False, (), -1, cap, sys)
 
 
 def _last_record(seen: dict, x, rise, cover) -> tuple:
@@ -197,14 +217,26 @@ def _record(landings, rise, top) -> tuple | None:
     return found
 
 
-def _cycle_and_entry(step, seen: dict, y) -> tuple:
-    """(the cycle through y, the index where the orbit in ``seen`` meets it)."""
-    cycle = [y]
-    z = step(y)
-    while z != y:
-        cycle.append(z)
-        z = step(z)
-    on = set(cycle)
+def _cycle_and_entry(sys: DynamicalSystem, seen: dict, y) -> tuple:
+    """(the canonical cycle through y, the index where the orbit in
+    ``seen`` meets it).
+
+    The cycle comes from ``sys._cycles`` if y is in it.  Otherwise it is
+    stepped from y, and each of its states enters the table, unless the
+    table would then hold more than ``_CYCLE_STATES`` states.
+    """
+    step, table = sys._step, sys._cycles
+    known = table.get(y)
+    if known is None:
+        cycle = [y]
+        z = step(y)
+        while z != y:
+            cycle.append(z)
+            z = step(z)
+        known = frozenset(cycle), canonical_cycle(cycle)
+        if len(table) + len(cycle) <= _CYCLE_STATES:
+            table.update(dict.fromkeys(cycle, known))
+    on, cycle = known
     for z, entry in reversed(seen.items()):  # the last held state off C
         if z not in on:
             break

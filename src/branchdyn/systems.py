@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -321,8 +322,22 @@ def _jump_table(k: int, rows: tuple) -> tuple:
     return size, tuple(_jump_entry(k, rows, size, b) for b in range(size))
 
 
+def _walk(advance, seen: dict, cur, n: int, limit: int):
+    """Advance from cur, the state at index n, until a landing repeats or
+    n >= limit, holding each new landing in ``seen`` at its index; the
+    repeated landing, or None."""
+    while n < limit:
+        cur, s = advance(cur)
+        n += s
+        if cur in seen:
+            return cur
+        seen[cur] = n
+    return None
+
+
 def _jump_kernels(k: int, rows: tuple) -> tuple:
-    """(jump, rise, cover) over ``_jump_table``, for k * k <= _JUMP_TABLE_SIZE.
+    """(jump, rise, cover, walk) over one ``_jump_table``, for k * k <=
+    _JUMP_TABLE_SIZE.
 
     ``jump(x)`` is (f^s(x), s): the table's t steps from x, then the
     whole run of divisions, so f^s(x) is off the division branch, as
@@ -332,12 +347,18 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
     E the largest UB or B of the table: every state of the jump from x,
     its run of divisions included, is at most cover(x), and cover does
     not decrease with x.
+
+    ``walk(seen, cur, n, limit)`` is ``_walk(jump, seen, cur, n,
+    limit)``.  For k = 2 it is one loop with the jump written out in it:
+    a mask, a multiply-add and a shift by the trailing zeros, with no
+    call per jump.  ``jump`` stays the one-jump reference.
     """
     size, table = _jump_table(k, rows)
     C = max(max(UA, A) for _, A, _, UA, _ in table)
     E = max(max(UB, B) for _, _, B, _, UB in table)
     if k == 2:
         mask, shift = size - 1, size.bit_length() - 1
+        steps = tuple(entry[:3] for entry in table)  # (t, A, B) of each residue
 
         def jump(x):
             t, A, B, _, _ = table[x & mask]
@@ -352,6 +373,18 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
 
         def cover(x):
             return C * (x >> shift) + E
+
+        def walk(seen, cur, n, limit):
+            while n < limit:
+                t, A, B = steps[cur & mask]
+                cur = A * (cur >> shift) + B
+                v = (cur & -cur).bit_length() - 1
+                cur >>= v
+                n += t + v
+                if cur in seen:
+                    return cur
+                seen[cur] = n
+            return None
 
     else:
 
@@ -373,7 +406,9 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
         def cover(x):
             return C * (x // size) + E
 
-    return jump, rise, cover
+        walk = partial(_walk, jump)
+
+    return jump, rise, cover, walk
 
 
 class DynamicalSystem:
@@ -405,6 +440,12 @@ class DynamicalSystem:
     that asks for it, never by ``__init__``: cycle search and check 4
     build dozens of systems that never walk that far.
 
+    Every system keeps a cycle table, ``_cycles``: each state of every
+    cycle that an ``orbits.orbit_iterate`` walk has stepped around maps
+    to (frozenset of the cycle, its canonical rotation), at most
+    ``orbits._CYCLE_STATES`` states in all.  A later walk that ends on
+    one of them reads its cycle there instead of stepping it again.
+
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
     families.
@@ -413,7 +454,8 @@ class DynamicalSystem:
     def __init__(self, spec):
         self.spec = spec
         self._affine = None
-        self._jump_cache = None
+        self._jump_cache = self._jump_walk = None
+        self._cycles = {}  # state -> (frozenset of its cycle, canonical tuple)
         self._label_type = None
         self.gcd_failures = ()
         if isinstance(spec, QxPlusD):
@@ -478,15 +520,17 @@ class DynamicalSystem:
         self._step, self._branch, self._preimages, self._leap = kernels
 
     def _jumps(self):
-        """``_jump_kernels`` of the affine table, built once; None on a
-        table, a shift, or an affine system with k > 16, where j = 1 and
-        a jump would be a leap."""
+        """(jump, rise, cover) of ``_jump_kernels`` of the affine table,
+        built once; None on a table, a shift, or an affine system with
+        k > 16, where j = 1 and a jump would be a leap.  The same build
+        sets ``_jump_walk``, the fused walk over ``jump``."""
         if (
             self._jump_cache is None
             and self._affine is not None
             and self.k**2 <= _JUMP_TABLE_SIZE
         ):
-            self._jump_cache = _jump_kernels(self.k, self._affine)
+            jump, rise, cover, self._jump_walk = _jump_kernels(self.k, self._affine)
+            self._jump_cache = jump, rise, cover
         return self._jump_cache
 
     def _set_affine(self, k: int, rows: tuple) -> None:

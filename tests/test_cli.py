@@ -284,6 +284,12 @@ PERIOD3_30 = json.dumps(
         ("reduce_check_collatz_w20_k1248.json",
          ["operators", "reduce-check", "--system", "collatz", "--window", "1..20",
           "--set-file", str(GOLDEN / "set_1_2_4_8.json")]),
+        # a k = 3 jump walk, pinned before its jumps ran in one loop and its
+        # cycle came from the system's cycle table: 218 states, entry 202
+        # into the 16-cycle through 7
+        ("orbit_alphabeta3_x1949_cap1000.json",
+         ["orbit", "--system", '{"family":"alphabeta","k":3,"alpha":[4,4],"beta":[2,1]}',
+          "--x", "1949", "--cap", "1000"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -672,6 +678,8 @@ def test_negative_cap_is_exit_2(capsys):
          "--support", "1", "--x", "1", "--cap", "-3"],
         ["operators", "pm-limit", "--system", "collatz", "--window", "1..10",
          "--support", "1,5", "--x", "1", "--cap", "-3"],
+        # without --exact-tail the cap went unread and this once exited 0
+        ["code", "--system", "collatz", "--x", "1", "--cap", "-1"],
     ],
 )
 def test_negative_count_is_exit_2(capsys, argv):
@@ -792,6 +800,61 @@ def test_integer_option_not_a_json_integer_is_exit_2(capsys, argv, err):
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == f"branchdyn {command}: error: {err}"
+
+
+# the integers of --word, --window and the named systems, read as JSON reads
+# an integer: \d and int() read a non-ASCII digit or an underscore, so the
+# first row once read the window 1..20, the second the symbol 20, and the
+# third ran as 5x+1 and exited 0
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["operators", "fixed-vectors", "--system", "collatz", "--window",
+          "\u0661..\u0662\u0660", "--word", "1,2"],
+         "branchdyn operators fixed-vectors: error: argument --window: "
+         "window must look like 1..100, got '\u0661..\u0662\u0660'"),
+        (["operators", "fixed-vectors", "--system", "collatz", "--window", "1..20",
+          "--word", "1,2_0"],
+         "branchdyn operators fixed-vectors: error: argument --word: "
+         "malformed integer '2_0'"),
+        (["orbit", "--system", "qxd:\u0665,\u0661", "--x", "7", "--cap", "3"],
+         "error: malformed integer '\u0665'"),
+        (["operators", "fixed-vectors", "--system", "collatz", "--window", "1..20",
+          "--word", "1 \u0662"],
+         "branchdyn operators fixed-vectors: error: argument --word: "
+         "malformed integer '\u0662'"),
+        (["operators", "fixed-vectors", "--system", "collatz", "--window", "1..20",
+          "--word", "1,a"],
+         "branchdyn operators fixed-vectors: error: argument --word: "
+         "malformed integer 'a'"),
+        (["morphism", "conjugate", "--source", "collatz", "--target", "collatz",
+          "--phi", '{"kind": "identity"}', "--window", "1..5",
+          "--target-window", "1..\uff15"],
+         "branchdyn morphism conjugate: error: argument --target-window: "
+         "window must look like 1..100, got '1..\uff15'"),
+        (["orbit", "--system", "qxd:5,1_1", "--x", "7"],
+         "error: malformed integer '1_1'"),
+        (["orbit", "--system", "mersenne:\u0663", "--x", "7"],
+         "error: malformed integer '\u0663'"),
+        (["orbit", "--system", "shift:2 ", "--x", "7"],
+         "error: malformed integer '2 '"),
+        (["orbit", "--system", "mersenne:", "--x", "7"],
+         "error: malformed integer ''"),
+        (["orbit", "--system", "qxd:5", "--x", "7"],
+         "error: system 'qxd:5' must look like qxd:Q,D"),
+        (["orbit", "--system", "shift:2,2", "--x", "7"],
+         "error: system 'shift:2,2' must look like shift:K"),
+    ],
+)
+def test_integers_of_words_windows_and_system_names_are_ascii(capsys, argv, err):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses an option's value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == err
 
 
 def test_format_is_only_a_cycles_option(capsys):

@@ -1,12 +1,13 @@
 """Orbit iteration, total-orbit closure, minimality probing."""
 
+import dataclasses
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from branchdyn import battery, orbits, systems
+from branchdyn import battery, orbits, systems, words
 from branchdyn.errors import InvalidSpec, OutOfDomain
 
 from conftest import closed_tables, orbit_oracle
@@ -194,6 +195,80 @@ def test_record_scan_reads_the_tail_first(name, x, cap, whole):
     else:
         assert len(risen) == orbits._TAIL
     assert_matches_oracle(sys, x, cap)
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_AFFINE))
+def test_fused_jump_walk_matches_the_walk_over_jump(name):
+    # the same landings at the same indices, in the same order, and the
+    # same repeated landing or None
+    sys = systems.make_system(JUMP_AFFINE[name].spec)
+    jump, _, _ = sys._jumps()
+    rng = random.Random(name)
+    starts = [rng.randint(1, 10**4) for _ in range(20)]
+    starts += [rng.getrandbits(1500) | 1 << 1499 for _ in range(3)]
+    for x in starts:
+        for cap in (256, 773, 10**4):
+            fused, stepped = {x: 0}, {x: 0}
+            got = sys._jump_walk(fused, x, 0, cap)
+            assert got == systems._walk(jump, stepped, x, 0, cap)
+            assert list(fused.items()) == list(stepped.items())
+
+
+# spec -> the cycles its starts 1..300 enter
+CENSUS_SYSTEMS = {
+    # through 1, 13 and 17; most starts pass the cap
+    "qxd:5,1": (systems.QxPlusD(5, 1), 3),
+    "collatz": (systems.collatz(), 1),
+    # through 1 and 7
+    "alphabeta3_44_21": (systems.AlphaBeta(3, (4, 4), (2, 1)), 2),
+}
+
+
+@pytest.mark.parametrize("cap", [100, 300])  # leap walks, then jump walks
+@pytest.mark.parametrize("name", sorted(CENSUS_SYSTEMS))
+def test_census_on_one_system_reads_each_cycle_from_its_table(name, cap):
+    spec, n_cycles = CENSUS_SYSTEMS[name]
+    starts = list(range(1, 301))
+    random.Random(cap).shuffle(starts)
+    warm = systems.make_system(spec)
+    census = [orbits.orbit_iterate(warm, x, cap) for x in starts]
+    for x, rec in zip(starts, census):
+        assert rec == orbits.orbit_iterate(systems.make_system(spec), x, cap)
+        assert_matches_oracle(warm, x, cap)
+    # each cycle was stepped once: its records share one tuple, the table's
+    cycles = {id(r.cycle): r.cycle for r in census if r.entered_cycle}
+    assert len(cycles) == len(set(cycles.values())) == n_cycles
+    assert {c for _, c in warm._cycles.values()} == set(cycles.values())
+    assert warm._cycles.keys() == {z for c in cycles.values() for z in c}
+
+
+def test_cycle_table_stops_at_its_cap():
+    # the shift's 630 cycles of length 13 hold 8190 states, twice what the
+    # table holds; the walks past the cap step their cycles as before
+    shift = systems.make_system(systems.SymbolicShift(2))
+    points = [systems.EventuallyPeriodic.make((), w)
+              for w in words.lyndon_words(2, 13) if len(w) == 13]
+    assert len(points) == 630
+    for _ in range(2):  # the second pass reads the first half's cycles
+        for x in points:
+            rec = orbits.orbit_iterate(shift, x, 20)
+            assert rec == orbits.orbit_iterate(systems.make_system(shift.spec), x, 20)
+            assert rec.entered_cycle and rec.entry_index == 0 and len(rec.cycle) == 13
+            assert len(shift._cycles) <= orbits._CYCLE_STATES
+    assert len(shift._cycles) > orbits._CYCLE_STATES - 13
+
+
+def test_new_record_is_the_dataclass_record(collatz, five_x_one):
+    for sys, x, cap in ((collatz, 27, 1000), (collatz, 27, 5), (five_x_one, 13, 300),
+                        (five_x_one, 7, 300)):
+        rec = orbits.orbit_iterate(sys, x, cap)
+        fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+        made = orbits.OrbitRecord(**fields)
+        assert type(rec) is orbits.OrbitRecord
+        assert rec == made and hash(rec) == hash(made) and repr(rec) == repr(made)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.cap = cap + 1
+        assert rec == made
 
 
 def test_long_walks_jump(five_x_one):
