@@ -30,9 +30,10 @@ from .systems import (
 # the held landings at the end of a capped jump walk whose jumps are
 # scanned first for its last certified record
 _TAIL = 64
-# the most states a system's cycle table holds: a cycle that would take
-# it past this is stepped on every walk that ends on it, as on a shift
-# whose walks meet many cycles
+# the most states a system's cycle table holds, and its entry table: a
+# cycle that would take the cycle table past this is stepped on every
+# walk that ends on it, as on a shift whose walks meet many cycles, and
+# a full entry table takes no more states
 _CYCLE_STATES = 4096
 
 
@@ -67,8 +68,15 @@ class OrbitRecord:
 
     C comes from the system's cycle table when the landing met again is
     in it (see ``_cycle_and_entry``), so the records of a census on one
-    system share one ``cycle`` tuple per cycle.  ``orbit_iterate`` builds
-    each record with ``_new_record``, which sets the slots directly.
+    system share one ``cycle`` tuple per cycle.
+
+    On an affine system the walk may end earlier, at the first new
+    landing z in the system's entry table, at index n, where z maps to
+    (d, C): z is d single steps off C, so entry_index is n + d exactly,
+    whatever the cap, and the same rule gives ``entered_cycle``.  A
+    start in the table is read there without a walk.  ``orbit_iterate``
+    builds each record with ``_new_record``, which sets the slots
+    directly.
     """
 
     start: object
@@ -154,16 +162,35 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     walk whose landing met again is in the table reads the cycle there.
     That is exact, since a map has one cycle through each state.  So a
     census on one system steps each of its cycles once.
+
+    On an affine system every walk that finds its cycle C and entry e
+    also enters the states it held before e in the system's entry table
+    (see ``_settle``), and the leap walk and the jump walk from the start
+    stop at the first new landing found there (see ``OrbitRecord``);
+    the hand-over leap walk does not.  So a later walk of a census
+    stops where it meets an earlier walk's orbit, short of its cycle,
+    and takes no single step.  A landing is looked up only while it
+    is at most the table's largest key, so a walk that climbs above
+    every key hashes each landing once, as it would without the table.
+    The lookup of the start comes after ``sys._jumps()``, so the first
+    walk with a cap of ``_JUMP_TABLE_SIZE`` or more builds the jump
+    table whatever the entry table holds.  A table's or a shift's walk
+    neither reads nor fills the entry table: its states do not compare.
     """
     _need_int("cap", cap, 0)
     sys._require(x)
     seen = {x: 0}  # the start and each landing -> its index
     jumps = sys._jumps() if cap >= _JUMP_TABLE_SIZE else None
-    if jumps is None:
-        y = _walk(sys._leap, seen, x, 0, cap)
+    # only an affine system's states compare, so only its walks read the table
+    entries = sys._entries if sys._affine is not None else None
+    top = sys._entry_top
+    if entries and x <= top and x in entries:
+        y = x
+    elif jumps is None:
+        y = _walk(sys._leap, seen, x, 0, cap, entries, top)
     else:
         _, rise, cover = jumps
-        y = sys._jump_walk(seen, x, 0, cap)
+        y = sys._jump_walk(seen, x, 0, cap, entries, top)
         if y is None:
             p, at, longest = _last_record(seen, x, rise, cover)
             while seen:  # the landings from p on are met again by the leaps
@@ -174,10 +201,37 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
             seen[p] = at
             y = _walk(sys._leap, seen, p, at, cap + longest)
     if y is not None:
-        cycle, entry = _cycle_and_entry(sys, seen, y)
+        settled = entries.get(y) if entries and y <= top else None
+        if settled is None:
+            cycle, entry = _cycle_and_entry(sys, seen, y)
+        else:
+            d, cycle = settled
+            entry = seen[y] + d
+        if entries is not None:
+            _settle(sys, seen, entry, cycle)
         if entry + len(cycle) <= cap:
             return _new_record(x, True, cycle, entry, cap, sys)
     return _new_record(x, False, (), -1, cap, sys)
+
+
+def _settle(sys: DynamicalSystem, seen: dict, entry: int, cycle: tuple) -> None:
+    """Enter each state held in ``seen`` before ``entry``, the index where
+    the orbit enters ``cycle``, in the entry table ``sys._entries`` as
+    z -> (entry - i, cycle), nearest the cycle first, until the table
+    holds ``_CYCLE_STATES`` states.  Such a state is off the cycle.  A
+    state already there is entered again with the same pair."""
+    table = sys._entries
+    if len(table) >= _CYCLE_STATES:
+        return
+    top = sys._entry_top
+    for z, i in reversed(seen.items()):
+        if i < entry:
+            table[z] = entry - i, cycle
+            if z > top:
+                top = z
+            if len(table) >= _CYCLE_STATES:
+                break
+    sys._entry_top = top
 
 
 def _last_record(seen: dict, x, rise, cover) -> tuple:
@@ -219,11 +273,15 @@ def _record(landings, rise, top) -> tuple | None:
 
 def _cycle_and_entry(sys: DynamicalSystem, seen: dict, y) -> tuple:
     """(the canonical cycle through y, the index where the orbit in
-    ``seen`` meets it).
+    ``seen`` meets it), for y a landing met again.
 
     The cycle comes from ``sys._cycles`` if y is in it.  Otherwise it is
     stepped from y, and each of its states enters the table, unless the
-    table would then hold more than ``_CYCLE_STATES`` states.
+    table would then hold more than ``_CYCLE_STATES`` states.  The entry
+    is stepped from the last held state off the cycle; in a census on an
+    affine system only the walks that end on a landing met again come
+    here, not the ones that stop in the entry table, so a lone walk
+    still steps onto its cycle but most walks of a census do not.
     """
     step, table = sys._step, sys._cycles
     known = table.get(y)

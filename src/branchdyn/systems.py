@@ -322,16 +322,24 @@ def _jump_table(k: int, rows: tuple) -> tuple:
     return size, tuple(_jump_entry(k, rows, size, b) for b in range(size))
 
 
-def _walk(advance, seen: dict, cur, n: int, limit: int):
+def _walk(advance, seen: dict, cur, n: int, limit: int, entries=None, top: int = 0):
     """Advance from cur, the state at index n, until a landing repeats or
     n >= limit, holding each new landing in ``seen`` at its index; the
-    repeated landing, or None."""
+    repeated landing, or None.
+
+    Given an affine system's entry table ``entries`` (see
+    ``DynamicalSystem``) and its largest key ``top``, the walk also ends
+    at the first new landing that is a key of it, held in ``seen`` too,
+    and returns that landing.  Only a landing <= top is looked up, so a
+    walk that has climbed above every key hashes each landing once."""
     while n < limit:
         cur, s = advance(cur)
         n += s
         if cur in seen:
             return cur
         seen[cur] = n
+        if entries and cur <= top and cur in entries:
+            return cur
     return None
 
 
@@ -348,10 +356,12 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
     its run of divisions included, is at most cover(x), and cover does
     not decrease with x.
 
-    ``walk(seen, cur, n, limit)`` is ``_walk(jump, seen, cur, n,
-    limit)``.  For k = 2 it is one loop with the jump written out in it:
-    a mask, a multiply-add and a shift by the trailing zeros, with no
-    call per jump.  ``jump`` stays the one-jump reference.
+    ``walk(seen, cur, n, limit, entries, top)`` is ``_walk(jump, seen,
+    cur, n, limit, entries, top)``: it also ends at the first new
+    landing <= top in the entry table ``entries``, if one is given.  For
+    k = 2 it is one loop with the jump written out in it: a mask, a
+    multiply-add and a shift by the trailing zeros, with no call per
+    jump.  ``jump`` stays the one-jump reference.
     """
     size, table = _jump_table(k, rows)
     C = max(max(UA, A) for _, A, _, UA, _ in table)
@@ -374,7 +384,8 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
         def cover(x):
             return C * (x >> shift) + E
 
-        def walk(seen, cur, n, limit):
+        def walk(seen, cur, n, limit, entries=None, top=0):
+            # top = 0 without a table: every state is above it
             while n < limit:
                 t, A, B = steps[cur & mask]
                 cur = A * (cur >> shift) + B
@@ -384,6 +395,8 @@ def _jump_kernels(k: int, rows: tuple) -> tuple:
                 if cur in seen:
                     return cur
                 seen[cur] = n
+                if cur <= top and cur in entries:
+                    return cur
             return None
 
     else:
@@ -442,9 +455,16 @@ class DynamicalSystem:
 
     Every system keeps a cycle table, ``_cycles``: each state of every
     cycle that an ``orbits.orbit_iterate`` walk has stepped around maps
-    to (frozenset of the cycle, its canonical rotation), at most
-    ``orbits._CYCLE_STATES`` states in all.  A later walk that ends on
-    one of them reads its cycle there instead of stepping it again.
+    to (frozenset of the cycle, its canonical rotation).  A later walk
+    that ends on one of them reads its cycle there instead of stepping
+    it again.  An affine system also keeps an entry table, ``_entries``,
+    with its largest key ``_entry_top`` (0 while it is empty): each state
+    that a walk held before the index e where it entered its cycle C,
+    at index i, maps to (e - i, C), the steps from it onto C.  A later
+    walk stops at the first landing it meets there.  Each table holds
+    at most ``orbits._CYCLE_STATES`` states.  A table's or a shift's
+    entry table stays empty: their states do not compare, so no walk
+    could tell which of them to look up.
 
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
@@ -456,6 +476,8 @@ class DynamicalSystem:
         self._affine = None
         self._jump_cache = self._jump_walk = None
         self._cycles = {}  # state -> (frozenset of its cycle, canonical tuple)
+        self._entries = {}  # state off its cycle -> (steps onto it, canonical tuple)
+        self._entry_top = 0
         self._label_type = None
         self.gcd_failures = ()
         if isinstance(spec, QxPlusD):

@@ -290,6 +290,10 @@ PERIOD3_30 = json.dumps(
         ("orbit_alphabeta3_x1949_cap1000.json",
          ["orbit", "--system", '{"family":"alphabeta","k":3,"alpha":[4,4],"beta":[2,1]}',
           "--x", "1949", "--cap", "1000"]),
+        # lo > 1 on 5x+1: 48 and 64 fall below lo into 1 -> 6 -> 3 -> 16
+        # -> 8 -> 4 -> 2 and 21 more run past the budget, all 23 unresolved
+        ("minimality_qxd5_1_w37_300.json",
+         ["minimality", "--system", "qxd:5,1", "--window", "37..300"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):

@@ -258,6 +258,130 @@ def test_cycle_table_stops_at_its_cap():
     assert len(shift._cycles) > orbits._CYCLE_STATES - 13
 
 
+def cold_record(cold, x, cap):
+    """``orbit_iterate(cold, x, cap)`` with ``cold``'s entry table emptied
+    first: the record of a system that has walked no orbit to its cycle,
+    without building a fresh system's jump table for each start."""
+    cold._entries.clear()
+    cold._entry_top = 0
+    return orbits.orbit_iterate(cold, x, cap)
+
+
+# each start walks at one of these caps, so the entry table is filled at
+# one cap and read at another: leap walks below 256, jump walks above
+CENSUS_CAPS = (100, 256, 773, 10**4)
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_AFFINE))  # k = 2, 3, 4 and 5
+def test_census_stopping_in_the_entry_table_matches_cold_walks(name):
+    spec = JUMP_AFFINE[name].spec
+    rng = random.Random(name)
+    starts = list(range(1, 2001))
+    rng.shuffle(starts)
+    runs = [(x, CENSUS_CAPS[j % 4]) for j, x in enumerate(starts)]
+    runs += [(rng.getrandbits(1500) | 1 << 1499, cap) for cap in CENSUS_CAPS]
+    warm, cold = systems.make_system(spec), systems.make_system(spec)
+    for x, cap in runs:
+        rec = orbits.orbit_iterate(warm, x, cap)
+        assert rec == cold_record(cold, x, cap)
+        # the oracles of the capped walks to 10^4 steps, on states of up
+        # to ~1000 bits, would take minutes; the cold walks check those
+        if rec.entered_cycle or cap < 10**4:
+            assert_matches_oracle(warm, x, cap)
+    assert len(warm._entries) <= orbits._CYCLE_STATES
+
+
+def test_a_capped_record_is_read_from_the_entry_table():
+    # collatz 27 enters 1 -> 4 -> 2 at 109; after a census at cap 10^4 its
+    # record at a lower cap is read off the table without a walk
+    warm, cold = systems.make_system(systems.collatz()), systems.make_system(systems.collatz())
+    for x in range(1, 2001):
+        orbits.orbit_iterate(warm, x, 10**4)
+    assert warm._entries[27] == (109, (1, 4, 2))
+    kernels = warm._leap, warm._jump_walk
+    warm._leap = warm._jump_walk = None  # a walk would call one of them
+    try:
+        for cap in (0, 100, 111, 112, 300):
+            rec = orbits.orbit_iterate(warm, 27, cap)
+            assert rec.entered_cycle == (cap >= 112)
+            assert rec == cold_record(cold, 27, cap)
+    finally:
+        warm._leap, warm._jump_walk = kernels
+    for cap in (100, 111, 112, 300):
+        assert_matches_oracle(warm, 27, cap)
+
+
+def test_entry_table_holds_states_off_their_cycles_at_their_distance():
+    # a census of 1..6000 on collatz fills the table; later walks add none
+    sys = systems.make_system(systems.collatz())
+    for x in range(1, 6001):
+        orbits.orbit_iterate(sys, x, 10**4)
+        assert len(sys._entries) <= orbits._CYCLE_STATES
+    assert len(sys._entries) == orbits._CYCLE_STATES
+    assert sys._entry_top == max(sys._entries)
+    for z, (d, cycle) in sys._entries.items():
+        assert z not in sys._cycles
+        # z is d single steps off its cycle, the canonical one
+        walk = [z]
+        for _ in range(d):
+            walk.append(sys.apply(walk[-1]))
+        assert walk[-1] in cycle and walk[-2] not in cycle
+        assert cycle == orbits.canonical_cycle(cycle) == sys._cycles[walk[-1]][1]
+    before = dict(sys._entries)
+    for x in range(6001, 6101):
+        assert orbits.orbit_iterate(sys, x, 10**4) == orbits.orbit_iterate(
+            systems.make_system(sys.spec), x, 10**4)
+    assert sys._entries == before
+
+
+class LookupLog(dict):
+    """A dict that notes each key looked up in it with the largest key it
+    held at the time."""
+
+    def __init__(self):
+        super().__init__()
+        self.top, self.looked = 0, []
+
+    def __setitem__(self, key, value):
+        self.top = max(self.top, key)
+        super().__setitem__(key, value)
+
+    def __contains__(self, key):
+        self.looked.append((key, self.top))
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.looked.append((key, self.top))
+        return super().get(key, default)
+
+
+# the fused k = 2 walk at 10^4, where the orbits of 60 starts grow to
+# ~1000 bits, and the leap walk, which k > 2 jump walks share, below 256
+@pytest.mark.parametrize("cap", [10**4, 100])
+def test_divergent_walks_look_up_no_landing_above_the_entry_table(cap):
+    spec = systems.QxPlusD(5, 1)
+    sys = systems.make_system(spec)
+    sys._entries = table = LookupLog()
+    census = [orbits.orbit_iterate(sys, x, cap) for x in range(1, 101)]
+    assert sum(not r.entered_cycle for r in census) == 60
+    assert table and table.looked
+    assert all(key <= top for key, top in table.looked)
+    assert sys._entry_top == table.top == max(table)
+    for x, rec in zip(range(1, 101), census):
+        assert rec == orbits.orbit_iterate(systems.make_system(spec), x, cap)
+
+
+def test_tables_and_shifts_keep_an_empty_entry_table(swap1):
+    shift = systems.make_system(systems.SymbolicShift(2))
+    points = [systems.EventuallyPeriodic.make(pre, per)
+              for pre in ((), (1,), (2, 2, 1)) for per in ((1,), (1, 2), (2, 2, 1))]
+    for sys, starts in ((two_cycles(), (1, 2, 3, 4)), (swap1, (1, 2)), (shift, points)):
+        for cap in (0, 3, 300):
+            for x in starts:
+                orbits.orbit_iterate(sys, x, cap)
+        assert sys._entries == {} and sys._entry_top == 0
+
+
 def test_new_record_is_the_dataclass_record(collatz, five_x_one):
     for sys, x, cap in ((collatz, 27, 1000), (collatz, 27, 5), (five_x_one, 13, 300),
                         (five_x_one, 7, 300)):
