@@ -346,8 +346,8 @@ def check_prefix_projection_mechanics() -> CheckResult:
         support = operators.projection_P(trunc, prefix)
         # independent route: the cylinder of the prefix, the states
         # M*t + r for t0 <= t <= t1, found by pinning one residue per
-        # symbol, against the support that composes the branches' column
-        # ranges; it holds x, so it is never None, and state s sits at s - lo
+        # symbol, against the support read off the cylinder kernel; it
+        # holds x, so it is never None, and state s sits at s - lo
         M, r, t0, t1 = coding._progression(sys.k, sys._affine, win, prefix)
         if frozenset(range(r + M * t0 - win.lo, r + M * t1 + 1 - win.lo, M)) != support:
             failures.append(f"prefix {prefix}: projection support mismatch")

@@ -23,9 +23,15 @@ is decided by one of two routes that give the same report:
   states, and counts a class's window states by arithmetic.  A class of
   two or more states alive at the cap hands the whole window to the
   refinement, which lists the undistinguished groups in its order.
-  The same walk, down the one branch a word picks, gives the word's
-  cylinder cut to the window (``_progression``): the battery's check 8
-  reads it against the support of the prefix projection P_I.
+
+A word's cylinder is one residue class whatever the slopes: before each
+symbol, the t whose image A*t + B takes it form one class mod
+k/gcd(A, k), or none (``systems._cylinder``).  The truncations of
+``operators`` read each branch's column map and every word chase off
+that class, cut to their window.  The class walk above, down the one
+branch a word picks, gives the same cut on coprime slopes
+(``_progression``): the battery's check 8 reads it against the support
+of the prefix projection P_I.
 
 Residue towers capture what the coding sees of an integer state x:
 the digits r_j = x mod k^j for j = 1..depth.  The top digit fixes the
@@ -201,6 +207,12 @@ def _progression(k: int, rows: tuple, win: IntWindow, word) -> tuple | None:
     gives the word's symbol is pinned, t = k*t' + s.  Every image must
     lie in lo..hi, which bounds t.  Trusts rows of an affine table with
     every slope coprime to k.
+
+    It finds the same cut as ``systems._cylinder`` by another rule: it
+    pins a residue only when k does not divide A, and tests the forced
+    symbol after the class step instead of a gcd before it.  Check 8
+    compares it with the prefix projections, which read ``_cylinder``,
+    so it stays as that check's independent route.
     """
     lo, hi = win.lo, win.hi
     M, r, A, B = 1, 0, 1, 0

@@ -23,9 +23,10 @@ Escapes have zero columns, and facts that would need their images
 are only asserted on interior coordinates.  The projection P = T_I^*
 T_I of a coding prefix I is a 0/1 diagonal, and ``projection_P``
 returns the coordinates it keeps.  The chase of a word I composes the
-column maps of its symbols; on the class route it composes their pairs
-of ranges, each step one congruence, so P_I's support is one range and
-neither the P_m limit nor a word's fixed vectors builds a column map.
+column maps of its symbols; on the class route it is I's cylinder, one
+residue class (``systems._cylinder``), cut to the window, so P_I's
+support is one range and neither the P_m limit nor a word's fixed
+vectors builds a column map.
 
 Vectors are sparse dicts {coordinate: value}, the only vector format
 here.  Every basis built here holds int entries: a set K of window
@@ -55,8 +56,8 @@ from .errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from .systems import (
     DynamicalSystem,
     IntWindow,
-    _class_step,
     _components,
+    _cylinder,
     _need_int,
     _primitive_period,
     window_states,
@@ -75,9 +76,9 @@ class Truncation:
 
     The class route keeps each column map as the two ranges it pairs,
     columns and rows, and ``maps`` builds the dicts on first read; word
-    chases, prefix projections and the P_m limit compose the ranges
-    and never read it.  The state pass hands its dicts (and its index)
-    to the truncation.
+    chases, prefix projections and the P_m limit read the word's
+    cylinder and never read it.  The state pass hands its dicts (and its
+    index) to the truncation.
     """
 
     sys: DynamicalSystem
@@ -164,25 +165,23 @@ def _class_columns(k: int, rows: tuple, win: IntWindow, states: range) -> tuple:
     """(spans, escapes) of the truncation to lo..hi, one residue class
     per branch.
 
-    The states x = k*t + r of the class r take one branch i and map to
-    A*t + B, for (i, A, B) = ``_class_step(k, rows, k, r)`` (Terras), and
-    A > 0.  So the t whose state and image both lie in lo..hi form one
-    run t0 <= t < u: the column map pairs two ranges of coordinates x - lo,
-    steps k and A, returned as the branch's (columns, rows) span and
-    turned into a dict only when ``Truncation.maps`` is first read, and
-    the class's escapes are its states before t0 and from u on.  Trusts
-    states = range(lo, hi + 1) and rows of an affine table.
+    Branch i's states are the cylinder of the word (i,), x = k*t + r, and
+    ``_cylinder`` gives their image A*t + B and the run t0 <= t <= t1 of
+    those whose image stays in lo..hi.  The column map pairs two ranges
+    of coordinates x - lo, steps k and A, returned as the branch's
+    (columns, rows) span and turned into a dict only when
+    ``Truncation.maps`` is first read, and the class's escapes are its
+    states before t0 and after t1.  Trusts states = range(lo, hi + 1) and
+    rows of an affine table.
     """
     lo, hi = win.lo, win.hi
-    spans, escapes = [None] * k, [None] * k
-    for r in range(k):
-        i, A, B = _class_step(k, rows, k, r)
-        first = (r - lo) % k  # the position of the class's least state
-        t0 = max((lo + first - r) // k, -((B - lo) // A))
-        u = max(t0, min((hi - r) // k, (hi - B) // A) + 1)
+    spans, escapes = [], []
+    for i in range(1, k + 1):
+        _, r, A, B, t0, t1 = _cylinder(k, rows, lo, hi, (i,))
+        u = max(t0, t1 + 1)
         c0, cu = k * t0 + r - lo, k * u + r - lo
-        spans[i - 1] = (range(c0, cu, k), range(A * t0 + B - lo, A * u + B - lo, A))
-        escapes[i - 1] = (*states[first:c0:k], *states[cu::k])
+        spans.append((range(c0, cu, k), range(A * t0 + B - lo, A * u + B - lo, A)))
+        escapes.append((*states[(r - lo) % k : c0 : k], *states[cu::k]))
     return tuple(spans), tuple(escapes)
 
 
@@ -208,16 +207,16 @@ def _chase(trunc: Truncation, symbols) -> dict:
     """c -> T_I e_c's coordinate, for every c the word keeps in the window,
     in ascending order of c.
 
-    The class route pairs the ranges ``_span_chase`` composes and reads
-    no column map.  The state pass starts at the first symbol's column
-    map, whose keys are the columns that survive one symbol, in
-    ascending order as ``build_truncation`` stores them.  Either way the
-    dict is fresh: a caller may change it without touching
-    ``trunc.maps``.  ``symbols`` is a nonempty word, as ``check_word``
-    returns it.
+    The class route pairs the ranges ``_cut`` reads off the word's
+    cylinder and reads no column map.  The state pass starts at the
+    first symbol's column map, whose keys are the columns that survive
+    one symbol, in ascending order as ``build_truncation`` stores them.
+    Either way the dict is fresh: a caller may change it without
+    touching ``trunc.maps``.  ``symbols`` is a nonempty word, as
+    ``check_word`` returns it.
     """
     if trunc._spans is not None:
-        return dict(zip(*_span_chase(trunc._spans, symbols)))
+        return dict(zip(*_cut(trunc, symbols)))
     first, *rest = symbols
     out = dict(trunc.maps[first - 1])
     for i in rest:
@@ -226,37 +225,17 @@ def _chase(trunc: Truncation, symbols) -> dict:
     return out
 
 
-def _span_chase(spans: tuple, symbols) -> tuple:
-    """(columns, rows): the chase of a nonempty word on the class route,
-    two ranges paired in order, folded in O(|w|) integer steps.
-
-    The pair so far maps column C[j] to row R[j] = R0 + j*dR.  The next
-    branch's columns C' step by k, so C[j] survives iff R0 + j*dR is
-    congruent to C'[0] mod k and lies in C'[0]..C'[-1].  For g = gcd(dR,
-    k) the congruence has no solution unless g divides C'[0] - R0, and
-    otherwise holds for j in one class mod k/g: the survivors are one
-    slice of C, and their rows one slice of R' of step dR/g.
-    """
-    first, *rest = symbols
-    cols, rows = spans[first - 1]
-    for i in rest:
-        nxt, img = spans[i - 1]
-        if not cols or not nxt:
-            return range(0), range(0)
-        k, dR = nxt.step, rows.step
-        g, gap = gcd(dR, k), nxt.start - rows.start
-        if gap % g:
-            return range(0), range(0)
-        p = k // g
-        j = gap // g * pow(dR // g, -1, p) % p
-        # the least j >= 0 whose row reaches C'[0], the greatest whose row stays in C'
-        least, most = max(0, -(-gap // dR)), min(len(cols) - 1, (nxt[-1] - rows.start) // dR)
-        j0, j1 = least + (j - least) % p, most - (most - j) % p
-        if j0 > j1:
-            return range(0), range(0)
-        at, step = (rows[j0] - nxt.start) // k, dR // g
-        cols, rows = cols[j0 : j1 + 1 : p], img[at : at + (j1 - j0) // p * step + 1 : step]
-    return cols, rows
+def _cut(trunc: Truncation, symbols) -> tuple:
+    """(columns, rows): the chase of a word on the class route, two ranges
+    paired in order.  The word's cylinder cut to the window lo..hi is the
+    x = M*t + r, t0 <= t <= t1, with images A*t + B (``_cylinder``), and
+    state x sits at x - lo."""
+    lo, hi = trunc.states[0], trunc.states[-1]
+    cut = _cylinder(trunc.k, trunc.sys._affine, lo, hi, symbols)
+    if cut is None:
+        return range(0), range(0)
+    M, r, A, B, t0, t1 = cut
+    return range(M * t0 + r - lo, M * t1 + r - lo + 1, M), range(A * t0 + B - lo, A * t1 + B - lo + 1, A)
 
 
 def apply_branch(trunc: Truncation, i: int, vec: dict, adjoint: bool = False) -> dict:
@@ -289,13 +268,13 @@ def projection_P(trunc: Truncation, prefix) -> frozenset:
     symbols keeps all intermediate images in the window; the adjoint
     chase then walks the same path backwards, so P is the diagonal 0/1
     indicator of the surviving start coordinates, returned as a set.
-    On the class route they are the columns ``_span_chase`` composes,
-    one range, and no column map is read.
+    On the class route they are the columns of the prefix's cylinder
+    cut to the window (``_cut``), one range, and no column map is read.
     """
     symbols = check_word(prefix, trunc.k)
     if trunc._spans is None:
         return frozenset(_chase(trunc, symbols))
-    return frozenset(_span_chase(trunc._spans, symbols)[0])
+    return frozenset(_cut(trunc, symbols)[0])
 
 
 @dataclass(frozen=True)

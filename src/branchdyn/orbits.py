@@ -30,11 +30,8 @@ from .systems import (
 # the held landings at the end of a capped jump walk whose jumps are
 # scanned first for its last certified record
 _TAIL = 64
-# the most states a system's cycle table holds, and its entry table: a
-# cycle that would take the cycle table past this is stepped on every
-# walk that ends on it, as on a shift whose walks meet many cycles, and
-# a full entry table takes no more states
-_CYCLE_STATES = 4096
+# the most states a system's entry table holds
+_ENTRY_STATES = 4096
 
 
 def canonical_cycle(cycle) -> tuple:
@@ -65,10 +62,6 @@ class OrbitRecord:
     steps from that state onto C (0 if the start is on C).  The orbit
     entered its cycle iff entry_index + len(C) <= cap, since a walk of
     single steps meets its first repeat at step entry_index + len(C).
-
-    C comes from the system's cycle table when the landing met again is
-    in it (see ``_cycle_and_entry``), so the records of a census on one
-    system share one ``cycle`` tuple per cycle.
 
     On an affine system the walk may end earlier, at the first new
     landing z in the system's entry table, at index n, where z maps to
@@ -156,13 +149,6 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     none within cap.  Either walk finds the cycle's entry from the end
     of its landings (see ``OrbitRecord``).
 
-    The cycle itself is stepped once per system: the first walk that
-    ends on it enters each of its states in the system's cycle table,
-    while the table holds at most ``_CYCLE_STATES`` states, and a later
-    walk whose landing met again is in the table reads the cycle there.
-    That is exact, since a map has one cycle through each state.  So a
-    census on one system steps each of its cycles once.
-
     On an affine system every walk that finds its cycle C and entry e
     also enters the states it held before e in the system's entry table
     (see ``_settle``), and the leap walk and the jump walk from the start
@@ -203,7 +189,7 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     if y is not None:
         settled = entries.get(y) if entries and y <= top else None
         if settled is None:
-            cycle, entry = _cycle_and_entry(sys, seen, y)
+            cycle, entry = _cycle_and_entry(sys._step, seen, y)
         else:
             d, cycle = settled
             entry = seen[y] + d
@@ -218,10 +204,10 @@ def _settle(sys: DynamicalSystem, seen: dict, entry: int, cycle: tuple) -> None:
     """Enter each state held in ``seen`` before ``entry``, the index where
     the orbit enters ``cycle``, in the entry table ``sys._entries`` as
     z -> (entry - i, cycle), nearest the cycle first, until the table
-    holds ``_CYCLE_STATES`` states.  Such a state is off the cycle.  A
+    holds ``_ENTRY_STATES`` states.  Such a state is off the cycle.  A
     state already there is entered again with the same pair."""
     table = sys._entries
-    if len(table) >= _CYCLE_STATES:
+    if len(table) >= _ENTRY_STATES:
         return
     top = sys._entry_top
     for z, i in reversed(seen.items()):
@@ -229,7 +215,7 @@ def _settle(sys: DynamicalSystem, seen: dict, entry: int, cycle: tuple) -> None:
             table[z] = entry - i, cycle
             if z > top:
                 top = z
-            if len(table) >= _CYCLE_STATES:
+            if len(table) >= _ENTRY_STATES:
                 break
     sys._entry_top = top
 
@@ -271,30 +257,22 @@ def _record(landings, rise, top) -> tuple | None:
     return found
 
 
-def _cycle_and_entry(sys: DynamicalSystem, seen: dict, y) -> tuple:
+def _cycle_and_entry(step, seen: dict, y) -> tuple:
     """(the canonical cycle through y, the index where the orbit in
     ``seen`` meets it), for y a landing met again.
 
-    The cycle comes from ``sys._cycles`` if y is in it.  Otherwise it is
-    stepped from y, and each of its states enters the table, unless the
-    table would then hold more than ``_CYCLE_STATES`` states.  The entry
-    is stepped from the last held state off the cycle; in a census on an
-    affine system only the walks that end on a landing met again come
-    here, not the ones that stop in the entry table, so a lone walk
-    still steps onto its cycle but most walks of a census do not.
+    The cycle is stepped from y, and the entry from the last held state
+    off the cycle.  In a census on an affine system only the walks that
+    end on a landing met again come here, not the ones that stop in the
+    entry table, so a lone walk still steps its cycle but most walks of
+    a census do not.
     """
-    step, table = sys._step, sys._cycles
-    known = table.get(y)
-    if known is None:
-        cycle = [y]
-        z = step(y)
-        while z != y:
-            cycle.append(z)
-            z = step(z)
-        known = frozenset(cycle), canonical_cycle(cycle)
-        if len(table) + len(cycle) <= _CYCLE_STATES:
-            table.update(dict.fromkeys(cycle, known))
-    on, cycle = known
+    cycle = [y]
+    z = step(y)
+    while z != y:
+        cycle.append(z)
+        z = step(z)
+    on, cycle = set(cycle), canonical_cycle(cycle)
     for z, entry in reversed(seen.items()):  # the last held state off C
         if z not in on:
             break

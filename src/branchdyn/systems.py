@@ -294,6 +294,35 @@ def _class_step(k: int, rows: tuple, A: int, B: int) -> tuple:
     return k, A // k, B // k
 
 
+def _cylinder(k: int, rows: tuple, lo: int, hi: int, word) -> tuple | None:
+    """(M, r, A, B, t0, t1): the states x of lo..hi whose coding begins
+    with word and whose first len(word) images stay in lo..hi are the
+    x = M*t + r with t0 <= t <= t1, none when t0 > t1, and the image
+    f^len(word)(x) is A*t + B; None when no state at all has that coding.
+
+    The word's cylinder is one residue class (Terras).  Before each
+    symbol s the class's images are A*t + B, and A*t + B = s mod k holds
+    for the t of one class mod p = k/g, g = gcd(A, k), when g divides
+    s - B, and for no t otherwise.  Pinning t to that class makes k
+    divide the slope, so ``_class_step`` takes the class's step; every
+    image is increasing in t, so keeping it in lo..hi bounds t.  Trusts
+    rows of an affine table, whatever their gcds with k.
+    """
+    M, r, A, B = 1, 0, 1, 0
+    t0, t1 = lo, hi
+    for s in word:
+        g = gcd(A, k)
+        if (s - B) % g:
+            return None
+        p = k // g
+        u = (s - B) // g * pow(A // g, -1, p) % p
+        M, r, A, B = p * M, r + M * u, p * A, A * u + B
+        t0, t1 = -((u - t0) // p), (t1 - u) // p
+        _, A, B = _class_step(k, rows, A, B)
+        t0, t1 = max(t0, -((B - lo) // A)), min(t1, (hi - B) // A)
+    return M, r, A, B, t0, t1
+
+
 def _jump_entry(k: int, rows: tuple, size: int, b: int) -> tuple:
     """(t, A, B, UA, UB): for every state x = size*a + b, f^t(x) = A*a + B
     is the state just after the last affine step (within _JUMP_STEPS)
@@ -453,18 +482,14 @@ class DynamicalSystem:
     that asks for it, never by ``__init__``: cycle search and check 4
     build dozens of systems that never walk that far.
 
-    Every system keeps a cycle table, ``_cycles``: each state of every
-    cycle that an ``orbits.orbit_iterate`` walk has stepped around maps
-    to (frozenset of the cycle, its canonical rotation).  A later walk
-    that ends on one of them reads its cycle there instead of stepping
-    it again.  An affine system also keeps an entry table, ``_entries``,
-    with its largest key ``_entry_top`` (0 while it is empty): each state
-    that a walk held before the index e where it entered its cycle C,
-    at index i, maps to (e - i, C), the steps from it onto C.  A later
-    walk stops at the first landing it meets there.  Each table holds
-    at most ``orbits._CYCLE_STATES`` states.  A table's or a shift's
-    entry table stays empty: their states do not compare, so no walk
-    could tell which of them to look up.
+    Every system keeps an entry table, ``_entries``, with its largest
+    key ``_entry_top`` (0 while it is empty): each state that an
+    ``orbits.orbit_iterate`` walk held before the index e where it
+    entered its cycle C, at index i, maps to (e - i, C), the steps from
+    it onto C.  A later walk stops at the first landing it meets there.
+    The table holds at most ``orbits._ENTRY_STATES`` states.  A table's
+    or a shift's entry table stays empty: their states do not compare,
+    so no walk could tell which of them to look up.
 
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
@@ -475,7 +500,6 @@ class DynamicalSystem:
         self.spec = spec
         self._affine = None
         self._jump_cache = self._jump_walk = None
-        self._cycles = {}  # state -> (frozenset of its cycle, canonical tuple)
         self._entries = {}  # state off its cycle -> (steps onto it, canonical tuple)
         self._entry_top = 0
         self._label_type = None

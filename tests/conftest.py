@@ -75,6 +75,19 @@ AFFINE_SPECS = {
     "alphabeta3": systems.AlphaBeta(3, (2, 4), (1, 5)),
 }
 
+# the class route's systems: the α–β ones are ALPHABETA3 of the CLI goldens,
+# check 12's k = 5 system, the k = 5 system whose tuc-scan stalls, and one
+# with gcd(a_i, k) > 1 on both branches
+CLASS_ROUTE_SPECS = {
+    "collatz": systems.collatz(),
+    "qxd:5,3": systems.QxPlusD(5, 3),
+    "qxd:1,1": systems.QxPlusD(1, 1),
+    "alphabeta3": systems.AlphaBeta(3, (4, 4), (2, 1)),
+    "alphabeta5": systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
+    "stuck5": systems.AlphaBeta(5, (2, 3, 7, 9), (3, 1, 2, 1)),
+    "gcd3": systems.AlphaBeta(3, (3, 3), (1, 1)),
+}
+
 
 def injective_table(draw, n, k):
     """branch and image dicts of a closed table on 1..n whose every branch

@@ -284,9 +284,8 @@ PERIOD3_30 = json.dumps(
         ("reduce_check_collatz_w20_k1248.json",
          ["operators", "reduce-check", "--system", "collatz", "--window", "1..20",
           "--set-file", str(GOLDEN / "set_1_2_4_8.json")]),
-        # a k = 3 jump walk, pinned before its jumps ran in one loop and its
-        # cycle came from the system's cycle table: 218 states, entry 202
-        # into the 16-cycle through 7
+        # a k = 3 jump walk, pinned before its jumps ran in one loop: 218
+        # states, entry 202 into the 16-cycle through 7
         ("orbit_alphabeta3_x1949_cap1000.json",
          ["orbit", "--system", '{"family":"alphabeta","k":3,"alpha":[4,4],"beta":[2,1]}',
           "--x", "1949", "--cap", "1000"]),

@@ -301,15 +301,16 @@ def test_swap_coding_map_is_not_injective(swap1):
 
 
 def test_check_11_catches_a_class_route_image_one_step_off(monkeypatch):
-    # build_truncation's class route maps k*t + r to A*(t + 1) + B; the
+    # build_truncation's class route reads each branch off the cylinder
+    # kernel, whose class step here maps k*t + r to A*(t + 1) + B; the
     # shuffled order takes the state loop, so the conjugation fails
-    true_step = operators._class_step
+    true_step = systems._class_step
 
     def one_step_off(k, rows, A, B):
         i, a, b = true_step(k, rows, A, B)
         return i, a, b + a
 
-    monkeypatch.setattr(operators, "_class_step", one_step_off)
+    monkeypatch.setattr(systems, "_class_step", one_step_off)
     result = battery.check_morphism_suite()
     assert not result.passed
     assert result.detail.startswith("relabeled collatz conjugation")

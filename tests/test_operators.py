@@ -16,6 +16,7 @@ from branchdyn import battery, cli, coding, linalg, operators, orbits, systems
 from branchdyn.errors import InvalidSpec, NotClosedSystem, WindowTooSmall
 from conftest import (
     AFFINE_SPECS,
+    CLASS_ROUTE_SPECS,
     apply_word,
     apply_word_adjoint,
     bisimilar_pairs,
@@ -131,18 +132,6 @@ def test_one_pass_truncation_matches_per_branch_build(collatz, alphabeta3, windo
             assert got == per_branch_truncation(sys, t.states)
 
 
-# the class route's systems: the α–β ones are ALPHABETA3 of the CLI goldens,
-# check 12's k = 5 system, the k = 5 system whose tuc-scan stalls, and one
-# with gcd(a_i, k) > 1 on both branches
-CLASS_ROUTE_SPECS = {
-    "collatz": systems.collatz(),
-    "qxd:5,3": systems.QxPlusD(5, 3),
-    "qxd:1,1": systems.QxPlusD(1, 1),
-    "alphabeta3": systems.AlphaBeta(3, (4, 4), (2, 1)),
-    "alphabeta5": systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
-    "stuck5": systems.AlphaBeta(5, (2, 3, 7, 9), (3, 1, 2, 1)),
-    "gcd3": systems.AlphaBeta(3, (3, 3), (1, 1)),
-}
 _rng = random.Random(0xC1A55)
 # one-state and two-state windows, lo > hi / k (no division lands inside),
 # one past sys.maxsize, where no position of an empty run can be sliced,
@@ -172,8 +161,8 @@ def test_class_route_matches_the_state_loop(name, window):
 @pytest.mark.parametrize("name", sorted(CLASS_ROUTE_SPECS))
 def test_class_route_chase_matches_the_identity_start_oracle(name, window):
     # seeded words of length 1..12, a window state's coding and a random
-    # word of each length; the chase composes the branches' column ranges
-    # and builds no column map
+    # word of each length; the chase reads the word's cylinder and builds
+    # no column map
     sys = systems.make_system(CLASS_ROUTE_SPECS[name])
     t = operators.build_truncation(sys, window)
     rng = random.Random(f"{name} {window}")
@@ -272,8 +261,8 @@ def test_operators_build_on_a_million_states_builds_no_map(monkeypatch, capsys, 
 
 
 def test_prefix_projections_build_no_map(collatz, monkeypatch, capsys):
-    # P_I, the word chase and the P_m limit compose the class route's
-    # ranges, and so do checks 8 and 10 and the two commands on them
+    # P_I, the word chase and the P_m limit read the word's cylinder on
+    # the class route, and so do checks 8 and 10 and the two commands on them
     t = operators.build_truncation(collatz, (1, 10**4))
     # x = 4t + 1 with 3x + 1 <= 10^4, at coordinate x - 1
     assert operators.projection_P(t, (1, 2, 2)) == frozenset(range(0, 3333, 4))
@@ -875,15 +864,15 @@ def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
     # projection_P's support against the prefix's cylinder, which check 8
     # cuts to the window by arithmetic; check 10 reads the cycles of the
     # same chase, and the lost coordinate breaks the cycle of e_1 under
-    # word 1 2 2; both truncations take the class route, whose chase
-    # composes column ranges
-    true_chase = operators._span_chase
+    # word 1 2 2; both truncations take the class route, whose chase is
+    # read off the cylinder kernel, here planted to drop its first t
+    true_cylinder = operators._cylinder
 
-    def lossy(spans, symbols):
-        cols, rows = true_chase(spans, symbols)
-        return cols[1:], rows[1:]
+    def lossy(k, rows, lo, hi, word):
+        M, r, A, B, t0, t1 = true_cylinder(k, rows, lo, hi, word)
+        return M, r, A, B, t0 + 1, t1
 
-    monkeypatch.setattr(operators, "_span_chase", lossy)
+    monkeypatch.setattr(operators, "_cylinder", lossy)
     result = battery.check_prefix_projection_mechanics()
     assert not result.passed
     assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))
@@ -893,18 +882,23 @@ def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
 
 
 def test_check_8_catches_a_chase_that_drops_the_residue_condition(monkeypatch):
-    # a row between the next branch's least and greatest columns passes
-    # as one of its columns, wherever it lies mod k
-    def no_residue(spans, symbols):
-        cols, rows = spans[symbols[0] - 1]
-        for i in symbols[1:]:
-            nxt, img = spans[i - 1]
-            kept = [(c, img[(r - nxt.start) // nxt.step]) for c, r in zip(cols, rows)
-                    if nxt and nxt.start <= r <= nxt[-1]]
-            cols, rows = [c for c, _ in kept], [r for _, r in kept]
-        return cols, rows
+    # the cylinder kernel without its gcd test: it pins one t mod k at
+    # every symbol, as if every slope were coprime to k, so where k
+    # divides the slope and the symbol is forced it keeps one t in k
+    def no_gcd(k, rows, lo, hi, word):
+        M, r, A, B = 1, 0, 1, 0
+        t0, t1 = lo, hi
+        for s in word:
+            u = next((t for t in range(k) if (A * t + B - s) % k == 0), None)
+            if u is None:
+                return None
+            M, r, A, B = k * M, r + M * u, k * A, A * u + B
+            t0, t1 = -((u - t0) // k), (t1 - u) // k
+            _, A, B = systems._class_step(k, rows, A, B)
+            t0, t1 = max(t0, -((B - lo) // A)), min(t1, (hi - B) // A)
+        return M, r, A, B, t0, t1
 
-    monkeypatch.setattr(operators, "_span_chase", no_residue)
+    monkeypatch.setattr(operators, "_cylinder", no_gcd)
     result = battery.check_prefix_projection_mechanics()
     assert not result.passed
     assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))

@@ -235,27 +235,21 @@ def test_census_on_one_system_reads_each_cycle_from_its_table(name, cap):
     for x, rec in zip(starts, census):
         assert rec == orbits.orbit_iterate(systems.make_system(spec), x, cap)
         assert_matches_oracle(warm, x, cap)
-    # each cycle was stepped once: its records share one tuple, the table's
-    cycles = {id(r.cycle): r.cycle for r in census if r.entered_cycle}
-    assert len(cycles) == len(set(cycles.values())) == n_cycles
-    assert {c for _, c in warm._cycles.values()} == set(cycles.values())
-    assert warm._cycles.keys() == {z for c in cycles.values() for z in c}
+    assert len({r.cycle for r in census if r.entered_cycle}) == n_cycles
 
 
 def test_cycle_table_stops_at_its_cap():
-    # the shift's 630 cycles of length 13 hold 8190 states, twice what the
-    # table holds; the walks past the cap step their cycles as before
+    # the shift's 630 cycles of length 13 hold 8190 states; a shift fills
+    # no table, so each walk steps its cycle, on either pass
     shift = systems.make_system(systems.SymbolicShift(2))
     points = [systems.EventuallyPeriodic.make((), w)
               for w in words.lyndon_words(2, 13) if len(w) == 13]
     assert len(points) == 630
-    for _ in range(2):  # the second pass reads the first half's cycles
+    for _ in range(2):
         for x in points:
             rec = orbits.orbit_iterate(shift, x, 20)
             assert rec == orbits.orbit_iterate(systems.make_system(shift.spec), x, 20)
             assert rec.entered_cycle and rec.entry_index == 0 and len(rec.cycle) == 13
-            assert len(shift._cycles) <= orbits._CYCLE_STATES
-    assert len(shift._cycles) > orbits._CYCLE_STATES - 13
 
 
 def cold_record(cold, x, cap):
@@ -288,7 +282,7 @@ def test_census_stopping_in_the_entry_table_matches_cold_walks(name):
         # to ~1000 bits, would take minutes; the cold walks check those
         if rec.entered_cycle or cap < 10**4:
             assert_matches_oracle(warm, x, cap)
-    assert len(warm._entries) <= orbits._CYCLE_STATES
+    assert len(warm._entries) <= orbits._ENTRY_STATES
 
 
 def test_a_capped_record_is_read_from_the_entry_table():
@@ -316,17 +310,19 @@ def test_entry_table_holds_states_off_their_cycles_at_their_distance():
     sys = systems.make_system(systems.collatz())
     for x in range(1, 6001):
         orbits.orbit_iterate(sys, x, 10**4)
-        assert len(sys._entries) <= orbits._CYCLE_STATES
-    assert len(sys._entries) == orbits._CYCLE_STATES
+        assert len(sys._entries) <= orbits._ENTRY_STATES
+    assert len(sys._entries) == orbits._ENTRY_STATES
     assert sys._entry_top == max(sys._entries)
     for z, (d, cycle) in sys._entries.items():
-        assert z not in sys._cycles
         # z is d single steps off its cycle, the canonical one
         walk = [z]
         for _ in range(d):
             walk.append(sys.apply(walk[-1]))
         assert walk[-1] in cycle and walk[-2] not in cycle
-        assert cycle == orbits.canonical_cycle(cycle) == sys._cycles[walk[-1]][1]
+        around = [walk[-1]]
+        while sys.apply(around[-1]) != walk[-1]:
+            around.append(sys.apply(around[-1]))
+        assert cycle == orbits.canonical_cycle(around)
     before = dict(sys._entries)
     for x in range(6001, 6101):
         assert orbits.orbit_iterate(sys, x, 10**4) == orbits.orbit_iterate(

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,6 +17,7 @@ from branchdyn.errors import (
 
 from conftest import (
     AFFINE_SPECS,
+    CLASS_ROUTE_SPECS,
     _Classes,
     brute_preimages,
     brute_primitive_period,
@@ -725,6 +727,33 @@ def test_class_step_is_one_step_of_every_state_of_the_class(name, j, m, B):
     for t in (0, 1, 2, 7, 2**70 + 3):
         x = A * t + B
         assert (sys.branch_of(x), sys.apply(x)) == (symbol, A2 * t + B2)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ROUTE_SPECS))
+def test_cylinder_is_the_class_of_each_word(name):
+    # every word of length <= 6 (<= 4 for k = 5) against the codings of
+    # 1..3000: on lo..hi = 1..10^15 no image of those states leaves the
+    # window, so the kernel's states up to 3000 are exactly the x <= 3000
+    # that carry the word, f^m(x) = A*t + B, and None means none does
+    sys = systems.make_system(CLASS_ROUTE_SPECS[name])
+    depth = 4 if sys.k == 5 else 6
+    carriers: dict = {}  # word -> [(x, f^len(word)(x))] in order of x
+    for x in range(1, 3001):
+        code, y = [], x
+        for _ in range(depth):
+            code.append(sys.branch_of(y))
+            y = sys.apply(y)
+            carriers.setdefault(tuple(code), []).append((x, y))
+    for m in range(1, depth + 1):
+        for word in product(range(1, sys.k + 1), repeat=m):
+            want = carriers.get(word, [])
+            cut = systems._cylinder(sys.k, sys._affine, 1, 10**15, word)
+            if cut is None:
+                assert not want, word
+                continue
+            M, r, A, B, t0, t1 = cut
+            got = [(M * t + r, A * t + B) for t in range(t0, min(t1, (3000 - r) // M) + 1)]
+            assert got == want, word
 
 
 @st.composite
