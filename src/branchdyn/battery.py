@@ -331,7 +331,8 @@ def check_coding_injectivity() -> CheckResult:
 def check_prefix_projection_mechanics() -> CheckResult:
     """Prefix projections on the [1, 10^4] collatz truncation: the
     support of each sampled P_I equals the coordinates of I's cylinder,
-    a residue class cut to the window, and the e_1 + e_5 input
+    a residue class cut to the window, the words that no state carries
+    have no cylinder and an empty P_I, and the e_1 + e_5 input
     stabilizes to e_1 at prefix length 4.  P_I is a 0/1 diagonal by
     construction, so idempotence and self-adjointness need no test."""
     rng = random.Random(0xBD08)
@@ -351,6 +352,12 @@ def check_prefix_projection_mechanics() -> CheckResult:
         M, r, t0, t1 = coding._progression(sys.k, sys._affine, win, prefix)
         if frozenset(range(r + M * t0 - win.lo, r + M * t1 + 1 - win.lo, M)) != support:
             failures.append(f"prefix {prefix}: projection support mismatch")
+    # 3x + 1 is even for odd x, so branch 2 follows branch 1 and no state
+    # carries these words
+    for word in ((1, 1), (2, 1, 1), (1, 2, 1, 1)):
+        cut = coding._progression(sys.k, sys._affine, win, word)
+        if cut is not None or operators.projection_P(trunc, word):
+            failures.append(f"word {word}: projection support mismatch")
     a = {trunc.index[1]: Fraction(1), trunc.index[5]: Fraction(1)}
     rep = operators.verify_pm_limit(trunc, a, 1, cap=64)
     if not rep.passed or rep.stabilization_index != 4:

@@ -60,9 +60,9 @@ from .systems import (
     _cylinder,
     _need_int,
     _primitive_period,
+    check_word,
     window_states,
 )
-from .words import check_word
 
 # the most entries commutant_projections builds for its block bases,
 # counted in closed form before any vector exists

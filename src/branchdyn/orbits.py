@@ -7,26 +7,81 @@ exact relative to the window in the following sense: the true total
 orbit intersected with the window always contains ``members``, and
 equals it whenever ``frontier`` is empty (no member's image or preimage
 leaves the window) and the node budget was not exhausted.
+
+Orbit walks.  ``orbit_iterate`` follows x, f(x), f(f(x)), ... and holds
+only the start and its landings, each at its index in the trajectory.
+With a cap below ``_JUMP_TABLE_SIZE``, and on a table, a shift or an
+affine system with k > 16, it lands where a ``sys._leap`` ends: every
+state off the division branch after the start is a landing, and every
+cycle holds one, since divisions decrease.  Otherwise it jumps: x mod
+k**j fixes the next branches of x (Terras), so a table over the
+residues b < k**j <= ``_JUMP_TABLE_SIZE`` (``_jump_table``) turns a
+block of about a dozen steps into one multiply-add, and a jump is that
+block and then the whole run of divisions.  ``_jumps`` builds the
+table's kernels on the first walk that asks for them and keeps them in
+``sys._jump_cache``, never at construction: cycle search and check 4
+build dozens of systems that never walk that far.
+
+A walk ends at a landing met again, which lies on the cycle C; single
+steps from it give C.  The first held state on C is at or after the
+entry, and every held state after it is on C too, so the last held
+state off C is before the entry, and the entry index is its index plus
+the single steps from it onto C (0 if the start is on C).  The orbit
+entered its cycle iff entry index + len(C) <= cap, since a walk of
+single steps meets its first repeat at step entry index + len(C).
+
+A jump walk that meets no repeat by cap may have jumped over one, so it
+hands over to a leap walk.  A peak, the state just after a jump's last
+affine step, is a certified record when it exceeds every earlier peak
+and the bounds of this and every earlier jump: no earlier state equals
+it, so the first repeat comes after it.  The leap walk starts at the
+last record p (``_last_record``; the start if there is none), holding
+the landings before p, and runs to cap plus the longest jump.  It meets
+every state off the division branch from p on, so a first repeat within
+cap shows there as a landing met again, and no repeat means none
+within cap.
+
+On an affine system each walk that finds its cycle C and entry index e
+enters the states it held before e in the entry table ``sys._entries``
+(``_settle``): the one at index i maps to (e - i, C), its steps onto C.
+The table holds at most ``_ENTRY_STATES`` states, and
+``sys._entry_top`` is its largest key (0 while it is empty).  A start
+found there is read without a walk, though a cap of
+``_JUMP_TABLE_SIZE`` or more builds the jump kernels first.  The leap
+walk and the jump walk from the start end at the first new landing z
+found there, at index n: the entry index is n plus z's steps, whatever
+the cap.  The hand-over walk does not look.  So a later walk of a
+census stops where it meets an earlier walk's orbit and takes no single
+step.  A landing is looked up only while it is at most
+``sys._entry_top``, so a walk that climbs above every key hashes each
+landing once.  A table's or a shift's entry table stays empty: their
+states do not compare, so no walk could tell which of them to look up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from functools import partial
 from itertools import islice
 from operator import sub
 
 from .errors import InvalidSpec
 from .systems import (
-    _JUMP_TABLE_SIZE,
     DynamicalSystem,
+    _class_step,
     _components,
     _need_int,
-    _walk,
     as_window,
     window_states,
 )
 
+# the most residues a jump table covers: an affine system with k <= 16
+# jumps over the residues b < k**j for the largest k**j within this
+_JUMP_TABLE_SIZE = 256
+# the most steps one jump makes: a residue cycle that avoids 0, or a slope
+# that keeps its factor k, fixes every later branch
+_JUMP_STEPS = 64
 # the held landings at the end of a capped jump walk whose jumps are
 # scanned first for its last certified record
 _TAIL = 64
@@ -51,25 +106,8 @@ class OrbitRecord:
     orbit entered a cycle (the first repeat ends it) and ``cap + 1``
     otherwise.  ``entry_index`` counts the steps from ``start`` to the
     first state of the cycle, f^entry_index(start), which is that
-    state's index in the trajectory.
-
-    The walk finds it with few single steps.  It holds the start and its
-    landings, each at its index, and ends at a landing met again, which
-    lies on the cycle C; single steps from it give C.  The first held
-    state on C is at or after the entry, and every held state after it
-    is on C too, so the last held state off C, at index i, is the one
-    before it and is before the entry: entry_index is i plus the single
-    steps from that state onto C (0 if the start is on C).  The orbit
-    entered its cycle iff entry_index + len(C) <= cap, since a walk of
-    single steps meets its first repeat at step entry_index + len(C).
-
-    On an affine system the walk may end earlier, at the first new
-    landing z in the system's entry table, at index n, where z maps to
-    (d, C): z is d single steps off C, so entry_index is n + d exactly,
-    whatever the cap, and the same rule gives ``entered_cycle``.  A
-    start in the table is read there without a walk.  ``orbit_iterate``
-    builds each record with ``_new_record``, which sets the slots
-    directly.
+    state's index in the trajectory.  ``orbit_iterate`` builds each
+    record with ``_new_record``, which sets the slots directly.
     """
 
     start: object
@@ -119,54 +157,12 @@ def _new_record(start, entered_cycle, cycle, entry_index, cap, system) -> OrbitR
 
 
 def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
-    """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps.
-
-    The walk goes from landing to landing and holds only the start and
-    its landings, each at its index.  With a cap below
-    ``_JUMP_TABLE_SIZE``, and on a table, a shift or an affine system
-    with k > 16, a landing is where a ``sys._leap`` ends: every state off the division branch
-    after the start is one, and every cycle holds one, since divisions
-    decrease.  Otherwise the walk jumps by the system's jump table (see
-    ``systems._jump_entry``), a residue block of about a dozen steps at
-    a time, and its landings are fewer; ``sys._jump_walk`` makes these
-    jumps in one loop (see ``systems._jump_kernels``).  A landing met
-    again ends either walk (see ``OrbitRecord``).
-
-    A jump walk that meets no repeat by cap may have jumped over one,
-    since its landings are sparse, so it hands over to a leap walk.  A
-    peak, the state just after a jump's last affine step, is a certified
-    record when it exceeds every earlier peak and the bounds of this and
-    every earlier jump: no earlier state equals it, so the first repeat
-    comes after it.  ``_last_record`` finds the last such record p from
-    the tail of the walk: ``cover`` of the largest landing before the
-    last ``_TAIL`` bounds every state of the jumps from them, so a peak
-    above it and above the tail's earlier peaks and bounds is a record.
-    Only if the tail holds none is the whole walk scanned.  The leap
-    walk starts at p (the start if there is no record), holding the
-    landings before p, and runs to cap plus the longest jump.  It meets
-    every state off the division branch from p on, so a first repeat
-    within cap shows there as a landing met again, and no repeat means
-    none within cap.  Either walk finds the cycle's entry from the end
-    of its landings (see ``OrbitRecord``).
-
-    On an affine system every walk that finds its cycle C and entry e
-    also enters the states it held before e in the system's entry table
-    (see ``_settle``), and the leap walk and the jump walk from the start
-    stop at the first new landing found there (see ``OrbitRecord``);
-    the hand-over leap walk does not.  So a later walk of a census
-    stops where it meets an earlier walk's orbit, short of its cycle,
-    and takes no single step.  A landing is looked up only while it
-    is at most the table's largest key, so a walk that climbs above
-    every key hashes each landing once, as it would without the table.
-    The lookup of the start comes after ``sys._jumps()``, so the first
-    walk with a cap of ``_JUMP_TABLE_SIZE`` or more builds the jump
-    table whatever the entry table holds.  A table's or a shift's walk
-    neither reads nor fills the entry table: its states do not compare.
-    """
+    """Follow x, f(x), f(f(x)), ... until a repeat or ``cap`` steps,
+    holding only the start and its landings (see the module docstring)."""
     _need_int("cap", cap, 0)
     sys._require(x)
     seen = {x: 0}  # the start and each landing -> its index
-    jumps = sys._jumps() if cap >= _JUMP_TABLE_SIZE else None
+    jumps = _jumps(sys) if cap >= _JUMP_TABLE_SIZE else None
     # only an affine system's states compare, so only its walks read the table
     entries = sys._entries if sys._affine is not None else None
     top = sys._entry_top
@@ -175,8 +171,8 @@ def orbit_iterate(sys: DynamicalSystem, x, cap: int) -> OrbitRecord:
     elif jumps is None:
         y = _walk(sys._leap, seen, x, 0, cap, entries, top)
     else:
-        _, rise, cover = jumps
-        y = sys._jump_walk(seen, x, 0, cap, entries, top)
+        rise, cover, walk = jumps
+        y = walk(seen, x, 0, cap, entries, top)
         if y is None:
             p, at, longest = _last_record(seen, x, rise, cover)
             while seen:  # the landings from p on are met again by the leaps
@@ -222,7 +218,7 @@ def _settle(sys: DynamicalSystem, seen: dict, entry: int, cycle: tuple) -> None:
 
 def _last_record(seen: dict, x, rise, cover) -> tuple:
     """(p, its index, the longest jump) over the jumps from the states in
-    ``seen``: p is the last certified record (see ``orbit_iterate``), or
+    ``seen``: p is the last certified record (see the module docstring), or
     x at 0 if there is none.
 
     The scan reads the jumps from the last ``_TAIL`` landings first, with
@@ -282,6 +278,136 @@ def _cycle_and_entry(step, seen: dict, y) -> tuple:
         z = step(z)
         entry += 1
     return cycle, entry
+
+
+def _jump_entry(k: int, rows: tuple, size: int, b: int) -> tuple:
+    """(t, A, B, UA, UB): for every state x = size*a + b, f^t(x) = A*a + B
+    is the state just after the last affine step (within _JUMP_STEPS)
+    that b fixes, or after t divisions if b fixes none, and each state
+    before it is <= UA*a + UB.
+
+    b fixes the branch of each ``_class_step`` while k divides A.
+    """
+    A, B, UA, UB = size, b, 0, 0
+    t, entry = 0, None
+    while t < _JUMP_STEPS and A % k == 0:
+        UA, UB = max(UA, A), max(UB, B)
+        symbol, A, B = _class_step(k, rows, A, B)
+        t += 1
+        if symbol != k:
+            entry = (t, A, B, UA, UB)
+    return entry or (t, A, B, UA, UB)
+
+
+def _jump_table(k: int, rows: tuple) -> tuple:
+    """(size, table): ``table[b]`` is ``_jump_entry`` of each residue
+    b < size, for the largest size = k**j <= _JUMP_TABLE_SIZE."""
+    size = k
+    while size * k <= _JUMP_TABLE_SIZE:
+        size *= k
+    return size, tuple(_jump_entry(k, rows, size, b) for b in range(size))
+
+
+def _walk(advance, seen: dict, cur, n: int, limit: int, entries=None, top: int = 0):
+    """Advance from cur, the state at index n, until a landing repeats or
+    n >= limit, holding each new landing in ``seen`` at its index; the
+    repeated landing, or None.
+
+    Given an affine system's entry table ``entries`` and its largest key
+    ``top``, the walk also ends at the first new landing <= top that is
+    a key of it, held in ``seen`` too, and returns that landing."""
+    while n < limit:
+        cur, s = advance(cur)
+        n += s
+        if cur in seen:
+            return cur
+        seen[cur] = n
+        if entries and cur <= top and cur in entries:
+            return cur
+    return None
+
+
+def _jump_kernels(k: int, rows: tuple) -> tuple:
+    """(rise, cover, walk) over one ``_jump_table``, for k * k <=
+    _JUMP_TABLE_SIZE.
+
+    The jump from x makes the table's t steps from x, then the whole run
+    of divisions, so it lands off the division branch, as a ``_leap``
+    does.  ``rise(x)`` is (t, A*a + B, UA*a + UB) for x = size*a + b:
+    the peak of the jump and a bound on the states before it.
+    ``cover(x)`` is C*a + E, with C the largest UA or A and E the
+    largest UB or B of the table: every state of the jump from x, its
+    run of divisions included, is at most cover(x), and cover does not
+    decrease with x.
+
+    ``walk(seen, cur, n, limit, entries, top)`` is ``_walk`` over the
+    jumps.  For k = 2 it is one loop with the jump written out in it: a
+    mask, a multiply-add and a shift by the trailing zeros, with no call
+    per jump.
+    """
+    size, table = _jump_table(k, rows)
+    C = max(max(UA, A) for _, A, _, UA, _ in table)
+    E = max(max(UB, B) for _, _, B, _, UB in table)
+    if k == 2:
+        mask, shift = size - 1, size.bit_length() - 1
+        steps = tuple(entry[:3] for entry in table)  # (t, A, B) of each residue
+
+        def rise(x):
+            t, A, B, UA, UB = table[x & mask]
+            a = x >> shift
+            return t, A * a + B, UA * a + UB
+
+        def cover(x):
+            return C * (x >> shift) + E
+
+        def walk(seen, cur, n, limit, entries=None, top=0):
+            # top = 0 without a table: every state is above it
+            while n < limit:
+                t, A, B = steps[cur & mask]
+                cur = A * (cur >> shift) + B
+                v = (cur & -cur).bit_length() - 1
+                cur >>= v
+                n += t + v
+                if cur in seen:
+                    return cur
+                seen[cur] = n
+                if cur <= top and cur in entries:
+                    return cur
+            return None
+
+    else:
+
+        def jump(x):
+            a, b = divmod(x, size)
+            t, A, B, _, _ = table[b]
+            x = A * a + B
+            y, r = divmod(x, k)
+            while r == 0:
+                x, t = y, t + 1
+                y, r = divmod(x, k)
+            return x, t
+
+        def rise(x):
+            a, b = divmod(x, size)
+            t, A, B, UA, UB = table[b]
+            return t, A * a + B, UA * a + UB
+
+        def cover(x):
+            return C * (x // size) + E
+
+        walk = partial(_walk, jump)
+
+    return rise, cover, walk
+
+
+def _jumps(sys: DynamicalSystem) -> tuple | None:
+    """(rise, cover, walk) of ``_jump_kernels`` of the system's affine
+    table, built on the first call and kept in ``sys._jump_cache``; None
+    on a table, a shift, or an affine system with k > 16, where j = 1
+    and a jump would be a leap."""
+    if sys._jump_cache is None and sys._affine is not None and sys.k**2 <= _JUMP_TABLE_SIZE:
+        sys._jump_cache = _jump_kernels(sys.k, sys._affine)
+    return sys._jump_cache
 
 
 @dataclass(frozen=True)

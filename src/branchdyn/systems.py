@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -197,6 +196,18 @@ def _need_int(name: str, v, least: int | None = None, most: int | None = None) -
         raise InvalidSpec(f"need {name} >= {least}, got {v}")
 
 
+def check_word(word: Iterable, k: int) -> tuple:
+    """The word as a tuple of branch symbols in 1..k; InvalidSpec if it
+    is empty or a symbol is not such an int."""
+    word = tuple(word)
+    if not word:
+        raise InvalidSpec("empty word")
+    for i in word:
+        if not _is_int(i) or not 1 <= i <= k:
+            raise InvalidSpec(f"symbol {i!r} outside 1..{k}")
+    return word
+
+
 def collatz() -> QxPlusD:
     return QxPlusD(3, 1)
 
@@ -271,14 +282,6 @@ def _affine_kernels(k: int, rows: tuple) -> tuple:
     return step, branch, preimages, leap
 
 
-# the most residues a jump table covers: an affine system with k <= 16
-# jumps over the residues b < k**j for the largest k**j within this
-_JUMP_TABLE_SIZE = 256
-# the most steps one jump makes: a residue cycle that avoids 0, or a slope
-# that keeps its factor k, fixes every later branch
-_JUMP_STEPS = 64
-
-
 def _class_step(k: int, rows: tuple, A: int, B: int) -> tuple:
     """One step of a residue class: (symbol, A', B') for k | A.
 
@@ -323,136 +326,6 @@ def _cylinder(k: int, rows: tuple, lo: int, hi: int, word) -> tuple | None:
     return M, r, A, B, t0, t1
 
 
-def _jump_entry(k: int, rows: tuple, size: int, b: int) -> tuple:
-    """(t, A, B, UA, UB): for every state x = size*a + b, f^t(x) = A*a + B
-    is the state just after the last affine step (within _JUMP_STEPS)
-    that b fixes, or after t divisions if b fixes none, and each state
-    before it is <= UA*a + UB.
-
-    b fixes the branch of each ``_class_step`` while k divides A.
-    """
-    A, B, UA, UB = size, b, 0, 0
-    t, entry = 0, None
-    while t < _JUMP_STEPS and A % k == 0:
-        UA, UB = max(UA, A), max(UB, B)
-        symbol, A, B = _class_step(k, rows, A, B)
-        t += 1
-        if symbol != k:
-            entry = (t, A, B, UA, UB)
-    return entry or (t, A, B, UA, UB)
-
-
-def _jump_table(k: int, rows: tuple) -> tuple:
-    """(size, table): ``table[b]`` is ``_jump_entry`` of each residue
-    b < size, for the largest size = k**j <= _JUMP_TABLE_SIZE."""
-    size = k
-    while size * k <= _JUMP_TABLE_SIZE:
-        size *= k
-    return size, tuple(_jump_entry(k, rows, size, b) for b in range(size))
-
-
-def _walk(advance, seen: dict, cur, n: int, limit: int, entries=None, top: int = 0):
-    """Advance from cur, the state at index n, until a landing repeats or
-    n >= limit, holding each new landing in ``seen`` at its index; the
-    repeated landing, or None.
-
-    Given an affine system's entry table ``entries`` (see
-    ``DynamicalSystem``) and its largest key ``top``, the walk also ends
-    at the first new landing that is a key of it, held in ``seen`` too,
-    and returns that landing.  Only a landing <= top is looked up, so a
-    walk that has climbed above every key hashes each landing once."""
-    while n < limit:
-        cur, s = advance(cur)
-        n += s
-        if cur in seen:
-            return cur
-        seen[cur] = n
-        if entries and cur <= top and cur in entries:
-            return cur
-    return None
-
-
-def _jump_kernels(k: int, rows: tuple) -> tuple:
-    """(jump, rise, cover, walk) over one ``_jump_table``, for k * k <=
-    _JUMP_TABLE_SIZE.
-
-    ``jump(x)`` is (f^s(x), s): the table's t steps from x, then the
-    whole run of divisions, so f^s(x) is off the division branch, as
-    after a ``_leap``.  ``rise(x)`` is (t, A*a + B, UA*a + UB) for
-    x = size*a + b: the peak of the jump and a bound on the states
-    before it.  ``cover(x)`` is C*a + E, with C the largest UA or A and
-    E the largest UB or B of the table: every state of the jump from x,
-    its run of divisions included, is at most cover(x), and cover does
-    not decrease with x.
-
-    ``walk(seen, cur, n, limit, entries, top)`` is ``_walk(jump, seen,
-    cur, n, limit, entries, top)``: it also ends at the first new
-    landing <= top in the entry table ``entries``, if one is given.  For
-    k = 2 it is one loop with the jump written out in it: a mask, a
-    multiply-add and a shift by the trailing zeros, with no call per
-    jump.  ``jump`` stays the one-jump reference.
-    """
-    size, table = _jump_table(k, rows)
-    C = max(max(UA, A) for _, A, _, UA, _ in table)
-    E = max(max(UB, B) for _, _, B, _, UB in table)
-    if k == 2:
-        mask, shift = size - 1, size.bit_length() - 1
-        steps = tuple(entry[:3] for entry in table)  # (t, A, B) of each residue
-
-        def jump(x):
-            t, A, B, _, _ = table[x & mask]
-            y = A * (x >> shift) + B
-            v = (y & -y).bit_length() - 1
-            return y >> v, t + v
-
-        def rise(x):
-            t, A, B, UA, UB = table[x & mask]
-            a = x >> shift
-            return t, A * a + B, UA * a + UB
-
-        def cover(x):
-            return C * (x >> shift) + E
-
-        def walk(seen, cur, n, limit, entries=None, top=0):
-            # top = 0 without a table: every state is above it
-            while n < limit:
-                t, A, B = steps[cur & mask]
-                cur = A * (cur >> shift) + B
-                v = (cur & -cur).bit_length() - 1
-                cur >>= v
-                n += t + v
-                if cur in seen:
-                    return cur
-                seen[cur] = n
-                if cur <= top and cur in entries:
-                    return cur
-            return None
-
-    else:
-
-        def jump(x):
-            a, b = divmod(x, size)
-            t, A, B, _, _ = table[b]
-            x = A * a + B
-            y, r = divmod(x, k)
-            while r == 0:
-                x, t = y, t + 1
-                y, r = divmod(x, k)
-            return x, t
-
-        def rise(x):
-            a, b = divmod(x, size)
-            t, A, B, UA, UB = table[b]
-            return t, A * a + B, UA * a + UB
-
-        def cover(x):
-            return C * (x // size) + E
-
-        walk = partial(_walk, jump)
-
-    return jump, rise, cover, walk
-
-
 class DynamicalSystem:
     """A validated system: branch lookup, forward map, exact preimages.
 
@@ -477,19 +350,9 @@ class DynamicalSystem:
     ``window_states``; an ``IntWindow`` on an affine system is validated
     by its bounds, since its ints lo..hi >= 1 are all states.
 
-    An affine system with k <= 16 also has a jump table over the
-    residues mod k**j <= 256 (``_jumps``), built on the first orbit walk
-    that asks for it, never by ``__init__``: cycle search and check 4
-    build dozens of systems that never walk that far.
-
-    Every system keeps an entry table, ``_entries``, with its largest
-    key ``_entry_top`` (0 while it is empty): each state that an
-    ``orbits.orbit_iterate`` walk held before the index e where it
-    entered its cycle C, at index i, maps to (e - i, C), the steps from
-    it onto C.  A later walk stops at the first landing it meets there.
-    The table holds at most ``orbits._ENTRY_STATES`` states.  A table's
-    or a shift's entry table stays empty: their states do not compare,
-    so no walk could tell which of them to look up.
+    The orbit walks cache what they build for the system in
+    ``_jump_cache``, ``_entries`` and ``_entry_top``, which ``orbits``
+    describes.
 
     ``gcd_failures`` lists the branches i < k with gcd(a_i, k) > 1, where
     the extension to residue towers fails; it is empty off the affine
@@ -499,8 +362,8 @@ class DynamicalSystem:
     def __init__(self, spec):
         self.spec = spec
         self._affine = None
-        self._jump_cache = self._jump_walk = None
-        self._entries = {}  # state off its cycle -> (steps onto it, canonical tuple)
+        self._jump_cache = None
+        self._entries = {}
         self._entry_top = 0
         self._label_type = None
         self.gcd_failures = ()
@@ -564,20 +427,6 @@ class DynamicalSystem:
         else:
             raise InvalidSpec(f"unknown family: {spec!r}")
         self._step, self._branch, self._preimages, self._leap = kernels
-
-    def _jumps(self):
-        """(jump, rise, cover) of ``_jump_kernels`` of the affine table,
-        built once; None on a table, a shift, or an affine system with
-        k > 16, where j = 1 and a jump would be a leap.  The same build
-        sets ``_jump_walk``, the fused walk over ``jump``."""
-        if (
-            self._jump_cache is None
-            and self._affine is not None
-            and self.k**2 <= _JUMP_TABLE_SIZE
-        ):
-            jump, rise, cover, self._jump_walk = _jump_kernels(self.k, self._affine)
-            self._jump_cache = jump, rise, cover
-        return self._jump_cache
 
     def _set_affine(self, k: int, rows: tuple) -> None:
         self.k, self._affine = k, rows

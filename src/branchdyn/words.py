@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import IdentityComposition, InvalidSpec, NotACycle, NotAffineFamily
+from .errors import IdentityComposition, NotACycle, NotAffineFamily
 from .orbits import orbit_iterate
 from .systems import (
     DynamicalSystem,
@@ -43,20 +43,11 @@ from .systems import (
     _need_int,
     _primitive_period,
     _state_order,
+    check_word,
     window_states,
 )
 
 Word = tuple
-
-
-def check_word(word: Iterable, k: int) -> Word:
-    word = tuple(word)
-    if not word:
-        raise InvalidSpec("empty word")
-    for i in word:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= k:
-            raise InvalidSpec(f"symbol {i!r} outside 1..{k}")
-    return word
 
 
 def is_aperiodic(word: Word) -> bool:

@@ -6,6 +6,7 @@ library code under test (window scans, direct folds, graph walks).
 
 import signal
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 
@@ -86,6 +87,26 @@ CLASS_ROUTE_SPECS = {
     "alphabeta5": systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
     "stuck5": systems.AlphaBeta(5, (2, 3, 7, 9), (3, 1, 2, 1)),
     "gcd3": systems.AlphaBeta(3, (3, 3), (1, 1)),
+}
+
+# the affine systems whose step kernels are checked against their specs
+KERNEL_SPECS = {
+    "collatz": systems.collatz(),
+    "qxd5_1": systems.QxPlusD(5, 1),
+    "mersenne3": systems.mersenne(3),
+    "alphabeta3": systems.AlphaBeta(3, (4, 4), (2, 1)),
+    "alphabeta5": systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
+}
+
+# those and four more, whose class steps and jump tables are checked
+JUMP_SPECS = {
+    **KERNEL_SPECS,
+    "qxd1_1": systems.QxPlusD(1, 1),
+    "alphabeta4_slope1": systems.AlphaBeta(4, (1, 3, 1), (3, 2, 1)),
+    # the slope 3 keeps its factor k: no residue ever loses its branch,
+    # so only the step bound ends an entry
+    "alphabeta3_gcd": systems.AlphaBeta(3, (3, 3), (1, 1)),
+    "alphabeta7": systems.AlphaBeta(7, (1, 2, 3, 1, 5, 1), (6, 5, 4, 3, 2, 1)),
 }
 
 
@@ -280,6 +301,25 @@ def orbit_oracle(sys, x, cap):
         seen[cur] = n
     return {"start": x, "trajectory": tuple(seen), "entered_cycle": False,
             "cycle": (), "entry_index": -1, "cap": cap}
+
+
+@cache
+def _jump_table(k, rows):
+    return orbits._jump_table(k, rows)
+
+
+def jump_oracle(sys, x):
+    """(f^s(x), s) for the jump from x of an affine system with a jump
+    table, by single steps through the public ``apply``: the t steps of
+    x's table entry, then the whole run of divisions."""
+    size, table = _jump_table(sys.k, sys._affine)
+    s = table[x % size][0]
+    for _ in range(s):
+        x = sys.apply(x)
+    while x % sys.k == 0:
+        x = sys.apply(x)
+        s += 1
+    return x, s
 
 
 def state_digits(x, k, depth):

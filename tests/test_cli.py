@@ -293,6 +293,12 @@ PERIOD3_30 = json.dumps(
         # -> 8 -> 4 -> 2 and 21 more run past the budget, all 23 unresolved
         ("minimality_qxd5_1_w37_300.json",
          ["minimality", "--system", "qxd:5,1", "--window", "37..300"]),
+        # a gcd-failing jump walk, pinned before the walk moved into orbits:
+        # residues 1 and 2 never divide, so every table entry runs the full
+        # _JUMP_STEPS, and the capped walk ends in the hand-over from its
+        # last record
+        ("orbit_alphabeta3_gcd_x6_cap300.json",
+         ["orbit", "--system", ALPHABETA3_GCD, "--x", "6", "--cap", "300"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):

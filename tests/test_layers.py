@@ -26,7 +26,7 @@ ALLOWED = {
     "orbits": {"errors", "systems"},
     "words": {"errors", "systems", "orbits"},
     "coding": {"errors", "systems", "orbits"},
-    "operators": {"errors", "systems", "words"},
+    "operators": {"errors", "systems"},
     "morphisms": {"errors", "systems", "orbits", "coding", "operators"},
     "battery": _CORE,
     "cli": _CORE | {"battery", "__init__"},

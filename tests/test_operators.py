@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -869,7 +870,10 @@ def test_check_8_catches_a_chase_that_drops_a_coordinate(monkeypatch):
     true_cylinder = operators._cylinder
 
     def lossy(k, rows, lo, hi, word):
-        M, r, A, B, t0, t1 = true_cylinder(k, rows, lo, hi, word)
+        cut = true_cylinder(k, rows, lo, hi, word)
+        if cut is None:
+            return None
+        M, r, A, B, t0, t1 = cut
         return M, r, A, B, t0 + 1, t1
 
     monkeypatch.setattr(operators, "_cylinder", lossy)
@@ -904,13 +908,41 @@ def test_check_8_catches_a_chase_that_drops_the_residue_condition(monkeypatch):
     assert all(f.endswith(": projection support mismatch") for f in result.detail.split("; "))
 
 
+def test_check_8_catches_a_cylinder_kernel_that_never_finds_it_empty(monkeypatch):
+    # _cylinder without its "(s - B) % g: return None": where g = gcd(A, k)
+    # does not divide s - B no state carries the word, yet the planted
+    # kernel pins a residue anyway; only the words that no state carries
+    # reach that branch, so the sampled prefixes pass and those words fail
+    def never_empty(k, rows, lo, hi, word):
+        M, r, A, B = 1, 0, 1, 0
+        t0, t1 = lo, hi
+        for s in word:
+            g = gcd(A, k)
+            p = k // g
+            u = (s - B) // g * pow(A // g, -1, p) % p
+            M, r, A, B = p * M, r + M * u, p * A, A * u + B
+            t0, t1 = -((u - t0) // p), (t1 - u) // p
+            _, A, B = systems._class_step(k, rows, A, B)
+            t0, t1 = max(t0, -((B - lo) // A)), min(t1, (hi - B) // A)
+        return M, r, A, B, t0, t1
+
+    monkeypatch.setattr(operators, "_cylinder", never_empty)
+    result = battery.check_prefix_projection_mechanics()
+    assert not result.passed
+    assert result.detail.startswith("word (1, 1): projection support mismatch")
+    assert all(f.startswith("word ") for f in result.detail.split("; "))
+
+
 def test_check_8_catches_a_cylinder_one_step_too_long(monkeypatch):
     # the state one step of M past the cylinder's last one fails the word
     # or leaves the window, so it lies outside the support of P_I
     true_progression = coding._progression
 
     def too_long(k, rows, win, word):
-        M, r, t0, t1 = true_progression(k, rows, win, word)
+        cut = true_progression(k, rows, win, word)
+        if cut is None:
+            return None
+        M, r, t0, t1 = cut
         return M, r, t0, t1 + 1
 
     monkeypatch.setattr(coding, "_progression", too_long)

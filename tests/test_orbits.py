@@ -1,6 +1,7 @@
 """Orbit iteration, total-orbit closure, minimality probing."""
 
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from branchdyn import battery, orbits, systems, words
 from branchdyn.errors import InvalidSpec, OutOfDomain
 
-from conftest import closed_tables, orbit_oracle
+from conftest import JUMP_SPECS, closed_tables, jump_oracle, orbit_oracle
 
 
 def _table(branch, image, k=None):
@@ -145,6 +146,88 @@ def test_orbit_matches_eager_oracle_on_shift(pre, per, cap):
     check_caps(sys, systems.EventuallyPeriodic.make(pre, per), cap)
 
 
+# -- jump tables and walks ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
+def test_jump_table_entries_follow_single_steps(name):
+    # entry b: t single steps from size*a + b end at A*a + B, pass no
+    # state above UA*a + UB, and take the same branches for every a; the
+    # last of them is affine unless all are divisions
+    sys = systems.make_system(JUMP_SPECS[name])
+    size, table = orbits._jump_table(sys.k, sys._affine)
+    assert size <= orbits._JUMP_TABLE_SIZE < size * sys.k
+    assert len(table) == size
+    for b, (t, A, B, UA, UB) in enumerate(table):
+        assert 1 <= t <= orbits._JUMP_STEPS
+        paths = set()
+        for a in (0, 1, 2, 5, 2**70 + 3) if b else (1, 2, 5, 2**70 + 3):
+            walk = [size * a + b]
+            for _ in range(t):
+                walk.append(sys.apply(walk[-1]))
+            assert walk[-1] == A * a + B
+            assert max(walk[:-1]) <= UA * a + UB
+            paths.add(tuple(map(sys.branch_of, walk[:-1])))
+        (path,) = paths
+        assert path[-1] != sys.k or set(path) == {sys.k}
+    if name == "alphabeta3_gcd":
+        assert table[1][0] == orbits._JUMP_STEPS
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
+@given(x=st.integers(min_value=1, max_value=2**70))
+def test_jump_and_rise_follow_single_steps(name, x):
+    # the jump from x lands off the division branch after s steps; rise(x)
+    # is the peak at step t <= s and a bound on the states before it
+    sys = systems.make_system(JUMP_SPECS[name])
+    rise, cover, _ = orbits._jumps(sys)
+    y, s = jump_oracle(sys, x)
+    t, peak, bound = rise(x)
+    walk = [x]
+    for _ in range(s):
+        walk.append(sys.apply(walk[-1]))
+    assert walk[-1] == y
+    assert sys.branch_of(y) != sys.k
+    assert walk[t] == peak
+    assert max(walk[:t]) <= bound
+    # cover(x) bounds every state from x to y, the run of divisions too
+    assert max(walk) <= cover(x)
+
+
+def test_jump_tables_are_built_by_the_first_long_walk():
+    sys = systems.make_system(systems.collatz())
+    assert sys._jump_cache is None
+    orbits.orbit_iterate(sys, 27, orbits._JUMP_TABLE_SIZE - 1)
+    assert sys._jump_cache is None
+    orbits.orbit_iterate(sys, 27, orbits._JUMP_TABLE_SIZE)
+    assert sys._jump_cache is not None
+    # j = 1 above k = 16, where a jump would be a leap
+    assert orbits._jumps(systems.make_system(systems.AlphaBeta(17, (1,) * 16, (1,) * 16))) is None
+    assert orbits._jumps(systems.make_system(systems.SymbolicShift(2))) is None
+
+
+# sha256 of repr(_jump_table(k, rows)), pinned before _jump_entry read
+# its steps off _class_step
+JUMP_TABLE_DIGESTS = {
+    "alphabeta3": "eb0949230c3c45aa997dd1a4cc29839180e7444fd07e601b19c6ac44794567fb",
+    "alphabeta3_gcd": "d16caf715bc61b4d65525d4fa191abc5c35d35bccbaac1016ff636e4f791babd",
+    "alphabeta4_slope1": "1d485d50e886849b4eadf320abc6017f3efb5f4e1ffd54fc52543ad1559bfab4",
+    "alphabeta5": "ccf67b82f9b9306043af00720d451d2782febeee737392520c9c1859ab70c764",
+    "alphabeta7": "87f4e2638cf790080a585f664823cc5a5c76aa6f102a32b472e838a635aff185",
+    "collatz": "db599e93917fd57b93f2f1d0fdbb0a78d0d0322ac875227460a8c38f73a09a95",
+    "mersenne3": "4ffc158c946122eca521c3919c68f4d718adac16cc78a7cc972b6627bba26661",
+    "qxd1_1": "869138c609ed084d31af851ea01e09a195ddaf8755345404abd238149115067a",
+    "qxd5_1": "6099065cc54cdf9e62e068d44bfcc338207045f7cce16a99995dcfc768198829",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
+def test_jump_table_entries_are_unchanged(name):
+    sys = systems.make_system(JUMP_SPECS[name])
+    table = orbits._jump_table(sys.k, sys._affine)[1]
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == JUMP_TABLE_DIGESTS[name]
+
+
 JUMP_AFFINE = {
     **AFFINE,
     "qxd:1,1": systems.make_system(systems.QxPlusD(1, 1)),
@@ -158,7 +241,7 @@ JUMP_AFFINE = {
 @given(
     st.sampled_from(sorted(JUMP_AFFINE)),
     st.integers(min_value=1, max_value=2**64),
-    st.integers(min_value=systems._JUMP_TABLE_SIZE, max_value=3000),
+    st.integers(min_value=orbits._JUMP_TABLE_SIZE, max_value=3000),
 )
 # collatz enters its cycle at 109 + 3; 5x+1 from 7 is capped
 @example("collatz", 27, 1000)
@@ -183,9 +266,9 @@ def test_record_scan_reads_the_tail_first(name, x, cap, whole):
     # rise runs on the jumps from the last _TAIL landings, and only when
     # they hold no certified record on the jumps from every landing
     sys = systems.make_system(JUMP_AFFINE[name].spec)
-    jump, rise, cover = sys._jumps()
+    rise, cover, walk = orbits._jumps(sys)
     risen = []
-    sys._jump_cache = jump, lambda z: risen.append(z) or rise(z), cover
+    sys._jump_cache = lambda z: risen.append(z) or rise(z), cover, walk
     assert not orbits.orbit_iterate(sys, x, cap).entered_cycle
     assert x not in risen[:orbits._TAIL]
     if whole:
@@ -199,18 +282,19 @@ def test_record_scan_reads_the_tail_first(name, x, cap, whole):
 
 @pytest.mark.parametrize("name", sorted(JUMP_AFFINE))
 def test_fused_jump_walk_matches_the_walk_over_jump(name):
+    # the cached walk against the walk over the jumps made by single steps:
     # the same landings at the same indices, in the same order, and the
     # same repeated landing or None
     sys = systems.make_system(JUMP_AFFINE[name].spec)
-    jump, _, _ = sys._jumps()
+    _, _, walk = orbits._jumps(sys)
     rng = random.Random(name)
     starts = [rng.randint(1, 10**4) for _ in range(20)]
     starts += [rng.getrandbits(1500) | 1 << 1499 for _ in range(3)]
     for x in starts:
         for cap in (256, 773, 10**4):
             fused, stepped = {x: 0}, {x: 0}
-            got = sys._jump_walk(fused, x, 0, cap)
-            assert got == systems._walk(jump, stepped, x, 0, cap)
+            got = walk(fused, x, 0, cap)
+            assert got == orbits._walk(lambda z: jump_oracle(sys, z), stepped, x, 0, cap)
             assert list(fused.items()) == list(stepped.items())
 
 
@@ -292,15 +376,15 @@ def test_a_capped_record_is_read_from_the_entry_table():
     for x in range(1, 2001):
         orbits.orbit_iterate(warm, x, 10**4)
     assert warm._entries[27] == (109, (1, 4, 2))
-    kernels = warm._leap, warm._jump_walk
-    warm._leap = warm._jump_walk = None  # a walk would call one of them
+    kernels = warm._leap, warm._jump_cache
+    warm._leap, warm._jump_cache = None, (None, None, None)  # a walk would call one
     try:
         for cap in (0, 100, 111, 112, 300):
             rec = orbits.orbit_iterate(warm, 27, cap)
             assert rec.entered_cycle == (cap >= 112)
             assert rec == cold_record(cold, 27, cap)
     finally:
-        warm._leap, warm._jump_walk = kernels
+        warm._leap, warm._jump_cache = kernels
     for cap in (100, 111, 112, 300):
         assert_matches_oracle(warm, 27, cap)
 

@@ -1,6 +1,5 @@
 """System construction, validation, branch structure, preimages, JSON."""
 
-import hashlib
 import re
 from itertools import product
 
@@ -18,6 +17,8 @@ from branchdyn.errors import (
 from conftest import (
     AFFINE_SPECS,
     CLASS_ROUTE_SPECS,
+    JUMP_SPECS,
+    KERNEL_SPECS,
     _Classes,
     brute_preimages,
     brute_primitive_period,
@@ -574,14 +575,6 @@ def test_spec_json_rejects_garbage():
 
 # -- step kernels --------------------------------------------------------------
 
-KERNEL_SPECS = {
-    "collatz": systems.collatz(),
-    "qxd5_1": systems.QxPlusD(5, 1),
-    "mersenne3": systems.mersenne(3),
-    "alphabeta3": systems.AlphaBeta(3, (4, 4), (2, 1)),
-    "alphabeta5": systems.AlphaBeta(5, (6, 6, 6, 6), (4, 3, 2, 1)),
-}
-
 
 def spec_step(spec, x):
     """(branch, image) of x read off an affine spec, without the system."""
@@ -619,98 +612,6 @@ def test_affine_kernels_agree_with_public_methods(name, x):
     sys = systems.make_system(spec)
     assert_kernels_agree(sys, x)
     assert (sys._branch(x), sys._step(x)) == spec_step(spec, x)
-
-
-# -- jump tables ---------------------------------------------------------------
-
-JUMP_SPECS = {
-    **KERNEL_SPECS,
-    "qxd1_1": systems.QxPlusD(1, 1),
-    "alphabeta4_slope1": systems.AlphaBeta(4, (1, 3, 1), (3, 2, 1)),
-    # the slope 3 keeps its factor k: no residue ever loses its branch,
-    # so only the step bound ends an entry
-    "alphabeta3_gcd": systems.AlphaBeta(3, (3, 3), (1, 1)),
-    "alphabeta7": systems.AlphaBeta(7, (1, 2, 3, 1, 5, 1), (6, 5, 4, 3, 2, 1)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
-def test_jump_table_entries_follow_single_steps(name):
-    # entry b: t single steps from size*a + b end at A*a + B, pass no
-    # state above UA*a + UB, and take the same branches for every a; the
-    # last of them is affine unless all are divisions
-    sys = systems.make_system(JUMP_SPECS[name])
-    size, table = systems._jump_table(sys.k, sys._affine)
-    assert size <= systems._JUMP_TABLE_SIZE < size * sys.k
-    assert len(table) == size
-    for b, (t, A, B, UA, UB) in enumerate(table):
-        assert 1 <= t <= systems._JUMP_STEPS
-        paths = set()
-        for a in (0, 1, 2, 5, 2**70 + 3) if b else (1, 2, 5, 2**70 + 3):
-            walk = [size * a + b]
-            for _ in range(t):
-                walk.append(sys.apply(walk[-1]))
-            assert walk[-1] == A * a + B
-            assert max(walk[:-1]) <= UA * a + UB
-            paths.add(tuple(map(sys.branch_of, walk[:-1])))
-        (path,) = paths
-        assert path[-1] != sys.k or set(path) == {sys.k}
-    if name == "alphabeta3_gcd":
-        assert table[1][0] == systems._JUMP_STEPS
-
-
-@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
-@given(x=st.integers(min_value=1, max_value=2**70))
-def test_jump_and_rise_follow_single_steps(name, x):
-    # jump(x) = (f^s(x), s) lands off the division branch; rise(x) is the
-    # peak at step t <= s and a bound on the states before it
-    sys = systems.make_system(JUMP_SPECS[name])
-    jump, rise, cover = sys._jumps()
-    y, s = jump(x)
-    t, peak, bound = rise(x)
-    walk = [x]
-    for _ in range(s):
-        walk.append(sys.apply(walk[-1]))
-    assert walk[-1] == y
-    assert sys.branch_of(y) != sys.k
-    assert walk[t] == peak
-    assert max(walk[:t]) <= bound
-    # cover(x) bounds every state from x to y, the run of divisions too
-    assert max(walk) <= cover(x)
-
-
-def test_jump_tables_are_built_by_the_first_long_walk():
-    sys = systems.make_system(systems.collatz())
-    assert sys._jump_cache is None
-    orbits.orbit_iterate(sys, 27, systems._JUMP_TABLE_SIZE - 1)
-    assert sys._jump_cache is None
-    orbits.orbit_iterate(sys, 27, systems._JUMP_TABLE_SIZE)
-    assert sys._jump_cache is not None
-    # j = 1 above k = 16, where a jump would be a leap
-    assert systems.make_system(systems.AlphaBeta(17, (1,) * 16, (1,) * 16))._jumps() is None
-    assert systems.make_system(systems.SymbolicShift(2))._jumps() is None
-
-
-# sha256 of repr(_jump_table(k, rows)), pinned before _jump_entry read
-# its steps off _class_step
-JUMP_TABLE_DIGESTS = {
-    "alphabeta3": "eb0949230c3c45aa997dd1a4cc29839180e7444fd07e601b19c6ac44794567fb",
-    "alphabeta3_gcd": "d16caf715bc61b4d65525d4fa191abc5c35d35bccbaac1016ff636e4f791babd",
-    "alphabeta4_slope1": "1d485d50e886849b4eadf320abc6017f3efb5f4e1ffd54fc52543ad1559bfab4",
-    "alphabeta5": "ccf67b82f9b9306043af00720d451d2782febeee737392520c9c1859ab70c764",
-    "alphabeta7": "87f4e2638cf790080a585f664823cc5a5c76aa6f102a32b472e838a635aff185",
-    "collatz": "db599e93917fd57b93f2f1d0fdbb0a78d0d0322ac875227460a8c38f73a09a95",
-    "mersenne3": "4ffc158c946122eca521c3919c68f4d718adac16cc78a7cc972b6627bba26661",
-    "qxd1_1": "869138c609ed084d31af851ea01e09a195ddaf8755345404abd238149115067a",
-    "qxd5_1": "6099065cc54cdf9e62e068d44bfcc338207045f7cce16a99995dcfc768198829",
-}
-
-
-@pytest.mark.parametrize("name", sorted(JUMP_SPECS))
-def test_jump_table_entries_are_unchanged(name):
-    sys = systems.make_system(JUMP_SPECS[name])
-    table = systems._jump_table(sys.k, sys._affine)[1]
-    assert hashlib.sha256(repr(table).encode()).hexdigest() == JUMP_TABLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(JUMP_SPECS))
