@@ -65,9 +65,11 @@ def _collatz_cycles_20():
 def _reach_one(bound: int) -> tuple:
     """Walk every collatz start in 1..bound to 1, memoising stopping times.
 
-    Returns (worst stopping time, the first start that did not reach 1
-    within 10^4 steps or None); the worst time covers the starts before
-    that one.
+    Returns (worst stopping time, the first start whose stopping time
+    exceeds 10^4 steps or None); the worst time covers the starts before
+    that one.  A walk ends at a memoised state, so a start's stopping
+    time is its own walk plus that state's; the bound holds the sum, and
+    a walk that runs past it alone is cut there.
     """
     step = _collatz()._step  # the loop starts from n >= 2, states by construction
     known = [None] * (bound + 1)
@@ -85,6 +87,8 @@ def _reach_one(bound: int) -> tuple:
             if steps > 10**4:
                 return worst, n
         total = steps + known[cur]
+        if total > 10**4:
+            return worst, n
         if total > worst:
             worst = total
         for v in path:  # f^s(n) is total - s steps from 1

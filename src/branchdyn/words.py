@@ -323,25 +323,47 @@ class UniquenessReport:
     violations: tuple  # (word, sorted fixed points), in (length, word) order
 
 
-def _fixed_words(sys: DynamicalSystem, states, max_len: int) -> dict:
-    """{word: [states it fixes]}, words of length <= max_len: y is fixed by
-    w exactly when w is y's coding prefix and f^|w|(y) = y, so y is walked
-    to its first return, after p steps; one more lap reads its word, and y
-    is fixed by that word's powers alone."""
-    step, branch = sys._step, sys._branch
+def _fixed_words(sys: DynamicalSystem, window, max_len: int) -> dict:
+    """{word: [states it fixes]} over the window's states, words of length
+    <= max_len: y is fixed by w exactly when w is y's coding prefix and
+    f^|w|(y) = y, so y is fixed by the word of its first return, after p
+    <= max_len steps, and by that word's powers alone.
+
+    Each state y is walked by ``sys._leap``, which lands on every orbit
+    state off the division branch (on a table, on every state).  The walk
+    stops at its first return, at a landing walked earlier, or once it is
+    past max_len steps.  Stopping at a walked landing z is exact: were y
+    on a cycle of length <= max_len, z would be on it too, and the walk
+    from z went round it or stopped at a landing on it walked yet
+    earlier, so the cycle is recorded already.  A return is read in one
+    lap of single steps, and every window state on the lap is recorded
+    with its rotation of the word and that rotation's powers; a later
+    walk from the lap lands on y before it could return.  A state on the
+    division branch is never a landing, but in 1..hi its cycle's next
+    landing is a smaller state, whose walk records it.
+    """
+    window, states = window_states(sys, window)
+    step, branch, leap, contains = sys._step, sys._branch, sys._leap, window.contains
     fixed: dict = {}
+    walked = set()
     for y in states:
-        cur = y
-        for p in range(1, max_len + 1):
+        walked.add(y)
+        cur, n = leap(y)
+        while n <= max_len and cur not in walked:
+            cur, s = leap(cur)
+            n += s
+        if cur != y or n > max_len:
+            continue
+        lap, word = [], []
+        for _ in range(n):
+            lap.append(cur)
+            word.append(branch(cur))
             cur = step(cur)
-            if cur == y:
-                word = []
-                for _ in range(p):
-                    word.append(branch(cur))
-                    cur = step(cur)
-                for r in range(1, max_len // p + 1):
-                    fixed.setdefault(tuple(word) * r, []).append(y)
-                break
+        for j, x in enumerate(lap):
+            if contains(x):
+                rotation = tuple(word[j:] + word[:j])
+                for r in range(1, max_len // n + 1):
+                    fixed.setdefault(rotation * r, []).append(x)
     return fixed
 
 
@@ -350,8 +372,10 @@ def check_uniqueness(
 ) -> UniquenessReport:
     """Does every word of length <= max_len have at most one fixed point?
 
-    ``_fixed_words`` lists each word that fixes a walked state.  A finite
-    table walks all of its states; a word fixing two is a violation.  The
+    ``_fixed_words`` lists each word that fixes a state of the window, by
+    leaps that stop at a state already walked, and reads each cycle it
+    finds once.  A finite table's window is all of its states; a word
+    fixing two is a violation.  The
     affine algebra gives at most one fixed point, x = nb / (k**e - na),
     unless f_I is the identity (reported as "identity"), and the walk
     over 1..scan_bound cross-checks the solver: a word whose fixed states
@@ -368,7 +392,7 @@ def check_uniqueness(
         # passed, and a scan over no state would guard nothing yet pass
         _need_int("scan_bound", scan_bound, 1)
     window = None if scan_bound is None else IntWindow(1, scan_bound)
-    fixed = _fixed_words(sys, window_states(sys, window)[1], max_len)
+    fixed = _fixed_words(sys, window, max_len)
     if scan_bound is None:
         violations = [(w, _state_order(ys)) for w, ys in fixed.items() if len(ys) > 1]
     else:

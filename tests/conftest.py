@@ -232,6 +232,28 @@ def all_words_cycles(sys, max_len):
     return found
 
 
+def fixed_words_oracle(sys, states, max_len):
+    """``words._fixed_words`` by single steps: each state y is stepped to
+    its first return within max_len steps, one more lap reads the word w
+    of that return, and y is listed under w and w's powers up to
+    max_len."""
+    step, branch = sys._step, sys._branch
+    fixed = {}
+    for y in states:
+        cur = y
+        for p in range(1, max_len + 1):
+            cur = step(cur)
+            if cur == y:
+                word = []
+                for _ in range(p):
+                    word.append(branch(cur))
+                    cur = step(cur)
+                for r in range(1, max_len // p + 1):
+                    fixed.setdefault(tuple(word) * r, []).append(y)
+                break
+    return fixed
+
+
 def uniqueness_oracle(sys, max_len, scan_bound, branches=None):
     """The affine ``check_uniqueness`` report, solving every word from
     scratch in Fractions (``fraction_fixed_point``, with ``branches`` if

@@ -299,6 +299,15 @@ PERIOD3_30 = json.dumps(
         # last record
         ("orbit_alphabeta3_gcd_x6_cap300.json",
          ["orbit", "--system", ALPHABETA3_GCD, "--x", "6", "--cap", "300"]),
+        # uniqueness walks pinned while every state was walked by single
+        # steps: 3x+5's cycles pass through even states, which the leaping
+        # walk reads off the laps of their odd ones
+        ("check_uniqueness_qxd3_5_l20_s2000.json",
+         ["check", "uniqueness", "--system", "qxd:3,5", "--max-len", "20",
+          "--scan-bound", "2000"]),
+        ("check_uniqueness_qxd5_1_l20_s3000.json",
+         ["check", "uniqueness", "--system", "qxd:5,1", "--max-len", "20",
+          "--scan-bound", "3000"]),
     ],
 )
 def test_tower_report_golden(capsys, name, argv):
@@ -393,6 +402,17 @@ def test_check_uniqueness_scan_beyond_the_budget_is_exit_2(capsys, deadline):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: window holds 2000000 states")
+
+
+def test_check_uniqueness_on_a_wide_scan_stays_fast(capsys, deadline):
+    # 10^5 states of 5x+1 walked to length 20: each walk leaps over its
+    # division runs and stops at a state an earlier walk took
+    deadline(2)
+    code, rep = run(capsys, "check", "uniqueness", "--system", "qxd:5,1",
+                    "--max-len", "20", "--scan-bound", "100000")
+    deadline(0)
+    assert code == 0
+    assert rep["passed"] and rep["fixed_words"] == 54
 
 
 def test_check_separating(capsys):

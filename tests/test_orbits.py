@@ -539,15 +539,24 @@ def test_reach_one_matches_orbit_iterate(collatz):
 
 
 @pytest.fixture
-def collatz_trapping_7(monkeypatch):
-    """battery._collatz replaced by a collatz system whose step fixes 7."""
+def plant_collatz(monkeypatch):
+    """plant_collatz(planted_step) replaces battery._collatz by a collatz
+    system whose step is planted_step(its true step)."""
     planted = systems.make_system(systems.collatz())
-    step = planted._step
-    planted._step = lambda x: x if x == 7 else step(x)
+
+    def plant(planted_step):
+        planted._step = planted_step(planted._step)
+
     monkeypatch.setattr(battery, "_collatz", lambda: planted)
     battery._collatz_cycles_20.cache_clear()
-    yield planted
+    yield plant
     battery._collatz_cycles_20.cache_clear()
+
+
+@pytest.fixture
+def collatz_trapping_7(plant_collatz):
+    """A collatz step that fixes 7."""
+    plant_collatz(lambda step: lambda x: x if x == 7 else step(x))
 
 
 @pytest.mark.parametrize("check, detail", [
@@ -555,6 +564,44 @@ def collatz_trapping_7(monkeypatch):
     (battery.check_convergence_probe, "7 did not reach 1 in 10^4 steps"),
 ], ids=["check01", "check13"])
 def test_walk_checks_catch_a_trapped_start(collatz_trapping_7, check, detail):
+    result = check()
+    assert not result.passed
+    assert detail in result.detail.split("; ")
+
+
+@pytest.fixture
+def collatz_detouring_99(plant_collatz):
+    """A collatz step where 98 and then 99 each take a detour of 9000
+    steps above 10^5: 98's runs back to 49, 99's to 98, so 99 reaches 1
+    after about 18,000 steps although no single walk from a start runs
+    past 10^4 before a memoised state."""
+    detours = {98: (10**6, 49), 99: (2 * 10**6, 98)}
+    ends = {base + 8999: back for base, back in detours.values()}
+
+    def detouring(step):
+        def planted(x):
+            if x in detours:
+                return detours[x][0]
+            if x in ends:
+                return ends[x]
+            return x + 1 if x >= 10**6 else step(x)
+        return planted
+
+    plant_collatz(detouring)
+
+
+def test_reach_one_bounds_the_stopping_time_not_one_walk(collatz_detouring_99):
+    # 99 takes 18,026 steps; below it 57, whose orbit meets 98, takes
+    # the most, 9032
+    assert battery._reach_one(100) == (9032, 99)
+
+
+@pytest.mark.parametrize("check, detail", [
+    (battery.check_collatz_cycle_census, "orbit of 99 did not reach 1 in 10^4 steps"),
+    (battery.check_convergence_probe, "99 did not reach 1 in 10^4 steps"),
+], ids=["check01", "check13"])
+def test_walk_checks_catch_a_start_beyond_the_bound_by_two_walks(
+        collatz_detouring_99, check, detail):
     result = check()
     assert not result.passed
     assert detail in result.detail.split("; ")

@@ -16,9 +16,11 @@ from branchdyn.errors import (
 
 from conftest import (
     all_words_cycles,
+    closed_tables,
     fraction_compose,
     fraction_fixed_point,
     finite_uniqueness_oracle,
+    fixed_words_oracle,
     injective_table,
     uniqueness_oracle,
 )
@@ -296,9 +298,9 @@ def test_necklace_search_matches_oracles(spec, max_len):
 
 
 @st.composite
-def small_alphabeta(draw):
-    k = draw(st.integers(min_value=2, max_value=4))
-    coeff = st.integers(min_value=1, max_value=9)
+def small_alphabeta(draw, max_k=4, max_coeff=9):
+    k = draw(st.integers(min_value=2, max_value=max_k))
+    coeff = st.integers(min_value=1, max_value=max_coeff)
     alpha = tuple(draw(coeff) for _ in range(k - 1))
     beta = tuple(draw(coeff) for _ in range(k - 1))
     return systems.AlphaBeta(k, alpha, beta)
@@ -499,6 +501,36 @@ def test_uniqueness_matches_the_oracle_on_tables(data):
     sys = systems.make_system(systems.FiniteTable.make(branch, image, k=k))
     max_len = data.draw(st.integers(min_value=1, max_value=7))
     assert words.check_uniqueness(sys, max_len) == finite_uniqueness_oracle(sys, max_len)
+
+
+def fixed_states(fixed):
+    return {word: sorted(ys) for word, ys in fixed.items()}
+
+
+odd_to_15 = st.integers(min_value=0, max_value=7).map(lambda i: 2 * i + 1)
+
+
+# slopes up to 12 often share a factor with k = 3, 4 or 6 (gcd failures)
+@given(
+    st.one_of(
+        st.builds(systems.QxPlusD, odd_to_15, odd_to_15),
+        small_alphabeta(max_k=7, max_coeff=12),
+    ),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=300),
+)
+def test_leaping_walk_matches_the_single_step_walk(spec, max_len, scan_bound):
+    sys = sys_of(spec)
+    fixed = words._fixed_words(sys, systems.IntWindow(1, scan_bound), max_len)
+    oracle = fixed_words_oracle(sys, range(1, scan_bound + 1), max_len)
+    assert fixed_states(fixed) == fixed_states(oracle)
+
+
+@given(closed_tables(), st.integers(min_value=1, max_value=16))
+def test_leaping_walk_matches_the_single_step_walk_on_tables(table, max_len):
+    sys = systems.make_system(systems.FiniteTable.make(*table))
+    fixed = words._fixed_words(sys, None, max_len)
+    assert fixed_states(fixed) == fixed_states(fixed_words_oracle(sys, sys.states(), max_len))
 
 
 def test_uniqueness_scan_flags_a_wrong_fold(collatz, monkeypatch):
